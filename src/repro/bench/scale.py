@@ -143,17 +143,17 @@ QUERY_SUITE: List[QuerySpec] = [
     ),
 ]
 
-#: The mode grid: (plan, join_mode, batch_format, workers).  Only
-#: ``cost``+``hash`` executes factored (set-at-a-time with hash/semi
-#: joins); the rest run merged.  The ``columnar`` entry re-runs the
-#: factored mode over columnar batches with two morsel-scan workers —
-#: same rows, measured against its own p95 budget in the CI gate.
-MODES: List[Tuple[str, str, str, int]] = [
-    ("cost", "hash", "rows", 1),
-    ("cost", "hash", "columnar", 2),
-    ("cost", "nested", "rows", 1),
-    ("typed", "hash", "rows", 1),
-    ("greedy", "hash", "rows", 1),
+#: The mode grid: (plan, join_mode, workers).  Only ``cost``+``hash``
+#: executes factored (set-at-a-time with hash/semi joins); the rest run
+#: merged.  The ``workers=2`` entry re-runs the factored mode with two
+#: morsel-scan workers — same rows, measured against its own p95 budget
+#: in the CI gate.
+MODES: List[Tuple[str, str, int]] = [
+    ("cost", "hash", 1),
+    ("cost", "hash", 2),
+    ("cost", "nested", 1),
+    ("typed", "hash", 1),
+    ("greedy", "hash", 1),
 ]
 
 _TIMING_KEYS = frozenset(
@@ -186,13 +186,10 @@ def _measure_query(
     spec: QuerySpec,
     plan: str,
     rounds: int,
-    batch_format: str = "rows",
     workers: int = 1,
 ) -> Dict[str, object]:
     """Prepared re-runs of one query: latency + per-operator analyze."""
-    compiled = session.prepare(
-        spec.text, plan=plan, batch_format=batch_format, workers=workers
-    )
+    compiled = session.prepare(spec.text, plan=plan, workers=workers)
     rows = len(compiled.run().rows())  # warm-up, off the clock
     latency = Observation()
     operator_times: List[Tuple[str, str, Observation]] = []
@@ -236,7 +233,7 @@ def run_scale_benchmark(
     rounds: int = 3,
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-    modes: Sequence[Tuple[str, str, str, int]] = tuple(MODES),
+    modes: Sequence[Tuple[str, str, int]] = tuple(MODES),
 ) -> Dict[str, object]:
     """Run the suite across *tiers* and return the artifact payload."""
     say = progress or (lambda _line: None)
@@ -275,14 +272,13 @@ def run_scale_benchmark(
             "modes": [],
         }
         rows_seen: Dict[str, int] = {}
-        for plan, join_mode, batch_format, workers in modes:
+        for plan, join_mode, workers in modes:
             factored = _is_factored(plan, join_mode)
             session = Session(store)
             session.join_mode = join_mode
             mode_entry: Dict[str, object] = {
                 "plan": plan,
                 "join_mode": join_mode,
-                "batch_format": batch_format,
                 "workers": workers,
                 "queries": [],
                 "skipped": [],
@@ -294,7 +290,7 @@ def run_scale_benchmark(
                     mode_entry["skipped"].append(qspec.name)
                     continue
                 record = _measure_query(
-                    session, qspec, plan, rounds, batch_format, workers
+                    session, qspec, plan, rounds, workers
                 )
                 mode_seconds += record.pop("_seconds_total")
                 mode_runs += rounds
@@ -309,9 +305,9 @@ def run_scale_benchmark(
                         f"returned {record['rows']} rows, other modes "
                         f"saw {expected}"
                     )
-                # Curves track the canonical rows-format factored mode
-                # only, so the columnar re-run never double-records.
-                if factored and batch_format == "rows":
+                # Curves track the single-worker factored mode only, so
+                # the two-worker re-run never double-records.
+                if factored and workers == 1:
                     query_curves.setdefault(
                         qspec.name, PercentileCurve()
                     ).points.setdefault(tier, Observation())
@@ -325,7 +321,7 @@ def run_scale_benchmark(
             tier_entry["modes"].append(mode_entry)
             say(
                 f"[{tier}] plan={plan} join={join_mode} "
-                f"format={batch_format} workers={workers}: "
+                f"workers={workers}: "
                 f"{len(mode_entry['queries'])} queries, "
                 f"{mode_entry['queries_per_sec']} q/s, "
                 f"worst p95 {mode_entry['worst_p95_ms']}ms"
@@ -380,11 +376,10 @@ def validate_artifact(payload: Dict[str, object]) -> None:
         for mode in modes:
             mwhere = (
                 f"{where}.{mode.get('plan')}/{mode.get('join_mode')}"
-                f"/{mode.get('batch_format')}"
+                f"/{mode.get('workers')}"
             )
             need(mode, "plan", mwhere, str)
             need(mode, "join_mode", mwhere, str)
-            need(mode, "batch_format", mwhere, str)
             need(mode, "workers", mwhere, int)
             need(mode, "skipped", mwhere, list)
             need(mode, "worst_p95_ms", mwhere, (int, float))
@@ -456,20 +451,12 @@ def compare_to_baseline(
                 f"below baseline {base_rate:,.0f} obj/s"
             )
         base_modes = {
-            (
-                mode["plan"],
-                mode["join_mode"],
-                mode.get("batch_format", "rows"),
-            ): mode
+            (mode["plan"], mode["join_mode"], mode["workers"]): mode
             for mode in base.get("modes", [])
         }
         for mode in tier.get("modes", []):
             bmode = base_modes.get(
-                (
-                    mode["plan"],
-                    mode["join_mode"],
-                    mode.get("batch_format", "rows"),
-                )
+                (mode["plan"], mode["join_mode"], mode["workers"])
             )
             if bmode is None:
                 continue
@@ -479,7 +466,7 @@ def compare_to_baseline(
                 problems.append(
                     f"{tier['tier']} plan={mode['plan']} "
                     f"join={mode['join_mode']} "
-                    f"format={mode.get('batch_format', 'rows')}: "
+                    f"workers={mode['workers']}: "
                     f"worst p95 {worst}ms is "
                     f">{factor}x above baseline {base_worst}ms"
                 )
@@ -501,8 +488,7 @@ def render_report(payload: Dict[str, object]) -> str:
         for mode in tier["modes"]:
             lines.append(
                 f"  plan={mode['plan']:6s} join={mode['join_mode']:6s} "
-                f"format={mode.get('batch_format', 'rows'):8s} "
-                f"workers={mode.get('workers', 1)} "
+                f"workers={mode['workers']} "
                 f"{mode['queries_per_sec']:8.1f} q/s  "
                 f"worst p95 {mode['worst_p95_ms']:10.3f}ms"
                 + (

@@ -12,8 +12,8 @@ cached     ``Session.prepare(text, plan="greedy")`` run  always
 cost       ``Session.query(text, plan="cost")`` — the    always
            statistics-driven optimizer with index
            probes (may auto-enable indexes), pinned to
-           ``join_mode="nested"`` tuple-at-a-time
-           execution
+           ``join_mode="nested"`` merged execution
+           (every operator merges the whole state)
 hashjoin   ``plan="cost"`` on a second session with      always
            ``join_mode="hash"``: the factored
            HashJoin/SemiJoin operator pipeline
@@ -27,10 +27,9 @@ flogic     Theorem 3.1 translation + F-logic kernel      conjunctive
                                                          fragment only
 snapshot   ``store_to_dict``/``store_from_dict`` then    always
            the reference evaluator on the restored store
-columnar   ``plan="cost"`` with                          always
-           ``batch_format="columnar"`` and ``workers=2``
-           on its own session: columnar binding batches
-           with morsel-parallel scans
+columnar   ``plan="cost"`` with ``workers=2`` on its    always
+           own session: morsel-parallel scans over a
+           walker memo that persists across queries
 kv         ``encode_store`` into a WAL-backed            always
            :class:`~repro.storage.wal.LogStructuredEngine`,
            close + reopen (a full WAL replay), then
@@ -285,7 +284,7 @@ class Oracle:
             "flogic": lambda: evaluate(self._flogic(), translate(parsed)),
             "snapshot": lambda: Evaluator(self._roundtrip()).run(parsed),
             "columnar": lambda: self.columnar_session.query(
-                text, plan="cost", batch_format="columnar", workers=2
+                text, plan="cost", workers=2
             ),
             "kv": lambda: Evaluator(self._kv_roundtrip()).run(parsed),
             "fused": lambda: self.fused_session.query(

@@ -1,28 +1,20 @@
-"""The batch algebra: the factored binding-state both executors share.
+"""The batch algebra: the factored binding-state of the operator tree.
 
 The physical-operator executor (:mod:`repro.xsql.operators`) represents
-the binding stream as a list of variable-disjoint batches whose cross
-product is the logical stream.  Two batch representations implement the
-same algebra:
-
-* :class:`Batch` — the row representation: one Python dict per binding.
-  This is the historical format and remains the default
-  (``batch_format="rows"``).
-* :class:`ColumnBatch` — the columnar representation: one value vector
-  per variable plus a row count (``batch_format="columnar"``).  Ragged
-  bindings (a variable declared by the batch but unbound in some rows,
-  e.g. after an OR branch) store the :data:`UNBOUND` sentinel in the
-  vector; row adapters drop it, so ``from_rows``/``to_rows`` round-trip
-  exactly.
+the binding stream as a list of variable-disjoint :class:`ColumnBatch`
+objects whose cross product is the logical stream.  A batch holds one
+value vector per variable plus a row count.  Ragged bindings (a
+variable declared by the batch but unbound in some rows, e.g. after an
+OR branch) store the :data:`UNBOUND` sentinel in the vector; the row
+adapters drop it, so ``from_rows``/``to_rows`` round-trip exactly.
 
 The three algebra operations — :func:`merge_overlapping`,
-:func:`merge_all`, :func:`product_count` — are generic over both
-representations and preserve the logical stream bit-for-bit: a columnar
-merge repeats the left columns and tiles the right columns, which is the
-same left-outer/right-inner order as the row merge's
-``[{**l, **r} for l in left for r in right]``.  The property suite in
-``tests/xsql/test_batch_algebra.py`` holds both representations to the
-algebra and to each other.
+:func:`merge_all`, :func:`product_count` — preserve the logical stream
+bit-for-bit: a merge repeats the left columns and tiles the right
+columns, which enumerates rows in left-outer/right-inner order, the
+order ``[{**l, **r} for l in left for r in right]`` gives over the row
+dicts.  The property suite in ``tests/xsql/test_batch_algebra.py``
+holds the algebra to exactly that list-of-dicts reference.
 
 Morsel-driven parallelism lives here too: :func:`split_morsels` cuts a
 candidate list into fixed-size morsels and :func:`morsel_map` dispatches
@@ -38,13 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.oid import Variable
@@ -52,13 +42,9 @@ from repro.xsql.paths import Bindings
 
 __all__ = [
     "UNBOUND",
-    "Batch",
     "ColumnBatch",
-    "AnyBatch",
     "State",
     "DEFAULT_MORSEL_SIZE",
-    "batch_size",
-    "batch_rows",
     "cross_state",
     "merge_all",
     "merge_overlapping",
@@ -79,22 +65,9 @@ class _Unbound:
 
 
 #: Sentinel stored in a column vector where a row does not bind the
-#: column's variable.  Row adapters omit the key entirely, matching the
-#: row representation (a dict simply lacking the key).
+#: column's variable.  Row adapters omit the key entirely (a binding
+#: dict simply lacking the key).
 UNBOUND = _Unbound()
-
-
-class Batch:
-    """One independent batch of the factored binding stream (row form)."""
-
-    __slots__ = ("vars", "envs")
-
-    def __init__(self, vars: Set[Variable], envs: List[Bindings]) -> None:
-        self.vars = vars
-        self.envs = envs
-
-    def __len__(self) -> int:
-        return len(self.envs)
 
 
 def _var_key(var: Variable) -> Tuple[str, str]:
@@ -102,13 +75,12 @@ def _var_key(var: Variable) -> Tuple[str, str]:
 
 
 class ColumnBatch:
-    """One independent batch in columnar form: a vector per variable.
+    """One independent batch of the factored stream: a vector per variable.
 
     ``columns`` maps each declared variable to a list of ``length``
     cells; a cell is a bound value or :data:`UNBOUND`.  The logical rows
     are positional: row *i* is ``{var: columns[var][i]}`` over the non-
-    UNBOUND cells, in exactly the order the row representation would
-    enumerate its ``envs`` list.
+    UNBOUND cells.
     """
 
     __slots__ = ("vars", "columns", "length")
@@ -158,6 +130,21 @@ class ColumnBatch:
     def to_rows(self) -> List[Bindings]:
         return list(self.rows())
 
+    def projection_keys(self, key_vars: Sequence[Variable]) -> List[Tuple]:
+        """Per row, the cells of *key_vars* (None where unbound/absent)."""
+        key_columns = []
+        for var in key_vars:
+            column = self.columns.get(var)
+            if column is None:
+                key_columns.append([None] * self.length)
+            else:
+                key_columns.append(
+                    [None if cell is UNBOUND else cell for cell in column]
+                )
+        if not key_columns:
+            return [()] * self.length
+        return list(zip(*key_columns))
+
     def has_unbound(self, wanted: Set[Variable]) -> bool:
         """Is any *wanted* variable UNBOUND in any row of this batch?"""
         for var in wanted & self.vars:
@@ -175,11 +162,11 @@ def replay_deltas(
 
     ``per_row[i]`` is the (possibly empty) sequence of binding deltas
     row *i* produced; the output enumerates, for each row in order, one
-    row per delta — exactly the ``{**env, **delta}`` replay of the row
-    representation, but assembled as vectors without materializing row
-    dicts.  A delta may override a base column (a variable UNBOUND in
-    that row); *extra_vars* declares variables that must exist in the
-    output even if no delta ever binds them (filled with UNBOUND).
+    row per delta — exactly the ``{**env, **delta}`` replay over row
+    dicts, but assembled as vectors without materializing them.  A
+    delta may override a base column (a variable UNBOUND in that row);
+    *extra_vars* declares variables that must exist in the output even
+    if no delta ever binds them (filled with UNBOUND).
 
     Column lists are treated as immutable throughout the executor, so
     the no-expansion fast paths alias or slice the base vectors instead
@@ -230,12 +217,9 @@ def replay_deltas(
     return ColumnBatch(out_vars, columns, out_len)
 
 
-#: Either batch representation; a state never mixes the two.
-AnyBatch = Union[Batch, ColumnBatch]
-
 #: The executor state: disjoint-variable batches whose cross product is
 #: the logical binding stream.  The empty state means "one empty env".
-State = List[AnyBatch]
+State = List[ColumnBatch]
 
 #: Default morsel granularity for parallel scans: small enough that a
 #: scale-tier extent splits across workers, large enough that the paper
@@ -243,19 +227,7 @@ State = List[AnyBatch]
 DEFAULT_MORSEL_SIZE = 256
 
 
-def batch_size(batch: AnyBatch) -> int:
-    """Row count of one batch, in either representation."""
-    return len(batch)
-
-
-def batch_rows(batch: AnyBatch) -> List[Bindings]:
-    """The batch's bindings as a list of dicts, in row order."""
-    if isinstance(batch, ColumnBatch):
-        return batch.to_rows()
-    return batch.envs
-
-
-def _cross_columnar(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
+def _cross_pair(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
     """Cross product, left-outer/right-inner: repeat left, tile right."""
     llen, rlen = left.length, right.length
     columns: Dict[Variable, List[object]] = {}
@@ -274,7 +246,7 @@ def _cross_columnar(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
 
 def merge_overlapping(
     state: State, touched: Set[Variable], merge_all: bool = False
-) -> Tuple[AnyBatch, State]:
+) -> Tuple[ColumnBatch, State]:
     """Cross-product every batch overlapping *touched*; keep the rest.
 
     This is the core move of the factored-state algebra: the merged
@@ -282,41 +254,23 @@ def merge_overlapping(
     rows are their cross product, and the untouched batches pass through
     unchanged — so ``product_count`` is preserved and batch variable
     sets stay disjoint (``tests/xsql/test_batch_algebra.py`` holds the
-    algebra to both, in both representations).
+    algebra to both).
 
     With ``merge_all`` the whole state collapses into one batch — the
-    merged (tuple-at-a-time-equivalent) execution mode.  The merged
-    batch's representation follows the state's (columnar in, columnar
-    out); an empty state merges to the row identity.
+    merged (tuple-at-a-time-equivalent) execution mode.  An empty state
+    merges to :meth:`ColumnBatch.identity`.
     """
-    if any(isinstance(batch, ColumnBatch) for batch in state):
-        cmerged = ColumnBatch.identity()
-        crest: State = []
-        for batch in state:
-            assert isinstance(batch, ColumnBatch), "mixed batch kinds"
-            if merge_all or (batch.vars & touched):
-                cmerged = _cross_columnar(cmerged, batch)
-            else:
-                crest.append(batch)
-        return cmerged, crest
-    merged = Batch(set(), [{}])
+    merged = ColumnBatch.identity()
     rest: State = []
     for batch in state:
         if merge_all or (batch.vars & touched):
-            merged = Batch(
-                merged.vars | batch.vars,
-                [
-                    {**left, **right}
-                    for left in merged.envs
-                    for right in batch.envs
-                ],
-            )
+            merged = _cross_pair(merged, batch)
         else:
             rest.append(batch)
     return merged, rest
 
 
-def merge_all(state: State) -> AnyBatch:
+def merge_all(state: State) -> ColumnBatch:
     """Collapse the whole state into one batch (full cross product)."""
     merged, _rest = merge_overlapping(state, set(), merge_all=True)
     return merged
@@ -324,7 +278,7 @@ def merge_all(state: State) -> AnyBatch:
 
 def cross_state(state: State) -> Iterator[Bindings]:
     """The logical binding stream: the batches' cross product."""
-    per_batch = [batch_rows(batch) for batch in state]
+    per_batch = [batch.to_rows() for batch in state]
 
     def recurse(index: int, acc: Bindings) -> Iterator[Bindings]:
         if index == len(per_batch):

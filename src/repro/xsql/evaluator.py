@@ -213,7 +213,7 @@ class Evaluator:
         """Each admissible class for *decl* under *env*, with the class
         variable (when the FROM class is one) bound into a fresh env.
 
-        The columnar scan operator consumes this directly so its
+        The scan operator consumes this directly so its
         per-class candidate streams stay binding-identical to
         :meth:`_bind_from`.
         """
@@ -239,7 +239,7 @@ class Evaluator:
         self, decl: ast.FromDecl, env1: Bindings, cls: Atom
     ) -> Tuple[Sequence[Atom], "Callable[[Atom], bool]"]:
         """The ordered candidate stream for one scan, plus its admission
-        predicate — the morsel unit of the columnar scan operator."""
+        predicate — the morsel unit of the scan operator."""
         restriction = self.walker.restriction_for(decl.var)
         if restriction is not None and len(restriction) * 4 <= max(
             1, self.store.extent_estimate(cls)

@@ -3,7 +3,7 @@
 Historically ``Session.prepare()``/``query()`` grew loose keyword
 arguments one PR at a time (``plan=``, ``engine=``, the session-level
 ``join_mode``).  :class:`ExecutionOptions` gathers them — plus the
-columnar-execution knobs ``batch_format`` and ``workers`` — into a
+morsel-scan ``workers`` count and the ``pointer_join`` policy — into a
 single frozen dataclass accepted uniformly by :meth:`Session.prepare`,
 :meth:`Session.query`, :meth:`CompiledQuery.explain`, the REPL, and the
 difftest oracle.  The loose kwargs remain as thin aliases that construct
@@ -25,7 +25,6 @@ from repro.errors import QueryError
 __all__ = [
     "ENGINES",
     "JOIN_MODES",
-    "BATCH_FORMATS",
     "PLAN_MODES",
     "POINTER_JOIN_MODES",
     "ExecutionOptions",
@@ -40,9 +39,6 @@ ENGINES = ("reference", "naive")
 #: Join strategies for the factored executor; ``None`` defers to the
 #: session-level default.
 JOIN_MODES = ("hash", "nested")
-
-#: Batch representations for the operator tree (repro.xsql.batches).
-BATCH_FORMATS = ("rows", "columnar")
 
 #: Pointer-join fusion policy for ``plan="cost"`` + ``join_mode="hash"``:
 #: ``"auto"`` fuses an OID-equality conjunct into direct reference
@@ -67,14 +63,10 @@ class ExecutionOptions:
     ``join_mode``
         ``"hash"``/``"nested"``, or ``None`` to use the session default
         at execution time.
-    ``batch_format``
-        ``"rows"`` (per-binding dicts) or ``"columnar"`` (one value
-        vector per variable; enables the session-persistent walker
-        memo and morsel-parallel scans).
     ``workers``
-        Worker threads for morsel-driven scans; only meaningful with
-        ``batch_format="columnar"``.  Results are bit-identical for
-        every worker count.
+        Worker threads for morsel-driven scans and pointer-join
+        dereferences.  Results are bit-identical for every worker
+        count.
     ``pointer_join``
         Pointer-join fusion policy (``"auto"``/``"off"``/``"force"``).
         Under ``plan="cost"`` with the factored executor, an equality
@@ -87,7 +79,6 @@ class ExecutionOptions:
     plan: str = "none"
     engine: str = "reference"
     join_mode: Optional[str] = None
-    batch_format: str = "rows"
     workers: int = 1
     pointer_join: str = "auto"
 
@@ -104,11 +95,6 @@ class ExecutionOptions:
             raise QueryError(
                 f"unknown join_mode {self.join_mode!r}; "
                 f"choose from {JOIN_MODES} or None"
-            )
-        if self.batch_format not in BATCH_FORMATS:
-            raise QueryError(
-                f"unknown batch_format {self.batch_format!r}; "
-                f"choose from {BATCH_FORMATS}"
             )
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise QueryError(f"workers must be an int, got {self.workers!r}")
@@ -133,7 +119,6 @@ class ExecutionOptions:
             self.plan,
             self.engine,
             self.join_mode,
-            self.batch_format,
             self.workers,
             self.pointer_join,
         )

@@ -92,7 +92,7 @@ class PathWalker:
             OrderedDict()
         )
         self._value_cache_cap = max(0, value_cache_size)
-        # Cross-run operator memo for columnar execution: ("cond"|
+        # Cross-run operator memo for operator-tree execution: ("cond"|
         # "operand", frozen AST node, projection-value tuple) -> the
         # binding deltas / value set the conjunct or operand produced.
         # AST nodes are frozen dataclasses, so structurally equal
@@ -158,8 +158,13 @@ class PathWalker:
             self._memo_tokens[key] = token
         return token
 
+    @property
+    def memo_capacity(self) -> int:
+        """How many entries the operator memo holds before evicting."""
+        return self._memo_cache_cap
+
     def memo_get(self, key: Tuple) -> Optional[object]:
-        """Cross-run operator memo lookup (columnar execution).
+        """Cross-run operator memo lookup (operator-tree execution).
 
         Returns ``None`` on a miss — callers never store ``None`` (the
         smallest stored value is an empty tuple or frozenset).

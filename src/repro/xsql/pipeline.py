@@ -126,10 +126,6 @@ class CompiledQuery:
         return self.options.join_mode or self.session.join_mode
 
     @property
-    def batch_format(self) -> str:
-        return self.options.batch_format
-
-    @property
     def workers(self) -> int:
         return self.options.workers
 
@@ -224,7 +220,6 @@ class CompiledQuery:
                 "plan": self.plan,
                 "engine": self.engine,
                 "join_mode": self.join_mode,
-                "batch_format": self.batch_format,
                 "workers": self.workers,
                 "pointer_join": self.options.pointer_join,
             },
@@ -354,7 +349,6 @@ class CompiledQuery:
             f"pipeline: plan={pipeline['plan']} "  # type: ignore[index]
             f"engine={pipeline['engine']} "  # type: ignore[index]
             f"join_mode={pipeline['join_mode']} "  # type: ignore[index]
-            f"batch_format={pipeline['batch_format']} "  # type: ignore[index]
             f"workers={pipeline['workers']} "  # type: ignore[index]
             f"pointer_join={pipeline['pointer_join']}"  # type: ignore[index]
         )
@@ -381,7 +375,6 @@ class QueryPipeline:
         *,
         options: Optional[ExecutionOptions] = None,
         join_mode: Optional[str] = None,
-        batch_format: Optional[str] = None,
         workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
     ) -> CompiledQuery:
@@ -391,7 +384,6 @@ class QueryPipeline:
             plan=plan,
             engine=engine,
             join_mode=join_mode,
-            batch_format=batch_format,
             workers=workers,
             pointer_join=pointer_join,
         )
@@ -588,28 +580,13 @@ class QueryPipeline:
         ):
             return session._dispatch(statement)
         restrictions, spec, cost_plan = self._lowering_inputs(compiled)
-        if compiled.batch_format == "columnar":
-            # Columnar runs share the session-persistent walker so its
-            # generation-stamped caches (path values + operator memo)
-            # survive across runs of any statement.
-            evaluator = session.columnar_evaluator(restrictions or None)
-        else:
-            from repro.xsql.evaluator import Evaluator
-
-            evaluator = Evaluator(
-                session.store,
-                id_function_instances=session.registry.instances,
-                max_path_var_length=session._max_path_var_length,
-                restrictions=restrictions or None,
-                metrics=session.metrics,
-            )
+        # Every run shares the session-persistent walker, so its
+        # generation-stamped caches (path values + operator memo)
+        # survive across runs of any statement.
+        evaluator = session.columnar_evaluator(restrictions or None)
         root = operators.lower_statement(compiled.planned, spec)
         result = operators.execute(
-            root,
-            evaluator,
-            session.metrics,
-            batch_format=compiled.batch_format,
-            workers=compiled.workers,
+            root, evaluator, session.metrics, workers=compiled.workers
         )
         compiled.last_optree = operators.tree_dict(root)
         if cost_plan is not None:

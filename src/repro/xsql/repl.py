@@ -4,7 +4,6 @@ Run with::
 
     python -m repro.xsql.repl [--paper | --synthetic N]
                               [--plan {none,greedy,typed,cost}]
-                              [--batch-format {rows,columnar}]
                               [--workers N] [--stats]
                               [--storage SPEC]
 
@@ -41,9 +40,8 @@ Statements end with ``;``.  Meta-commands (no semicolon):
 With ``--paper`` the shell starts on the Figure 1 schema and the paper's
 instance database, so every example of the paper can be typed in
 directly.  ``--plan`` selects the conjunct planner every statement runs
-under; ``--batch-format columnar`` (optionally with ``--workers N``)
-runs statements over columnar batches with morsel-parallel scans — same
-results, warm re-runs served from the session-persistent walker memo;
+under; ``--workers N`` spreads scans over N morsel-parallel worker
+threads — same results for every N;
 ``--stats`` prints a per-statement pipeline timing line and a cumulative
 report on exit.  ``--storage SPEC`` opens the session on a storage
 backend up front (same specs as ``.open``; ``--paper``/``--synthetic``
@@ -59,7 +57,7 @@ from typing import Optional
 from repro.errors import XsqlError
 from repro.oid import Atom
 from repro.xsql.lexer import split_script
-from repro.xsql.options import BATCH_FORMATS, PLAN_MODES, ExecutionOptions
+from repro.xsql.options import PLAN_MODES, ExecutionOptions
 from repro.xsql.session import Session
 
 __all__ = ["main", "run_repl"]
@@ -315,17 +313,11 @@ def main(argv: Optional[list] = None) -> int:
         help="conjunct planner for executed statements (default: none)",
     )
     parser.add_argument(
-        "--batch-format",
-        choices=BATCH_FORMATS,
-        default="rows",
-        help="operator-tree batch representation (default: rows)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="worker threads for morsel-parallel columnar scans",
+        help="worker threads for morsel-parallel scans",
     )
     parser.add_argument(
         "--stats",
@@ -342,11 +334,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     args = parser.parse_args(argv)
     session = _make_session(args)
-    options = ExecutionOptions(
-        plan=args.plan,
-        batch_format=args.batch_format,
-        workers=args.workers,
-    ).validate()
+    options = ExecutionOptions(plan=args.plan, workers=args.workers).validate()
     return run_repl(
         session, plan=args.plan, show_stats=args.stats, options=options
     )

@@ -95,10 +95,10 @@ class Session:
         self._join_mode = "hash"
         self.metrics = SessionMetrics()
         self.pipeline = QueryPipeline(self, cache_size=statement_cache_size)
-        # Session-persistent walkers for columnar execution, keyed by
-        # the run's restriction content.  Their generation-stamped
+        # Session-persistent walkers for operator-tree execution, keyed
+        # by the run's restriction content.  Their generation-stamped
         # caches (path values + the operator memo) survive across runs,
-        # which is where the columnar warm-run speedup comes from.
+        # which is where the warm-run speedup comes from.
         self._columnar_walkers: (
             "OrderedDict[Optional[Tuple], PathWalker]"
         ) = OrderedDict()
@@ -131,7 +131,7 @@ class Session:
         self,
         restrictions: Optional[Dict[Variable, FrozenSet[Oid]]] = None,
     ) -> Evaluator:
-        """An evaluator sharing the session-persistent columnar walker.
+        """An evaluator sharing the session-persistent walker.
 
         Walkers are cached per restriction content (the Theorem 6.1 /
         index instantiation sets differ between plans and replanning),
@@ -186,7 +186,6 @@ class Session:
         plan: Optional[str] = None,
         engine: Optional[str] = None,
         join_mode: Optional[str] = None,
-        batch_format: Optional[str] = None,
         workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
     ) -> CompiledQuery:
@@ -195,8 +194,7 @@ class Session:
         Execution knobs arrive either as one
         :class:`~repro.xsql.options.ExecutionOptions` record
         (``options=``) or as the historical loose kwargs (``plan=``,
-        ``engine=``, ``join_mode=``, ``batch_format=``, ``workers=``,
-        ``pointer_join=``) —
+        ``engine=``, ``join_mode=``, ``workers=``, ``pointer_join=``) —
         the kwargs are thin aliases that override fields of the record.
 
         The returned :class:`~repro.xsql.pipeline.CompiledQuery` is
@@ -212,7 +210,6 @@ class Session:
             plan=plan,
             engine=engine,
             join_mode=join_mode,
-            batch_format=batch_format,
             workers=workers,
             pointer_join=pointer_join,
         )
@@ -227,7 +224,6 @@ class Session:
         plan: Optional[str] = None,
         engine: Optional[str] = None,
         join_mode: Optional[str] = None,
-        batch_format: Optional[str] = None,
         workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
     ) -> QueryResult:
@@ -240,8 +236,8 @@ class Session:
         (the statistics-driven optimizer).  ``engine`` selects
         ``"reference"`` (the binding-stream evaluator) or ``"naive"``
         (the literal §3.4 enumerate-all-substitutions semantics).
-        ``join_mode``, ``batch_format``, ``workers``, and
-        ``pointer_join`` tune the reference executor; pass
+        ``join_mode``, ``workers``, and ``pointer_join`` tune the
+        reference executor; pass
         ``options=ExecutionOptions(...)`` to set everything at once (see
         :meth:`prepare`).
         """
@@ -250,7 +246,6 @@ class Session:
             plan=plan,
             engine=engine,
             join_mode=join_mode,
-            batch_format=batch_format,
             workers=workers,
             pointer_join=pointer_join,
         )
@@ -623,7 +618,7 @@ class Session:
         self.registry = IdFunctionRegistry.rebuild_from_store(store)
         self.views = ViewManager(self.store, self.registry)
         self.pipeline.clear()
-        # Persistent columnar walkers hold a reference to the old store.
+        # Persistent walkers hold a reference to the old store.
         self._columnar_walkers.clear()
 
     # ------------------------------------------------------------------
@@ -704,7 +699,6 @@ class Session:
         options: Optional[ExecutionOptions] = None,
         plan: Optional[str] = None,
         join_mode: Optional[str] = None,
-        batch_format: Optional[str] = None,
         workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
         format: str = "text",
@@ -723,7 +717,6 @@ class Session:
             options=options,
             plan=plan,
             join_mode=join_mode,
-            batch_format=batch_format,
             workers=workers,
             pointer_join=pointer_join,
         ).explain(format=format, analyze=analyze)

@@ -23,7 +23,7 @@ from repro.bench.scale import (
 @pytest.fixture(scope="module")
 def artifact():
     return run_scale_benchmark(
-        tiers=("1k",), rounds=1, modes=[("cost", "hash", "rows", 1)]
+        tiers=("1k",), rounds=1, modes=[("cost", "hash", 1)]
     )
 
 

@@ -1,11 +1,12 @@
 """Property-based suite for the factored-state batch algebra.
 
 The operator executor (``repro.xsql.operators``) represents the binding
-stream as a list of variable-disjoint :class:`Batch` objects whose cross
-product is the logical stream.  Every operator manipulates that state
-through three public functions — ``merge_overlapping``, ``merge_all``,
-``product_count`` — and the correctness of *every* plan/join mode rides
-on four algebraic facts, each checked here over ≥200 random states:
+stream as a list of variable-disjoint :class:`ColumnBatch` objects whose
+cross product is the logical stream.  Every operator manipulates that
+state through three public functions — ``merge_overlapping``,
+``merge_all``, ``product_count`` — and the correctness of *every*
+plan/join mode rides on four algebraic facts, each checked here over
+≥200 random states:
 
 * merging preserves the cross product (both the ``product_count`` and
   the logical row multiset);
@@ -13,13 +14,13 @@ on four algebraic facts, each checked here over ≥200 random states:
 * merging keeps batch variable-sets pairwise disjoint;
 * ``merge_all`` equals iterated pairwise merging (a left fold).
 
-The algebra now lives in :mod:`repro.xsql.batches` with a second,
-columnar representation (:class:`ColumnBatch`); the suite additionally
-holds the columnar form to the row form: row↔column round-trips are
-exact (including ragged/UNBOUND rows), a columnar merge enumerates the
-same rows in the same order as the dict merge, and morsel splitting is a
-concat identity whose :func:`morsel_map` output is independent of the
-worker count.
+The suite also keeps an independent reference in this module: a plain
+list-of-dicts cross product over each batch's ``to_rows()``.
+``merge_overlapping``, ``merge_all`` and ``cross_state`` must enumerate
+exactly its rows, in its order — ragged rows (variables UNBOUND in some
+rows) and the empty-state identity included.  Row↔column round-trips
+are exact, and morsel splitting is a concat identity whose
+:func:`morsel_map` output is independent of the worker count.
 """
 
 from collections import Counter
@@ -31,12 +32,10 @@ from repro.oid import Value, Variable
 from repro.xsql.batches import (
     UNBOUND,
     ColumnBatch,
-    batch_rows,
     morsel_map,
     split_morsels,
 )
 from repro.xsql.operators import (
-    Batch,
     _cross,
     merge_all,
     merge_overlapping,
@@ -48,8 +47,11 @@ _VAR_POOL = [Variable(name) for name in "UVWXYZ"]
 
 @st.composite
 def states(draw):
-    """A well-formed state: batches with pairwise disjoint variables,
-    each env binding exactly its batch's variables."""
+    """A well-formed state: batches with pairwise disjoint variables.
+
+    Rows are ragged: any row may leave any of its batch's variables
+    unbound (the shape OR branches produce), stored as UNBOUND cells.
+    """
     pool = list(_VAR_POOL)
     draw(st.randoms(use_true_random=False)).shuffle(pool)
     n_batches = draw(st.integers(0, 4))
@@ -64,11 +66,35 @@ def states(draw):
             {
                 var: Value(draw(st.integers(0, 5)))
                 for var in sorted(batch_vars, key=str)
+                if draw(st.integers(0, 3))  # bound three times in four
             }
             for _ in range(n_envs)
         ]
-        state.append(Batch(batch_vars, envs))
+        state.append(ColumnBatch.from_rows(batch_vars, envs))
     return state
+
+
+# ----------------------------------------------------------------------
+# the list-of-dicts reference
+# ----------------------------------------------------------------------
+
+
+def reference_product(batches):
+    """Cross product of the batches' row dicts, left-outer/right-inner."""
+    rows = [{}]
+    for batch in batches:
+        rows = [
+            {**left, **right} for left in rows for right in batch.to_rows()
+        ]
+    return rows
+
+
+def reference_merge(state, touched, merge_all=False):
+    """(merged vars, merged rows, rest) of the list-of-dicts merge."""
+    merging = [b for b in state if merge_all or (b.vars & touched)]
+    rest = [b for b in state if not (merge_all or (b.vars & touched))]
+    merged_vars = set().union(*(b.vars for b in merging))
+    return merged_vars, reference_product(merging), rest
 
 
 def row_multiset(state):
@@ -83,7 +109,7 @@ def batch_key(batch):
     """A canonical, order-insensitive fingerprint of one batch."""
     env_multiset = Counter(
         tuple(sorted((str(v), str(o)) for v, o in env.items()))
-        for env in batch.envs
+        for env in batch.to_rows()
     )
     return (
         frozenset(batch.vars),
@@ -147,18 +173,18 @@ class TestMergeAll:
     @settings(max_examples=200, deadline=None)
     def test_equals_iterated_pairwise_merging(self, state):
         collapsed = merge_all(state)
-        acc = Batch(set(), [{}])
+        acc = ColumnBatch.identity()
         for batch in state:
             acc, leftover = merge_overlapping([acc, batch], set(), True)
             assert leftover == []
         assert acc.vars == collapsed.vars
-        assert acc.envs == collapsed.envs
+        assert acc.to_rows() == collapsed.to_rows()
 
     @given(state=states())
     @settings(max_examples=200, deadline=None)
     def test_single_batch_preserves_product(self, state):
         collapsed = merge_all(state)
-        assert len(collapsed.envs) == product_count(state)
+        assert len(collapsed) == product_count(state)
         assert row_multiset([collapsed]) == row_multiset(state)
 
 
@@ -190,13 +216,6 @@ def ragged_rows(draw):
     return batch_vars, rows
 
 
-def columnarize(state):
-    """The same factored state in the columnar representation."""
-    return [
-        ColumnBatch.from_rows(batch.vars, batch.envs) for batch in state
-    ]
-
-
 class TestColumnBatch:
     @given(data=ragged_rows())
     @settings(max_examples=200, deadline=None)
@@ -222,34 +241,35 @@ class TestColumnBatch:
     @given(state=states(), touched=st.sets(st.sampled_from(_VAR_POOL)))
     @settings(max_examples=200, deadline=None)
     def test_merge_matches_dict_implementation(self, state, touched):
-        """The columnar merge enumerates exactly the rows (and order)
-        of the row-dict merge — the bit-identical contract."""
-        merged_rows, rest_rows = merge_overlapping(state, touched)
-        merged_cols, rest_cols = merge_overlapping(
-            columnarize(state), touched
-        )
-        assert merged_cols.vars == merged_rows.vars
-        # An empty state has no ColumnBatch to signal the representation,
-        # so the merge falls back to the row identity — adapt generically.
-        assert batch_rows(merged_cols) == merged_rows.envs
-        assert [batch.vars for batch in rest_cols] == [
-            batch.vars for batch in rest_rows
-        ]
-        assert [batch.to_rows() for batch in rest_cols] == [
-            batch.envs for batch in rest_rows
-        ]
+        """The merge enumerates exactly the rows (and order) of the
+        list-of-dicts reference — the bit-identical contract."""
+        merged, rest = merge_overlapping(state, touched)
+        ref_vars, ref_rows, ref_rest = reference_merge(state, touched)
+        assert merged.vars == ref_vars
+        assert merged.to_rows() == ref_rows
+        assert rest == ref_rest  # untouched batches pass through as-is
 
     @given(state=states())
     @settings(max_examples=200, deadline=None)
     def test_merge_all_matches_dict_implementation(self, state):
-        collapsed_rows = merge_all(state)
-        collapsed_cols = merge_all(columnarize(state))
-        if state:
-            assert isinstance(collapsed_cols, ColumnBatch)
-            assert collapsed_cols.to_rows() == collapsed_rows.envs
-        assert product_count([collapsed_cols]) == product_count(
-            [collapsed_rows]
-        )
+        collapsed = merge_all(state)
+        ref_vars, ref_rows, ref_rest = reference_merge(state, set(), True)
+        assert ref_rest == []
+        assert collapsed.vars == ref_vars
+        assert collapsed.to_rows() == ref_rows
+        assert len(collapsed) == len(ref_rows) == product_count(state)
+
+    @given(state=states())
+    @settings(max_examples=200, deadline=None)
+    def test_cross_state_matches_dict_implementation(self, state):
+        assert list(_cross(state)) == reference_product(state)
+
+    def test_empty_state_merges_to_identity(self):
+        merged, rest = merge_overlapping([], set())
+        assert rest == []
+        assert merged.vars == set() and len(merged) == 1
+        assert merged.to_rows() == [{}] == reference_product([])
+        assert merge_all([]).to_rows() == [{}]
 
 
 class TestMorsels:

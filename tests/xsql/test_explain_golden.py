@@ -152,11 +152,23 @@ def test_explain_analyze_json_golden(paper_session):
     _check("analyze", _normalize_times(rendered), suffix="json")
 
 
+def _cache_hits(tree) -> int:
+    return tree["cache_hits"] + sum(
+        _cache_hits(child) for child in tree.get("children", ())
+    )
+
+
 def test_explain_analyze_is_repeatable(paper_session):
+    # The cold run fills the session-persistent walker memo; every warm
+    # run after it reports the same tree, cache hits included.
     compiled = paper_session.prepare(JOIN_QUERY, plan="cost")
+    cold = json.loads(compiled.explain(format="json", analyze=True))
     first = _normalize_times(compiled.explain(analyze=True))
     second = _normalize_times(compiled.explain(analyze=True))
     assert first == second
+    warm = json.loads(compiled.explain(format="json", analyze=True))
+    assert _cache_hits(cold["operators"]) == 0
+    assert _cache_hits(warm["operators"]) > 0
 
 
 def test_explain_analyze_rejects_ddl(paper_session):

@@ -1,14 +1,14 @@
-"""The unified ExecutionOptions API and the columnar execution mode.
+"""The unified ExecutionOptions API and columnar operator execution.
 
-Covers the satellite contract of the columnar PR:
+Covers:
 
 * :class:`ExecutionOptions` validation and the ``coerce`` rules (loose
   kwargs as thin aliases, ``None`` meaning "keep the base value");
 * the statement cache keyed on the frozen options tuple — equivalent
   calls share one compiled entry, differing options do not;
-* columnar execution returning bit-identical results to rows mode —
-  equal row *sets* and equal ordered *enumeration* — across plans and
-  worker counts;
+* the columnar operator tree returning bit-identical results to the
+  row-at-a-time ``Evaluator.run`` — equal row *sets* and equal ordered
+  *enumeration* — across plans and worker counts;
 * EXPLAIN ANALYZE surfacing rows-per-batch and morsel/worker counters.
 """
 
@@ -50,7 +50,6 @@ class TestValidation:
         opts = ExecutionOptions()
         assert opts.validate() is opts
         assert opts.plan == "none"
-        assert opts.batch_format == "rows"
         assert opts.workers == 1
         assert opts.join_mode is None
 
@@ -60,7 +59,7 @@ class TestValidation:
             dict(plan="speedy"),
             dict(engine="turbo"),
             dict(join_mode="sort"),
-            dict(batch_format="parquet"),
+            dict(pointer_join="sideways"),
             dict(workers=0),
             dict(workers=-1),
             dict(workers=65),
@@ -93,21 +92,16 @@ class TestCoerce:
         assert merged.workers == 4
 
     def test_none_keeps_base_value(self):
-        base = ExecutionOptions(batch_format="columnar", workers=2)
+        base = ExecutionOptions(join_mode="nested", workers=2)
         merged = ExecutionOptions.coerce(
-            base, plan=None, batch_format=None, workers=None
+            base, plan=None, join_mode=None, workers=None
         )
         assert merged == base
 
     def test_loose_kwargs_equal_explicit_record(self, session):
-        via_kwargs = session.prepare(
-            Q_JOIN, plan="cost", batch_format="columnar", workers=2
-        )
+        via_kwargs = session.prepare(Q_JOIN, plan="cost", workers=2)
         via_record = session.prepare(
-            Q_JOIN,
-            options=ExecutionOptions(
-                plan="cost", batch_format="columnar", workers=2
-            ),
+            Q_JOIN, options=ExecutionOptions(plan="cost", workers=2)
         )
         assert via_kwargs.options == via_record.options
         assert via_kwargs is via_record  # same statement-cache entry
@@ -115,12 +109,13 @@ class TestCoerce:
 
 class TestStatementCache:
     def test_cache_keyed_on_options(self, session):
-        rows = session.prepare(Q_JOIN, plan="cost")
-        cols = session.prepare(Q_JOIN, plan="cost", batch_format="columnar")
+        one = session.prepare(Q_JOIN, plan="cost")
+        two = session.prepare(Q_JOIN, plan="cost", workers=2)
         again = session.prepare(Q_JOIN, plan="cost")
-        assert rows is again
-        assert cols is not rows
-        assert cols.options.cache_key() != rows.options.cache_key()
+        assert one is again
+        assert two is not one
+        assert two.options.cache_key() != one.options.cache_key()
+        assert len(one.options.cache_key()) == 5
 
     def test_join_mode_none_defers_to_session(self, session):
         compiled = session.prepare(Q_JOIN, plan="cost")
@@ -137,43 +132,36 @@ class TestColumnarEquivalence:
     @pytest.mark.parametrize("plan", ["none", "greedy", "typed", "cost"])
     @pytest.mark.parametrize("text", [Q_JOIN, Q_QUANT, Q_OR])
     def test_matches_rows_mode_ordered(self, session, plan, text):
-        reference = session.query(text, plan=plan)
+        """Every worker count enumerates exactly what the row-at-a-time
+        ``Evaluator.run`` produces for the same statement."""
+        statement = session.prepare(text, plan=plan).statement
+        reference = session.evaluator().run(statement)
         for workers in (1, 2, 4):
-            columnar = session.query(
-                text, plan=plan, batch_format="columnar", workers=workers
-            )
+            columnar = session.query(text, plan=plan, workers=workers)
             assert columnar.rows() == reference.rows()
             assert list(columnar) == list(reference)
 
     def test_warm_rerun_is_stable(self, session):
-        compiled = session.prepare(
-            Q_JOIN, plan="cost", batch_format="columnar", workers=2
-        )
+        compiled = session.prepare(Q_JOIN, plan="cost", workers=2)
         first = compiled.run()
         second = compiled.run()
         assert list(first) == list(second)
 
-    def test_naive_engine_ignores_batch_format(self, session):
+    def test_naive_engine_ignores_workers(self, session):
         ref = session.query(Q_JOIN, engine="naive")
-        col = session.query(
-            Q_JOIN, engine="naive", batch_format="columnar", workers=2
-        )
+        col = session.query(Q_JOIN, engine="naive", workers=2)
         assert col.rows() == ref.rows()
 
 
 class TestExplainCounters:
     def test_analyze_shows_morsel_and_worker_counters(self, session):
         compiled = session.prepare(
-            Q_JOIN,
-            options=ExecutionOptions(
-                plan="cost", batch_format="columnar", workers=2
-            ),
+            Q_JOIN, options=ExecutionOptions(plan="cost", workers=2)
         )
         text = compiled.explain(analyze=True)
         assert "rows/batch=" in text
         assert "morsels=" in text
-        assert "workers=" in text
-        assert "batch_format=columnar workers=2" in text
+        assert "join_mode=hash workers=2 pointer_join=" in text
         data = json.loads(compiled.explain(format="json", analyze=True))
         ops = [data["operators"]]
         flat = []
@@ -187,18 +175,22 @@ class TestExplainCounters:
             assert node["morsels"] >= 1
             assert node["workers"] >= 1
 
-    def test_rows_mode_has_no_morsel_counters(self, session):
+    def test_default_run_uses_one_worker(self, session):
         compiled = session.prepare(Q_JOIN, plan="cost")
         text = compiled.explain(analyze=True)
-        assert "morsels=" not in text
-        assert "batch_format=rows workers=1" in text
+        assert "join_mode=hash workers=1 pointer_join=" in text
+        data = json.loads(compiled.explain(format="json", analyze=True))
+        ops = [data["operators"]]
+        while ops:
+            node = ops.pop()
+            assert node.get("workers", 1) == 1
+            ops.extend(node.get("children", []))
 
     def test_explain_with_options_recompiles(self, session):
         compiled = session.prepare(Q_JOIN, plan="cost")
         text = compiled.explain(
-            options=ExecutionOptions(
-                plan="cost", batch_format="columnar", workers=2
-            ),
+            options=ExecutionOptions(plan="cost", workers=2),
             analyze=True,
         )
-        assert "batch_format=columnar workers=2" in text
+        assert "workers=2 pointer_join=" in text
+        assert "workers=1 pointer_join=" in compiled.explain()

@@ -154,9 +154,7 @@ class TestParity:
         nested_session.enable_index("Manufacturer")
         nested_session.join_mode = "nested"
         nested_result = nested_session.query(text, plan="cost")
-        columnar_result = run(
-            pointer_join="force", batch_format="columnar", workers=2
-        )
+        columnar_result = run(pointer_join="force", workers=2)
         assert pointer_result.rows() == hash_result.rows(), text
         assert pointer_result.rows() == nested_result.rows(), text
         assert pointer_result.rows() == columnar_result.rows(), text
