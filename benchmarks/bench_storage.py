@@ -1,11 +1,15 @@
-"""STORAGE: write-path overhead per backend and WAL recovery speed.
+"""STORAGE: codec throughput, write-path overhead per backend, and WAL
+recovery speed.
 
-The storage engine's contract is "pay only for what you attach": the
-default dict backend must not slow the write path down at all, the
-memory mirror costs one codec pass per mutation, and the WAL adds
-framing plus an append.  The bench pins the ingest cost curve per
-backend and the open-with-replay (crash recovery) and checkpoint-then-
-open costs of the log engine.
+The codec is the store's one persistence format: the encode/decode
+groups pin its whole-store cost curve across database sizes and assert
+the round-trip changes nothing (a decoded database answers a reference
+query identically).  The storage engine's contract is "pay only for
+what you attach": the default dict backend must not slow the write path
+down at all, the memory mirror costs one codec pass per mutation, and
+the WAL adds framing plus an append.  The bench pins the ingest cost
+curve per backend and the open-with-replay (crash recovery) and
+checkpoint-then-open costs of the log engine.
 """
 
 import pytest
@@ -16,10 +20,43 @@ from repro.storage import (
     MemoryEngine,
     StoreJournal,
     decode_store,
+    encode_store,
 )
+from repro.workloads.generator import WorkloadConfig, generate_database
+from repro.xsql.evaluator import Evaluator
+from repro.xsql.parser import parse_query
 
 N_PEOPLE = 300
 REFERENCE_AGE = 40
+CODEC_SIZES = [50, 200]
+CODEC_REFERENCE = "SELECT X FROM Employee X WHERE X.Salary > 200000"
+
+
+@pytest.mark.parametrize("n_people", CODEC_SIZES)
+@pytest.mark.benchmark(group="storage-encode")
+def test_encode(benchmark, n_people):
+    store = generate_database(WorkloadConfig(n_people=n_people, seed=8))
+
+    def encode():
+        image = MemoryEngine()
+        return encode_store(store, image)
+
+    report = benchmark(encode)
+    assert report.objects > n_people
+
+
+@pytest.mark.parametrize("n_people", CODEC_SIZES)
+@pytest.mark.benchmark(group="storage-decode")
+def test_decode(benchmark, n_people):
+    store = generate_database(WorkloadConfig(n_people=n_people, seed=8))
+    image = MemoryEngine()
+    encode_store(store, image)
+    decoded = benchmark(lambda: decode_store(image))
+    query = parse_query(CODEC_REFERENCE)
+    assert (
+        Evaluator(decoded).run(query).rows()
+        == Evaluator(store).run(query).rows()
+    )
 
 
 def ingest(engine):

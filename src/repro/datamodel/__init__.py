@@ -16,7 +16,6 @@ from repro.datamodel.signatures import Signature, TypeExpr
 from repro.datamodel.store import ObjectStore
 from repro.datamodel.methods import PythonMethod
 from repro.datamodel.relations import StoredRelation
-from repro.datamodel.serialize import load_store, save_store
 
 __all__ = [
     "ClassHierarchy",
@@ -25,6 +24,4 @@ __all__ = [
     "ObjectStore",
     "PythonMethod",
     "StoredRelation",
-    "save_store",
-    "load_store",
 ]

@@ -4,7 +4,8 @@ The repo carries four independent implementations of the same declarative
 semantics — the production :class:`~repro.xsql.evaluator.Evaluator`, the
 literal §3.4 :class:`~repro.xsql.evaluator.NaiveEvaluator`, the Theorem
 3.1 F-logic translation, and the greedy-planned variant — plus a
-serialization round-trip that must be observationally invisible.  This
+storage (encode, WAL replay, decode) round-trip that must be
+observationally invisible.  This
 package hardens them against each other:
 
 * :mod:`repro.difftest.grammar` — a seeded, grammar-driven generator of

@@ -25,8 +25,6 @@ naive      :class:`~repro.xsql.evaluator.NaiveEvaluator` substitution space
                                                          below the cap
 flogic     Theorem 3.1 translation + F-logic kernel      conjunctive
                                                          fragment only
-snapshot   ``store_to_dict``/``store_from_dict`` then    always
-           the reference evaluator on the restored store
 columnar   ``plan="cost"`` with ``workers=2`` on its    always
            own session: morsel-parallel scans over a
            walker memo that persists across queries
@@ -86,7 +84,6 @@ ENGINE_NAMES = (
     "operators",
     "naive",
     "flogic",
-    "snapshot",
     "columnar",
     "kv",
     "fused",
@@ -141,7 +138,7 @@ class Oracle:
     """Runs queries over one store through every engine and compares.
 
     The store is treated as read-only (the fuzzer generates no updates);
-    the F-logic export and the serialization round-trip are computed once
+    the F-logic export and the storage round-trip are computed once
     and cached.
     """
 
@@ -167,13 +164,12 @@ class Oracle:
         # materialized view registered on its session, so every query it
         # runs also exercises the lazy view-maintenance sync path.  The
         # enrichment happens before any cached artifact (flogic export,
-        # snapshot, kv round-trip) is built, so all engines see one store.
+        # kv round-trip) is built, so all engines see one store.
         self.fused_session = Session(store)
         self._enrich_with_view()
         self.naive_max_product = naive_max_product
         self.naive_enabled = naive_enabled
         self._flogic_db: Optional[FlogicDatabase] = None
-        self._roundtrip_store: Optional[ObjectStore] = None
         self._kv_store: Optional[ObjectStore] = None
         self._universe_sizes: Optional[Dict[str, int]] = None
 
@@ -189,8 +185,8 @@ class Oracle:
 
         Skipped when the workload has no ``Company`` class (scale
         populations with other schemas).  The view's objects are part of
-        the shared store, so every engine — including the serialization
-        and WAL round-trips — must agree on queries that touch them.
+        the shared store, so every engine — including the WAL
+        round-trip — must agree on queries that touch them.
         """
         from repro.oid import Atom
 
@@ -207,22 +203,14 @@ class Oracle:
             self._flogic_db = FlogicDatabase.from_store(self.store)
         return self._flogic_db
 
-    def _roundtrip(self) -> ObjectStore:
-        if self._roundtrip_store is None:
-            from repro.datamodel.serialize import store_from_dict, store_to_dict
-
-            payload, _report = store_to_dict(self.store)
-            self._roundtrip_store = store_from_dict(payload)
-        return self._roundtrip_store
-
     def _kv_roundtrip(self) -> ObjectStore:
         """The store after a full storage-engine crash-recovery cycle.
 
         Encodes the store into a WAL-backed engine, closes it, reopens
         the directory (which *is* recovery — every committed batch is
         replayed from the CRC-framed log), and decodes the recovered
-        key ranges back into a store.  Cached once, like the snapshot
-        engine's round-trip.
+        key ranges back into a store.  Cached once, like the F-logic
+        export.
         """
         if self._kv_store is None:
             import shutil
@@ -282,7 +270,6 @@ class Oracle:
             "operators": lambda: self.session.query(text, plan="typed"),
             "naive": lambda: NaiveEvaluator(self.store).run(parsed),
             "flogic": lambda: evaluate(self._flogic(), translate(parsed)),
-            "snapshot": lambda: Evaluator(self._roundtrip()).run(parsed),
             "columnar": lambda: self.columnar_session.query(
                 text, plan="cost", workers=2
             ),

@@ -262,20 +262,35 @@ def prefix_range(parts: Tuple[KeyPart, ...]) -> Tuple[bytes, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# value codecs (JSON bodies reuse the serialize module's oid encoding)
+# value codecs: JSON bodies carrying oids as {"a": name} (atom),
+# {"v": payload} (literal), {"f": functor, "args": [...]} (id-term)
 # ---------------------------------------------------------------------------
 
 
-def _encode_term_json(term: Oid) -> object:
-    from repro.datamodel.serialize import encode_oid
+def encode_oid(term: Oid) -> object:
+    """Encode one oid into the JSON body scheme of cell values."""
+    if isinstance(term, Atom):
+        return {"a": term.name}
+    if isinstance(term, Value):
+        return {"v": term.value}
+    if isinstance(term, FuncOid):
+        return {"f": term.functor, "args": [encode_oid(a) for a in term.args]}
+    raise CodecError(f"cannot encode {term!r}")
 
-    return encode_oid(term)
 
-
-def _decode_term_json(data: object) -> Oid:
-    from repro.datamodel.serialize import decode_oid
-
-    return decode_oid(data)
+def decode_oid(data: object) -> Oid:
+    """Invert :func:`encode_oid`."""
+    if not isinstance(data, dict):
+        raise CodecError(f"malformed oid entry {data!r}")
+    if "a" in data:
+        return Atom(data["a"])
+    if "v" in data:
+        return Value(data["v"])
+    if "f" in data:
+        return FuncOid(
+            data["f"], tuple(decode_oid(a) for a in data.get("args", []))
+        )
+    raise CodecError(f"malformed oid entry {data!r}")
 
 
 def encode_cell_value(scalar: bool, values) -> bytes:
@@ -283,7 +298,7 @@ def encode_cell_value(scalar: bool, values) -> bytes:
     return json.dumps(
         {
             "s": scalar,
-            "v": [_encode_term_json(v) for v in sorted(values, key=str)],
+            "v": [encode_oid(v) for v in sorted(values, key=str)],
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -291,7 +306,7 @@ def encode_cell_value(scalar: bool, values) -> bytes:
 
 def decode_cell_value(raw: bytes) -> Tuple[bool, List[Oid]]:
     data = json.loads(raw.decode("utf-8"))
-    return bool(data["s"]), [_decode_term_json(v) for v in data["v"]]
+    return bool(data["s"]), [decode_oid(v) for v in data["v"]]
 
 
 def _json_bytes(payload: object) -> bytes:
@@ -498,7 +513,7 @@ class StoreJournal:
 
 
 class EncodeReport:
-    """What a bulk encode covered (mirrors SerializationReport)."""
+    """What a bulk encode covered, and what it had to leave out."""
 
     def __init__(self) -> None:
         self.classes = 0
@@ -515,8 +530,7 @@ def encode_store(
     """Write *store*'s complete state into *engine* as one batch.
 
     Computed method implementations are not representable (they are
-    Python callables / re-installed DDL) and are reported as skipped,
-    exactly like :func:`repro.datamodel.serialize.store_to_dict`.
+    Python callables / re-installed DDL) and are reported as skipped.
     """
     from repro.datamodel.catalogue import BUILTIN_CLASSES
     from repro.datamodel.hierarchy import OBJECT_CLASS
@@ -615,11 +629,10 @@ def decode_store(engine: StorageEngine) -> "ObjectStore":
         strict_method_namespace=bool(
             options.get("strict_method_namespace", False)
         ),
-        validate_values=False,  # re-enabled below, as serialize does
+        validate_values=False,  # re-enabled below, after the rebuild
     )
 
-    # Classes, with the same dependency-ordered pending loop as the
-    # JSON deserializer (parents must exist before children).
+    # Classes in dependency order: parents must exist before children.
     parents: Dict[str, List[str]] = {}
     pending: List[str] = []
     for parts, raw in _scan(engine, ("s", "c")):

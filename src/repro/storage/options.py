@@ -1,18 +1,15 @@
 """Storage options: one frozen record for every persistence knob.
 
-The persistence API grew the way execution options once did — a JSON
-``save_store`` here, a ``Session.snapshot()`` there.  Mirroring
-:class:`repro.xsql.options.ExecutionOptions`, :class:`StorageOptions`
-gathers the storage knobs into a single validated frozen dataclass
-accepted uniformly by :meth:`Session.open`, the REPL's ``--storage``
-flag, and :func:`make_engine`.
+Mirroring :class:`repro.xsql.options.ExecutionOptions`,
+:class:`StorageOptions` gathers the storage knobs into a single
+validated frozen dataclass accepted uniformly by :meth:`Session.open`,
+the REPL's ``--storage`` flag, and :func:`make_engine`.
 
 Backends:
 
 ``dict``
-    The historical in-process dictionaries — no engine attached, the
-    write path pays nothing.  With a ``path``, ``checkpoint()`` writes
-    the JSON snapshot there (the old ``save_store`` format).
+    The in-process dictionaries alone — no engine attached, the write
+    path pays nothing, nothing persists; takes no ``path``.
 ``memory``
     A :class:`~repro.storage.engine.MemoryEngine` KV mirror: every
     mutation flows through the codec, nothing touches disk.
@@ -42,8 +39,8 @@ class StorageOptions:
     ``backend``
         One of :data:`BACKENDS`.
     ``path``
-        Database directory (``log``) or JSON snapshot path (``dict``);
-        required for ``log``, optional otherwise.
+        Database directory; required for ``log``, rejected for
+        ``dict``, ignored by ``memory``.
     ``sync``
         Fsync policy for the ``log`` backend: ``"commit"`` (every
         batch), ``"checkpoint"`` (default: flushed per batch, fsynced
@@ -68,6 +65,11 @@ class StorageOptions:
             raise StorageError(f"path must be a string, got {self.path!r}")
         if self.backend == "log" and not self.path:
             raise StorageError("the log backend needs a path")
+        if self.backend == "dict" and self.path:
+            raise StorageError(
+                "the dict backend persists nothing and takes no path; "
+                "open the path with the log backend instead"
+            )
         return self
 
     def with_overrides(self, **overrides) -> "StorageOptions":

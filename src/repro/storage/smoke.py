@@ -22,12 +22,11 @@ exits non-zero on the first divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
 import tempfile
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.oid import Atom
 
@@ -38,20 +37,22 @@ QUERIES = (
 )
 
 
-def canonical(store) -> str:
-    """Order-insensitive canonical form of a store's serialized state."""
-    from repro.datamodel.serialize import store_to_dict
+#: A store's codec image: every ``(key, value)`` pair in key order.
+Image = List[Tuple[bytes, bytes]]
 
-    payload, _report = store_to_dict(store)
 
-    def norm(x):
-        if isinstance(x, list):
-            return sorted(json.dumps(norm(i), sort_keys=True) for i in x)
-        if isinstance(x, dict):
-            return {k: norm(v) for k, v in x.items()}
-        return x
+def canonical(store) -> Image:
+    """A store's fingerprint: its complete codec image, in key order.
 
-    return json.dumps(norm(payload), sort_keys=True)
+    Keys and value bodies are canonical (sorted components, sorted JSON),
+    so two stores holding the same logical state encode to the same
+    image regardless of the order their facts were written in.
+    """
+    from repro.storage import MemoryEngine, encode_store
+
+    image = MemoryEngine()
+    encode_store(store, image)
+    return list(image.range_scan())
 
 
 def apply_batch(store, i: int) -> None:
@@ -85,7 +86,7 @@ def _query_rows(session, source: str):
     return sorted(repr(row) for row in session.query(source).rows())
 
 
-def build_database(root: str, batches: int) -> List[str]:
+def build_database(root: str, batches: int) -> List[Image]:
     """Write *batches* journal batches; return expected states per LSN."""
     from repro.datamodel.store import ObjectStore
     from repro.xsql.session import Session
@@ -106,7 +107,7 @@ def build_database(root: str, batches: int) -> List[str]:
 
 
 def crash_and_recover(
-    root: str, scratch: str, cut: int, states: List[str], log: List[str]
+    root: str, scratch: str, cut: int, states: List[Image], log: List[str]
 ) -> Optional[object]:
     """Copy the db, truncate its WAL at *cut*, recover, check the prefix."""
     from repro.storage import LogStructuredEngine, decode_store

@@ -26,7 +26,8 @@ Everything is reproducible from ``(seed, spec)``: one
 :class:`random.Random` drives the whole build, oid names are dense
 (``s_p0``, ``s_v17``, ...), and :meth:`ScaleSpec.as_dict` embeds the full
 spec in benchmark artifacts so a run is self-describing.  Generated
-populations round-trip through :mod:`repro.datamodel.serialize`
+populations round-trip through the storage codec
+(:func:`~repro.storage.encode_store`/:func:`~repro.storage.decode_store`)
 bit-identically (``tests/workloads/test_scale.py`` holds them to it).
 """
 

@@ -31,10 +31,6 @@ Statements end with ``;``.  Meta-commands (no semicolon):
   schema/statistics generations) and pin/chain status
 * ``.snapshot <query>``— run one query through a read-only snapshot
   pinned at the current version (see ``docs/MVCC.md``)
-* ``.save <path>``     — dump the database to JSON (deprecated; prefer
-  ``.open``/``.checkpoint``)
-* ``.load <path>``     — replace the database from a JSON dump
-  (deprecated; prefer ``.open``)
 * ``.quit``            — leave
 
 With ``--paper`` the shell starts on the Figure 1 schema and the paper's
@@ -182,15 +178,9 @@ def _handle_meta(
                 f"({session.storage_options.backend} backend)",
                 file=out,
             )
-        elif hasattr(result, "objects"):
-            print(
-                f"checkpointed {result.objects} object(s) to "
-                f"{session.storage_options.path}",
-                file=out,
-            )
         else:
             print(
-                "snapshot taken in memory only — .open a path to make "
+                "no storage backend attached — .open a path to make "
                 "checkpoints durable",
                 file=out,
             )
@@ -210,22 +200,6 @@ def _handle_meta(
                 print(f"snapshot pinned at {snap.version}", file=out)
                 result = snap.query(rest.rstrip(";"), options=options)
                 print(result.pretty(limit=50), file=out)
-    elif command == ".save":
-        from repro.datamodel.serialize import save_store
-
-        report = save_store(session.store, rest)
-        print(
-            f"saved {report.objects} object(s), {report.cells} cell(s) "
-            f"to {rest}",
-            file=out,
-        )
-        for note in report.skipped:
-            print(f"  skipped: {note}", file=out)
-    elif command == ".load":
-        from repro.datamodel.serialize import load_store
-
-        session.replace_store(load_store(rest))
-        print(f"loaded {rest}", file=out)
     else:
         print(f"unknown meta-command {command!r} (.help)", file=out)
     return True

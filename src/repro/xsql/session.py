@@ -30,9 +30,9 @@ Persistence is a session lifecycle (:mod:`repro.storage`)::
     session.checkpoint()                         # compact + durable point
     session.close()                              # flush and release
 
-``Session.snapshot()``/``restore()`` and the JSON
-``save_store``/``load_store`` remain as thin deprecated aliases of the
-same machinery (see the migration table in ``docs/LANGUAGE.md``).
+In-memory rollback goes through the same codec: encode the store into
+a :class:`~repro.storage.MemoryEngine`, later hand
+``decode_store(image)`` to :meth:`Session.replace_store`.
 
 The pre-pipeline spellings ``session.query(text, optimize=True)`` and
 ``session.naive(text)`` have been removed; use ``plan="greedy"`` /
@@ -388,38 +388,41 @@ class Session:
     ) -> "Session":
         """Open a session against a storage backend.
 
-        The redesigned persistence entry point (successor of
-        ``save_store``/``load_store`` and ``snapshot()``/``restore()``)::
+        The persistence entry point::
 
             Session.open()                     # dict backend, no disk
             Session.open("company.db")         # WAL-backed log engine
             Session.open(engine="memory")      # KV mirror, no disk
-            Session.open("s.json", engine="dict")   # JSON checkpoints
 
         ``engine`` is a backend name from
         :data:`repro.storage.BACKENDS`, an already-constructed
-        :class:`~repro.storage.StorageEngine` (adopted as-is), or
-        ``None`` (``"log"`` when *path* is given, else ``"dict"``).
-        Alternatively pass a full
+        :class:`~repro.storage.StorageEngine` (adopted as-is; its type
+        names the backend and its own root the path, so *path* is not
+        consulted), or ``None`` (``"log"`` when *path* is given, else
+        ``"dict"``).  Alternatively pass a full
         :class:`~repro.storage.StorageOptions` as ``storage=``.
 
-        If the backend already holds data (a WAL/checkpoint to recover,
-        an existing JSON snapshot), the session adopts that state;
-        otherwise the engine is seeded from the fresh store.  Remaining
-        kwargs go to the :class:`Session` constructor.
+        If the backend already holds data (a WAL/checkpoint to recover),
+        the session adopts that state; otherwise the engine is seeded
+        from the fresh store.  Remaining kwargs go to the
+        :class:`Session` constructor.
         """
-        from repro.storage import StorageEngine, StorageOptions
+        from repro.storage import (
+            LogStructuredEngine,
+            StorageEngine,
+            StorageOptions,
+        )
 
         session = cls(**session_kwargs)
         if isinstance(engine, StorageEngine):
-            engine_path = path or getattr(engine, "root", None)
-            options = StorageOptions(
-                backend="log" if engine_path else "memory",
-                path=str(engine_path) if engine_path else None,
-                sync=getattr(engine, "sync_mode", None)
-                or sync
-                or "checkpoint",
-            )
+            if isinstance(engine, LogStructuredEngine):
+                options = StorageOptions(
+                    backend="log",
+                    path=str(engine.root),
+                    sync=engine.sync_mode,
+                )
+            else:
+                options = StorageOptions(backend="memory")
             session.attach_storage(options, engine_obj=engine)
             return session
         if storage is None:
@@ -442,8 +445,6 @@ class Session:
         store — so ``.open`` on an empty target carries the database
         over, and on a populated one switches to it.
         """
-        import os
-
         from repro.storage import StoreJournal, encode_store, make_engine
 
         options = options.validate()
@@ -455,12 +456,6 @@ class Session:
         )
         self._engine = engine
         if engine is None:
-            # Historical dict backend: an existing JSON snapshot at the
-            # path is the state to adopt; otherwise start empty.
-            if options.path and os.path.exists(options.path):
-                from repro.datamodel.serialize import load_store
-
-                self.replace_store(load_store(options.path))
             return
         if len(engine):
             # The engine holds recovered state: it is the truth.
@@ -493,19 +488,11 @@ class Session:
           :class:`~repro.storage.CommitStamp`.
         * ``memory`` backend — nothing to persist; returns the engine's
           last commit stamp.
-        * ``dict`` backend with a path — write the JSON snapshot there
-          (the ``save_store`` format); returns its
-          :class:`~repro.datamodel.serialize.SerializationReport`.
-        * ``dict`` backend without a path — returns the snapshot
-          payload dict (exactly :meth:`snapshot`).
+        * ``dict`` backend (no engine attached) — returns ``None``.
         """
         if self._engine is not None:
             return self._engine.checkpoint()
-        if self._storage_options is not None and self._storage_options.path:
-            from repro.datamodel.serialize import save_store
-
-            return save_store(self.store, self._storage_options.path)
-        return self.snapshot()
+        return None
 
     def close(self) -> None:
         """Flush and release the storage backend (idempotent).
@@ -547,47 +534,6 @@ class Session:
                 status["batches_committed"] = journal.batches_committed
         return status
 
-    # ------------------------------------------------------------------
-    # snapshots (poor man's transactions over the serialized state)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Capture the stored database state (schema + data + relations).
-
-        .. deprecated::
-            Kept as a thin, warning-free alias; prefer the storage
-            lifecycle — :meth:`open` / :meth:`checkpoint` /
-            :meth:`close` — which adds incremental writes, WAL
-            durability, and crash recovery (``docs/LANGUAGE.md`` has the
-            migration table).
-
-        The paper's model has no transactions; snapshots give scripts and
-        tests a checkpoint/rollback primitive.  Computed method
-        implementations are not captured (see
-        :mod:`repro.datamodel.serialize`) and survive a restore untouched
-        only if re-installed by the caller.
-        """
-        from repro.datamodel.serialize import store_to_dict
-
-        payload, _report = store_to_dict(self.store)
-        return payload
-
-    def restore(self, payload: dict) -> None:
-        """Replace the session's database with a snapshot's contents.
-
-        .. deprecated::
-            Kept as a thin, warning-free alias; prefer
-            :meth:`open`-ing the saved state (see :meth:`snapshot`).
-
-        The id-function registry is rebuilt from the restored object
-        graph (not carried over from the pre-snapshot session), so ad-hoc
-        functor allocation resumes past every restored ``qfN`` instead of
-        colliding with it.
-        """
-        from repro.datamodel.serialize import store_from_dict
-
-        self.replace_store(store_from_dict(payload))
-
     def replace_store(self, store: ObjectStore) -> None:
         """Swap in a different store, resetting store-derived state.
 
@@ -595,7 +541,17 @@ class Session:
         new store and drops every cached compilation (cached typing and
         plans refer to the old schema).  Indexes enabled on the outgoing
         store are re-enabled (back-filled) on the new one, so a
-        ``restore`` does not silently downgrade indexed lookups to scans.
+        rollback does not silently downgrade indexed lookups to scans.
+        The id-function registry is rebuilt from the incoming object
+        graph, so ad-hoc functor allocation resumes past every ``qfN``
+        it holds instead of colliding with it.
+
+        In-memory rollback is a codec image of the store::
+
+            image = MemoryEngine()
+            encode_store(session.store, image)
+            ...
+            session.replace_store(decode_store(image))
 
         With a storage engine attached, the engine is reset and
         re-seeded from the incoming store in one batch, and the journal

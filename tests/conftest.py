@@ -31,6 +31,7 @@ from repro.schema.university import (
     build_university_schema,
     populate_university_database,
 )
+from repro.storage import MemoryEngine, encode_store
 from repro.workloads.paper_db import populate_paper_database
 
 
@@ -76,6 +77,16 @@ def university_session() -> Session:
     build_university_schema(session.store)
     populate_university_database(session.store)
     return session
+
+
+def store_image(store) -> MemoryEngine:
+    """A rollback point: *store* encoded into an in-memory KV engine.
+
+    Roll back with ``session.replace_store(decode_store(image))``.
+    """
+    image = MemoryEngine()
+    encode_store(store, image)
+    return image
 
 
 def names(result) -> list:

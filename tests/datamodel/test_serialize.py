@@ -1,28 +1,28 @@
-"""Tests for store serialization (save/load round-trips)."""
-
-import json
+"""Whole-store round-trips through the storage codec, the store's one
+persistence format: every fact kind the data model declares or stores
+must come back from ``decode_store(encode_store(store))``."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datamodel import ObjectStore, PythonMethod
-from repro.datamodel.serialize import (
-    SerializationError,
-    load_store,
-    save_store,
-    store_from_dict,
-    store_to_dict,
-)
 from repro.oid import Atom, FuncOid, Value
+from repro.storage import (
+    CodecError,
+    LogStructuredEngine,
+    MemoryEngine,
+    WriteBatch,
+    decode_store,
+    encode_store,
+    prefix_range,
+)
 from repro.workloads.generator import WorkloadConfig, generate_database
-from tests.conftest import make_paper_session
+from tests.conftest import make_paper_session, store_image
 
 
 def roundtrip(store: ObjectStore) -> ObjectStore:
-    payload, _report = store_to_dict(store)
-    # push through real JSON so only JSON-expressible state survives.
-    return store_from_dict(json.loads(json.dumps(payload)))
+    return decode_store(store_image(store))
 
 
 class TestRoundTrip:
@@ -82,7 +82,7 @@ class TestRoundTrip:
         store.set_attr(Atom("A"), "X", 1)
         store.set_attr(Atom("B"), "X", 2)
         store.resolve_inheritance("C", "X", "B")
-        obj = store.create_object(Atom("o"), ["C"])
+        store.create_object(Atom("o"), ["C"])
         loaded = roundtrip(store)
         assert loaded.invoke(Atom("o"), "X") == frozenset({Value(2)})
 
@@ -105,7 +105,7 @@ class TestRoundTrip:
 class TestReportAndErrors:
     def test_report_counts(self):
         store = make_paper_session().store
-        _payload, report = store_to_dict(store)
+        report = encode_store(store, MemoryEngine())
         assert report.objects > 30
         assert report.cells > 80
         assert report.classes >= 16
@@ -116,23 +116,32 @@ class TestReportAndErrors:
         store.define_method(
             "P", PythonMethod(name=Atom("M"), fn=lambda s, o: Value(1))
         )
-        _payload, report = store_to_dict(store)
+        report = encode_store(store, MemoryEngine())
         assert any("implementation" in entry for entry in report.skipped)
 
     def test_bad_format_rejected(self):
-        with pytest.raises(SerializationError):
-            store_from_dict({"format": "something-else"})
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(SerializationError):
-            store_from_dict({"format": "xsql-store", "version": 99})
+        # A cell body naming no known oid kind is not codec output.
+        image = MemoryEngine()
+        encode_store(make_paper_session().store, image)
+        key, _value = next(image.range_scan(*prefix_range(("f",))))
+        batch = WriteBatch()
+        batch.put(key, b'{"s": true, "v": [{"x": 1}]}')
+        image.apply(batch)
+        with pytest.raises(CodecError):
+            decode_store(image)
 
     def test_file_roundtrip(self, tmp_path):
         store = make_paper_session().store
-        path = str(tmp_path / "db.json")
-        report = save_store(store, path)
+        path = str(tmp_path / "db")
+        engine = LogStructuredEngine(path, sync="never")
+        report = encode_store(store, engine)
+        engine.close()
         assert report.objects > 0
-        loaded = load_store(path)
+        reopened = LogStructuredEngine(path, sync="never")
+        try:
+            loaded = decode_store(reopened)
+        finally:
+            reopened.close()
         assert loaded.known_objects() == store.known_objects()
 
 
@@ -143,7 +152,7 @@ class TestReportAndErrors:
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_synthetic_roundtrip_property(seed, n_people):
-    """Property: any generated database survives JSON round-tripping."""
+    """Property: any generated database survives the codec round-trip."""
     original = generate_database(
         WorkloadConfig(n_people=n_people, seed=seed)
     )

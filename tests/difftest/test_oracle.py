@@ -22,7 +22,7 @@ def test_all_engines_agree_on_conjunctive_query(oracle):
         "cached",
         "naive",
         "flogic",
-        "snapshot",
+        "kv",
     ):
         assert report.outcomes[name].status == "ok", report.summary()
     assert report.outcomes["flogic"].rows == report.outcomes["reference"].rows
@@ -81,9 +81,9 @@ def test_reference_error_is_not_a_disagreement(oracle):
 
 def test_engine_subset(oracle):
     report = oracle.run(
-        "SELECT X FROM Person X", engines=("reference", "snapshot")
+        "SELECT X FROM Person X", engines=("reference", "kv")
     )
-    assert set(report.outcomes) == {"reference", "snapshot"}
+    assert set(report.outcomes) == {"reference", "kv"}
     assert report.agreed
 
 
@@ -125,12 +125,12 @@ def test_judge_ignores_skips(oracle):
     assert report.agreed
 
 
-def test_snapshot_engine_runs_on_restored_store(oracle):
+def test_kv_engine_runs_on_recovered_store(oracle):
     report = oracle.run(
         "SELECT X.Residence.City FROM Employee X WHERE X.Salary > 0"
     )
-    assert report.outcomes["snapshot"].status == "ok"
-    assert report.outcomes["snapshot"].rows == report.outcomes["reference"].rows
-    # The restored store is cached, not the live one.
-    assert oracle._roundtrip() is not oracle.store
-    assert oracle._roundtrip() is oracle._roundtrip()
+    assert report.outcomes["kv"].status == "ok"
+    assert report.outcomes["kv"].rows == report.outcomes["reference"].rows
+    # The recovered store is cached, not the live one.
+    assert oracle._kv_roundtrip() is not oracle.store
+    assert oracle._kv_roundtrip() is oracle._kv_roundtrip()

@@ -1,10 +1,7 @@
 """Codec: key packing, cell bodies, journal mirroring, store round-trip."""
 
-import json
-
 import pytest
 
-from repro.datamodel.serialize import store_to_dict
 from repro.datamodel.store import ObjectStore
 from repro.oid import Atom, FuncOid, Value
 from repro.storage import (
@@ -18,20 +15,7 @@ from repro.storage import (
     unpack_key,
 )
 from repro.storage.codec import decode_cell_value, encode_cell_value
-
-
-def canonical(store):
-    """Order-insensitive canonical form of a store's serialized state."""
-    payload, _report = store_to_dict(store)
-
-    def norm(x):
-        if isinstance(x, list):
-            return sorted(json.dumps(norm(i), sort_keys=True) for i in x)
-        if isinstance(x, dict):
-            return {k: norm(v) for k, v in x.items()}
-        return x
-
-    return json.dumps(norm(payload), sort_keys=True)
+from repro.storage.smoke import canonical
 
 
 class TestKeyPacking:

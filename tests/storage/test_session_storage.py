@@ -1,8 +1,6 @@
 """Session.open/checkpoint/close lifecycle, options, and cache hygiene."""
 
-import json
 import os
-import warnings
 
 import pytest
 
@@ -12,9 +10,11 @@ from repro.storage import (
     MemoryEngine,
     StorageError,
     StorageOptions,
+    decode_store,
     make_engine,
 )
 from repro.xsql.session import Session
+from tests.conftest import store_image
 
 
 def load_people(session):
@@ -63,7 +63,6 @@ class TestStorageOptions:
             ("memory", "memory", None),
             ("log:/tmp/db", "log", "/tmp/db"),
             ("/tmp/db", "log", "/tmp/db"),
-            ("dict:/tmp/s.json", "dict", "/tmp/s.json"),
         ],
     )
     def test_parse(self, spec, backend, path):
@@ -138,18 +137,18 @@ class TestLifecycle:
         assert status["batches_committed"] > 0
         session.close()
 
-    def test_dict_backend_with_path_checkpoints_json(self, tmp_path):
+    def test_dict_backend_rejects_a_path(self, tmp_path):
         path = str(tmp_path / "s.json")
-        session = Session.open(path, engine="dict")
-        load_people(session)
-        session.checkpoint()
-        assert os.path.exists(path)
-        payload = json.load(open(path))
-        assert "classes" in payload or payload  # save_store format
-        session.close()
+        with pytest.raises(StorageError):
+            StorageOptions.parse(f"dict:{path}")
+        with pytest.raises(StorageError):
+            Session.open(path, engine="dict")
+        assert not os.path.exists(path)
 
-        adopted = Session.open(path, engine="dict")
-        assert names_over_40(adopted) == ["Bob", "Sue"]
+    def test_checkpoint_without_engine_returns_none(self):
+        session = Session.open()
+        load_people(session)
+        assert session.checkpoint() is None
 
     def test_open_adopts_engine_instance(self, tmp_path):
         path = str(tmp_path / "db")
@@ -161,7 +160,20 @@ class TestLifecycle:
         session = Session.open(engine=engine)
         assert session.storage_engine is engine
         assert session.storage_options.backend == "log"
+        assert session.storage_options.path == path
         assert names_over_40(session) == ["Bob", "Sue"]
+        session.close()
+
+    def test_engine_instance_names_the_backend(self, tmp_path):
+        # The engine's type decides the label, not the path argument:
+        # a MemoryEngine writes nothing to *path*.
+        path = tmp_path / "nowhere"
+        session = Session.open(str(path), engine=MemoryEngine())
+        status = session.storage_status()
+        assert (status["backend"], status["path"]) == ("memory", None)
+        load_people(session)
+        session.checkpoint()
+        assert not path.exists()
         session.close()
 
     def test_pre_populated_session_seeds_fresh_engine(self, tmp_path):
@@ -224,36 +236,8 @@ class TestLifecycle:
         assert names_over_40(session) == ["Bob", "Sue"]
 
 
-class TestDeprecatedAliases:
-    def test_snapshot_restore_emit_no_warnings(self):
-        session = Session.open()
-        load_people(session)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            payload = session.snapshot()
-            session.restore(payload)
-        assert names_over_40(session) == ["Bob", "Sue"]
-
-    def test_save_store_load_store_emit_no_warnings(self, tmp_path):
-        from repro.datamodel.serialize import load_store, save_store
-
-        session = Session.open()
-        load_people(session)
-        path = str(tmp_path / "s.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            save_store(session.store, path)
-            restored = load_store(path)
-        assert restored.is_instance(Atom("mary"), "Person")
-
-    def test_checkpoint_without_engine_equals_snapshot(self):
-        session = Session.open()
-        load_people(session)
-        assert session.checkpoint() == session.snapshot()
-
-
 class TestRestoreAfterCheckpoint:
-    """restore() after checkpoint(): indexes carry, caches settle once."""
+    """Rollback after checkpoint(): indexes carry, caches settle once."""
 
     def make_session(self, tmp_path):
         session = Session.open(str(tmp_path / "db"), sync="never")
@@ -266,9 +250,9 @@ class TestRestoreAfterCheckpoint:
 
     def test_indexes_survive_restore(self, tmp_path):
         session = self.make_session(tmp_path)
-        payload = session.snapshot()
+        image = store_image(session.store)
         session.checkpoint()
-        session.restore(payload)
+        session.replace_store(decode_store(image))
         assert "Age" in session.indexes()
         assert names_over_40(session) == ["Bob", "Sue"]
         session.close()
@@ -280,10 +264,10 @@ class TestRestoreAfterCheckpoint:
         session.query(query)
         assert self.counters(session).get("cache.hit", 0) >= 1
 
-        payload = session.snapshot()
+        image = store_image(session.store)
         session.checkpoint()
         before = self.counters(session)
-        session.restore(payload)
+        session.replace_store(decode_store(image))
 
         session.query(query)  # one fresh compile...
         session.query(query)  # ...then hits again
@@ -319,10 +303,10 @@ class TestRestoreAfterCheckpoint:
         """The store swap itself reaches the WAL and survives reopen."""
         path = str(tmp_path / "db")
         session = self.make_session(tmp_path)
-        payload = session.snapshot()
+        image = store_image(session.store)
         store = session.store
         store.set_attr(Atom("mary"), "Age", 99)
-        session.restore(payload)  # roll the change back
+        session.replace_store(decode_store(image))  # roll the change back
         session.close()
 
         reopened = Session.open(path, sync="never")

@@ -1,18 +1,18 @@
 """Tests for the scale-population generator (``repro.workloads.scale``).
 
 Determinism, class-mix accounting, Zipf skew sanity, queryability — and
-the serialize/restore round-trip contract at 10^4 objects: restored
-populations are bit-identical (same payload, same indexes, same
+the storage-codec round-trip contract at 10^4 objects: decoded
+populations are bit-identical (same codec image, same indexes, same
 id-function registry, same rebuilt statistics modulo the generation
 counter).
 """
 
-import json
-
 import pytest
 
-from repro.datamodel.serialize import store_from_dict, store_to_dict
 from repro.errors import XsqlError
+from repro.storage import MemoryEngine, decode_store, encode_store
+from repro.storage.smoke import canonical
+from tests.conftest import store_image
 from repro.workloads.scale import SCALE_TIERS, ScaleSpec, generate_scaled
 
 
@@ -45,18 +45,12 @@ class TestDeterminism:
     def test_same_seed_same_store(self):
         a = generate_scaled(ScaleSpec(n_objects=1_000, seed=11))
         b = generate_scaled(ScaleSpec(n_objects=1_000, seed=11))
-        payload_a, _ = store_to_dict(a)
-        payload_b, _ = store_to_dict(b)
-        assert json.dumps(payload_a, sort_keys=True) == json.dumps(
-            payload_b, sort_keys=True
-        )
+        assert canonical(a) == canonical(b)
 
     def test_different_seed_different_store(self):
         a = generate_scaled(ScaleSpec(n_objects=1_000, seed=1))
         b = generate_scaled(ScaleSpec(n_objects=1_000, seed=2))
-        payload_a, _ = store_to_dict(a)
-        payload_b, _ = store_to_dict(b)
-        assert payload_a != payload_b
+        assert canonical(a) != canonical(b)
 
 
 class TestShape:
@@ -125,23 +119,21 @@ class TestShape:
 
 class TestRoundTrip:
     def test_round_trip_bit_identical_at_10k(self):
-        """serialize → restore → serialize is a fixpoint at 10^4 objects.
+        """encode → decode → encode is a fixpoint at 10^4 objects.
 
-        The payload covers objects, classes, signatures, indexes, and
-        the id-function registry; statistics are not serialized but
+        The image covers objects, classes, signatures, indexes, and
+        the id-function registry; statistics are not encoded but
         rebuilt by replaying writes, so their snapshots must agree on
         everything except the (write-order-dependent) generation
         counter.
         """
         spec = ScaleSpec(n_objects=10_000, seed=0)
         store = generate_scaled(spec)
-        payload, report = store_to_dict(store)
+        image = MemoryEngine()
+        report = encode_store(store, image)
         assert not report.skipped
-        restored = store_from_dict(payload)
-        payload_again, _ = store_to_dict(restored)
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            payload_again, sort_keys=True
-        )
+        restored = decode_store(image)
+        assert canonical(restored) == list(image.range_scan())
         # Statistics: rebuilt incrementally on restore; identical
         # estimates modulo the generation counter.
         original_stats = store.statistics.snapshot()
@@ -158,8 +150,7 @@ class TestRoundTrip:
         from repro.xsql.session import Session
 
         store = generate_scaled(ScaleSpec(n_objects=1_000, seed=8))
-        payload, _ = store_to_dict(store)
-        restored = store_from_dict(payload)
+        restored = decode_store(store_image(store))
         text = (
             "SELECT Y FROM Person X WHERE X.Residence[Y].City['newyork']"
         )

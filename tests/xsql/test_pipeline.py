@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import QueryError
+from repro.storage import decode_store
 from repro.xsql.pipeline import ENGINES, PLAN_MODES, CompiledQuery
-from tests.conftest import names
+from tests.conftest import names, store_image
 
 STRICT_QUERY = (
     "SELECT X FROM Vehicle X "
@@ -126,7 +127,8 @@ class TestStatementCache:
     def test_replace_store_clears_cache(self, paper_session):
         paper_session.query(FAMILY_QUERY)
         assert len(paper_session.pipeline) == 1
-        paper_session.restore(paper_session.snapshot())
+        image = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(image))
         assert len(paper_session.pipeline) == 0
 
 

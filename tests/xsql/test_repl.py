@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.xsql.repl import run_repl
+from repro.xsql.session import Session
 from tests.conftest import make_paper_session
 
 
@@ -113,16 +114,33 @@ class TestMetaCommands:
         assert "unknown meta-command" in drive(".frobnicate\n")
 
     def test_save_and_load(self, tmp_path):
-        path = tmp_path / "dump.json"
-        output = drive(
-            f".save {path}\n"
-            f"UPDATE CLASS Division SET d_eng.Function = 'changed';\n"
-            f".load {path}\n"
-            f"SELECT d_eng.Function;\n"
+        """Saving is ``.checkpoint`` on an ``.open``-ed database; loading
+        is ``.open`` of the same path from a fresh session."""
+        path = tmp_path / "db"
+        saved, loaded = make_paper_session(), Session()
+        scripts = (
+            (
+                saved,
+                f".open {path}\n"
+                "UPDATE CLASS Division SET d_eng.Function = 'changed';\n"
+                ".checkpoint\n"
+                ".storage\n",
+            ),
+            # Empty session: every fact read back comes from PATH.
+            (loaded, f".open {path}\nSELECT d_eng.Function;\n"),
         )
-        assert "saved" in output and "loaded" in output
-        assert "'R&D'" in output  # the pre-save value came back
-        assert "'changed'" not in output.split("loaded")[1]
+        outputs = []
+        for session, script in scripts:
+            out = io.StringIO()
+            run_repl(session, stdin=io.StringIO(script), stdout=out)
+            session.close()
+            outputs.append(out.getvalue())
+        assert "checkpoint at lsn=" in outputs[0]
+        # The last line is the .storage status, printed after the
+        # checkpoint.
+        last = outputs[0].rstrip().splitlines()[-1]
+        assert last.startswith(f"storage: backend=log  path={path}  ")
+        assert "'changed'" in outputs[1]
 
 
 class TestProcessEntryPoint:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import QueryError
 from repro.oid import Atom, Value
+from repro.storage import decode_store
+from tests.conftest import store_image
 
 
 class TestSessionIndexApi:
@@ -61,11 +63,11 @@ class TestIndexMaintenanceUnderUpdates:
 
 class TestIndexesAcrossRestore:
     def test_restore_back_fills_session_indexes(self, paper_session):
-        # Snapshot *before* the index exists: the restored store's payload
-        # carries no index, so the session must re-enable and back-fill.
-        payload = paper_session.snapshot()
+        # Image *before* the index exists: the decoded store carries no
+        # index, so the session must re-enable and back-fill.
+        image = store_image(paper_session.store)
         paper_session.enable_index("Residence")
-        paper_session.restore(payload)
+        paper_session.replace_store(decode_store(image))
         assert paper_session.indexes() == ["Residence"]
         store = paper_session.store
         address = store.invoke_scalar(Atom("mary123"), "Residence")
@@ -74,15 +76,15 @@ class TestIndexesAcrossRestore:
 
     def test_snapshot_round_trips_indexes(self, paper_session):
         paper_session.enable_index("Residence")
-        payload = paper_session.snapshot()
+        image = store_image(paper_session.store)
         paper_session.disable_index("Residence")
-        paper_session.restore(payload)
+        paper_session.replace_store(decode_store(image))
         assert "Residence" in paper_session.indexes()
 
     def test_restored_index_tracks_new_writes(self, paper_session):
-        payload = paper_session.snapshot()
+        image = store_image(paper_session.store)
         paper_session.enable_index("Salary")
-        paper_session.restore(payload)
+        paper_session.replace_store(decode_store(image))
         paper_session.execute(
             "UPDATE CLASS Employee SET ben.Salary = 123"
         )

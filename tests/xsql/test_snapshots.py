@@ -1,50 +1,50 @@
-"""Tests for session snapshots (checkpoint/rollback)."""
-
-import pytest
+"""Tests for in-memory rollback through a codec image of the store."""
 
 from repro.oid import Atom, Value
-from tests.conftest import names
+from repro.storage import decode_store
+from repro.storage.smoke import canonical
+from tests.conftest import names, store_image
 
 
 class TestSnapshots:
     def test_rollback_after_update(self, paper_session):
-        checkpoint = paper_session.snapshot()
+        checkpoint = store_image(paper_session.store)
         paper_session.execute(
             "UPDATE CLASS Division SET d_eng.Function = 'changed'"
         )
         assert paper_session.store.invoke_scalar(
             Atom("d_eng"), "Function"
         ) == Value("changed")
-        paper_session.restore(checkpoint)
+        paper_session.replace_store(decode_store(checkpoint))
         assert paper_session.store.invoke_scalar(
             Atom("d_eng"), "Function"
         ) == Value("R&D")
 
     def test_rollback_removes_created_objects(self, paper_session):
-        checkpoint = paper_session.snapshot()
+        checkpoint = store_image(paper_session.store)
         result = paper_session.execute(
             "SELECT N = Y.Name FROM Company Y OID FUNCTION OF Y"
         )
         created = result.created[0]
         assert created in paper_session.store.known_objects()
-        paper_session.restore(checkpoint)
+        paper_session.replace_store(decode_store(checkpoint))
         assert created not in paper_session.store.known_objects()
 
     def test_queries_work_after_restore(self, paper_session):
-        checkpoint = paper_session.snapshot()
-        paper_session.restore(checkpoint)
+        checkpoint = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(checkpoint))
         result = paper_session.query(
             "SELECT X FROM Employee X WHERE X.FamMembers.Age some> 20"
         )
         assert names(result) == ["john13", "kim"]
 
     def test_snapshot_is_isolated_from_later_writes(self, paper_session):
-        checkpoint = paper_session.snapshot()
+        checkpoint = store_image(paper_session.store)
         paper_session.execute(
             "UPDATE CLASS Employee SET ben.Salary = 1"
         )
-        # mutating after the snapshot must not alter the captured state.
-        paper_session.restore(checkpoint)
+        # mutating after the image is taken must not alter it.
+        paper_session.replace_store(decode_store(checkpoint))
         assert paper_session.store.invoke_scalar(
             Atom("ben"), "Salary"
         ) == Value(30000)
@@ -62,7 +62,7 @@ WHERE X.Divisions[Y].Employees[W]
 
 class TestSnapshotRoundTripWithViewsAndCreation:
     """§4.1/§4.2 state — materialized views and OID-function objects —
-    must survive a snapshot/restore round-trip intact."""
+    must survive an encode/decode round-trip intact."""
 
     def test_view_state_survives_roundtrip(self, paper_session):
         paper_session.execute(COMP_SALARIES)
@@ -70,7 +70,8 @@ class TestSnapshotRoundTripWithViewsAndCreation:
         rows_before = paper_session.query(
             "SELECT V.Salary FROM CompSalaries V WHERE V.CompName['Acme']"
         ).rows()
-        paper_session.restore(paper_session.snapshot())
+        image = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(image))
         assert paper_session.store.extent("CompSalaries") == extent_before
         hierarchy = paper_session.store.hierarchy
         assert hierarchy.is_subclass(Atom("CompSalaries"), Atom("Object"))
@@ -87,7 +88,8 @@ class TestSnapshotRoundTripWithViewsAndCreation:
         )
         created = set(result.created)
         assert created
-        paper_session.restore(paper_session.snapshot())
+        image = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(image))
         assert created <= paper_session.store.known_objects()
         for oid in created:
             assert paper_session.store.invoke_scalar(oid, "N") is not None
@@ -97,16 +99,16 @@ class TestSnapshotRoundTripWithViewsAndCreation:
         paper_session.execute(
             "SELECT N = Y.Name FROM Company Y OID FUNCTION OF Y"
         )
-        first = paper_session.snapshot()
-        paper_session.restore(first)
-        second = paper_session.snapshot()
-        assert first == second
+        first = canonical(paper_session.store)
+        image = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(image))
+        assert canonical(paper_session.store) == first
 
     def test_restore_older_snapshot_drops_view(self, paper_session):
-        checkpoint = paper_session.snapshot()
+        checkpoint = store_image(paper_session.store)
         paper_session.execute(COMP_SALARIES)
         assert paper_session.store.extent("CompSalaries")
-        paper_session.restore(checkpoint)
+        paper_session.replace_store(decode_store(checkpoint))
         assert Atom("CompSalaries") not in paper_session.store.hierarchy.classes()
 
 
@@ -116,8 +118,8 @@ CREATE_COMPANY_OBJECTS = (
 
 
 class TestRestoreRebuildsIdFunctionRegistry:
-    """``restore`` must reseed the id-function registry from the restored
-    object graph, not carry the pre-snapshot table forward (§4.1: one
+    """``replace_store`` must reseed the id-function registry from the
+    restored object graph, not carry the old table forward (§4.1: one
     functor per creating query, or two queries share "the same" oids)."""
 
     def test_restore_into_fresh_session_knows_restored_functors(
@@ -126,9 +128,9 @@ class TestRestoreRebuildsIdFunctionRegistry:
         from repro.xsql.session import Session
 
         paper_session.execute(CREATE_COMPANY_OBJECTS)  # allocates qf1
-        payload = paper_session.snapshot()
+        image = store_image(paper_session.store)
         fresh = Session()
-        fresh.restore(payload)
+        fresh.replace_store(decode_store(image))
         assert fresh.registry.known("qf1")
         # The ad-hoc counter resumes past the restored functor: the next
         # creating query must NOT reuse qf1.
@@ -136,7 +138,8 @@ class TestRestoreRebuildsIdFunctionRegistry:
 
     def test_creation_after_restore_does_not_collide(self, paper_session):
         first = paper_session.execute(CREATE_COMPANY_OBJECTS)
-        paper_session.restore(paper_session.snapshot())
+        image = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(image))
         second = paper_session.execute(CREATE_COMPANY_OBJECTS)
         functors_first = {oid.functor for oid in first.created}
         functors_second = {oid.functor for oid in second.created}
@@ -145,11 +148,11 @@ class TestRestoreRebuildsIdFunctionRegistry:
     def test_restore_drops_registry_entries_for_dropped_objects(
         self, paper_session
     ):
-        checkpoint = paper_session.snapshot()
+        checkpoint = store_image(paper_session.store)
         paper_session.execute(CREATE_COMPANY_OBJECTS)
         assert paper_session.registry.known("qf1")
-        paper_session.restore(checkpoint)
-        # The snapshot predates the creation: qf1's objects are gone, so
+        paper_session.replace_store(decode_store(checkpoint))
+        # The image predates the creation: qf1's objects are gone, so
         # the registry must not claim the functor is still defined.
         assert not paper_session.registry.known("qf1")
 
@@ -157,7 +160,8 @@ class TestRestoreRebuildsIdFunctionRegistry:
         paper_session.execute(COMP_SALARIES)
         instances_before = paper_session.registry.instances("CompSalaries")
         assert instances_before
-        paper_session.restore(paper_session.snapshot())
+        image = store_image(paper_session.store)
+        paper_session.replace_store(decode_store(image))
         assert (
             paper_session.registry.instances("CompSalaries")
             == instances_before
