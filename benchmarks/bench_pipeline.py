@@ -32,6 +32,12 @@ cell instead of scanning the 600-employee extent and hashing it; V2
 is a star with two navigation edges hanging off one selective
 dimension.  Both must clear 5×.
 
+**Compile-scaling benchmark** — the p50 of a cold
+``prepare(..., plan="cost")`` over 200 distinct point-lookup texts on
+scaled stores of 2k and 20k objects.  Planning reads only the
+statistics catalogue and O(classes) schema counts, so the 20k p50 must
+stay within 2× of the 2k p50.
+
 **View-maintenance benchmark** — V3: after ``k`` point salary writes,
 re-reading a materialized view through its id-term (which triggers the
 lazy *targeted* sync — only the affected groups re-derive) must be 5×
@@ -60,6 +66,7 @@ from repro import Session
 from repro.schema.figure1 import build_figure1_schema
 from repro.workloads.generator import WorkloadConfig, generate_database
 from repro.workloads.paper_db import populate_paper_database
+from repro.workloads.scale import ScaleSpec, generate_scaled
 
 #: The paper's numbered examples Q1–Q12 (read-only; Q13 is measured
 #: separately because object creation mutates the store).
@@ -184,6 +191,14 @@ POINTER_QUERIES: List[Tuple[str, str]] = [
     ),
 ]
 POINTER_TARGET = 5.0
+
+#: The compile-scaling benchmark: cold ``plan="cost"`` compiles of
+#: distinct point lookups (every text misses the statement cache) on a
+#: small and a ten-times-larger store.  Scaled people are named
+#: ``P<index>``, so every text selects one person.
+COMPILE_SIZES = (2_000, 20_000)
+COMPILE_TEXTS = 200
+COMPILE_SCALING_LIMIT = 2.0
 
 #: The view-maintenance benchmark (V3): k point salary writes, then a
 #: re-read of one view object through its id-term — the lazy targeted
@@ -336,6 +351,52 @@ def measure_pointer(
         fused_s = _median_seconds(fused.run, rounds)
         results.append((name, hash_s, fused_s, len(fused_rows)))
     return results
+
+
+def measure_compile() -> List[Tuple[int, float]]:
+    """Per-size (n_objects, prepare_p50_seconds) under ``plan="cost"``.
+
+    The sizes take turns text by text, so host noise lands on both
+    medians alike.  One untimed compile per session first auto-enables
+    the ``Name`` index, a one-off O(store) build that is not part of
+    compiling a query.
+    """
+    sessions = [
+        Session(generate_scaled(ScaleSpec(n_objects=n_objects)))
+        for n_objects in COMPILE_SIZES
+    ]
+    times: List[List[float]] = [[] for _ in sessions]
+    for index in range(COMPILE_TEXTS + 1):
+        text = f"SELECT X FROM Person X WHERE X.Name['P{index}']"
+        for session, samples in zip(sessions, times):
+            started = time.perf_counter()
+            session.prepare(text, plan="cost")
+            if index:
+                samples.append(time.perf_counter() - started)
+    return [
+        (n_objects, statistics.median(samples))
+        for n_objects, samples in zip(COMPILE_SIZES, times)
+    ]
+
+
+def compile_scaling(results: List[Tuple[int, float]]) -> float:
+    """Largest-store compile p50 over smallest-store compile p50."""
+    return results[-1][1] / results[0][1]
+
+
+def report_compile(results: List[Tuple[int, float]]) -> str:
+    lines = [
+        f"compile scaling: prepare(plan=cost) p50 over {COMPILE_TEXTS} "
+        "distinct point lookups",
+        f"{'objects':>8s} {'p50':>10s}",
+    ]
+    for n_objects, p50 in results:
+        lines.append(f"{n_objects:8d} {p50 * 1000:8.3f}ms")
+    lines.append(
+        f"scaling: {compile_scaling(results):.2f}x "
+        f"(limit <= {COMPILE_SCALING_LIMIT:g}x)"
+    )
+    return "\n".join(lines)
 
 
 def measure_view_maintenance(
@@ -684,6 +745,7 @@ def as_json(
     pointer_results: List[Tuple[str, float, float, int]],
     maintenance: Tuple[float, float, int],
     snapshot_results: List[Tuple[str, float, float]],
+    compile_results: List[Tuple[int, float]],
 ) -> Dict[str, object]:
     """The JSON artifact CI uploads (``BENCH_pipeline.json``)."""
     targeted_s, recompute_s, groups = maintenance
@@ -695,6 +757,7 @@ def as_json(
             "pointer_speedup": POINTER_TARGET,
             "view_maintenance_speedup": VIEW_TARGET,
             "snapshot_overhead_limit": SNAPSHOT_OVERHEAD_LIMIT,
+            "compile_scaling_limit": COMPILE_SCALING_LIMIT,
         },
         "cache": [
             {
@@ -760,6 +823,11 @@ def as_json(
             for name, direct, snapshot in snapshot_results
         ],
         "snapshot_overhead": round(snapshot_overhead(snapshot_results), 3),
+        "compile": [
+            {"n_objects": n_objects, "prepare_p50_ms": round(p50 * 1000, 4)}
+            for n_objects, p50 in compile_results
+        ],
+        "compile_scaling": round(compile_scaling(compile_results), 2),
     }
 
 
@@ -809,6 +877,13 @@ def test_snapshot_reads_within_10pct_of_direct():
     results = measure_snapshot(rounds=9)
     assert snapshot_overhead(results) <= SNAPSHOT_OVERHEAD_LIMIT, (
         report_snapshot(results)
+    )
+
+
+def test_compile_time_flat_from_2k_to_20k_objects():
+    results = measure_compile()
+    assert compile_scaling(results) <= COMPILE_SCALING_LIMIT, (
+        report_compile(results)
     )
 
 
@@ -863,6 +938,7 @@ def main() -> int:
     pointer = measure_pointer(rounds=min(args.rounds, 7))
     maintenance = measure_view_maintenance(rounds=min(args.rounds, 5))
     snapshot = measure_snapshot(rounds=args.rounds)
+    compiled = measure_compile()
     estimation = measure_estimation() if args.analyze else None
     print(report(results))
     print()
@@ -883,12 +959,15 @@ def main() -> int:
     print(report_view_maintenance(maintenance))
     print()
     print(report_snapshot(snapshot))
+    print()
+    print(report_compile(compiled))
     if estimation is not None:
         print()
         print(report_estimation(estimation))
     if args.json:
         payload = as_json(
             results, selective, joins, pointer, maintenance, snapshot,
+            compiled,
         )
         if estimation is not None:
             payload["analyze"] = estimation_as_json(estimation)
@@ -904,6 +983,7 @@ def main() -> int:
         and worst_pointer_speedup(pointer) >= POINTER_TARGET
         and view_maintenance_speedup(maintenance) >= VIEW_TARGET
         and snapshot_overhead(snapshot) <= SNAPSHOT_OVERHEAD_LIMIT
+        and compile_scaling(compiled) <= COMPILE_SCALING_LIMIT
     )
     return 0 if ok else 1
 

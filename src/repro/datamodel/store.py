@@ -22,6 +22,7 @@ treatment of typing as a metalogical notion (§6.2).
 from __future__ import annotations
 
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -59,6 +60,17 @@ OidLike = Union[Oid, int, float, str, bool]
 
 def _atom(name: ClassLike) -> Atom:
     return name if isinstance(name, Atom) else Atom(name)
+
+
+def _count_individuals(
+    known: AbstractSet[Oid], hierarchy: ClassHierarchy
+) -> int:
+    """How many oids of *known* are not declared classes.
+
+    Iterates the hierarchy, not *known*: a class atom is the only kind of
+    known oid that is not an individual (``Catalogue.is_class``).
+    """
+    return len(known) - len(known.intersection(hierarchy))
 
 
 class ObjectStore:
@@ -484,6 +496,14 @@ class ObjectStore:
         return frozenset(
             obj for obj in self._known if not self.catalogue.is_class(obj)
         )
+
+    def individual_count(self) -> int:
+        """``len(individual_universe())`` in O(classes), not O(store).
+
+        The cost model sizes the individual sort with this on every
+        compile, so it must not walk the known set.
+        """
+        return _count_individuals(self._known, self.hierarchy)
 
     def class_universe(self) -> FrozenSet[Atom]:
         """The range of class variables (``#X``)."""

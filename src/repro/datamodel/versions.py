@@ -67,7 +67,12 @@ from repro.datamodel.objects import (
     ScalarCell,
     SetCell,
 )
-from repro.datamodel.store import ObjectStore, OidLike, _atom
+from repro.datamodel.store import (
+    ObjectStore,
+    OidLike,
+    _atom,
+    _count_individuals,
+)
 from repro.errors import (
     RelationalError,
     SnapshotReadOnlyError,
@@ -759,6 +764,16 @@ class StoreView(ObjectStore):
             obj
             for obj in self.known_objects()
             if not self.catalogue.is_class(obj)
+        )
+
+    def individual_count(self) -> int:
+        # Count the view-local discoveries apart from the per-pin memo:
+        # building their union, as known_objects() does, is O(store).
+        self.known_objects()
+        memo = self._known_memo
+        hierarchy = self.hierarchy
+        return _count_individuals(memo, hierarchy) + _count_individuals(
+            self._discovered - memo, hierarchy
         )
 
     def method_universe(self) -> FrozenSet[Atom]:

@@ -235,7 +235,7 @@ class Oracle:
     def _universes(self) -> Dict[str, int]:
         if self._universe_sizes is None:
             self._universe_sizes = {
-                "individual": len(self.store.individual_universe()),
+                "individual": self.store.individual_count(),
                 "class": len(self.store.class_universe()),
                 "method": len(self.store.method_universe()),
             }

@@ -182,7 +182,7 @@ def run_fuzz(
         if progress:
             progress(
                 f"[{size}] store ready: "
-                f"{len(store.individual_universe())} individuals, "
+                f"{store.individual_count()} individuals, "
                 f"{budget} queries"
             )
         for index in range(budget):

@@ -147,6 +147,8 @@ class CostModel:
     All numbers are estimates: the catalogue sees explicitly stored cells
     and explicit memberships only, so the model pads unknowns with mild
     defaults.  Its contract is to *rank* plans sanely, nothing more.
+    It reads only the catalogue and O(classes) schema counts, never a
+    store-sized collection, so compiling costs the same at any size.
     """
 
     #: Selectivity guess for a filtering condition the model cannot read.
@@ -157,8 +159,8 @@ class CostModel:
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
         self.stats = store.statistics
-        self._universe = max(1, len(store.individual_universe()))
-        self._classes = max(1, len(store.hierarchy.classes()))
+        self._universe = max(1, store.individual_count())
+        self._classes = max(1, len(store.hierarchy))
         self._methods = max(1, len(store.method_names()))
 
     # ------------------------------------------------------------------
