@@ -38,6 +38,13 @@ scaled stores of 2k and 20k objects.  Planning reads only the
 statistics catalogue and O(classes) schema counts, so the 20k p50 must
 stay within 2× of the 2k p50.
 
+**Maintenance-scaling benchmark** — on the same two store sizes, with
+the ``Name`` index enabled, the p50 of ``extent`` on a fixed 10-object
+class and the p50 of ``purge_object`` of one indexed person.  Neither
+walks the store (only ``Object`` and the literal classes enumerate the
+active domain; a purge drops just the purged object's index entries),
+so each 20k p50 must stay within 2× of its 2k p50.
+
 **View-maintenance benchmark** — V3: after ``k`` point salary writes,
 re-reading a materialized view through its id-term (which triggers the
 lazy *targeted* sync — only the affected groups re-derive) must be 5×
@@ -63,6 +70,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import Session
+from repro.oid import Atom
 from repro.schema.figure1 import build_figure1_schema
 from repro.workloads.generator import WorkloadConfig, generate_database
 from repro.workloads.paper_db import populate_paper_database
@@ -199,6 +207,15 @@ POINTER_TARGET = 5.0
 COMPILE_SIZES = (2_000, 20_000)
 COMPILE_TEXTS = 200
 COMPILE_SCALING_LIMIT = 2.0
+
+#: The maintenance-scaling benchmark: per-change store operations on
+#: the compile benchmark's two store sizes.  Every store gets the same
+#: fixed ``Probe`` class; each round times one ``extent("Probe")`` and
+#: one ``purge_object`` of a scaled person (``s_p<index>``, whose
+#: ``Name`` cell sits in the enabled index).
+MAINTENANCE_CLASS_SIZE = 10
+MAINTENANCE_ROUNDS = 200
+MAINTENANCE_SCALING_LIMIT = 2.0
 
 #: The view-maintenance benchmark (V3): k point salary writes, then a
 #: re-read of one view object through its id-term — the lazy targeted
@@ -395,6 +412,73 @@ def report_compile(results: List[Tuple[int, float]]) -> str:
     lines.append(
         f"scaling: {compile_scaling(results):.2f}x "
         f"(limit <= {COMPILE_SCALING_LIMIT:g}x)"
+    )
+    return "\n".join(lines)
+
+
+def measure_maintenance() -> List[Tuple[int, float, float]]:
+    """Per-size (n_objects, extent_p50_seconds, purge_p50_seconds).
+
+    The sizes take turns round by round, so host noise lands on both
+    medians alike.
+    """
+    stores = []
+    for n_objects in COMPILE_SIZES:
+        store = generate_scaled(ScaleSpec(n_objects=n_objects))
+        store.enable_index("Name")
+        store.declare_class("Probe")
+        for index in range(MAINTENANCE_CLASS_SIZE):
+            store.create_object(Atom(f"probe{index}"), ["Probe"])
+        stores.append(store)
+    extent_times: List[List[float]] = [[] for _ in stores]
+    purge_times: List[List[float]] = [[] for _ in stores]
+    for index in range(MAINTENANCE_ROUNDS):
+        victim = Atom(f"s_p{index}")
+        for store, extents, purges in zip(stores, extent_times, purge_times):
+            started = time.perf_counter()
+            members = store.extent("Probe")
+            extents.append(time.perf_counter() - started)
+            assert len(members) == MAINTENANCE_CLASS_SIZE
+            started = time.perf_counter()
+            store.purge_object(victim)
+            purges.append(time.perf_counter() - started)
+    return [
+        (n_objects, statistics.median(extents), statistics.median(purges))
+        for n_objects, extents, purges in zip(
+            COMPILE_SIZES, extent_times, purge_times
+        )
+    ]
+
+
+def maintenance_scaling(
+    results: List[Tuple[int, float, float]]
+) -> Tuple[float, float]:
+    """(extent, purge): largest-store p50 over smallest-store p50."""
+    return (
+        results[-1][1] / results[0][1],
+        results[-1][2] / results[0][2],
+    )
+
+
+def maintenance_flat(results: List[Tuple[int, float, float]]) -> bool:
+    return max(maintenance_scaling(results)) <= MAINTENANCE_SCALING_LIMIT
+
+
+def report_maintenance(results: List[Tuple[int, float, float]]) -> str:
+    lines = [
+        f"maintenance scaling: p50 over {MAINTENANCE_ROUNDS} rounds, "
+        f"Name index on, {MAINTENANCE_CLASS_SIZE}-object class",
+        f"{'objects':>8s} {'extent':>10s} {'purge':>10s}",
+    ]
+    for n_objects, extent_p50, purge_p50 in results:
+        lines.append(
+            f"{n_objects:8d} {extent_p50 * 1000:8.3f}ms "
+            f"{purge_p50 * 1000:8.3f}ms"
+        )
+    extent_x, purge_x = maintenance_scaling(results)
+    lines.append(
+        f"scaling: extent {extent_x:.2f}x, purge {purge_x:.2f}x "
+        f"(limit <= {MAINTENANCE_SCALING_LIMIT:g}x)"
     )
     return "\n".join(lines)
 
@@ -746,9 +830,11 @@ def as_json(
     maintenance: Tuple[float, float, int],
     snapshot_results: List[Tuple[str, float, float]],
     compile_results: List[Tuple[int, float]],
+    maintenance_results: List[Tuple[int, float, float]],
 ) -> Dict[str, object]:
     """The JSON artifact CI uploads (``BENCH_pipeline.json``)."""
     targeted_s, recompute_s, groups = maintenance
+    extent_x, purge_x = maintenance_scaling(maintenance_results)
     return {
         "targets": {
             "cache_speedup": SPEEDUP_TARGET,
@@ -758,6 +844,7 @@ def as_json(
             "view_maintenance_speedup": VIEW_TARGET,
             "snapshot_overhead_limit": SNAPSHOT_OVERHEAD_LIMIT,
             "compile_scaling_limit": COMPILE_SCALING_LIMIT,
+            "maintenance_scaling_limit": MAINTENANCE_SCALING_LIMIT,
         },
         "cache": [
             {
@@ -828,6 +915,18 @@ def as_json(
             for n_objects, p50 in compile_results
         ],
         "compile_scaling": round(compile_scaling(compile_results), 2),
+        "maintenance": [
+            {
+                "n_objects": n_objects,
+                "extent_p50_ms": round(extent_p50 * 1000, 4),
+                "purge_p50_ms": round(purge_p50 * 1000, 4),
+            }
+            for n_objects, extent_p50, purge_p50 in maintenance_results
+        ],
+        "maintenance_scaling": {
+            "extent": round(extent_x, 2),
+            "purge": round(purge_x, 2),
+        },
     }
 
 
@@ -887,6 +986,11 @@ def test_compile_time_flat_from_2k_to_20k_objects():
     )
 
 
+def test_extent_and_purge_flat_from_2k_to_20k_objects():
+    results = measure_maintenance()
+    assert maintenance_flat(results), report_maintenance(results)
+
+
 def test_cached_results_match_cold_results():
     session = _paper_session()
     for _name, text in PAPER_QUERIES:
@@ -939,6 +1043,7 @@ def main() -> int:
     maintenance = measure_view_maintenance(rounds=min(args.rounds, 5))
     snapshot = measure_snapshot(rounds=args.rounds)
     compiled = measure_compile()
+    upkeep = measure_maintenance()
     estimation = measure_estimation() if args.analyze else None
     print(report(results))
     print()
@@ -961,13 +1066,15 @@ def main() -> int:
     print(report_snapshot(snapshot))
     print()
     print(report_compile(compiled))
+    print()
+    print(report_maintenance(upkeep))
     if estimation is not None:
         print()
         print(report_estimation(estimation))
     if args.json:
         payload = as_json(
             results, selective, joins, pointer, maintenance, snapshot,
-            compiled,
+            compiled, upkeep,
         )
         if estimation is not None:
             payload["analyze"] = estimation_as_json(estimation)
@@ -984,6 +1091,7 @@ def main() -> int:
         and view_maintenance_speedup(maintenance) >= VIEW_TARGET
         and snapshot_overhead(snapshot) <= SNAPSHOT_OVERHEAD_LIMIT
         and compile_scaling(compiled) <= COMPILE_SCALING_LIMIT
+        and maintenance_flat(upkeep)
     )
     return 0 if ok else 1
 

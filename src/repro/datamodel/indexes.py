@@ -86,15 +86,6 @@ class AttributeIndexes:
         for value in new_values - old_values:
             table.setdefault(value, set()).add(key)
 
-    def note_purge(self, owner: Oid) -> None:
-        for table in self._entries.values():
-            for value in list(table):
-                table[value] = {
-                    entry for entry in table[value] if entry[0] != owner
-                }
-                if not table[value]:
-                    table.pop(value, None)
-
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------

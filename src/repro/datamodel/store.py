@@ -35,7 +35,7 @@ from typing import (
     Union,
 )
 
-from repro.datamodel.catalogue import Catalogue
+from repro.datamodel.catalogue import BUILTIN_CLASSES, Catalogue
 from repro.datamodel.hierarchy import OBJECT_CLASS, ClassHierarchy
 from repro.datamodel.indexes import AttributeIndexes
 from repro.datamodel.inheritance import InheritanceResolver
@@ -71,6 +71,25 @@ def _count_individuals(
     known oid that is not an individual (``Catalogue.is_class``).
     """
     return len(known) - len(known.intersection(hierarchy))
+
+
+#: Every class ``Catalogue.implicit_classes`` can return.
+_IMPLICIT_CLASSES = frozenset(BUILTIN_CLASSES) | {OBJECT_CLASS}
+
+
+def _has_implicit_members(
+    hierarchy: ClassHierarchy, cls: Atom, direct: bool
+) -> bool:
+    """Can the extent of *cls* hold members no membership fact records?
+
+    Only when *cls* is ``Object`` or a literal class, or — counting
+    subclass instances — a superclass of one (§2).
+    """
+    if cls in _IMPLICIT_CLASSES:
+        return True
+    return not direct and any(
+        hierarchy.is_subclass(implicit, cls) for implicit in _IMPLICIT_CLASSES
+    )
 
 
 class ObjectStore:
@@ -425,15 +444,18 @@ class ObjectStore:
                 self._history.record_known(obj, True)
             self._records.pop(obj, None)
             for (method, args), cell in cells:
+                values = cell.as_set()
+                self._indexes.note_write(
+                    obj, method, args, values, frozenset()
+                )
                 self.statistics.note_write(
-                    obj, method, args, cell.as_set(), frozenset()
+                    obj, method, args, values, frozenset()
                 )
             self._memberships.pop(obj, None)
             for cls in memberships:
                 self._direct_extents.get(cls, set()).discard(obj)
                 self.statistics.note_membership(cls, -1)
             self._known.discard(obj)
-            self._indexes.note_purge(obj)
             for sink in self._sinks:
                 sink.note_purge(obj, memberships, cells)
 
@@ -463,25 +485,40 @@ class ObjectStore:
     ) -> FrozenSet[Oid]:
         """Instances of *cls* (by default including subclass instances).
 
-        Built-in literal classes enumerate the literals the database has
-        actually seen — the active domain, which is what the naive
-        semantics of §3.4 ranges over.
+        Only ``Object`` and the built-in literal classes (and, counting
+        subclass instances, their superclasses) enumerate the active
+        domain — every known oid, or the literals the database has
+        actually seen, which is what the naive semantics of §3.4 ranges
+        over.  Every other class reads its membership facts alone, in
+        O(extent) rather than O(store).
         """
         cls_atom = _atom(cls)
-        self.hierarchy.require(cls_atom)
-        members: Set[Oid] = set(self._direct_extents.get(cls_atom, set()))
+        hierarchy = self.hierarchy
+        hierarchy.require(cls_atom)
+        members: Set[Oid] = set(self._direct_extent(cls_atom))
         if not direct:
-            for sub in self.hierarchy.subclasses(cls_atom):
-                members |= self._direct_extents.get(sub, set())
-        for obj in self._known:
-            implicit = self.catalogue.implicit_classes(obj)
-            if cls_atom in implicit:
-                members.add(obj)
-            elif not direct and any(
-                self.hierarchy.is_subclass(c, cls_atom) for c in implicit
-            ):
-                members.add(obj)
+            for sub in hierarchy.subclasses(cls_atom):
+                members |= self._direct_extent(sub)
+        if _has_implicit_members(hierarchy, cls_atom, direct):
+            catalogue = self.catalogue
+            for obj in self._known_oids():
+                implicit = catalogue.implicit_classes(obj)
+                if cls_atom in implicit or (
+                    not direct
+                    and any(
+                        hierarchy.is_subclass(c, cls_atom) for c in implicit
+                    )
+                ):
+                    members.add(obj)
         return frozenset(members)
+
+    def _direct_extent(self, cls_atom: Atom) -> AbstractSet[Oid]:
+        """Explicit members of *cls_atom* alone (read-only)."""
+        return self._direct_extents.get(cls_atom, frozenset())
+
+    def _known_oids(self) -> AbstractSet[Oid]:
+        """Every known oid, for the active-domain scan (read-only)."""
+        return self._known
 
     # ------------------------------------------------------------------
     # universes (for variable instantiation)

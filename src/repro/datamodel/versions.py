@@ -726,22 +726,8 @@ class StoreView(ObjectStore):
                     live.discard(obj)
         return live
 
-    def extent(self, cls, direct: bool = False) -> FrozenSet[Oid]:
-        cls_atom = _atom(cls)
-        self.hierarchy.require(cls_atom)
-        members = self._direct_extent(cls_atom)
-        if not direct:
-            for sub in self.hierarchy.subclasses(cls_atom):
-                members |= self._direct_extent(sub)
-        for obj in self.known_objects():
-            implicit = self.catalogue.implicit_classes(obj)
-            if cls_atom in implicit:
-                members.add(obj)
-            elif not direct and any(
-                self.hierarchy.is_subclass(c, cls_atom) for c in implicit
-            ):
-                members.add(obj)
-        return frozenset(members)
+    def _known_oids(self) -> FrozenSet[Oid]:
+        return self.known_objects()
 
     def known_objects(self) -> FrozenSet[Oid]:
         if self._known_memo is None:

@@ -116,10 +116,12 @@ class TypedEvaluator:
         range; the allowed set is the intersection of those extents.
         ``Object``-only ranges impose nothing and are skipped.
 
+        Each range class costs one ``store.extent``: O(extent) for a
+        user class, a scan of the active domain for a literal class.
         Restrictions are an optimization, never needed for correctness
         (Theorem 6.1 part 1), so callers that already restrict a
         variable some cheaper way — e.g. the cost pipeline's index
-        probes — may list it in ``skip`` to avoid the extent scans.
+        probes — may list it in ``skip`` to avoid building its extents.
         """
         query_vars = set(ast.free_variables(query))
         ranges = assignment.all_ranges(typed_query)

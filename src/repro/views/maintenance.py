@@ -94,6 +94,9 @@ class ViewState:
     version: "Version"
     #: owner oid → view oids whose derived values read that owner.
     support: Dict[Oid, Set[FuncOid]] = field(default_factory=dict)
+    #: The inverse of ``support``: view oid → the owners it reads, so
+    #: re-deriving one group touches only that group's owners.
+    group_owners: Dict[FuncOid, Set[Oid]] = field(default_factory=dict)
     pending_groups: Set[FuncOid] = field(default_factory=set)
     structural: bool = False
     last_kind: str = "materialize"

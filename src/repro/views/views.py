@@ -164,16 +164,14 @@ class ViewManager:
 
     def _register(self, view: ViewDef, evaluator: Evaluator) -> ViewState:
         """(Re)derive a view's read sets and support index; stamp fresh."""
-        read = derive_read_sets(view.query, self._store)
-        support: Dict[Oid, Set[FuncOid]] = {}
-        for oid, envs in view.outcome.groups.items():
-            for owner in group_support(evaluator.walker, view.query, envs):
-                support.setdefault(owner, set()).add(oid)
         state = ViewState(
-            read=read,
+            read=derive_read_sets(view.query, self._store),
             version=self._store.version,
-            support=support,
         )
+        for oid, envs in view.outcome.groups.items():
+            self._update_support(
+                state, oid, group_support(evaluator.walker, view.query, envs)
+            )
         self._states[view.name] = state
         return state
 
@@ -277,14 +275,21 @@ class ViewManager:
     def _update_support(
         state: ViewState, oid: FuncOid, fresh: Set[Oid]
     ) -> None:
-        """Replace one group's slice of the owner→groups support index."""
-        for owner, groups in list(state.support.items()):
-            if oid in groups and owner not in fresh:
-                groups.discard(oid)
-                if not groups:
-                    del state.support[owner]
-        for owner in fresh:
-            state.support.setdefault(owner, set()).add(oid)
+        """Replace one group's slice of the owner→groups support index.
+
+        O(|old owners| + |fresh owners|) through ``group_owners``.
+        """
+        support = state.support
+        old = state.group_owners.pop(oid, set())
+        for owner in old - fresh:
+            groups = support[owner]
+            groups.discard(oid)
+            if not groups:
+                del support[owner]
+        for owner in fresh - old:
+            support.setdefault(owner, set()).add(oid)
+        if fresh:
+            state.group_owners[oid] = fresh
 
     # -- write-event classification (called by ViewMaintenance) ---------
 

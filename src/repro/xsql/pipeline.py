@@ -700,9 +700,10 @@ class QueryPipeline:
 
             assignment, _plan = report.strict_witness
             assert report.typed_query is not None
-            # Each Theorem 6.1 set costs a universe scan per range class
-            # (``store.extent``) and is never needed for soundness, so
-            # only compute the ones that can narrow an enumeration: skip
+            # Each Theorem 6.1 set costs a ``store.extent`` per range
+            # class (O(extent); only literal classes scan the active
+            # domain) and is never needed for soundness, so only
+            # compute the ones that can narrow an enumeration: skip
             # variables the index probes already restrict, non-FROM
             # variables (walks bind those, and the conds re-verify every
             # binding anyway), and FROM variables whose range is exactly
