@@ -2,8 +2,11 @@
 
 The optimizer has two independent levers — evaluating path expressions in
 the coherent plan's order, and restricting each variable's instantiations
-to the extent of its range.  The ablation runs fragment (17) in the
-unfavourable textual order under all four combinations.
+to the extent of its range.  Each is a lowering input of the operator
+tree: the reordered statement, and ``LowerSpec(restrictions=...)`` with
+the matching walker restrictions
+(``repro.bench.report.ablation_variants``).  The ablation runs fragment
+(17) in the unfavourable textual order under all four combinations.
 
 Expected shape: plan reordering alone recovers most of the win here (it
 removes the blind enumeration of M entirely); range restriction alone
@@ -12,24 +15,15 @@ instead of every individual); together they compose.  Neither lever ever
 changes the answers.
 """
 
+import time
+
 import pytest
 
-from repro.typing import TypedEvaluator
+from repro import Session
+from repro.bench.report import FRAGMENT_17, ablation_variants
 from repro.workloads.generator import WorkloadConfig, generate_database
-from repro.xsql.evaluator import Evaluator
-from repro.xsql.parser import parse_query
 
-FRAGMENT = (
-    "SELECT X FROM Vehicle X "
-    "WHERE M.President.OwnedVehicles[X] and X.Manufacturer[M]"
-)
-
-VARIANTS = {
-    "neither": dict(use_reorder=False, use_restrictions=False),
-    "reorder-only": dict(use_reorder=True, use_restrictions=False),
-    "restrict-only": dict(use_reorder=False, use_restrictions=True),
-    "both": dict(use_reorder=True, use_restrictions=True),
-}
+VARIANTS = ("neither", "reorder-only", "restrict-only", "both")
 
 
 @pytest.fixture(scope="module")
@@ -39,31 +33,23 @@ def store():
 
 @pytest.fixture(scope="module")
 def baseline_rows(store):
-    return Evaluator(store).run(parse_query(FRAGMENT)).rows()
+    return Session(store).query(FRAGMENT_17, plan="none").rows()
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.benchmark(group="thm61-ablation")
 def test_ablation_variant(benchmark, store, baseline_rows, variant):
-    evaluator = TypedEvaluator(store, **VARIANTS[variant])
-    query = parse_query(FRAGMENT)
-    report = evaluator.plan(query)
-    assert report.strict
-    result = benchmark(lambda: evaluator.run(query, report))
+    run = ablation_variants(store)[variant]
+    result = benchmark(run)
     assert result.rows() == baseline_rows
 
 
 def test_ablation_shape(store, baseline_rows):
     """Each lever is sound alone; 'both' is the fastest variant."""
-    import time
-
     timings = {}
-    query = parse_query(FRAGMENT)
-    for name, flags in VARIANTS.items():
-        evaluator = TypedEvaluator(store, **flags)
-        report = evaluator.plan(query)
+    for name, run in ablation_variants(store).items():
         start = time.perf_counter()
-        result = evaluator.run(query, report)
+        result = run()
         timings[name] = time.perf_counter() - start
         assert result.rows() == baseline_rows, name
     assert timings["both"] <= timings["neither"]

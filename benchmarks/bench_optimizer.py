@@ -6,17 +6,19 @@ instantiations o of X such that o ∈ A(X)" — the paper calls this
 conjuncts in the unfavourable textual order (the naive nested-loops
 evaluation must try every individual as a candidate manufacturer) and
 compares the untyped evaluator against the typed one across database
-sizes.  The expected *shape*: the typed evaluator wins by a factor that
+sizes, both as plans of one session (``plan="none"`` vs
+``plan="typed"``).  The expected *shape*: the typed evaluator wins by a factor that
 grows with the database, because the untyped cost scales with the whole
 individual universe while the typed cost scales with extent(Company).
 """
 
+import time
+
 import pytest
 
-from repro.typing import TypedEvaluator, analyze
+from repro import Session
+from repro.typing import analyze
 from repro.workloads.generator import WorkloadConfig, generate_database
-from repro.xsql.evaluator import Evaluator
-from repro.xsql.parser import parse_query
 
 FRAGMENT = (
     "SELECT X FROM Vehicle X "
@@ -33,24 +35,21 @@ def _store(n_people):
 @pytest.mark.parametrize("n_people", SIZES)
 @pytest.mark.benchmark(group="thm61-untyped")
 def test_untyped_evaluation(benchmark, n_people):
-    store = _store(n_people)
-    query = parse_query(FRAGMENT)
-    evaluator = Evaluator(store)
-    result = benchmark(lambda: evaluator.run(query))
+    compiled = Session(_store(n_people)).prepare(FRAGMENT, plan="none")
+    result = benchmark(compiled.run)
     assert result is not None
 
 
 @pytest.mark.parametrize("n_people", SIZES)
 @pytest.mark.benchmark(group="thm61-typed")
 def test_typed_evaluation(benchmark, n_people):
-    store = _store(n_people)
-    query = parse_query(FRAGMENT)
-    evaluator = TypedEvaluator(store)
-    report = evaluator.plan(query)  # amortized across repeated runs
-    assert report.strict
-    typed_result = benchmark(lambda: evaluator.run(query, report))
-    # soundness: same answers as the untyped evaluator.
-    assert typed_result.rows() == Evaluator(store).run(query).rows()
+    session = Session(_store(n_people))
+    # Compiling amortizes type analysis across repeated runs.
+    compiled = session.prepare(FRAGMENT, plan="typed")
+    assert compiled.report.strict
+    typed_result = benchmark(compiled.run)
+    # soundness: same answers as the untyped plan.
+    assert typed_result.rows() == session.query(FRAGMENT, plan="none").rows()
 
 
 @pytest.mark.benchmark(group="thm61-analysis")
@@ -62,20 +61,16 @@ def test_type_analysis_cost(benchmark, paper):
 
 def test_speedup_shape():
     """The headline claim: the typed/untyped ratio grows with DB size."""
-    import time
-
     ratios = []
     for n_people in SIZES:
         store = _store(n_people)
-        query = parse_query(FRAGMENT)
-        start = time.perf_counter()
-        plain = Evaluator(store).run(query)
-        untyped_s = time.perf_counter() - start
-        typed_eval = TypedEvaluator(store)
-        report = typed_eval.plan(query)
-        start = time.perf_counter()
-        typed = typed_eval.run(query, report)
-        typed_s = time.perf_counter() - start
+        timed = {}
+        for plan in ("none", "typed"):
+            # A fresh session per plan: no walker cache is warm.
+            compiled = Session(store).prepare(FRAGMENT, plan=plan)
+            start = time.perf_counter()
+            timed[plan] = (compiled.run(), time.perf_counter() - start)
+        (plain, untyped_s), (typed, typed_s) = timed["none"], timed["typed"]
         assert typed.rows() == plain.rows()
         ratios.append(untyped_s / max(typed_s, 1e-9))
     # who wins: typed, at every size; by what factor: growing.

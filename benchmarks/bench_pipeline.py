@@ -325,11 +325,12 @@ def measure_joins(
     tuple-at-a-time nested loops vs factored hash joins.
     """
     nested_session = Session(generate_database(JOIN_WORKLOAD))
-    nested_session.join_mode = "nested"
     hash_session = Session(generate_database(JOIN_WORKLOAD))
     results = []
     for name, text in JOIN_QUERIES:
-        nested = nested_session.prepare(text, plan="cost")
+        nested = nested_session.prepare(
+            text, plan="cost", join_mode="nested"
+        )
         hashed = hash_session.prepare(text, plan="cost")
         nested_rows = nested.run().rows()
         hash_rows = hashed.run().rows()

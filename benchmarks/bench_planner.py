@@ -1,11 +1,12 @@
 """PLANNER: greedy boundness ordering vs the typed Theorem 6.1 plan.
 
-How much of the typed optimizer's win needs types?  Four engines on
+How much of the typed optimizer's win needs types?  Four plans on
 fragment (17) in the unfavourable textual order:
 
-* textual — the naive left-to-right nested loops;
-* greedy — boundness reordering, no schema knowledge;
-* typed — the Theorem 6.1 coherent plan + range restriction;
+* textual — ``plan="none"``, the left-to-right source order;
+* greedy — ``plan="greedy"``, boundness reordering, no schema knowledge;
+* typed — ``plan="typed"``, the Theorem 6.1 coherent plan + range
+  restriction;
 * greedy+index — boundness ordering plus a [BERT89] inverted index on
   Manufacturer.
 
@@ -15,11 +16,8 @@ adds range restriction on top, and all four agree on every answer.
 
 import pytest
 
-from repro.typing import TypedEvaluator
+from repro import Session
 from repro.workloads.generator import WorkloadConfig, generate_database
-from repro.xsql.evaluator import Evaluator
-from repro.xsql.parser import parse_query
-from repro.xsql.planner import GreedyPlanner
 
 FRAGMENT = (
     "SELECT X FROM Vehicle X "
@@ -35,32 +33,28 @@ def store():
 
 @pytest.fixture(scope="module")
 def expected_rows(store):
-    return Evaluator(store).run(parse_query(FRAGMENT)).rows()
+    return Session(store).query(FRAGMENT, plan="none").rows()
+
+
+def _bench_plan(benchmark, store, plan, expected_rows):
+    compiled = Session(store).prepare(FRAGMENT, plan=plan)
+    result = benchmark(compiled.run)
+    assert result.rows() == expected_rows
 
 
 @pytest.mark.benchmark(group="planner-compare")
 def test_textual_order(benchmark, store, expected_rows):
-    query = parse_query(FRAGMENT)
-    evaluator = Evaluator(store)
-    result = benchmark(lambda: evaluator.run(query))
-    assert result.rows() == expected_rows
+    _bench_plan(benchmark, store, "none", expected_rows)
 
 
 @pytest.mark.benchmark(group="planner-compare")
 def test_greedy_order(benchmark, store, expected_rows):
-    query = GreedyPlanner().reorder(parse_query(FRAGMENT))
-    evaluator = Evaluator(store)
-    result = benchmark(lambda: evaluator.run(query))
-    assert result.rows() == expected_rows
+    _bench_plan(benchmark, store, "greedy", expected_rows)
 
 
 @pytest.mark.benchmark(group="planner-compare")
 def test_typed_plan(benchmark, store, expected_rows):
-    query = parse_query(FRAGMENT)
-    evaluator = TypedEvaluator(store)
-    report = evaluator.plan(query)
-    result = benchmark(lambda: evaluator.run(query, report))
-    assert result.rows() == expected_rows
+    _bench_plan(benchmark, store, "typed", expected_rows)
 
 
 @pytest.mark.benchmark(group="planner-compare")
@@ -70,7 +64,4 @@ def test_greedy_with_index(benchmark, expected_rows):
     )
     indexed_store.enable_index("Manufacturer")
     indexed_store.enable_index("OwnedVehicles")
-    query = GreedyPlanner().reorder(parse_query(FRAGMENT))
-    evaluator = Evaluator(indexed_store)
-    result = benchmark(lambda: evaluator.run(query))
-    assert result.rows() == expected_rows
+    _bench_plan(benchmark, indexed_store, "greedy", expected_rows)

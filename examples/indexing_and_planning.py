@@ -12,11 +12,7 @@ one):
 
 import time
 
-from repro.typing import TypedEvaluator
 from repro.workloads.generator import WorkloadConfig, generate_database
-from repro.xsql.evaluator import Evaluator
-from repro.xsql.parser import parse_query
-from repro.xsql.planner import GreedyPlanner
 from repro.xsql.session import Session
 
 FRAGMENT = (
@@ -25,9 +21,11 @@ FRAGMENT = (
 )
 
 
-def timed(label: str, fn):
+def timed(label: str, store, text: str, plan: str = "none"):
+    """Run *text* once on a fresh session, compiled off the clock."""
+    run = Session(store).prepare(text, plan=plan).run
     start = time.perf_counter()
-    result = fn()
+    result = run()
     print(f"  {label:<22} {1000 * (time.perf_counter() - start):8.2f} ms")
     return result
 
@@ -40,26 +38,18 @@ def main() -> None:
     print(session.explain(FRAGMENT))
 
     print("\n=== 2. evaluation strategies on the same query")
-    query = parse_query(FRAGMENT)
-    baseline = timed("textual order", lambda: Evaluator(store).run(query))
-    greedy_query = GreedyPlanner().reorder(query)
-    greedy = timed(
-        "greedy planner", lambda: Evaluator(store).run(greedy_query)
-    )
-    typed_eval = TypedEvaluator(store)
-    report = typed_eval.plan(query)
-    typed = timed(
-        "typed plan (Thm 6.1)", lambda: typed_eval.run(query, report)
-    )
+    baseline = timed("textual order", store, FRAGMENT)
+    greedy = timed("greedy planner", store, FRAGMENT, plan="greedy")
+    typed = timed("typed plan (Thm 6.1)", store, FRAGMENT, plan="typed")
     assert greedy.rows() == baseline.rows() == typed.rows()
     print(f"  answers agree across all strategies ({len(typed)} rows)")
 
     print("\n=== 3. inverted indexes for reverse lookups")
     address = sorted(store.extent("Address"), key=str)[0]
-    reverse = parse_query(f"SELECT X WHERE X.Residence[{address}]")
-    scan = timed("scan", lambda: Evaluator(store).run(reverse))
+    reverse = f"SELECT X WHERE X.Residence[{address}]"
+    scan = timed("scan", store, reverse)
     store.enable_index("Residence")
-    indexed = timed("indexed", lambda: Evaluator(store).run(reverse))
+    indexed = timed("indexed", store, reverse)
     assert indexed.rows() == scan.rows()
     print(
         f"  index answered {store.index_stats()['hits']} lookup(s); "

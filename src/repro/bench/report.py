@@ -7,16 +7,19 @@ is runnable::
 
 Timings here use single-shot ``perf_counter`` measurements (the pytest
 benches do the statistically careful version); they exist so the recorded
-paper-vs-measured table can be reproduced with one command.
+paper-vs-measured table can be reproduced with one command.  Every query
+is prepared on a fresh :class:`~repro.Session` and timed over one run of
+the operator tree, so compilation stays off the clock and no walker
+cache is warm.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro import Session
-from repro.oid import Atom, Value
+from repro.datamodel.store import ObjectStore
 from repro.relational import mirror_figure1, project
 from repro.schema.figure1 import build_figure1_schema
 from repro.schema.nobel import build_nobel_schema, populate_nobel_database
@@ -24,11 +27,12 @@ from repro.schema.typing_examples import (
     extend_with_typing_classes,
     populate_oo_forum,
 )
-from repro.typing import Exemptions, TypedEvaluator, analyze
+from repro.typing import Exemptions, analyze, extent_restrictions, reorder
 from repro.workloads.generator import WorkloadConfig, generate_database
 from repro.workloads.paper_db import populate_paper_database
-from repro.xsql.evaluator import Evaluator
+from repro.xsql import operators
 from repro.xsql.parser import parse_query
+from repro.xsql.result import QueryResult
 
 __all__ = ["run_all_experiments"]
 
@@ -44,6 +48,54 @@ def _timed(fn: Callable[[], object]) -> tuple:
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def _cold_run(store: ObjectStore, text: str, plan: str = "none") -> tuple:
+    """(result, seconds) of one run of *text* prepared on a fresh session."""
+    return _timed(Session(store).prepare(text, plan=plan).run)
+
+
+#: Fragment (17) in the unfavourable textual order.
+FRAGMENT_17 = (
+    "SELECT X FROM Vehicle X "
+    "WHERE M.President.OwnedVehicles[X] and X.Manufacturer[M]"
+)
+
+
+def ablation_variants(
+    store: ObjectStore,
+) -> Dict[str, Callable[[], QueryResult]]:
+    """Fragment (17) under the two Theorem 6.1 levers, alone and together.
+
+    Each lever is a lowering input of the operator tree: ``reorder``
+    supplies the statement the tree is lowered from and
+    ``extent_restrictions`` the scan restrictions; every call runs on a
+    fresh session, so no walker cache is warm.
+    """
+    query = parse_query(FRAGMENT_17)
+    report = analyze(query, store)
+    assert report.strict_witness is not None and report.typed_query
+    assignment, plan = report.strict_witness
+    restrictions = extent_restrictions(
+        store, assignment, report.typed_query, query
+    )
+    reordered = reorder(query, report.typed_query, plan)
+
+    def variant(statement, restricted):
+        allowed = restrictions if restricted else {}
+        root = operators.lower_statement(
+            statement, operators.LowerSpec(restrictions=allowed)
+        )
+        return lambda: operators.execute(
+            root, Session(store).evaluator(allowed or None)
+        )
+
+    return {
+        "neither": variant(query, False),
+        "restrict-only": variant(query, True),
+        "reorder-only": variant(reordered, False),
+        "both": variant(reordered, True),
+    }
 
 
 def experiment_paper_answers() -> List[str]:
@@ -76,10 +128,6 @@ def experiment_paper_answers() -> List[str]:
 
 def experiment_thm61() -> List[str]:
     """THM61: typed vs untyped evaluation across database sizes."""
-    fragment = (
-        "SELECT X FROM Vehicle X "
-        "WHERE M.President.OwnedVehicles[X] and X.Manufacturer[M]"
-    )
     lines = [
         "## THM61 — Theorem 6.1 range-restricted evaluation",
         "| n_people | untyped (ms) | typed (ms) | speedup |",
@@ -87,11 +135,8 @@ def experiment_thm61() -> List[str]:
     ]
     for n_people in (50, 150, 400):
         store = generate_database(WorkloadConfig(n_people=n_people))
-        query = parse_query(fragment)
-        plain, untyped_s = _timed(lambda: Evaluator(store).run(query))
-        typed_eval = TypedEvaluator(store)
-        report = typed_eval.plan(query)
-        typed, typed_s = _timed(lambda: typed_eval.run(query, report))
+        plain, untyped_s = _cold_run(store, FRAGMENT_17)
+        typed, typed_s = _cold_run(store, FRAGMENT_17, plan="typed")
         assert typed.rows() == plain.rows()
         lines.append(
             f"| {n_people} | {untyped_s * 1000:.1f} | {typed_s * 1000:.1f} "
@@ -206,9 +251,7 @@ def experiment_pvsq() -> List[str]:
          "(SELECT E FROM VehicleDrivetrain D "
          "WHERE X.OwnedVehicles.Drivetrain[D].Engine[E])"),
     ):
-        result, seconds = _timed(
-            lambda text=text: Evaluator(store).run(parse_query(text))
-        )
+        result, seconds = _cold_run(store, text)
         answers[name] = result.rows()
         rows.append(f"- {name}: {seconds * 1000:.2f} ms")
     assert len(set(map(frozenset, answers.values()))) == 1
@@ -217,24 +260,10 @@ def experiment_pvsq() -> List[str]:
 
 def experiment_ablation() -> List[str]:
     """ABLATE: decomposing the Theorem 6.1 speedup into its two levers."""
-    from repro.typing import TypedEvaluator
-
-    fragment = (
-        "SELECT X FROM Vehicle X "
-        "WHERE M.President.OwnedVehicles[X] and X.Manufacturer[M]"
-    )
     store = generate_database(WorkloadConfig(n_people=60, seed=17))
-    query = parse_query(fragment)
     lines = ["## ABLATE — Theorem 6.1 decomposition (n_people=60)"]
-    for name, flags in (
-        ("neither", dict(use_reorder=False, use_restrictions=False)),
-        ("restrict-only", dict(use_reorder=False, use_restrictions=True)),
-        ("reorder-only", dict(use_reorder=True, use_restrictions=False)),
-        ("both", dict(use_reorder=True, use_restrictions=True)),
-    ):
-        evaluator = TypedEvaluator(store, **flags)
-        plan = evaluator.plan(query)
-        _result, seconds = _timed(lambda: evaluator.run(query, plan))
+    for name, run in ablation_variants(store).items():
+        _result, seconds = _timed(run)
         lines.append(f"- {name}: {seconds * 1000:.2f} ms")
     return lines
 
@@ -245,10 +274,10 @@ def experiment_index() -> List[str]:
     for n_people in (100, 300):
         store = generate_database(WorkloadConfig(n_people=n_people, seed=3))
         address = sorted(store.extent("Address"), key=str)[0]
-        query = parse_query(f"SELECT X WHERE X.Residence[{address}]")
-        scan, scan_s = _timed(lambda: Evaluator(store).run(query))
+        text = f"SELECT X WHERE X.Residence[{address}]"
+        scan, scan_s = _cold_run(store, text)
         store.enable_index("Residence")
-        indexed, indexed_s = _timed(lambda: Evaluator(store).run(query))
+        indexed, indexed_s = _cold_run(store, text)
         assert indexed.rows() == scan.rows()
         lines.append(
             f"- n_people={n_people}: scan {scan_s * 1000:.2f} ms, indexed "
@@ -260,26 +289,18 @@ def experiment_index() -> List[str]:
 
 def experiment_planner() -> List[str]:
     """PLANNER: greedy boundness order vs typed plan vs textual order."""
-    from repro.typing import TypedEvaluator
-    from repro.xsql.planner import GreedyPlanner
-
-    fragment = (
-        "SELECT X FROM Vehicle X "
-        "WHERE M.President.OwnedVehicles[X] and X.Manufacturer[M]"
-    )
     store = generate_database(WorkloadConfig(n_people=80, seed=29))
-    query = parse_query(fragment)
     lines = ["## PLANNER — who needs types? (n_people=80)"]
-    baseline, base_s = _timed(lambda: Evaluator(store).run(query))
-    lines.append(f"- textual order: {base_s * 1000:.2f} ms")
-    greedy_query = GreedyPlanner().reorder(query)
-    greedy, greedy_s = _timed(lambda: Evaluator(store).run(greedy_query))
-    lines.append(f"- greedy planner: {greedy_s * 1000:.2f} ms")
-    typed_eval = TypedEvaluator(store)
-    plan = typed_eval.plan(query)
-    typed, typed_s = _timed(lambda: typed_eval.run(query, plan))
-    lines.append(f"- typed plan (Thm 6.1): {typed_s * 1000:.2f} ms")
-    assert greedy.rows() == baseline.rows() == typed.rows()
+    rows = set()
+    for label, plan in (
+        ("textual order", "none"),
+        ("greedy planner", "greedy"),
+        ("typed plan (Thm 6.1)", "typed"),
+    ):
+        result, seconds = _cold_run(store, FRAGMENT_17, plan=plan)
+        rows.add(result.rows())
+        lines.append(f"- {label}: {seconds * 1000:.2f} ms")
+    assert len(rows) == 1
     return lines
 
 

@@ -185,11 +185,14 @@ def _measure_query(
     session: Session,
     spec: QuerySpec,
     plan: str,
+    join_mode: str,
     rounds: int,
     workers: int = 1,
 ) -> Dict[str, object]:
     """Prepared re-runs of one query: latency + per-operator analyze."""
-    compiled = session.prepare(spec.text, plan=plan, workers=workers)
+    compiled = session.prepare(
+        spec.text, plan=plan, join_mode=join_mode, workers=workers
+    )
     rows = len(compiled.run().rows())  # warm-up, off the clock
     latency = Observation()
     operator_times: List[Tuple[str, str, Observation]] = []
@@ -275,7 +278,6 @@ def run_scale_benchmark(
         for plan, join_mode, workers in modes:
             factored = _is_factored(plan, join_mode)
             session = Session(store)
-            session.join_mode = join_mode
             mode_entry: Dict[str, object] = {
                 "plan": plan,
                 "join_mode": join_mode,
@@ -290,7 +292,7 @@ def run_scale_benchmark(
                     mode_entry["skipped"].append(qspec.name)
                     continue
                 record = _measure_query(
-                    session, qspec, plan, rounds, workers
+                    session, qspec, plan, join_mode, rounds, workers
                 )
                 mode_seconds += record.pop("_seconds_total")
                 mode_runs += rounds

@@ -1,12 +1,13 @@
 """Differential testing of the XSQL engines.
 
-The repo carries four independent implementations of the same declarative
-semantics — the production :class:`~repro.xsql.evaluator.Evaluator`, the
-literal §3.4 :class:`~repro.xsql.evaluator.NaiveEvaluator`, the Theorem
-3.1 F-logic translation, and the greedy-planned variant — plus a
-storage (encode, WAL replay, decode) round-trip that must be
-observationally invisible.  This
-package hardens them against each other:
+The repo carries three independent implementations of the same
+declarative semantics — the operator tree every ``Session.query`` plan
+lowers to, the literal §3.4 :class:`~repro.xsql.evaluator.NaiveEvaluator`,
+and the Theorem 3.1 F-logic translation — plus a storage (encode, WAL
+replay, decode) round-trip that must be observationally invisible.  The
+oracle runs each query under every plan mode, join mode and session
+scope of its engine table.  This package hardens them against each
+other:
 
 * :mod:`repro.difftest.grammar` — a seeded, grammar-driven generator of
   random well-formed XSQL queries over any schema/catalogue;

@@ -1,45 +1,15 @@
 """The differential oracle: one query, every engine, one verdict.
 
-Engine matrix (see ``docs/DIFFTEST.md``):
+The engine matrix is one table, :data:`ENGINES` (see also
+``docs/DIFFTEST.md``).  Each row is an :class:`Engine`: a name, the
+:class:`~repro.xsql.options.ExecutionOptions` it runs under, the session
+scope it runs on (rows with one scope share a persistent
+:class:`~repro.xsql.session.Session`, so its statement cache and walker
+memo stay warm across a fuzz run), and an optional store transform that
+scope's session runs over.  Only ``flogic`` and ``cached`` have their
+own runner; every other row is ``session.query(text, options=...)``.
 
-========== ============================================= ==================
-engine     implementation                                runs when
-========== ============================================= ==================
-reference  ``Session.query(text, plan="none")``          always
-optimized  ``Session.query(text, plan="greedy")``        always
-cached     ``Session.prepare(text, plan="greedy")`` run  always
-           twice through the LRU statement cache
-cost       ``Session.query(text, plan="cost")`` — the    always
-           statistics-driven optimizer with index
-           probes (may auto-enable indexes), pinned to
-           ``join_mode="nested"`` merged execution
-           (every operator merges the whole state)
-hashjoin   ``plan="cost"`` on a second session with      always
-           ``join_mode="hash"``: the factored
-           HashJoin/SemiJoin operator pipeline
-operators  ``Session.query(text, plan="typed")`` — the   always
-           Theorem 6.1 coherent plan lowered to
-           RestrictedScan operator trees
-           (:mod:`repro.xsql.operators`)
-naive      :class:`~repro.xsql.evaluator.NaiveEvaluator` substitution space
-                                                         below the cap
-flogic     Theorem 3.1 translation + F-logic kernel      conjunctive
-                                                         fragment only
-columnar   ``plan="cost"`` with ``workers=2`` on its    always
-           own session: morsel-parallel scans over a
-           walker memo that persists across queries
-kv         ``encode_store`` into a WAL-backed            always
-           :class:`~repro.storage.wal.LogStructuredEngine`,
-           close + reopen (a full WAL replay), then
-           ``decode_store`` and the reference evaluator
-           on the recovered store
-fused      ``plan="cost"`` with ``pointer_join="force"`` always
-           on its own session: every fusable equality
-           conjunct becomes a PointerJoin (forward
-           dereference / backward index probe), with a
-           materialized view kept in the store so lazy
-           view maintenance runs inside the query loop
-========== ============================================= ==================
+{matrix}
 
 Results are compared as order-insensitive multisets of oid tuples.  XSQL
 result relations are duplicate-free sets (§3.3), so the multiset
@@ -58,36 +28,132 @@ from the reference, or an engine error while the reference succeeded.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.datamodel.store import ObjectStore
 from repro.errors import XsqlError
 from repro.flogic import FlogicDatabase, TranslationUnsupported, evaluate, translate
-from repro.oid import Oid
+from repro.oid import Atom, Oid
 from repro.xsql import ast
-from repro.xsql.evaluator import Evaluator, NaiveEvaluator
+from repro.xsql.options import ExecutionOptions
 from repro.xsql.parser import parse_query
 from repro.xsql.result import QueryResult
 from repro.xsql.session import Session
 
-__all__ = ["EngineOutcome", "OracleReport", "Oracle", "ENGINE_NAMES"]
+__all__ = [
+    "ENGINES",
+    "ENGINE_NAMES",
+    "Engine",
+    "EngineOutcome",
+    "Oracle",
+    "OracleReport",
+    "wal_roundtrip",
+]
 
 Rows = FrozenSet[Tuple[Oid, ...]]
 
-ENGINE_NAMES = (
-    "reference",
-    "optimized",
-    "cached",
-    "cost",
-    "hashjoin",
-    "operators",
-    "naive",
-    "flogic",
-    "columnar",
-    "kv",
-    "fused",
+
+def wal_roundtrip(store: ObjectStore) -> ObjectStore:
+    """The store after a full storage-engine crash-recovery cycle.
+
+    Encodes the store into a WAL-backed engine, closes it, reopens the
+    directory (which *is* recovery — every committed batch is replayed
+    from the CRC-framed log), and decodes the recovered key ranges back
+    into a store.
+    """
+    from repro.storage import LogStructuredEngine, decode_store, encode_store
+
+    tmpdir = tempfile.mkdtemp(prefix="xsql-difftest-kv-")
+    try:
+        engine = LogStructuredEngine(tmpdir, sync="never")
+        encode_store(store, engine)
+        engine.close()
+        recovered = LogStructuredEngine(tmpdir, sync="never")
+        try:
+            return decode_store(recovered)
+        finally:
+            recovered.close()
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+@dataclass(frozen=True)
+class Engine:
+    """One row of the oracle matrix."""
+
+    name: str
+    #: What the row runs under; ``None`` for the F-logic kernel, which
+    #: runs outside the session.
+    options: Optional[ExecutionOptions]
+    doc: str
+    #: Rows with the same scope share one session.
+    scope: str = "main"
+    #: The store the scope's session runs over, from the oracle's store.
+    transform: Optional[Callable[[ObjectStore], ObjectStore]] = None
+    #: An :class:`Oracle` method name, for the rows ``query`` cannot run.
+    runner: Optional[str] = None
+
+
+_Opts = ExecutionOptions
+
+ENGINES: Tuple[Engine, ...] = (
+    Engine("reference", _Opts(), "source-order operator tree, merged"),
+    Engine("optimized", _Opts(plan="greedy"), "greedy-reordered WHERE"),
+    Engine(
+        "cached", _Opts(plan="greedy"), "prepare once, run twice",
+        runner="_run_cached",
+    ),
+    Engine(
+        "cost", _Opts(plan="cost", join_mode="nested"),
+        "cost optimizer and index probes, merged",
+    ),
+    Engine(
+        "hashjoin", _Opts(plan="cost"), "factored HashJoin/SemiJoin",
+        scope="hash",
+    ),
+    Engine("operators", _Opts(plan="typed"), "Theorem 6.1 RestrictedScan"),
+    Engine(
+        "naive", _Opts(engine="naive"),
+        "literal §3.4 enumeration, below the substitution cap",
+    ),
+    Engine(
+        "flogic", None, "Theorem 3.1 F-logic kernel, conjunctive fragment",
+        runner="_run_flogic",
+    ),
+    Engine(
+        "columnar", _Opts(plan="cost", workers=2),
+        "morsel scans, walker memo kept across queries", scope="columnar",
+    ),
+    Engine(
+        "kv", _Opts(), "reference plan over the WAL-recovered store",
+        scope="kv", transform=wal_roundtrip,
+    ),
+    Engine(
+        "fused", _Opts(plan="cost", pointer_join="force"),
+        "forced PointerJoin, a materialized view in the store",
+        scope="fused",
+    ),
 )
+
+ENGINE_NAMES = tuple(engine.name for engine in ENGINES)
+
+
+def _describe(engine: Engine) -> str:
+    if engine.options is None:
+        return f"* ``{engine.name}`` (outside the session): {engine.doc}"
+    knobs = " ".join(
+        f"{key}={value}"
+        for key, value in vars(engine.options).items()
+        if key == "plan" or value != getattr(_Opts(), key)
+    )
+    return f"* ``{engine.name}`` ({knobs}; {engine.scope}): {engine.doc}"
+
+
+if __doc__:
+    __doc__ = __doc__.replace("{matrix}", "\n".join(map(_describe, ENGINES)))
 
 
 @dataclass
@@ -138,40 +204,9 @@ class Oracle:
     """Runs queries over one store through every engine and compares.
 
     The store is treated as read-only (the fuzzer generates no updates);
-    the F-logic export and the storage round-trip are computed once
-    and cached.
+    each scope's session — and with it the WAL round-trip — and the
+    F-logic export are built once and cached.
     """
-
-    def __init__(
-        self,
-        store: ObjectStore,
-        naive_max_product: int = 20_000,
-        naive_enabled: bool = True,
-    ) -> None:
-        self.store = store
-        self.session = Session(store)
-        # The "cost" engine stays the tuple-at-a-time nested-loop
-        # executor; the "hashjoin" engine runs the same plans through the
-        # set-at-a-time executor on its own session, so the two are
-        # compared against each other (and everything else) every query.
-        self.session.join_mode = "nested"
-        self.hash_session = Session(store)
-        # The "columnar" engine gets its own session too: its walker memo
-        # and restriction-keyed PathWalker cache persist across queries,
-        # so the fuzz run also exercises cross-query cache reuse.
-        self.columnar_session = Session(store)
-        # The "fused" engine forces pointer-join fusion and keeps a
-        # materialized view registered on its session, so every query it
-        # runs also exercises the lazy view-maintenance sync path.  The
-        # enrichment happens before any cached artifact (flogic export,
-        # kv round-trip) is built, so all engines see one store.
-        self.fused_session = Session(store)
-        self._enrich_with_view()
-        self.naive_max_product = naive_max_product
-        self.naive_enabled = naive_enabled
-        self._flogic_db: Optional[FlogicDatabase] = None
-        self._kv_store: Optional[ObjectStore] = None
-        self._universe_sizes: Optional[Dict[str, int]] = None
 
     #: The view the fused engine materializes over Figure 1 workloads.
     VIEW_STATEMENT = (
@@ -180,57 +215,42 @@ class Oracle:
         "SELECT CardName = C.Name FROM Company C OID FUNCTION OF C"
     )
 
-    def _enrich_with_view(self) -> None:
-        """Materialize a small view on the fused session's store.
+    def __init__(
+        self,
+        store: ObjectStore,
+        naive_max_product: int = 20_000,
+        naive_enabled: bool = True,
+    ) -> None:
+        self.store = store
+        self.naive_max_product = naive_max_product
+        self.naive_enabled = naive_enabled
+        self._sessions: Dict[str, Session] = {}
+        self._flogic_db: Optional[FlogicDatabase] = None
+        self._universe_sizes: Optional[Dict[str, int]] = None
+        # The fused scope keeps a materialized view registered, so every
+        # query it runs also exercises lazy view maintenance.  The view's
+        # objects are part of the shared store, so the enrichment happens
+        # before any other scope or artifact (the WAL round-trip, the
+        # F-logic export) reads it.  Skipped when the workload has no
+        # ``Company`` class (scale populations with other schemas).
+        if Atom("Company") in store.hierarchy:
+            self.session_for("fused").query(self.VIEW_STATEMENT)
 
-        Skipped when the workload has no ``Company`` class (scale
-        populations with other schemas).  The view's objects are part of
-        the shared store, so every engine — including the WAL
-        round-trip — must agree on queries that touch them.
-        """
-        from repro.oid import Atom
+    @property
+    def session(self) -> Session:
+        """The main scope's session (its metrics feed ``--stats``)."""
+        return self.session_for("main")
 
-        if Atom("Company") not in self.store.hierarchy:
-            return
-        self.fused_session.query(self.VIEW_STATEMENT)
-
-    # ------------------------------------------------------------------
-    # cached artifacts
-    # ------------------------------------------------------------------
-
-    def _flogic(self) -> FlogicDatabase:
-        if self._flogic_db is None:
-            self._flogic_db = FlogicDatabase.from_store(self.store)
-        return self._flogic_db
-
-    def _kv_roundtrip(self) -> ObjectStore:
-        """The store after a full storage-engine crash-recovery cycle.
-
-        Encodes the store into a WAL-backed engine, closes it, reopens
-        the directory (which *is* recovery — every committed batch is
-        replayed from the CRC-framed log), and decodes the recovered
-        key ranges back into a store.  Cached once, like the F-logic
-        export.
-        """
-        if self._kv_store is None:
-            import shutil
-            import tempfile
-
-            from repro.storage import LogStructuredEngine, decode_store, encode_store
-
-            tmpdir = tempfile.mkdtemp(prefix="xsql-difftest-kv-")
-            try:
-                engine = LogStructuredEngine(tmpdir, sync="never")
-                encode_store(self.store, engine)
-                engine.close()
-                recovered = LogStructuredEngine(tmpdir, sync="never")
-                try:
-                    self._kv_store = decode_store(recovered)
-                finally:
-                    recovered.close()
-            finally:
-                shutil.rmtree(tmpdir, ignore_errors=True)
-        return self._kv_store
+    def session_for(self, scope: str) -> Session:
+        """The persistent session of one scope, built on first use."""
+        session = self._sessions.get(scope)
+        if session is None:
+            engine = next(e for e in ENGINES if e.scope == scope)
+            store = self.store
+            if engine.transform is not None:
+                store = engine.transform(store)
+            session = self._sessions[scope] = Session(store)
+        return session
 
     def _universes(self) -> Dict[str, int]:
         if self._universe_sizes is None:
@@ -260,29 +280,13 @@ class Oracle:
                 "the oracle runs plain SELECT queries (no UNION chains)"
             )
         report = OracleReport(text=text)
-
-        runners = {
-            "reference": lambda: self.session.query(text, plan="none"),
-            "optimized": lambda: self.session.query(text, plan="greedy"),
-            "cached": lambda: self._run_cached(text),
-            "cost": lambda: self.session.query(text, plan="cost"),
-            "hashjoin": lambda: self.hash_session.query(text, plan="cost"),
-            "operators": lambda: self.session.query(text, plan="typed"),
-            "naive": lambda: NaiveEvaluator(self.store).run(parsed),
-            "flogic": lambda: evaluate(self._flogic(), translate(parsed)),
-            "columnar": lambda: self.columnar_session.query(
-                text, plan="cost", workers=2
-            ),
-            "kv": lambda: Evaluator(self._kv_roundtrip()).run(parsed),
-            "fused": lambda: self.fused_session.query(
-                text, plan="cost", pointer_join="force"
-            ),
-        }
+        by_name = {engine.name: engine for engine in ENGINES}
         for name in engines:
-            if name not in runners:
+            if name not in by_name:
                 raise XsqlError(f"unknown oracle engine {name!r}")
 
         for name in engines:
+            engine = by_name[name]
             skip_reason = self._skip_reason(name, parsed)
             if skip_reason is not None:
                 report.outcomes[name] = EngineOutcome(
@@ -290,7 +294,12 @@ class Oracle:
                 )
                 continue
             try:
-                result = runners[name]()
+                if engine.runner is not None:
+                    result = getattr(self, engine.runner)(engine, text, parsed)
+                else:
+                    result = self.session_for(engine.scope).query(
+                        text, options=engine.options
+                    )
             except TranslationUnsupported as exc:
                 report.outcomes[name] = EngineOutcome(
                     engine=name, status="skip", detail=str(exc)
@@ -315,16 +324,19 @@ class Oracle:
         self._judge(report)
         return report
 
-    def _run_cached(self, text: str) -> QueryResult:
+    def _run_cached(
+        self, engine: Engine, text: str, parsed: ast.Query
+    ) -> QueryResult:
         """The pipeline-cache engine: prepare once, run twice.
 
         Exercises the LRU statement cache across the whole fuzz run (the
-        oracle's session is persistent, so repeated shapes hit) and
+        scope's session is persistent, so repeated shapes hit) and
         checks that a :class:`~repro.xsql.pipeline.CompiledQuery` is
         genuinely re-runnable: both executions must agree before the rows
         are handed to the cross-engine judge.
         """
-        compiled = self.session.prepare(text, plan="greedy")
+        session = self.session_for(engine.scope)
+        compiled = session.prepare(text, options=engine.options)
         first = compiled.run()
         second = compiled.run()
         if first.rows() != second.rows():
@@ -333,6 +345,11 @@ class Oracle:
                 "CompiledQuery disagree"
             )
         return first
+
+    def _run_flogic(self, engine: Engine, text: str, parsed: ast.Query) -> Rows:
+        if self._flogic_db is None:
+            self._flogic_db = FlogicDatabase.from_store(self.store)
+        return evaluate(self._flogic_db, translate(parsed))
 
     def _skip_reason(self, engine: str, parsed: ast.Query) -> Optional[str]:
         if engine != "naive":

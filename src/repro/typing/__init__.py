@@ -12,9 +12,10 @@ Implements the full spectrum of well-typing notions:
   (everything exempt) and conservative (nothing exempt) extremes.
 
 :func:`analyze` produces a :class:`~repro.typing.analysis.TypingReport`
-for a query; :class:`~repro.typing.optimizer.TypedEvaluator` exploits a
-coherent pair per Theorem 6.1, restricting each v-selector's
-instantiations to the extent of its range.
+for a query; :mod:`repro.typing.optimizer` exploits a coherent pair per
+Theorem 6.1 (``Session.query(text, plan="typed")``): :func:`reorder`
+follows the coherent plan and :func:`extent_restrictions` restricts each
+v-selector's instantiations to the extent of its range.
 """
 
 from repro.typing.occurrences import TypedQuery, build_typed_query
@@ -34,7 +35,7 @@ from repro.typing.strict import (
     minimal_exemptions,
 )
 from repro.typing.analysis import TypingReport, analyze
-from repro.typing.optimizer import TypedEvaluator
+from repro.typing.optimizer import extent_restrictions, reorder
 from repro.typing.inference import (
     InferredSignature,
     infer_signatures,
@@ -59,7 +60,8 @@ __all__ = [
     "minimal_exemptions",
     "TypingReport",
     "analyze",
-    "TypedEvaluator",
+    "extent_restrictions",
+    "reorder",
     "InferredSignature",
     "infer_signatures",
     "install_inferred",

@@ -10,178 +10,110 @@ Theorem 6.1: for a strictly well-typed query with coherent pair (A, P),
 queries and is not always possible even with queries that are liberally
 (but not strictly) well-typed."
 
-:class:`TypedEvaluator` realizes both halves: it reorders the WHERE
-conjuncts along the coherent plan and instantiates each variable only from
-the intersection of the extents of its range classes.  The test suite
-checks result-equality against the untyped evaluator; the benchmark
-harness measures the speedup as the database grows.
+The two halves are two lowering inputs of the operator tree
+(:mod:`repro.xsql.operators`): :func:`reorder` sequences the WHERE
+conjuncts along the coherent plan, and :func:`extent_restrictions`
+builds the per-variable instantiation sets that become
+``RestrictedScan`` inputs.  ``Session.query(text, plan="typed")`` applies
+both; the test suite checks its answers against ``plan="none"`` and the
+naive evaluator, and the benchmarks measure the speedup as the database
+grows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.datamodel.hierarchy import OBJECT_CLASS
 from repro.datamodel.store import ObjectStore
-from repro.errors import IllTypedQueryError
 from repro.oid import Oid, Variable
-from repro.typing.analysis import TypingReport, analyze
 from repro.typing.assignments import TypeAssignment
 from repro.typing.occurrences import TypedQuery, flatten_conjunction
 from repro.typing.plans import ExecutionPlan
-from repro.typing.strict import Exemptions
 from repro.xsql import ast
-from repro.xsql.evaluator import Evaluator
-from repro.xsql.result import QueryResult
 
-__all__ = ["TypedEvaluator"]
+__all__ = ["extent_restrictions", "reorder"]
 
 
-class TypedEvaluator:
-    """Evaluates strictly well-typed queries with range restriction."""
+def extent_restrictions(
+    store: ObjectStore,
+    assignment: TypeAssignment,
+    typed_query: TypedQuery,
+    query: ast.Query,
+    skip: FrozenSet[Variable] = frozenset(),
+) -> Dict[Variable, FrozenSet[Oid]]:
+    """Per-variable instantiation sets from the ranges A(X).
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        exemptions: Exemptions = Exemptions.NONE,
-        id_function_instances=None,
-        use_reorder: bool = True,
-        use_restrictions: bool = True,
-    ) -> None:
-        """Both Theorem 6.1 levers are on by default.
+    An oid is in A(X) iff it is an instance of every class of the
+    range; the allowed set is the intersection of those extents.
+    ``Object``-only ranges impose nothing and are skipped.
 
-        ``use_reorder`` applies the coherent plan's conjunct order;
-        ``use_restrictions`` limits variable instantiation to range
-        extents.  The flags exist for the ablation benchmarks — each lever
-        alone is sound, and measuring them separately shows where the
-        speedup comes from.
-        """
-        self.store = store
-        self.exemptions = exemptions
-        self._id_function_instances = id_function_instances
-        self.use_reorder = use_reorder
-        self.use_restrictions = use_restrictions
+    Each range class costs one ``store.extent``: O(extent) for a
+    user class, a scan of the active domain for a literal class.
+    Restrictions are an optimization, never needed for correctness
+    (Theorem 6.1 part 1), so callers that already restrict a
+    variable some cheaper way — e.g. the cost pipeline's index
+    probes — may list it in ``skip`` to avoid building its extents.
+    """
+    query_vars = set(ast.free_variables(query))
+    ranges = assignment.all_ranges(typed_query)
+    restrictions: Dict[Variable, FrozenSet[Oid]] = {}
+    for var, range_ in ranges.items():
+        if var not in query_vars or var in skip:
+            continue
+        classes = [
+            cls
+            for cls in range_.sorted_classes()
+            if cls != OBJECT_CLASS and cls in store.hierarchy
+        ]
+        if not classes:
+            continue
+        allowed: Optional[FrozenSet[Oid]] = None
+        for cls in classes:
+            extent = store.extent(cls)
+            allowed = extent if allowed is None else allowed & extent
+        if allowed is not None:
+            restrictions[var] = allowed
+    return restrictions
 
-    # ------------------------------------------------------------------
 
-    def plan(self, query: ast.Query) -> TypingReport:
-        return analyze(query, self.store, self.exemptions)
+def reorder(
+    query: ast.Query,
+    typed_query: TypedQuery,
+    plan: ExecutionPlan,
+) -> ast.Query:
+    """Reorder WHERE conjuncts along the coherent plan.
 
-    def run(
-        self, query: ast.Query, report: Optional[TypingReport] = None
-    ) -> QueryResult:
-        """Evaluate *query*; raises :class:`IllTypedQueryError` otherwise.
-
-        Pass a pre-computed *report* to amortize type analysis across
-        repeated executions (the benchmark harness does).
-        """
-        if report is None:
-            report = self.plan(query)
-        if not report.strict or report.strict_witness is None:
-            raise IllTypedQueryError(
-                f"query is not strictly well-typed "
-                f"({report.discipline()}): Theorem 6.1 does not apply"
-            )
-        assignment, plan = report.strict_witness
-        assert report.typed_query is not None
-        restrictions = (
-            self.extent_restrictions(assignment, report.typed_query, query)
-            if self.use_restrictions
-            else None
-        )
-        reordered = (
-            self.reorder(query, report.typed_query, plan)
-            if self.use_reorder
-            else query
-        )
-        evaluator = Evaluator(
-            self.store,
-            id_function_instances=self._id_function_instances,
-            restrictions=restrictions,
-        )
-        return evaluator.run(reordered)
-
-    # ------------------------------------------------------------------
-
-    def extent_restrictions(
-        self,
-        assignment: TypeAssignment,
-        typed_query: TypedQuery,
-        query: ast.Query,
-        skip: FrozenSet[Variable] = frozenset(),
-    ) -> Dict[Variable, FrozenSet[Oid]]:
-        """Per-variable instantiation sets from the ranges A(X).
-
-        An oid is in A(X) iff it is an instance of every class of the
-        range; the allowed set is the intersection of those extents.
-        ``Object``-only ranges impose nothing and are skipped.
-
-        Each range class costs one ``store.extent``: O(extent) for a
-        user class, a scan of the active domain for a literal class.
-        Restrictions are an optimization, never needed for correctness
-        (Theorem 6.1 part 1), so callers that already restrict a
-        variable some cheaper way — e.g. the cost pipeline's index
-        probes — may list it in ``skip`` to avoid building its extents.
-        """
-        query_vars = set(ast.free_variables(query))
-        ranges = assignment.all_ranges(typed_query)
-        restrictions: Dict[Variable, FrozenSet[Oid]] = {}
-        for var, range_ in ranges.items():
-            if var not in query_vars or var in skip:
-                continue
-            classes = [
-                cls
-                for cls in range_.sorted_classes()
-                if cls != OBJECT_CLASS and cls in self.store.hierarchy
-            ]
-            if not classes:
-                continue
-            allowed: Optional[FrozenSet[Oid]] = None
-            for cls in classes:
-                extent = self.store.extent(cls)
-                allowed = extent if allowed is None else allowed & extent
-            if allowed is not None:
-                restrictions[var] = allowed
-        return restrictions
-
-    def reorder(
-        self,
-        query: ast.Query,
-        typed_query: TypedQuery,
-        plan: ExecutionPlan,
-    ) -> ast.Query:
-        """Reorder WHERE conjuncts along the coherent plan.
-
-        Path-expression conjuncts are sequenced by the plan; comparisons
-        and schema conditions follow, in their original relative order
-        (their variables are bound by then — that is exactly what
-        coherence guarantees).  Reordering a pure conjunction never
-        changes the declarative §3.4 semantics.
-        """
-        conjuncts = flatten_conjunction(query.where)
-        if not conjuncts:
-            return query
-        source_by_plan: List[int] = []
-        for path_index in plan.order:
-            source = typed_query.path_sources[path_index]
-            if source is not None and source not in source_by_plan:
-                source_by_plan.append(source)
-        path_positions = set(source_by_plan)
-        ordered: List[ast.Cond] = [conjuncts[i] for i in source_by_plan]
-        ordered.extend(
-            cond
-            for position, cond in enumerate(conjuncts)
-            if position not in path_positions
-        )
-        where: ast.Cond
-        if len(ordered) == 1:
-            where = ordered[0]
-        else:
-            where = ast.AndCond(tuple(ordered))
-        return ast.Query(
-            select=query.select,
-            from_=query.from_,
-            where=where,
-            oid_vars=query.oid_vars,
-            oid_scope=query.oid_scope,
-        )
+    Path-expression conjuncts are sequenced by the plan; comparisons
+    and schema conditions follow, in their original relative order
+    (their variables are bound by then — that is exactly what
+    coherence guarantees).  Reordering a pure conjunction never
+    changes the declarative §3.4 semantics.
+    """
+    conjuncts = flatten_conjunction(query.where)
+    if not conjuncts:
+        return query
+    source_by_plan: List[int] = []
+    for path_index in plan.order:
+        source = typed_query.path_sources[path_index]
+        if source is not None and source not in source_by_plan:
+            source_by_plan.append(source)
+    path_positions = set(source_by_plan)
+    ordered: List[ast.Cond] = [conjuncts[i] for i in source_by_plan]
+    ordered.extend(
+        cond
+        for position, cond in enumerate(conjuncts)
+        if position not in path_positions
+    )
+    where: ast.Cond
+    if len(ordered) == 1:
+        where = ordered[0]
+    else:
+        where = ast.AndCond(tuple(ordered))
+    return ast.Query(
+        select=query.select,
+        from_=query.from_,
+        where=where,
+        oid_vars=query.oid_vars,
+        oid_scope=query.oid_scope,
+    )

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.errors import IllDefinedQueryError, QueryError, UnsafeQueryError
 from repro.oid import Atom, FuncOid, Oid, term_sort_key
 from repro.views.id_functions import IdFunctionRegistry
-from repro.xsql import ast
+from repro.xsql import ast, operators
 from repro.xsql.evaluator import Evaluator
 from repro.xsql.paths import Bindings
 
@@ -106,7 +106,11 @@ def execute_creation(
     member_classes: Sequence[str] = (),
     declared_set_valued: Optional[Dict[str, bool]] = None,
 ) -> CreationOutcome:
-    """Run an ``OID FUNCTION OF`` query, creating objects in the store."""
+    """Run an ``OID FUNCTION OF`` query, creating objects in the store.
+
+    The groups come from the binding stage of the query's operator tree
+    (:func:`repro.xsql.operators.bindings`).
+    """
     if query.oid_vars is None:
         raise QueryError("not an object-creating query (no OID FUNCTION OF)")
     declared_set_valued = declared_set_valued or {}
@@ -114,7 +118,7 @@ def execute_creation(
 
     groups: Dict[Tuple[Oid, ...], List[Bindings]] = {}
     order: List[Tuple[Oid, ...]] = []
-    for env in evaluator.env_stream(query):
+    for env in operators.bindings(query, evaluator):
         key_parts: List[Oid] = []
         for var in query.oid_vars:
             bound = env.get(var)

@@ -36,14 +36,21 @@ from typing import (
 
 from repro.datamodel.store import ObjectStore
 from repro.errors import QueryError, UnsafeQueryError
-from repro.oid import Atom, FuncOid, Oid, Value, Variable, VarSort, term_sort_key
+from repro.oid import Atom, Oid, Value, Variable, VarSort, term_sort_key
 from repro.xsql import ast
 from repro.xsql.aggregates import apply_aggregate
 from repro.xsql.comparisons import compare
 from repro.xsql.paths import Bindings, PathWalker, resolve_term
 from repro.xsql.result import QueryResult
 
-__all__ = ["Evaluator", "NaiveEvaluator"]
+__all__ = [
+    "Evaluator",
+    "NaiveEvaluator",
+    "check_projectable",
+    "column_name",
+    "dedup",
+    "select_rows",
+]
 
 
 def _freeze_env(env: Bindings) -> Tuple:
@@ -52,13 +59,64 @@ def _freeze_env(env: Bindings) -> Tuple:
     )
 
 
-def _dedup(stream: Iterator[Bindings]) -> Iterator[Bindings]:
+def dedup(stream: Iterator[Bindings]) -> Iterator[Bindings]:
+    """The binding stream with repeated environments dropped, in order."""
     seen: Set[Tuple] = set()
     for env in stream:
         key = _freeze_env(env)
         if key not in seen:
             seen.add(key)
             yield env
+
+
+def column_name(item: ast.SelectItem) -> str:
+    """The result column a SELECT item produces."""
+    if isinstance(item, ast.PathItem):
+        return item.name or str(item.path)
+    if isinstance(item, ast.SetItem):
+        return item.name
+    raise QueryError(f"unsupported SELECT item {item}")
+
+
+def select_rows(
+    walker: PathWalker, items: Sequence[ast.SelectItem], env: Bindings
+) -> Iterator[Tuple[Oid, ...]]:
+    """Expand SELECT items into result tuples under one binding.
+
+    Items are walked jointly so variables shared between SELECT paths
+    stay consistent; a set-shaped item contributes one tuple per
+    element, "flattening" exactly like path expressions do (§1).
+    """
+
+    def recurse(
+        index: int, current: Bindings, acc: Tuple[Oid, ...]
+    ) -> Iterator[Tuple[Oid, ...]]:
+        if index == len(items):
+            yield acc
+            return
+        item = items[index]
+        if not isinstance(item, ast.PathItem):
+            raise QueryError(
+                "set-attribute SELECT items require OID FUNCTION OF"
+            )
+        for hit in walker.walk(item.path, current):
+            yield from recurse(index + 1, hit.bindings(), acc + (hit.tail,))
+
+    yield from recurse(0, env, ())
+
+
+def check_projectable(query: ast.Query) -> None:
+    """Reject queries whose SELECT does not produce a relation."""
+    if query.creates_objects:
+        raise QueryError(
+            "object-creating queries must run through the session's "
+            "view manager (they mint oids)"
+        )
+    if any(isinstance(item, ast.MethodItem) for item in query.select):
+        raise QueryError(
+            "method-defining SELECT items only appear inside "
+            "ALTER CLASS statements"
+        )
 
 
 class Evaluator:
@@ -112,56 +170,12 @@ class Evaluator:
             if query.op == "minus":
                 return left.minus(right)
             return left.intersect(right)
-        if query.creates_objects:
-            raise QueryError(
-                "object-creating queries must run through the session's "
-                "view manager (they mint oids)"
-            )
-        if any(isinstance(item, ast.MethodItem) for item in query.select):
-            raise QueryError(
-                "method-defining SELECT items only appear inside "
-                "ALTER CLASS statements"
-            )
-        columns = [self._column_name(item) for item in query.select]
-        result = QueryResult(columns)
+        check_projectable(query)
+        result = QueryResult([column_name(item) for item in query.select])
         for env in self.env_stream(query, initial):
-            for row in self._select_rows(query.select, env):
+            for row in select_rows(self.walker, query.select, env):
                 result.add(row)
         return result
-
-    @staticmethod
-    def _column_name(item: ast.SelectItem) -> str:
-        if isinstance(item, ast.PathItem):
-            return item.name or str(item.path)
-        if isinstance(item, ast.SetItem):
-            return item.name
-        raise QueryError(f"unsupported SELECT item {item}")
-
-    def _select_rows(
-        self, items: Sequence[ast.SelectItem], env: Bindings
-    ) -> Iterator[Tuple[Oid, ...]]:
-        """Expand SELECT items into result tuples under one binding.
-
-        Items are walked jointly so variables shared between SELECT paths
-        stay consistent; a set-shaped item contributes one tuple per
-        element, "flattening" exactly like path expressions do (§1).
-        """
-
-        def recurse(
-            index: int, current: Bindings, acc: Tuple[Oid, ...]
-        ) -> Iterator[Tuple[Oid, ...]]:
-            if index == len(items):
-                yield acc
-                return
-            item = items[index]
-            if not isinstance(item, ast.PathItem):
-                raise QueryError(
-                    "set-attribute SELECT items require OID FUNCTION OF"
-                )
-            for hit in self.walker.walk(item.path, current):
-                yield from recurse(index + 1, hit.bindings(), acc + (hit.tail,))
-
-        yield from recurse(0, env, ())
 
     # ------------------------------------------------------------------
     # the binding stream
@@ -176,7 +190,7 @@ class Evaluator:
             envs = self._bind_from(decl, envs)
         if query.where is not None:
             envs = self._chain(query.where, envs)
-        return _dedup(envs)
+        return dedup(envs)
 
     def _chain(
         self, cond: ast.Cond, envs: Iterator[Bindings]
@@ -276,13 +290,13 @@ class Evaluator:
             stream: Iterator[Bindings] = iter([env])
             for item in cond.items:
                 stream = self._chain(item, stream)
-            yield from _dedup(stream)
+            yield from dedup(stream)
         elif isinstance(cond, ast.OrCond):
             def branches() -> Iterator[Bindings]:
                 for item in cond.items:
                     yield from self.eval_cond(item, env)
 
-            yield from _dedup(branches())
+            yield from dedup(branches())
         elif isinstance(cond, ast.NotCond):
             yield from self._eval_not(cond, env)
         elif isinstance(cond, ast.UpdateCond):
@@ -708,8 +722,7 @@ class NaiveEvaluator:
         if query.creates_objects or query.oid_scope is not None:
             raise QueryError("the naive evaluator runs plain queries only")
         variables = list(dict.fromkeys(ast.free_variables(query)))
-        columns = [Evaluator._column_name(item) for item in query.select]
-        result = QueryResult(columns)
+        result = QueryResult([column_name(item) for item in query.select])
         universes = [self._inner.walker.universe(v.sort) for v in variables]
         for combo in itertools.product(*universes):
             env: Bindings = dict(zip(variables, combo))

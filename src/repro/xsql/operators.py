@@ -1,15 +1,15 @@
-"""Reified physical operators: the one executor behind every plan mode.
+"""Reified physical operators: the one executor behind every query.
 
-Before this module the pipeline had four divergent execution paths — the
-tuple-at-a-time :class:`~repro.xsql.evaluator.Evaluator` for
-``plan="none"``/``"greedy"``, the Theorem 6.1 restricted run for
-``plan="typed"``, the traced cost run, and the batch-factored
-``HashJoinEvaluator`` — each interpreting the plan inline.  Here the plan
-is *reified* instead: a tree of physical operators with a uniform
+The plan is *reified*: a tree of physical operators with a uniform
 ``open()/batches()/close()`` interface over the factored binding-batch
-representation, and every ``plan=``/``engine=``/``join_mode`` combination
+representation.  Every ``plan=``/``engine=``/``join_mode`` combination
 lowers to such a tree (:func:`lower_statement`) and runs through one
-executor (:func:`execute`).
+executor (:func:`execute`).  Object creation, views and
+``INSERT INTO … SELECT`` run on the same trees: :func:`bindings` is the
+binding stage of a lowered query, the deduplicated stream that
+``Project`` would expand, handed to the §4.1 grouping instead.  The
+tuple-at-a-time :class:`~repro.xsql.evaluator.Evaluator` remains only as
+the engine operators call to evaluate one condition or operand.
 
 The operator catalogue:
 
@@ -45,9 +45,9 @@ operator merges the whole state into a single batch first, which makes
 the stream identical, binding for binding, to the legacy tuple-at-a-time
 stages.  In *factored* mode batches merge only when a conjunct connects
 them, and equality conjuncts between disjoint batches become hash or
-semi joins.  Either way deduplication happens once, under ``Project``,
-exactly as :meth:`Evaluator.env_stream` always did — so results are
-bit-identical across modes (the difftest oracle is the gate).
+semi joins.  Either way deduplication happens once, in the binding stage
+under ``Project`` — so results are bit-identical across modes (the
+difftest oracle is the gate).
 
 Scans split their candidate extents into morsels dispatched across a
 worker pool (``ExecutionOptions.workers``; deterministic morsel-order
@@ -70,6 +70,7 @@ import time
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -93,7 +94,13 @@ from repro.xsql.batches import (
     product_count,
     replay_deltas,
 )
-from repro.xsql.evaluator import Evaluator, _dedup
+from repro.xsql.evaluator import (
+    Evaluator,
+    check_projectable,
+    column_name,
+    dedup,
+    select_rows,
+)
 from repro.xsql.paths import Bindings
 from repro.xsql.planner import _cond_has_updates
 from repro.xsql.result import QueryResult
@@ -120,6 +127,7 @@ __all__ = [
     "RestrictedScan",
     "SemiJoin",
     "SetOp",
+    "bindings",
     "execute",
     "join_strategy_of",
     "lower_query",
@@ -217,7 +225,8 @@ class Operator:
     output for the run; counters measure only the node's own transform
     (child work is pulled outside the timer).  Root operators
     (:class:`Project`, :class:`SetOp`, whole-statement
-    :class:`NestedLoop`) additionally implement ``result()``.
+    :class:`NestedLoop`) additionally implement ``result()``, and the
+    query roots (:class:`Project`, :class:`NestedLoop`) ``bindings()``.
     """
 
     name = "Operator"
@@ -298,6 +307,9 @@ class Operator:
 
     def result(self) -> QueryResult:
         raise QueryError(f"{self.name} is not a plan root")
+
+    def bindings(self) -> Iterator[Bindings]:
+        raise QueryError(f"{self.name} is not a query root")
 
 
 # ----------------------------------------------------------------------
@@ -919,6 +931,11 @@ class NestedLoop(CondOperator):
         super().__init__(cond, child, **kw)
         self.statement = statement
 
+    def bindings(self) -> Iterator[Bindings]:
+        assert isinstance(self.statement, ast.Query) and self._ctx is not None
+        self.executed = True
+        return self._ctx.evaluator.env_stream(self.statement)
+
     def result(self) -> QueryResult:
         assert self.statement is not None and self._ctx is not None
         ctx = self._ctx
@@ -964,30 +981,25 @@ class Project(Operator):
         super().__init__(child, **kw)
         self.query = query
 
+    def bindings(self) -> Iterator[Bindings]:
+        """The binding stage: the deduplicated stream below the projection."""
+        state = self.child.batches() if self.child is not None else []
+        self.rows_in = product_count(state)
+        return dedup(cross_state(state))
+
     def result(self) -> QueryResult:
         query = self.query
         # The same guards Evaluator.run applies, before any child work.
-        if query.creates_objects:
-            raise QueryError(
-                "object-creating queries must run through the session's "
-                "view manager (they mint oids)"
-            )
-        if any(isinstance(item, ast.MethodItem) for item in query.select):
-            raise QueryError(
-                "method-defining SELECT items only appear inside "
-                "ALTER CLASS statements"
-            )
+        check_projectable(query)
         ctx = self._ctx
         assert ctx is not None
-        state = self.child.batches() if self.child is not None else []
-        self.rows_in = product_count(state)
-        evaluator = ctx.evaluator
+        envs = self.bindings()
+        walker = ctx.evaluator.walker
         hits = ctx.path_cache_hits()
         started = time.perf_counter()
-        columns = [evaluator._column_name(item) for item in query.select]
-        result = QueryResult(columns)
-        for env in _dedup(cross_state(state)):
-            for row in evaluator._select_rows(query.select, env):
+        result = QueryResult([column_name(item) for item in query.select])
+        for env in envs:
+            for row in select_rows(walker, query.select, env):
                 result.add(row)
         self.wall_seconds += time.perf_counter() - started
         self.cache_hits += ctx.path_cache_hits() - hits
@@ -1217,6 +1229,21 @@ def execute(
     root.open(ctx)
     try:
         return root.result()
+    finally:
+        root.close()
+
+
+def bindings(query: ast.Query, evaluator: Evaluator) -> Iterator[Bindings]:
+    """The satisfying bindings of *query*'s FROM and WHERE clauses.
+
+    Lowers the query as ``plan="none"`` does and runs the tree's binding
+    stage, so object creation (§4.1) groups exactly the stream a plain
+    query would project.
+    """
+    root = lower_query(query, LowerSpec())
+    root.open(ExecContext(evaluator))
+    try:
+        yield from root.bindings()
     finally:
         root.close()
 

@@ -1,18 +1,15 @@
 """Execution options: one frozen record for every knob the engine has.
 
 Historically ``Session.prepare()``/``query()`` grew loose keyword
-arguments one PR at a time (``plan=``, ``engine=``, the session-level
-``join_mode``).  :class:`ExecutionOptions` gathers them — plus the
+arguments one at a time (``plan=``, ``engine=``, ``join_mode=``).
+:class:`ExecutionOptions` gathers them — plus the
 morsel-scan ``workers`` count and the ``pointer_join`` policy — into a
 single frozen dataclass accepted uniformly by :meth:`Session.prepare`,
 :meth:`Session.query`, :meth:`CompiledQuery.explain`, the REPL, and the
 difftest oracle.  The loose kwargs remain as thin aliases that construct
 one, and the statement cache is keyed on :meth:`ExecutionOptions.cache_key`,
-so two calls with equivalent options share a compiled entry.
-
-``join_mode=None`` means "defer to the session default" — it resolves at
-execution time, not compile time, which preserves the historical
-behaviour of flipping ``session.join_mode`` between runs.
+so two calls with equivalent options share a compiled entry.  Every
+knob is per call.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ PLAN_MODES = ("none", "greedy", "typed", "cost")
 #: Execution engines: the operator tree vs the §3.4 naive evaluator.
 ENGINES = ("reference", "naive")
 
-#: Join strategies for the factored executor; ``None`` defers to the
-#: session-level default.
+#: Join strategies: ``"hash"`` (factored hash/semi joins under
+#: ``plan="cost"``) or ``"nested"`` (merged, per-binding evaluation).
 JOIN_MODES = ("hash", "nested")
 
 #: Pointer-join fusion policy for ``plan="cost"`` + ``join_mode="hash"``:
@@ -61,8 +58,11 @@ class ExecutionOptions:
         ``"reference"`` (the physical-operator tree) or ``"naive"``
         (the §3.4 substitution-space evaluator).
     ``join_mode``
-        ``"hash"``/``"nested"``, or ``None`` to use the session default
-        at execution time.
+        ``"hash"`` (default) runs ``plan="cost"`` through the factored
+        set-at-a-time operators — equality conjuncts between disjoint
+        path operands become hash, semi or pointer joins; ``"nested"``
+        merges the whole stream at every operator.  Results are
+        identical either way.
     ``workers``
         Worker threads for morsel-driven scans and pointer-join
         dereferences.  Results are bit-identical for every worker
@@ -78,7 +78,7 @@ class ExecutionOptions:
 
     plan: str = "none"
     engine: str = "reference"
-    join_mode: Optional[str] = None
+    join_mode: str = "hash"
     workers: int = 1
     pointer_join: str = "auto"
 
@@ -91,10 +91,10 @@ class ExecutionOptions:
             raise QueryError(
                 f"unknown engine {self.engine!r}; choose from {ENGINES}"
             )
-        if self.join_mode is not None and self.join_mode not in JOIN_MODES:
+        if self.join_mode not in JOIN_MODES:
             raise QueryError(
                 f"unknown join_mode {self.join_mode!r}; "
-                f"choose from {JOIN_MODES} or None"
+                f"choose from {JOIN_MODES}"
             )
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise QueryError(f"workers must be an int, got {self.workers!r}")

@@ -122,8 +122,7 @@ class CompiledQuery:
 
     @property
     def join_mode(self) -> str:
-        """The effective join mode: the option if set, else the session's."""
-        return self.options.join_mode or self.session.join_mode
+        return self.options.join_mode
 
     @property
     def workers(self) -> int:
@@ -244,14 +243,10 @@ class CompiledQuery:
                 {"occurrence": str(occ), "type": str(expr)}
                 for occ, expr in assignment.entries
             ]
-            from repro.typing import TypedEvaluator
+            from repro.typing.optimizer import extent_restrictions
 
-            optimizer = TypedEvaluator(
-                self.session.store,
-                id_function_instances=self.session.registry.instances,
-            )
-            restrictions = optimizer.extent_restrictions(
-                assignment, report.typed_query, statement
+            restrictions = extent_restrictions(
+                self.session.store, assignment, report.typed_query, statement
             )
             data["restrictions"] = {
                 str(var): len(allowed)
@@ -368,25 +363,13 @@ class QueryPipeline:
     # ------------------------------------------------------------------
 
     def compile(
-        self,
-        source: str,
-        plan: Optional[str] = None,
-        engine: Optional[str] = None,
-        *,
-        options: Optional[ExecutionOptions] = None,
-        join_mode: Optional[str] = None,
-        workers: Optional[int] = None,
-        pointer_join: Optional[str] = None,
+        self, source: str, *, options: ExecutionOptions
     ) -> CompiledQuery:
-        """Compile *source*, reusing a cached compilation when sound."""
-        options = ExecutionOptions.coerce(
-            options,
-            plan=plan,
-            engine=engine,
-            join_mode=join_mode,
-            workers=workers,
-            pointer_join=pointer_join,
-        )
+        """Compile *source*, reusing a cached compilation when sound.
+
+        *options* is already validated (``Session.prepare``/``query``
+        coerce their keyword aliases into it).
+        """
         metrics = self.session.metrics
         key = (source,) + options.cache_key()
         cached = self._cache.get(key)
@@ -454,13 +437,11 @@ class QueryPipeline:
             and report is not None
             and report.strict_witness is not None
         ):
-            from repro.typing import TypedEvaluator
+            from repro.typing.optimizer import reorder
 
             _assignment, exec_plan = report.strict_witness
             assert report.typed_query is not None
-            return TypedEvaluator(self.session.store).reorder(
-                statement, report.typed_query, exec_plan
-            )
+            return reorder(statement, report.typed_query, exec_plan)
         if compiled.plan == "cost":
             planned = self._plan_cost(compiled)
             if planned is not None:
@@ -566,13 +547,17 @@ class QueryPipeline:
         if compiled.engine == "naive":
             if not isinstance(statement, ast.Query):
                 raise QueryError("the naive oracle runs plain queries only")
+            from repro.xsql.evaluator import NaiveEvaluator
+
             root = operators.NestedLoop(
                 statement=statement,
                 detail="engine=naive: literal §3.4 enumeration",
             )
-            result = operators.execute(
-                root, session.naive_evaluator(), session.metrics
+            naive = NaiveEvaluator(
+                session.store,
+                id_function_instances=session.registry.instances,
             )
+            result = operators.execute(root, naive, session.metrics)
             compiled.last_optree = operators.tree_dict(root)
             return result
         if not isinstance(statement, (ast.Query, ast.QueryOp)) or (
@@ -583,7 +568,7 @@ class QueryPipeline:
         # Every run shares the session-persistent walker, so its
         # generation-stamped caches (path values + operator memo)
         # survive across runs of any statement.
-        evaluator = session.columnar_evaluator(restrictions or None)
+        evaluator = session.evaluator(restrictions or None)
         root = operators.lower_statement(compiled.planned, spec)
         result = operators.execute(
             root, evaluator, session.metrics, workers=compiled.workers
@@ -641,7 +626,7 @@ class QueryPipeline:
 
     def _typed_restrictions(self, compiled: CompiledQuery) -> Dict:
         """Theorem 6.1 instantiation sets for a strictly well-typed query."""
-        from repro.typing import TypedEvaluator
+        from repro.typing.optimizer import extent_restrictions
 
         session = self.session
         report = compiled.report
@@ -649,12 +634,8 @@ class QueryPipeline:
         assignment, _plan = report.strict_witness
         assert report.typed_query is not None
         assert isinstance(compiled.statement, ast.Query)
-        optimizer = TypedEvaluator(
-            session.store,
-            id_function_instances=session.registry.instances,
-        )
-        restrictions = optimizer.extent_restrictions(
-            assignment, report.typed_query, compiled.statement
+        restrictions = extent_restrictions(
+            session.store, assignment, report.typed_query, compiled.statement
         )
         for allowed in restrictions.values():
             session.metrics.observe("restriction", len(allowed))
@@ -696,7 +677,7 @@ class QueryPipeline:
         restrictions: Dict[object, frozenset] = {}
         report = compiled.report
         if report is not None and report.strict_witness is not None:
-            from repro.typing import TypedEvaluator
+            from repro.typing.optimizer import extent_restrictions
 
             assignment, _plan = report.strict_witness
             assert report.typed_query is not None
@@ -717,12 +698,9 @@ class QueryPipeline:
                 and ranges.get(decl.var) not in (None, [decl.cls])
             }
             skip = frozenset(var for var in ranges if var not in keep)
-            optimizer = TypedEvaluator(
-                store, id_function_instances=session.registry.instances
-            )
             restrictions = dict(
-                optimizer.extent_restrictions(
-                    assignment, report.typed_query, statement, skip=skip
+                extent_restrictions(
+                    store, assignment, report.typed_query, statement, skip
                 )
             )
             for allowed in restrictions.values():

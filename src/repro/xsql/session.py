@@ -5,9 +5,11 @@ id-function registry, the view manager, the per-session metrics
 collector, and the staged query pipeline
 (:mod:`repro.xsql.pipeline`), and dispatches parsed statements:
 
-* plain queries → :class:`~repro.xsql.evaluator.Evaluator`;
+* plain queries and ``INSERT INTO … SELECT`` → the operator tree
+  (:mod:`repro.xsql.operators`);
 * object-creating queries (``OID FUNCTION OF``) →
-  :mod:`repro.views.creation` with a session-allocated id-function;
+  :mod:`repro.views.creation` with a session-allocated id-function,
+  grouping the binding stage of the same operator tree;
 * ``CREATE VIEW`` → :class:`~repro.views.views.ViewManager`;
 * ``ALTER CLASS ... ADD SIGNATURE ... SELECT`` →
   :func:`repro.xsql.ddl.install_query_method`;
@@ -62,9 +64,9 @@ from repro.oid import FuncOid, Oid, Value, Variable
 from repro.views.creation import CreationOutcome, execute_creation
 from repro.views.id_functions import IdFunctionRegistry
 from repro.views.views import ViewDef, ViewManager
-from repro.xsql import ast
+from repro.xsql import ast, operators
 from repro.xsql.ddl import install_query_method
-from repro.xsql.evaluator import Evaluator, NaiveEvaluator
+from repro.xsql.evaluator import Evaluator
 from repro.xsql.lexer import split_statements
 from repro.xsql.options import ExecutionOptions
 from repro.xsql.paths import PathWalker
@@ -92,14 +94,13 @@ class Session:
         self.views = ViewManager(self.store, self.registry)
         self._max_path_var_length = max_path_var_length
         self._index_mode = "auto"
-        self._join_mode = "hash"
         self.metrics = SessionMetrics()
         self.pipeline = QueryPipeline(self, cache_size=statement_cache_size)
-        # Session-persistent walkers for operator-tree execution, keyed
-        # by the run's restriction content.  Their generation-stamped
-        # caches (path values + the operator memo) survive across runs,
-        # which is where the warm-run speedup comes from.
-        self._columnar_walkers: (
+        # Session-persistent walkers, keyed by the run's restriction
+        # content.  Their generation-stamped caches (path values + the
+        # operator memo) survive across runs, which is where the
+        # warm-run speedup comes from.
+        self._walkers: (
             "OrderedDict[Optional[Tuple], PathWalker]"
         ) = OrderedDict()
         #: Storage lifecycle state (:meth:`open` / :meth:`checkpoint` /
@@ -111,27 +112,18 @@ class Session:
             self.attach_storage(storage)
 
     # ------------------------------------------------------------------
-    # engines
+    # the evaluator factory
     # ------------------------------------------------------------------
 
-    def evaluator(self) -> Evaluator:
-        return Evaluator(
-            self.store,
-            id_function_instances=self.registry.instances,
-            max_path_var_length=self._max_path_var_length,
-            metrics=self.metrics,
-        )
-
-    def naive_evaluator(self) -> NaiveEvaluator:
-        return NaiveEvaluator(
-            self.store, id_function_instances=self.registry.instances
-        )
-
-    def columnar_evaluator(
+    def evaluator(
         self,
         restrictions: Optional[Dict[Variable, FrozenSet[Oid]]] = None,
     ) -> Evaluator:
         """An evaluator sharing the session-persistent walker.
+
+        Every statement the session runs — queries, object creation,
+        view maintenance, ``UPDATE CLASS`` — evaluates through one of
+        these.
 
         Walkers are cached per restriction content (the Theorem 6.1 /
         index instantiation sets differ between plans and replanning),
@@ -151,7 +143,7 @@ class Session:
                     key=lambda item: item[0],
                 )
             )
-        walker = self._columnar_walkers.get(token)
+        walker = self._walkers.get(token)
         if walker is None:
             walker = PathWalker(
                 self.store,
@@ -160,11 +152,11 @@ class Session:
                 restrictions=restrictions,
                 metrics=self.metrics,
             )
-            self._columnar_walkers[token] = walker
-            if len(self._columnar_walkers) > _WALKER_CACHE_SIZE:
-                self._columnar_walkers.popitem(last=False)
+            self._walkers[token] = walker
+            if len(self._walkers) > _WALKER_CACHE_SIZE:
+                self._walkers.popitem(last=False)
         else:
-            self._columnar_walkers.move_to_end(token)
+            self._walkers.move_to_end(token)
         return Evaluator(
             self.store,
             id_function_instances=self.registry.instances,
@@ -302,16 +294,19 @@ class Session:
     # ------------------------------------------------------------------
 
     def _dispatch(self, statement: ast.Statement) -> QueryResult:
-        if isinstance(statement, (ast.Query, ast.QueryOp)):
-            if isinstance(statement, ast.Query) and statement.creates_objects:
-                outcome = execute_creation(
-                    self.evaluator(),
-                    statement,
-                    functor=self.registry.fresh_functor(),
-                    registry=self.registry,
-                )
-                return self._creation_result(outcome)
-            return self.evaluator().run(statement)
+        """Run a creating query or a non-query statement.
+
+        The pipeline executes every plain query itself; creating queries
+        bind through the same lowering as ``plan="none"``.
+        """
+        if isinstance(statement, ast.Query) and statement.creates_objects:
+            outcome = execute_creation(
+                self.evaluator(),
+                statement,
+                functor=self.registry.fresh_functor(),
+                registry=self.registry,
+            )
+            return self._creation_result(outcome)
         if isinstance(statement, ast.CreateView):
             view = self.views.create_view(statement, self.evaluator())
             return self._creation_result(view.outcome)
@@ -350,7 +345,11 @@ class Session:
         """INSERT INTO a first-class relation (from VALUES or a query)."""
         relation = self.store.relation(statement.name)
         if statement.query is not None:
-            result = self.evaluator().run(statement.query)
+            result = operators.execute(
+                operators.lower_statement(statement.query),
+                self.evaluator(),
+                self.metrics,
+            )
             if len(result.columns) != relation.arity:
                 raise QueryError(
                     f"relation {statement.name} has arity "
@@ -575,7 +574,7 @@ class Session:
         self.views = ViewManager(self.store, self.registry)
         self.pipeline.clear()
         # Persistent walkers hold a reference to the old store.
-        self._columnar_walkers.clear()
+        self._walkers.clear()
 
     # ------------------------------------------------------------------
     # indexes (the public API; the raw ``store.indexes`` registry
@@ -603,33 +602,6 @@ class Session:
             self._index_mode = mode
             # Cached cost plans embed probe/auto-enable decisions made
             # under the old policy.
-            self.pipeline.clear()
-
-    @property
-    def join_mode(self) -> str:
-        """How ``plan="cost"`` executes its ordered conjuncts.
-
-        ``"hash"`` (default) runs the factored set-at-a-time operator
-        pipeline (:mod:`repro.xsql.operators`): equality conjuncts
-        between disjoint path operands become
-        :class:`~repro.xsql.operators.HashJoin` /
-        :class:`~repro.xsql.operators.SemiJoin` operators (and, when
-        pointer fusion applies, :class:`~repro.xsql.operators.PointerJoin`).
-        ``"nested"`` keeps the tuple-at-a-time nested-loop evaluator.
-        Results are identical either way; only the execution strategy
-        changes.
-        """
-        return self._join_mode
-
-    @join_mode.setter
-    def join_mode(self, mode: str) -> None:
-        if mode not in ("hash", "nested"):
-            raise QueryError(
-                f"unknown join mode {mode!r}; choose hash or nested"
-            )
-        if mode != self._join_mode:
-            self._join_mode = mode
-            # Cached compilations captured the old executor choice.
             self.pipeline.clear()
 
     def enable_index(self, method: Union[str, Oid]) -> None:
@@ -725,7 +697,6 @@ class SnapshotSession(Session):
         )
         self.registry = base.registry
         self.views = ViewManager(self.store, self.registry)
-        self._join_mode = base._join_mode
         self._base = base
 
     def close(self) -> None:

@@ -131,6 +131,7 @@ def test_kv_engine_runs_on_recovered_store(oracle):
     )
     assert report.outcomes["kv"].status == "ok"
     assert report.outcomes["kv"].rows == report.outcomes["reference"].rows
-    # The recovered store is cached, not the live one.
-    assert oracle._kv_roundtrip() is not oracle.store
-    assert oracle._kv_roundtrip() is oracle._kv_roundtrip()
+    # The kv scope's session runs over the recovered store, built once.
+    kv_session = oracle.session_for("kv")
+    assert kv_session.store is not oracle.store
+    assert oracle.session_for("kv") is kv_session

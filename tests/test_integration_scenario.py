@@ -3,7 +3,7 @@
 Builds a bookstore schema with CREATE CLASS, loads data, then exercises
 the whole feature surface in one coherent story: path queries, schema
 browsing, aggregates, a view, a query-defined method, an update method,
-relations, typing analysis, and the typed evaluator — the workflow a
+relations, typing analysis, and the typed plan — the workflow a
 downstream user of the library would actually run.
 """
 
@@ -11,8 +11,7 @@ import pytest
 
 from repro import Session
 from repro.oid import Atom, FuncOid, Value
-from repro.typing import TypedEvaluator, analyze
-from repro.xsql.parser import parse_query
+from repro.typing import analyze
 
 
 @pytest.fixture
@@ -156,7 +155,7 @@ class TestScenario:
         )
         report = analyze(text, bookstore.store)
         assert report.strict
-        typed = TypedEvaluator(bookstore.store).run(parse_query(text))
+        typed = bookstore.query(text, plan="typed")
         plain = bookstore.query(text)
         assert typed.rows() == plain.rows()
         assert sorted(str(b) for b in typed.single_column()) == ["b1", "b2"]

@@ -13,7 +13,6 @@ import pytest
 from repro.oid import Atom
 from repro.typing import (
     Exemptions,
-    TypedEvaluator,
     analyze,
     build_typed_query,
     find_coherent_pair,
@@ -81,11 +80,9 @@ class TestFragment17:
         assert failure is not None and "President" in failure
 
     def test_typed_evaluation_matches_untyped(self, shared_paper_session):
-        from repro.xsql.evaluator import Evaluator
-
-        query = parse_query(FRAGMENT_17)
-        typed_result = TypedEvaluator(shared_paper_session.store).run(query)
-        plain = Evaluator(shared_paper_session.store).run(query)
+        session = shared_paper_session
+        typed_result = session.query(FRAGMENT_17, plan="typed")
+        plain = session.query(FRAGMENT_17, plan="none")
         assert typed_result.rows() == plain.rows()
 
 

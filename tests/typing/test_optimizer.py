@@ -1,17 +1,25 @@
-"""Tests for the Theorem 6.1 optimizer."""
+"""Tests for the Theorem 6.1 optimizer (``plan="typed"``)."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IllTypedQueryError
 from repro.oid import Atom, Variable
-from repro.typing import TypedEvaluator, analyze, build_typed_query
+from repro.typing import analyze, build_typed_query, extent_restrictions, reorder
 from repro.typing.plans import ExecutionPlan
 from repro.typing.strict import is_coherent
 from repro.workloads.generator import WorkloadConfig, generate_database
-from repro.xsql.evaluator import Evaluator
+from repro.xsql import operators
 from repro.xsql.parser import parse_query
+from repro.xsql.session import Session
+
+
+def _typed_and_plain(store, text):
+    session = Session(store)
+    return (
+        session.query(text, plan="typed"),
+        session.query(text, plan="none"),
+    )
 
 FRAGMENT = (
     "SELECT X FROM Vehicle X "
@@ -34,9 +42,7 @@ class TestRunEquivalence:
     def test_typed_equals_untyped_on_paper_db(
         self, shared_paper_session, text
     ):
-        query = parse_query(text)
-        typed = TypedEvaluator(shared_paper_session.store).run(query)
-        plain = Evaluator(shared_paper_session.store).run(query)
+        typed, plain = _typed_and_plain(shared_paper_session.store, text)
         assert typed.rows() == plain.rows()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -44,22 +50,25 @@ class TestRunEquivalence:
         store = generate_database(
             WorkloadConfig(n_people=30, n_companies=3, seed=seed)
         )
-        query = parse_query(FRAGMENT)
-        typed = TypedEvaluator(store).run(query)
-        plain = Evaluator(store).run(query)
+        typed, plain = _typed_and_plain(store, FRAGMENT)
         assert typed.rows() == plain.rows()
 
-    def test_not_strict_raises(self, nobel_session):
-        query = parse_query("SELECT X WHERE X.WonNobelPrize")
-        with pytest.raises(IllTypedQueryError):
-            TypedEvaluator(nobel_session.store).run(query)
+    def test_not_strict_falls_back_to_greedy(self, nobel_session):
+        """Outside the strict fragment Theorem 6.1 does not apply: the
+        typed plan falls back to the greedy planner, same answers."""
+        text = "SELECT X WHERE X.WonNobelPrize"
+        compiled = nobel_session.prepare(text, plan="typed")
+        assert not compiled.report.strict
+        assert nobel_session.stats()["counters"]["plan.typed.fallback"] == 1
+        plain = nobel_session.query(text, plan="none")
+        assert compiled.run().rows() == plain.rows()
 
     def test_precomputed_report_reused(self, shared_paper_session):
-        evaluator = TypedEvaluator(shared_paper_session.store)
-        query = parse_query(FRAGMENT)
-        report = evaluator.plan(query)
-        first = evaluator.run(query, report)
-        second = evaluator.run(query, report)
+        compiled = shared_paper_session.prepare(FRAGMENT, plan="typed")
+        report = compiled.report
+        first = compiled.run()
+        second = compiled.run()
+        assert compiled.report is report
         assert first.rows() == second.rows()
 
 
@@ -72,19 +81,22 @@ class TestTheoremParts:
         assert report.strict
         assignment, _plan = report.strict_witness
         typed_query = report.typed_query
-        evaluator = TypedEvaluator(store)
+        session = Session(store)
         results = []
         from repro.typing.plans import all_plans
 
         for plan in all_plans(typed_query):
             if is_coherent(assignment, plan, typed_query, store):
-                restrictions = evaluator.extent_restrictions(
-                    assignment, typed_query, query
+                restrictions = extent_restrictions(
+                    store, assignment, typed_query, query
                 )
-                reordered = evaluator.reorder(query, typed_query, plan)
-                result = Evaluator(
-                    store, restrictions=restrictions
-                ).run(reordered)
+                reordered = reorder(query, typed_query, plan)
+                root = operators.lower_statement(
+                    reordered, operators.LowerSpec(restrictions=restrictions)
+                )
+                result = operators.execute(
+                    root, session.evaluator(restrictions)
+                )
                 results.append(result.rows())
         assert results and all(r == results[0] for r in results)
 
@@ -93,9 +105,8 @@ class TestTheoremParts:
         query = parse_query(FRAGMENT)
         report = analyze(query, store)
         assignment, _ = report.strict_witness
-        evaluator = TypedEvaluator(store)
-        restrictions = evaluator.extent_restrictions(
-            assignment, report.typed_query, query
+        restrictions = extent_restrictions(
+            store, assignment, report.typed_query, query
         )
         m_allowed = restrictions[Variable("M")]
         assert m_allowed == store.extent("Company")
@@ -107,8 +118,7 @@ class TestTheoremParts:
         query = parse_query(FRAGMENT)
         report = analyze(query, store)
         _assignment, plan = report.strict_witness
-        evaluator = TypedEvaluator(store)
-        reordered = evaluator.reorder(query, report.typed_query, plan)
+        reordered = reorder(query, report.typed_query, plan)
         conjuncts = reordered.where.items
         # the Manufacturer path must now come before the President path.
         first = str(conjuncts[0])
@@ -121,12 +131,14 @@ class TestTheoremParts:
         )
         query = parse_query(text)
         report = analyze(query, store)
-        evaluator = TypedEvaluator(store)
-        reordered = evaluator.reorder(
+        reordered = reorder(
             query, report.typed_query, report.strict_witness[1]
         )
-        plain = Evaluator(store).run(query)
-        result = Evaluator(store).run(reordered)
+        evaluator = Session(store).evaluator()
+        plain = operators.execute(operators.lower_statement(query), evaluator)
+        result = operators.execute(
+            operators.lower_statement(reordered), evaluator
+        )
         assert result.rows() == plain.rows()
 
 
@@ -141,9 +153,7 @@ def test_range_restriction_soundness_property(seed):
     store = generate_database(
         WorkloadConfig(n_people=16, n_companies=2, seed=seed)
     )
-    query = parse_query(
-        "SELECT X FROM Employee X WHERE X.Salary[W] and W > 100000"
+    typed, plain = _typed_and_plain(
+        store, "SELECT X FROM Employee X WHERE X.Salary[W] and W > 100000"
     )
-    typed = TypedEvaluator(store).run(query)
-    plain = Evaluator(store).run(query)
     assert typed.rows() == plain.rows()

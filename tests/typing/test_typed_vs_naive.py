@@ -1,4 +1,4 @@
-"""Differential test: the Theorem 6.1 evaluator vs the §3.4 oracle.
+"""Differential test: the Theorem 6.1 typed plan vs the §3.4 oracle.
 
 Closes the loop between the paper's two semantics-bearing artifacts: the
 literal substitution semantics (§3.4) and the typed, range-restricted
@@ -10,10 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.typing import TypedEvaluator, analyze
+from repro.typing import analyze
 from repro.workloads.generator import WorkloadConfig, generate_database
-from repro.xsql.evaluator import NaiveEvaluator
-from repro.xsql.parser import parse_query
+from repro.xsql.session import Session
 
 # The NaiveEvaluator enumerates the full substitution space, so this
 # differential suite takes minutes; the seeded fuzzer (repro.difftest)
@@ -38,10 +37,10 @@ QUERIES = [
 )
 def test_typed_equals_naive_oracle(text, seed):
     store = generate_database(WorkloadConfig(n_people=8, seed=seed))
-    query = parse_query(text)
-    report = analyze(query, store)
+    report = analyze(text, store)
     if not report.strict:
         return  # the discipline depends only on schema; skip defensively
-    typed = TypedEvaluator(store).run(query, report)
-    naive = NaiveEvaluator(store).run(query)
+    session = Session(store)
+    typed = session.query(text, plan="typed")
+    naive = session.query(text, engine="naive")
     assert typed.rows() == naive.rows(), text

@@ -50,11 +50,10 @@ JOIN_QUERIES = [
 
 @pytest.fixture(scope="module")
 def stores():
-    def fresh(join_mode):
+    def fresh():
         session = Session()
         build_figure1_schema(session.store)
         populate_paper_database(session.store)
-        session.join_mode = join_mode
         return session
 
     return fresh
@@ -62,10 +61,12 @@ def stores():
 
 @pytest.mark.parametrize("text", JOIN_QUERIES)
 def test_hash_matches_nested_and_naive(stores, text):
-    hash_session = stores("hash")
-    nested_session = stores("nested")
+    hash_session = stores()
+    nested_session = stores()
     hash_result = hash_session.query(text, plan="cost")
-    nested_result = nested_session.query(text, plan="cost")
+    nested_result = nested_session.query(
+        text, plan="cost", join_mode="nested"
+    )
     assert hash_result.rows() == nested_result.rows(), text
     assert list(hash_result) == list(nested_result), text
     from repro.xsql import ast
@@ -74,9 +75,8 @@ def test_hash_matches_nested_and_naive(stores, text):
     n_vars = len(set(ast.free_variables(parsed)))
     if n_vars > 2:
         return  # naive enumerates universe**n: keep tier-1 fast
-    naive = hash_session.naive_evaluator()
     try:
-        naive_rows = naive.run(parsed).rows()
+        naive_rows = hash_session.query(text, engine="naive").rows()
     except QueryError:
         return  # outside the naive fragment (e.g. SELECT of a raw var set)
     assert hash_result.rows() == naive_rows, text
@@ -85,14 +85,14 @@ def test_hash_matches_nested_and_naive(stores, text):
 def test_vacuous_truth_on_empty_walks(stores):
     # Both sides empty: `=all` holds vacuously, `=some` does not — the
     # executor must route these through compare(), not the hash table.
-    session = stores("hash")
-    nested = stores("nested")
+    session = stores()
+    nested = stores()
     text = (
         "SELECT X, Y FROM TurboEngine X, TurboEngine Y "
         "WHERE X.HPpower =all Y.HPpower"
     )
     assert session.query(text, plan="cost").rows() == nested.query(
-        text, plan="cost"
+        text, plan="cost", join_mode="nested"
     ).rows()
 
 
@@ -114,7 +114,7 @@ def test_join_strategy_classification():
 
 
 def test_join_metrics_counted(stores):
-    session = stores("hash")
+    session = stores()
     session.query(
         "SELECT X, Y FROM Employee X, Employee Y "
         "WHERE X.Salary =some Y.Salary",
@@ -125,7 +125,7 @@ def test_join_metrics_counted(stores):
 
 
 def test_path_cache_hit_miss_metrics(stores):
-    session = stores("hash")
+    session = stores()
     text = "SELECT X FROM Employee X WHERE X.FamMembers.Age some> 20"
     session.query(text, plan="cost")
     counters = session.stats()["counters"]
@@ -143,7 +143,7 @@ def test_path_cache_hit_miss_metrics(stores):
 
 
 def test_path_cache_invalidated_by_data_writes(stores):
-    session = stores("hash")
+    session = stores()
     store = session.store
     walker = session.evaluator().walker
     jane = next(iter(store.extent("Employee")))
@@ -159,7 +159,7 @@ def test_path_cache_invalidated_by_data_writes(stores):
 
 
 def test_path_cache_invalidated_by_schema_bumps(stores):
-    session = stores("hash")
+    session = stores()
     walker = session.evaluator().walker
     from repro.oid import VarSort
 
@@ -200,8 +200,8 @@ def test_updates_keep_nested_semantics(stores):
     # WHERE clauses containing UPDATE conjuncts must never batch: the
     # pipeline routes them to the tuple-at-a-time reference engine even
     # under join_mode="hash", so effects are not reordered.
-    hash_session = stores("hash")
-    nested_session = stores("nested")
+    hash_session = stores()
+    nested_session = stores()
     text = (
         "SELECT X FROM Employee X "
         "WHERE UPDATE CLASS Employee SET X.Salary = 50000"
@@ -209,19 +209,5 @@ def test_updates_keep_nested_semantics(stores):
     assert "engine=reference" in hash_session.explain(text, plan="cost")
     assert (
         hash_session.query(text, plan="cost").rows()
-        == nested_session.query(text, plan="cost").rows()
+        == nested_session.query(text, plan="cost", join_mode="nested").rows()
     )
-
-
-def test_join_mode_validation_and_cache_clear(stores):
-    session = stores("hash")
-    with pytest.raises(QueryError):
-        session.join_mode = "sideways"
-    assert session.join_mode == "hash"
-    text = "SELECT X FROM Person X WHERE X.Age > 20"
-    first = session.prepare(text, plan="cost")
-    assert session.prepare(text, plan="cost") is first  # LRU hit
-    session.join_mode = "nested"
-    assert session.join_mode == "nested"
-    # Switching executors drops cached compilations.
-    assert session.prepare(text, plan="cost") is not first

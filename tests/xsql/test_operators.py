@@ -54,8 +54,9 @@ class TestTreeShapesPerMode:
         ]
 
     def test_cost_nested_mode_builds_quantify(self, paper_session):
-        paper_session.join_mode = "nested"
-        compiled = paper_session.prepare(JOIN_QUERY, plan="cost")
+        compiled = paper_session.prepare(
+            JOIN_QUERY, plan="cost", join_mode="nested"
+        )
         compiled.run()
         assert shape(compiled.last_optree) == [
             "Project", "Quantify", "ExtentScan", "ExtentScan",
@@ -77,9 +78,9 @@ class TestTreeShapesPerMode:
 
     def test_all_modes_agree_on_the_join(self, paper_session):
         reference = paper_session.query(JOIN_QUERY, plan="none").rows()
-        paper_session.join_mode = "nested"
-        nested = paper_session.query(JOIN_QUERY, plan="cost").rows()
-        paper_session.join_mode = "hash"
+        nested = paper_session.query(
+            JOIN_QUERY, plan="cost", join_mode="nested"
+        ).rows()
         hashed = paper_session.query(JOIN_QUERY, plan="cost").rows()
         assert nested == reference
         assert hashed == reference
@@ -298,8 +299,9 @@ class TestOperatorMemoCapacity:
         from repro.xsql.paths import PathWalker
 
         reference = make_paper_session()
-        reference.join_mode = "nested"
-        expected = reference.query(JOIN_QUERY, plan="cost").rows()
+        expected = reference.query(
+            JOIN_QUERY, plan="cost", join_mode="nested"
+        ).rows()
         cold_misses = reference.metrics.counters.get("cache.memo.miss", 0)
         assert cold_misses > 1
 
@@ -311,12 +313,13 @@ class TestOperatorMemoCapacity:
 
         monkeypatch.setattr(PathWalker, "__init__", tiny_memo)
         session = make_paper_session()
-        session.join_mode = "nested"
-        assert session.query(JOIN_QUERY, plan="cost").rows() == expected
+        assert session.query(
+            JOIN_QUERY, plan="cost", join_mode="nested"
+        ).rows() == expected
         assert session.metrics.counters.get("cache.memo.miss", 0) >= (
             cold_misses
         )
-        walkers = list(session._columnar_walkers.values())
+        walkers = list(session._walkers.values())
         assert walkers
         for walker in walkers:
             cond_tokens = {

@@ -20,6 +20,7 @@ from repro.errors import QueryError
 from repro.schema.figure1 import build_figure1_schema
 from repro.workloads.paper_db import populate_paper_database
 from repro.xsql import ExecutionOptions
+from repro.xsql.evaluator import Evaluator
 from repro.xsql.session import Session
 
 
@@ -51,7 +52,7 @@ class TestValidation:
         assert opts.validate() is opts
         assert opts.plan == "none"
         assert opts.workers == 1
-        assert opts.join_mode is None
+        assert opts.join_mode == "hash"
 
     @pytest.mark.parametrize(
         "bad",
@@ -117,16 +118,6 @@ class TestStatementCache:
         assert two.options.cache_key() != one.options.cache_key()
         assert len(one.options.cache_key()) == 5
 
-    def test_join_mode_none_defers_to_session(self, session):
-        compiled = session.prepare(Q_JOIN, plan="cost")
-        assert compiled.options.join_mode is None
-        session.join_mode = "nested"
-        assert compiled.join_mode == "nested"
-        session.join_mode = "hash"
-        assert compiled.join_mode == "hash"
-        pinned = session.prepare(Q_JOIN, plan="cost", join_mode="nested")
-        assert pinned.join_mode == "nested"
-
 
 class TestColumnarEquivalence:
     @pytest.mark.parametrize("plan", ["none", "greedy", "typed", "cost"])
@@ -135,7 +126,7 @@ class TestColumnarEquivalence:
         """Every worker count enumerates exactly what the row-at-a-time
         ``Evaluator.run`` produces for the same statement."""
         statement = session.prepare(text, plan=plan).statement
-        reference = session.evaluator().run(statement)
+        reference = Evaluator(session.store).run(statement)
         for workers in (1, 2, 4):
             columnar = session.query(text, plan=plan, workers=workers)
             assert columnar.rows() == reference.rows()

@@ -150,10 +150,7 @@ class TestParity:
 
         hash_result = run(pointer_join="off")
         pointer_result = run(pointer_join="force")
-        nested_session = fresh_session()
-        nested_session.enable_index("Manufacturer")
-        nested_session.join_mode = "nested"
-        nested_result = nested_session.query(text, plan="cost")
+        nested_result = run(join_mode="nested")
         columnar_result = run(pointer_join="force", workers=2)
         assert pointer_result.rows() == hash_result.rows(), text
         assert pointer_result.rows() == nested_result.rows(), text
@@ -164,10 +161,8 @@ class TestParity:
         assert list(pointer_result) == list(columnar_result), text
 
     def test_nested_join_mode_ignores_fusion_marks(self):
-        session = fresh_session()
-        session.join_mode = "nested"
-        nested = session.query(
-            FORWARD_QUERY, plan="cost", pointer_join="force"
+        nested = fresh_session().query(
+            FORWARD_QUERY, plan="cost", join_mode="nested", pointer_join="force"
         )
         reference = fresh_session().query(FORWARD_QUERY, plan="cost")
         assert nested.rows() == reference.rows()
