@@ -5,7 +5,3 @@ per-experiment index in DESIGN.md and prints the rows that EXPERIMENTS.md
 records — answers for the worked examples, timings and ratios for the
 performance claims.
 """
-
-from repro.bench.report import run_all_experiments
-
-__all__ = ["run_all_experiments"]

@@ -583,9 +583,13 @@ class StoreView(ObjectStore):
         """Release the underlying pin (idempotent).
 
         Chains the pin needed may be garbage-collected afterwards, so a
-        released view must not be read again.
+        released view must not be read again; its memos go with the pin.
         """
         self._pin.release()
+        self._cells_memo.clear()
+        self._classes_memo.clear()
+        self._relations_memo.clear()
+        self._known_memo = None
 
     def __enter__(self) -> "StoreView":
         return self

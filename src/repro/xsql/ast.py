@@ -16,6 +16,7 @@ evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Tuple, Union
 
 from repro.oid import Atom, Oid, Term, Variable
@@ -129,6 +130,11 @@ class PathExpr:
         if self.steps:
             return self.steps[-1].selector
         return None
+
+    @cached_property
+    def free_variables(self) -> Tuple[Variable, ...]:
+        """The path's distinct variables, head to tail (computed once)."""
+        return tuple(dict.fromkeys(path_variables(self)))
 
 
 def path_of_term(term: SelectorNode) -> PathExpr:

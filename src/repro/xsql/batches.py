@@ -278,16 +278,19 @@ def merge_all(state: State) -> ColumnBatch:
 
 def cross_state(state: State) -> Iterator[Bindings]:
     """The logical binding stream: the batches' cross product."""
-    per_batch = [batch.to_rows() for batch in state]
+    return _cross([batch.to_rows() for batch in state], 0, {})
 
-    def recurse(index: int, acc: Bindings) -> Iterator[Bindings]:
-        if index == len(per_batch):
-            yield dict(acc)
-            return
-        for env in per_batch[index]:
-            yield from recurse(index + 1, {**acc, **env})
 
-    return recurse(0, {})
+def _cross(
+    per_batch: List[List[Bindings]], index: int, acc: Bindings
+) -> Iterator[Bindings]:
+    # A module function, not a self-referencing closure: the closure
+    # would be a reference cycle per call.
+    if index == len(per_batch):
+        yield dict(acc)
+        return
+    for env in per_batch[index]:
+        yield from _cross(per_batch, index + 1, {**acc, **env})
 
 
 def product_count(state: State) -> int:

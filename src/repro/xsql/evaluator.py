@@ -87,22 +87,28 @@ def select_rows(
     stay consistent; a set-shaped item contributes one tuple per
     element, "flattening" exactly like path expressions do (§1).
     """
+    return _select_from(walker, items, 0, env, ())
 
-    def recurse(
-        index: int, current: Bindings, acc: Tuple[Oid, ...]
-    ) -> Iterator[Tuple[Oid, ...]]:
-        if index == len(items):
-            yield acc
-            return
-        item = items[index]
-        if not isinstance(item, ast.PathItem):
-            raise QueryError(
-                "set-attribute SELECT items require OID FUNCTION OF"
-            )
-        for hit in walker.walk(item.path, current):
-            yield from recurse(index + 1, hit.bindings(), acc + (hit.tail,))
 
-    yield from recurse(0, env, ())
+def _select_from(
+    walker: PathWalker,
+    items: Sequence[ast.SelectItem],
+    index: int,
+    current: Bindings,
+    acc: Tuple[Oid, ...],
+) -> Iterator[Tuple[Oid, ...]]:
+    # A module function, not a self-referencing closure: the closure
+    # would be a reference cycle per call.
+    if index == len(items):
+        yield acc
+        return
+    item = items[index]
+    if not isinstance(item, ast.PathItem):
+        raise QueryError("set-attribute SELECT items require OID FUNCTION OF")
+    for hit in walker.walk(item.path, current):
+        yield from _select_from(
+            walker, items, index + 1, hit.bindings(), acc + (hit.tail,)
+        )
 
 
 def check_projectable(query: ast.Query) -> None:

@@ -1251,17 +1251,19 @@ def bindings(query: ast.Query, evaluator: Evaluator) -> Iterator[Bindings]:
 def pipeline_stages(root: Operator) -> List[Operator]:
     """Scan and conjunct operators in execution (deepest-first) order."""
     stages: List[Operator] = []
-
-    def visit(op: Operator) -> None:
-        for child in op.children:
-            visit(child)
-        if op.statement is not None:
-            return  # a whole-statement root is not a pipeline stage
-        if isinstance(op, (ScanOperator, CondOperator)):
-            stages.append(op)
-
-    visit(root)
+    _collect_stages(root, stages)
     return stages
+
+
+def _collect_stages(op: Operator, stages: List[Operator]) -> None:
+    # A module function, not a self-referencing closure: the closure
+    # would be a reference cycle per call.
+    for child in op.children:
+        _collect_stages(child, stages)
+    if op.statement is not None:
+        return  # a whole-statement root is not a pipeline stage
+    if isinstance(op, (ScanOperator, CondOperator)):
+        stages.append(op)
 
 
 def stage_trace(root: Operator) -> List[int]:

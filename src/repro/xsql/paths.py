@@ -110,8 +110,6 @@ class PathWalker:
         self._universe_cache: Dict[VarSort, List[Oid]] = {}
         self._candidate_cache: Dict[Variable, List[Oid]] = {}
         self._extent_cache: Dict[Oid, List[Oid]] = {}
-        # Pure AST fact, never invalidated: path -> its free variables.
-        self._path_vars: Dict[ast.PathExpr, Tuple[Variable, ...]] = {}
         self._cache_stamp = None  # Optional[Version]
 
     # ------------------------------------------------------------------
@@ -209,13 +207,6 @@ class PathWalker:
             self._memo_cache.popitem(last=False)
             if self._metrics is not None:
                 self._metrics.count("cache.memo.evict")
-
-    def _free_vars(self, path: ast.PathExpr) -> Tuple[Variable, ...]:
-        cached = self._path_vars.get(path)
-        if cached is None:
-            cached = tuple(dict.fromkeys(ast.path_variables(path)))
-            self._path_vars[path] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # universes
@@ -344,30 +335,37 @@ class PathWalker:
     # ------------------------------------------------------------------
 
     def _arg_candidates(
-        self, args: Tuple[object, ...], env: Bindings
+        self,
+        args: Tuple[object, ...],
+        env: Bindings,
+        index: int = 0,
+        acc: Tuple[Oid, ...] = (),
     ) -> Iterator[Tuple[Bindings, Tuple[Oid, ...]]]:
-        """All ways to ground the method arguments under *env*."""
+        """All ways to ground the method arguments under *env*.
 
-        def recurse(
-            index: int, current: Bindings, acc: Tuple[Oid, ...]
-        ) -> Iterator[Tuple[Bindings, Tuple[Oid, ...]]]:
-            if index == len(args):
-                yield current, acc
-                return
-            resolved = resolve_term(args[index], current)
-            if isinstance(resolved, Oid):
-                yield from recurse(index + 1, current, acc + (resolved,))
-            elif isinstance(resolved, Variable):
-                for candidate in self.variable_candidates(resolved):
-                    new_env = dict(current)
-                    new_env[resolved] = candidate
-                    yield from recurse(index + 1, new_env, acc + (candidate,))
-            else:
-                raise QueryError(
-                    f"method argument {args[index]!r} cannot be resolved"
+        Recurses through the method rather than a nested closure: a
+        self-referencing closure is a reference cycle per call, left for
+        the cyclic collector.
+        """
+        if index == len(args):
+            yield env, acc
+            return
+        resolved = resolve_term(args[index], env)
+        if isinstance(resolved, Oid):
+            yield from self._arg_candidates(
+                args, env, index + 1, acc + (resolved,)
+            )
+        elif isinstance(resolved, Variable):
+            for candidate in self.variable_candidates(resolved):
+                new_env = dict(env)
+                new_env[resolved] = candidate
+                yield from self._arg_candidates(
+                    args, new_env, index + 1, acc + (candidate,)
                 )
-
-        yield from recurse(0, env, ())
+        else:
+            raise QueryError(
+                f"method argument {args[index]!r} cannot be resolved"
+            )
 
     # ------------------------------------------------------------------
     # step evaluation
@@ -579,7 +577,7 @@ class PathWalker:
         self._fresh_caches()
         env = env or {}
         key = (path,) + tuple(
-            (var, env.get(var)) for var in self._free_vars(path)
+            (var, env.get(var)) for var in path.free_variables
         )
         cached = self._value_cache.get(key)
         if cached is not None:

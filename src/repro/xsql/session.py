@@ -482,8 +482,8 @@ class Session:
     def checkpoint(self):
         """Persist the current state at a durable point.
 
-        * ``log`` backend — fold the WAL into the checkpoint image and
-          start a fresh log; returns the resulting
+        * ``log`` backend — fold the WAL into a checkpoint image slot
+          and rewind the log in place; returns the resulting
           :class:`~repro.storage.CommitStamp`.
         * ``memory`` backend — nothing to persist; returns the engine's
           last commit stamp.
@@ -700,9 +700,16 @@ class SnapshotSession(Session):
         self._base = base
 
     def close(self) -> None:
-        """Release the pin (idempotent); the snapshot must not be used after."""
+        """Release the pin (idempotent); the snapshot must not be used after.
+
+        Also drops the statement cache and the walkers' caches: a
+        session is a reference cycle, so what they hold would otherwise
+        stay allocated until the next full garbage collection.
+        """
         super().close()
         self.store.release()
+        self.pipeline.clear()
+        self._walkers.clear()
 
     @property
     def pinned(self) -> bool:

@@ -29,3 +29,24 @@ class TestExperiments:
     def test_pvsq_equivalence_enforced(self):
         lines = report.experiment_pvsq()
         assert len(lines) == 4  # header + three formulations
+
+
+def test_package_import_leaves_report_unloaded():
+    """``python -m repro.bench.report`` must not find the module preloaded."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro.bench; "
+        "print('repro.bench.report' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "False"

@@ -234,3 +234,62 @@ class TestPercentileCurve:
         dumped = curve.as_dict()
         assert list(dumped) == ["10k", "1k"]
         assert dumped["10k"]["p95"] == 5.0
+
+
+class TestSessionMemory:
+    def test_distinct_updates_keep_no_path_asts_alive(self, paper_session):
+        """Live ``PathExpr`` nodes stay flat over 1,000 distinct UPDATEs.
+
+        Only the bounded statement cache may keep parsed statements; a
+        per-walker table keyed by AST would grow by one path per text.
+        """
+        import gc
+
+        from repro.xsql import ast
+
+        def live_paths():
+            gc.collect()
+            return sum(
+                1 for obj in gc.get_objects() if isinstance(obj, ast.PathExpr)
+            )
+
+        def run(first, last):
+            for salary in range(first, last):
+                paper_session.execute(
+                    f"UPDATE CLASS Employee SET ben.Salary = {salary}"
+                )
+
+        run(0, 200)  # fill the statement cache
+        settled = live_paths()
+        run(200, 1000)
+        assert live_paths() <= settled + 16
+
+    def test_reads_and_closed_snapshots_leave_little_cyclic_garbage(
+        self, paper_session
+    ):
+        """Cyclic garbage waits for a full collection, which runs ever
+        more rarely as the heap grows.  A read must leave none per path
+        step, and a closed snapshot only its small session skeleton, not
+        its statement cache, walker caches and record memos.
+        """
+        import gc
+
+        query = "SELECT X.Name, X.Salary FROM Employee X WHERE X.Salary > 20000"
+        paper_session.query(query)
+        gc.collect()
+        gc.disable()
+        try:
+            paper_session.query(query)
+            after_read = gc.collect()
+            snapshot = paper_session.snapshot_view()
+            snapshot.query(query)
+            snapshot.query("SELECT X FROM Person X WHERE X.Age > 20")
+            after_snapshot_read = gc.collect()
+            snapshot.close()
+            del snapshot
+            after_close = gc.collect()
+        finally:
+            gc.enable()
+        assert after_read < 10
+        assert after_snapshot_read < 10
+        assert after_close < 100
