@@ -23,13 +23,16 @@ test-all:
 # in a few seconds without bloating the edit-test loop.  The second run
 # hammers the hash-join executor with explicit-join shapes; the third
 # cross-checks the engines over a generated scale-1k population, so
-# bulk-loaded data (not just the hand-built paper DB) is covered.
+# bulk-loaded data (not just the hand-built paper DB) is covered; the
+# fourth runs the join shapes over that population, so the columnar
+# Project and HashJoin/SemiJoin see batches of thousands of rows.
 # Finally the concurrent snapshot fuzzer interleaves a writer thread
 # with pinned readers and replays every observation serially.
 fuzz-smoke: fuzz-concurrent
 	PYTHONPATH=src python -m repro.difftest --seed 0 --queries 200 --sizes tiny --quiet
 	PYTHONPATH=src python -m repro.difftest --seed 0 --queries 120 --sizes tiny --preset joins --quiet
 	PYTHONPATH=src python -m repro.difftest --seed 0 --queries 10 --sizes scale-1k --quiet
+	PYTHONPATH=src python -m repro.difftest --seed 0 --queries 20 --sizes scale-1k --preset joins --quiet
 
 # Snapshot-isolation smoke: one writer thread vs 3 snapshot readers,
 # every (pinned ticket, query, rows) observation checked bit-for-bit

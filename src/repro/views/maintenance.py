@@ -89,8 +89,10 @@ class ViewState:
     read: ReadSets
     #: ``store.version`` at the last (re)materialization; a schema-
     #: component mismatch at sync time means DDL happened → full
-    #: rebuild.  Data deltas between the stamp and the current version
-    #: arrive through the observer as pending groups / structural flags.
+    #: rebuild.  An index toggle re-stamps the schema component instead
+    #: (``ViewManager._on_index``).  Data deltas between the stamp and
+    #: the current version arrive through the observer as pending
+    #: groups / structural flags.
     version: "Version"
     #: owner oid → view oids whose derived values read that owner.
     support: Dict[Oid, Set[FuncOid]] = field(default_factory=dict)
@@ -120,7 +122,8 @@ class ViewMaintenance:
     itself, so re-materialization writes do not mark views stale
     again).  Schema events need no forwarding — the manager compares
     the schema component of the store's version against each view's
-    stamp at sync time instead.
+    stamp at sync time instead — except index toggles, which move that
+    component without changing any answer.
     """
 
     def __init__(self, manager) -> None:
@@ -158,6 +161,10 @@ class ViewMaintenance:
         if not self.muted:
             self._manager._on_tuple(name)
 
+    def note_index(self, method, enabled):
+        # Not DDL for a view: an index changes no answer.
+        self._manager._on_index()
+
     # -- schema events (covered by the generation stamp) ----------------
 
     def note_class(self, cls, parents):
@@ -167,9 +174,6 @@ class ViewMaintenance:
         pass
 
     def note_resolution(self, cls, method, use_class):
-        pass
-
-    def note_index(self, method, enabled):
         pass
 
     def note_relation(self, name, column_names):

@@ -13,7 +13,7 @@ objects of a base class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datamodel.store import ObjectStore
@@ -346,6 +346,15 @@ class ViewManager:
         for state in self._states.values():
             if state.read.class_wildcard or state.read.literal_domain:
                 state.structural = True
+
+    def _on_index(self) -> None:
+        """An index toggle moved the schema component by one; it changes
+        no answer, so a view stamped at the schema just before it stays
+        fresh.  Compiled statements still see the bump and re-plan."""
+        current = self._store.version
+        for state in self._states.values():
+            if state.version.schema == current.schema - 1:
+                state.version = replace(state.version, schema=current.schema)
 
     def _on_tuple(self, name: str) -> None:
         for state in self._states.values():

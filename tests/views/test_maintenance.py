@@ -130,6 +130,32 @@ class TestDeltaTiers:
         assert status["last_kind"] == "rebuild"
         assert status["objects"] == 6
 
+    def test_index_toggle_does_not_rebuild(self, view_session):
+        # An index changes no answer: enabling or disabling one under a
+        # materialized view leaves it fresh, although the schema
+        # component still moves for compiled statements to re-plan.
+        store = view_session.store
+        schema = store.version.schema
+        store.enable_index("Name")
+        events = view_session.sync_views()
+        store.disable_index("Name")
+        events += view_session.sync_views()
+        assert sum(1 for e in events if e["kind"] == "rebuild") == 0
+        assert state_of(view_session)["state"] == "fresh"
+        assert store.version.schema == schema + 2
+        assert sorted(view_session.query(THROUGH_VIEW).scalars()) == [
+            20000,
+            250000,
+            300000,
+        ]
+
+    def test_ddl_after_index_toggle_still_rebuilds(self, view_session):
+        view_session.store.declare_class("Startup", ["Company"])
+        view_session.store.enable_index("Name")
+        assert state_of(view_session)["state"] == "rebuild-pending"
+        events = view_session.sync_views()
+        assert [e["kind"] for e in events] == ["rebuild"]
+
     def test_maintenance_writes_do_not_remark_stale(self, view_session):
         # The observer is muted while the manager re-materializes, so a
         # sync leaves every view fresh instead of looping.

@@ -32,11 +32,11 @@ from repro.oid import Value, Variable
 from repro.xsql.batches import (
     UNBOUND,
     ColumnBatch,
+    cross_state,
     morsel_map,
     split_morsels,
 )
 from repro.xsql.operators import (
-    _cross,
     merge_all,
     merge_overlapping,
     product_count,
@@ -101,7 +101,7 @@ def row_multiset(state):
     """The logical binding stream as a comparable multiset."""
     return Counter(
         tuple(sorted((str(var), str(val)) for var, val in env.items()))
-        for env in _cross(state)
+        for env in cross_state(state)
     )
 
 
@@ -196,7 +196,7 @@ class TestProductCount:
 
     def test_empty_state_is_one_empty_env(self):
         assert product_count([]) == 1
-        assert list(_cross([])) == [{}]
+        assert list(cross_state([])) == [{}]
 
 
 @st.composite
@@ -262,7 +262,7 @@ class TestColumnBatch:
     @given(state=states())
     @settings(max_examples=200, deadline=None)
     def test_cross_state_matches_dict_implementation(self, state):
-        assert list(_cross(state)) == reference_product(state)
+        assert list(cross_state(state)) == reference_product(state)
 
     def test_empty_state_merges_to_identity(self):
         merged, rest = merge_overlapping([], set())

@@ -14,11 +14,11 @@ import pytest
 from repro.errors import QueryError
 from repro.oid import Variable
 from repro.xsql import operators
+from repro.xsql.batches import cross_state
 from repro.xsql.operators import (
     ColumnBatch,
     ExecContext,
     LowerSpec,
-    _cross,
     merge_overlapping,
     execute,
     lower_query,
@@ -258,10 +258,10 @@ class TestFactoredBatches:
         ]
 
     def test_cross_of_empty_state_is_one_empty_env(self):
-        assert list(_cross([])) == [{}]
+        assert list(cross_state([])) == [{}]
 
     def test_cross_of_empty_batch_is_no_envs(self):
-        assert list(_cross([ColumnBatch.from_rows({X}, [])])) == []
+        assert list(cross_state([ColumnBatch.from_rows({X}, [])])) == []
 
     def test_non_root_operator_rejects_result(self, paper_session):
         from repro.xsql.evaluator import Evaluator
