@@ -3,15 +3,14 @@
 A thin harness over :mod:`repro.bench.scale` — the fixed query suite
 (paper shapes + the S/J workloads) over seeded
 :mod:`repro.workloads.scale` populations, across
-``plan``/``join_mode``/``workers`` modes (including the re-run of the
-factored mode with two morsel-scan workers), emitting
+``plan``/``join_mode`` modes, emitting
 ``benchmarks/BENCH_scale.json`` with the full generation spec embedded.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_scale.py
         [--tiers 1k 10k 100k] [--rounds N] [--seed N]
-        [--modes cost:hash cost:hash:2 ...]
+        [--modes cost:hash cost:nested ...]
         [--json PATH] [--baseline PATH]
 
 ``--baseline`` compares against a previous artifact and exits non-zero
@@ -42,13 +41,13 @@ def test_scale_artifact_1k_valid_and_reproducible():
     payload = run_scale_benchmark(
         tiers=("1k",),
         rounds=1,
-        modes=[("cost", "hash", 1), ("cost", "hash", 2)],
+        modes=[("cost", "hash")],
     )
     validate_artifact(payload)
     again = run_scale_benchmark(
         tiers=("1k",),
         rounds=1,
-        modes=[("cost", "hash", 1), ("cost", "hash", 2)],
+        modes=[("cost", "hash")],
     )
     assert json.dumps(strip_timings(payload), sort_keys=True) == json.dumps(
         strip_timings(again), sort_keys=True
@@ -73,7 +72,7 @@ def test_scale_100k_tier():
 @pytest.mark.slow
 def test_scale_1m_tier():
     payload = run_scale_benchmark(
-        tiers=("1m",), rounds=1, modes=[("cost", "hash", 1)]
+        tiers=("1m",), rounds=1, modes=[("cost", "hash")]
     )
     validate_artifact(payload)
 
@@ -90,11 +89,10 @@ def main() -> int:
     parser.add_argument(
         "--modes",
         nargs="+",
-        metavar="PLAN:JOIN[:WORKERS]",
+        metavar="PLAN:JOIN",
         default=None,
-        help="modes, e.g. cost:hash cost:hash:2 (workers defaults to "
-        "1; default: all of "
-        f"{[':'.join(map(str, mode)) for mode in MODES]})",
+        help="modes, e.g. cost:hash cost:nested (default: all of "
+        f"{[':'.join(mode) for mode in MODES]})",
     )
     parser.add_argument(
         "--json",
@@ -112,13 +110,9 @@ def main() -> int:
     args = parser.parse_args()
     def parse_mode(text: str):
         fields = text.split(":")
-        if not 2 <= len(fields) <= 3:
-            raise SystemExit(
-                f"bad --modes entry {text!r}; want PLAN:JOIN[:WORKERS]"
-            )
-        plan, join_mode = fields[0], fields[1]
-        workers = int(fields[2]) if len(fields) > 2 else 1
-        return (plan, join_mode, workers)
+        if len(fields) != 2:
+            raise SystemExit(f"bad --modes entry {text!r}; want PLAN:JOIN")
+        return (fields[0], fields[1])
 
     modes = (
         [parse_mode(pair) for pair in args.modes]

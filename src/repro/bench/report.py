@@ -27,7 +27,13 @@ from repro.schema.typing_examples import (
     extend_with_typing_classes,
     populate_oo_forum,
 )
-from repro.typing import Exemptions, analyze, extent_restrictions, reorder
+from repro.typing import (
+    Exemptions,
+    analyze,
+    extent_restrictions,
+    range_classes,
+    reorder,
+)
 from repro.workloads.generator import WorkloadConfig, generate_database
 from repro.workloads.paper_db import populate_paper_database
 from repro.xsql import operators
@@ -77,7 +83,7 @@ def ablation_variants(
     assert report.strict_witness is not None and report.typed_query
     assignment, plan = report.strict_witness
     restrictions = extent_restrictions(
-        store, assignment, report.typed_query, query
+        store, range_classes(store, assignment, report.typed_query), query
     )
     reordered = reorder(query, report.typed_query, plan)
 

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Artifact schema version (bump on shape changes).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _UNCAPPED = 10**9
 
@@ -143,17 +143,13 @@ QUERY_SUITE: List[QuerySpec] = [
     ),
 ]
 
-#: The mode grid: (plan, join_mode, workers).  Only ``cost``+``hash``
-#: executes factored (set-at-a-time with hash/semi joins); the rest run
-#: merged.  The ``workers=2`` entry re-runs the factored mode with two
-#: morsel-scan workers — same rows, measured against its own p95 budget
-#: in the CI gate.
-MODES: List[Tuple[str, str, int]] = [
-    ("cost", "hash", 1),
-    ("cost", "hash", 2),
-    ("cost", "nested", 1),
-    ("typed", "hash", 1),
-    ("greedy", "hash", 1),
+#: The mode grid: (plan, join_mode).  Only ``cost``+``hash`` executes
+#: factored (set-at-a-time with hash/semi joins); the rest run merged.
+MODES: List[Tuple[str, str]] = [
+    ("cost", "hash"),
+    ("cost", "nested"),
+    ("typed", "hash"),
+    ("greedy", "hash"),
 ]
 
 _TIMING_KEYS = frozenset(
@@ -187,12 +183,9 @@ def _measure_query(
     plan: str,
     join_mode: str,
     rounds: int,
-    workers: int = 1,
 ) -> Dict[str, object]:
     """Prepared re-runs of one query: latency + per-operator analyze."""
-    compiled = session.prepare(
-        spec.text, plan=plan, join_mode=join_mode, workers=workers
-    )
+    compiled = session.prepare(spec.text, plan=plan, join_mode=join_mode)
     rows = len(compiled.run().rows())  # warm-up, off the clock
     latency = Observation()
     operator_times: List[Tuple[str, str, Observation]] = []
@@ -236,7 +229,7 @@ def run_scale_benchmark(
     rounds: int = 3,
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-    modes: Sequence[Tuple[str, str, int]] = tuple(MODES),
+    modes: Sequence[Tuple[str, str]] = tuple(MODES),
 ) -> Dict[str, object]:
     """Run the suite across *tiers* and return the artifact payload."""
     say = progress or (lambda _line: None)
@@ -275,13 +268,12 @@ def run_scale_benchmark(
             "modes": [],
         }
         rows_seen: Dict[str, int] = {}
-        for plan, join_mode, workers in modes:
+        for plan, join_mode in modes:
             factored = _is_factored(plan, join_mode)
             session = Session(store)
             mode_entry: Dict[str, object] = {
                 "plan": plan,
                 "join_mode": join_mode,
-                "workers": workers,
                 "queries": [],
                 "skipped": [],
             }
@@ -292,7 +284,7 @@ def run_scale_benchmark(
                     mode_entry["skipped"].append(qspec.name)
                     continue
                 record = _measure_query(
-                    session, qspec, plan, join_mode, rounds, workers
+                    session, qspec, plan, join_mode, rounds
                 )
                 mode_seconds += record.pop("_seconds_total")
                 mode_runs += rounds
@@ -307,9 +299,8 @@ def run_scale_benchmark(
                         f"returned {record['rows']} rows, other modes "
                         f"saw {expected}"
                     )
-                # Curves track the single-worker factored mode only, so
-                # the two-worker re-run never double-records.
-                if factored and workers == 1:
+                # Curves track the factored mode only.
+                if factored:
                     query_curves.setdefault(
                         qspec.name, PercentileCurve()
                     ).points.setdefault(tier, Observation())
@@ -322,8 +313,7 @@ def run_scale_benchmark(
             mode_entry["worst_p95_ms"] = max(p95s) if p95s else 0.0
             tier_entry["modes"].append(mode_entry)
             say(
-                f"[{tier}] plan={plan} join={join_mode} "
-                f"workers={workers}: "
+                f"[{tier}] plan={plan} join={join_mode}: "
                 f"{len(mode_entry['queries'])} queries, "
                 f"{mode_entry['queries_per_sec']} q/s, "
                 f"worst p95 {mode_entry['worst_p95_ms']}ms"
@@ -376,13 +366,9 @@ def validate_artifact(payload: Dict[str, object]) -> None:
         if not modes:
             raise ValueError(f"{where}.modes: must be non-empty")
         for mode in modes:
-            mwhere = (
-                f"{where}.{mode.get('plan')}/{mode.get('join_mode')}"
-                f"/{mode.get('workers')}"
-            )
+            mwhere = f"{where}.{mode.get('plan')}/{mode.get('join_mode')}"
             need(mode, "plan", mwhere, str)
             need(mode, "join_mode", mwhere, str)
-            need(mode, "workers", mwhere, int)
             need(mode, "skipped", mwhere, list)
             need(mode, "worst_p95_ms", mwhere, (int, float))
             for query in need(mode, "queries", mwhere, list):
@@ -437,7 +423,9 @@ def compare_to_baseline(
     The CI gate: ingest throughput may not fall below ``1/factor`` of
     the baseline, and each mode's worst-case query p95 may not exceed
     ``factor`` times the baseline, for every tier/mode present in both.
-    Returns human-readable violation lines (empty means pass).
+    A payload mode missing from a baseline tier is a problem too, so a
+    stale baseline cannot turn the gate into a no-op.  Returns
+    human-readable violation lines (empty means pass).
     """
     problems: List[str] = []
     base_tiers = {tier["tier"]: tier for tier in baseline.get("tiers", [])}
@@ -453,23 +441,23 @@ def compare_to_baseline(
                 f"below baseline {base_rate:,.0f} obj/s"
             )
         base_modes = {
-            (mode["plan"], mode["join_mode"], mode["workers"]): mode
+            (mode["plan"], mode["join_mode"]): mode
             for mode in base.get("modes", [])
         }
         for mode in tier.get("modes", []):
-            bmode = base_modes.get(
-                (mode["plan"], mode["join_mode"], mode["workers"])
+            where = (
+                f"{tier['tier']} plan={mode['plan']} "
+                f"join={mode['join_mode']}"
             )
+            bmode = base_modes.get((mode["plan"], mode["join_mode"]))
             if bmode is None:
+                problems.append(f"{where}: no baseline entry to compare")
                 continue
             worst = mode["worst_p95_ms"]
             base_worst = bmode["worst_p95_ms"]
             if base_worst and worst > base_worst * factor:
                 problems.append(
-                    f"{tier['tier']} plan={mode['plan']} "
-                    f"join={mode['join_mode']} "
-                    f"workers={mode['workers']}: "
-                    f"worst p95 {worst}ms is "
+                    f"{where}: worst p95 {worst}ms is "
                     f">{factor}x above baseline {base_worst}ms"
                 )
     return problems
@@ -490,7 +478,6 @@ def render_report(payload: Dict[str, object]) -> str:
         for mode in tier["modes"]:
             lines.append(
                 f"  plan={mode['plan']:6s} join={mode['join_mode']:6s} "
-                f"workers={mode['workers']} "
                 f"{mode['queries_per_sec']:8.1f} q/s  "
                 f"worst p95 {mode['worst_p95_ms']:10.3f}ms"
                 + (

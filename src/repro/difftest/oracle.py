@@ -124,8 +124,8 @@ ENGINES: Tuple[Engine, ...] = (
         runner="_run_flogic",
     ),
     Engine(
-        "columnar", _Opts(plan="cost", workers=2),
-        "morsel scans, walker memo kept across queries", scope="columnar",
+        "columnar", _Opts(plan="cost"),
+        "walker memo kept across queries", scope="columnar",
     ),
     Engine(
         "kv", _Opts(), "reference plan over the WAL-recovered store",

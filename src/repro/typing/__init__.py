@@ -35,7 +35,7 @@ from repro.typing.strict import (
     minimal_exemptions,
 )
 from repro.typing.analysis import TypingReport, analyze
-from repro.typing.optimizer import extent_restrictions, reorder
+from repro.typing.optimizer import extent_restrictions, range_classes, reorder
 from repro.typing.inference import (
     InferredSignature,
     infer_signatures,
@@ -61,6 +61,7 @@ __all__ = [
     "TypingReport",
     "analyze",
     "extent_restrictions",
+    "range_classes",
     "reorder",
     "InferredSignature",
     "infer_signatures",

@@ -13,40 +13,63 @@ queries and is not always possible even with queries that are liberally
 The two halves are two lowering inputs of the operator tree
 (:mod:`repro.xsql.operators`): :func:`reorder` sequences the WHERE
 conjuncts along the coherent plan, and :func:`extent_restrictions`
-builds the per-variable instantiation sets that become
-``RestrictedScan`` inputs.  ``Session.query(text, plan="typed")`` applies
-both; the test suite checks its answers against ``plan="none"`` and the
-naive evaluator, and the benchmarks measure the speedup as the database
-grows.
+builds, from the :func:`range_classes` of the assignment, the
+per-variable instantiation sets that become ``RestrictedScan`` inputs.
+``Session.query(text, plan="typed")`` applies both; the test suite
+checks its answers against ``plan="none"`` and the naive evaluator, and
+the benchmarks measure the speedup as the database grows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 from repro.datamodel.hierarchy import OBJECT_CLASS
 from repro.datamodel.store import ObjectStore
-from repro.oid import Oid, Variable
+from repro.oid import Atom, Oid, Variable
 from repro.typing.assignments import TypeAssignment
 from repro.typing.occurrences import TypedQuery, flatten_conjunction
 from repro.typing.plans import ExecutionPlan
 from repro.xsql import ast
 
-__all__ = ["extent_restrictions", "reorder"]
+__all__ = ["extent_restrictions", "range_classes", "reorder"]
+
+
+def range_classes(
+    store: ObjectStore,
+    assignment: TypeAssignment,
+    typed_query: TypedQuery,
+) -> Dict[Variable, List[Atom]]:
+    """The classes of each variable's range A(X) that can restrict it.
+
+    ``Object`` imposes nothing and classes the store's hierarchy does not
+    know cannot be scanned, so both are dropped; a variable left with no
+    class is omitted.  Ranges depend only on the schema, so callers may
+    keep the result for as long as the schema generation holds.
+    """
+    classes_by_var: Dict[Variable, List[Atom]] = {}
+    for var, range_ in assignment.all_ranges(typed_query).items():
+        classes = [
+            cls
+            for cls in range_.sorted_classes()
+            if cls != OBJECT_CLASS and cls in store.hierarchy
+        ]
+        if classes:
+            classes_by_var[var] = classes
+    return classes_by_var
 
 
 def extent_restrictions(
     store: ObjectStore,
-    assignment: TypeAssignment,
-    typed_query: TypedQuery,
+    classes_by_var: Mapping[Variable, Sequence[Atom]],
     query: ast.Query,
     skip: FrozenSet[Variable] = frozenset(),
 ) -> Dict[Variable, FrozenSet[Oid]]:
     """Per-variable instantiation sets from the ranges A(X).
 
-    An oid is in A(X) iff it is an instance of every class of the
-    range; the allowed set is the intersection of those extents.
-    ``Object``-only ranges impose nothing and are skipped.
+    *classes_by_var* is :func:`range_classes` of the query's coherent
+    assignment.  An oid is in A(X) iff it is an instance of every class
+    of the range; the allowed set is the intersection of those extents.
 
     Each range class costs one ``store.extent``: O(extent) for a
     user class, a scan of the active domain for a literal class.
@@ -56,17 +79,9 @@ def extent_restrictions(
     probes — may list it in ``skip`` to avoid building its extents.
     """
     query_vars = set(ast.free_variables(query))
-    ranges = assignment.all_ranges(typed_query)
     restrictions: Dict[Variable, FrozenSet[Oid]] = {}
-    for var, range_ in ranges.items():
+    for var, classes in classes_by_var.items():
         if var not in query_vars or var in skip:
-            continue
-        classes = [
-            cls
-            for cls in range_.sorted_classes()
-            if cls != OBJECT_CLASS and cls in store.hierarchy
-        ]
-        if not classes:
             continue
         allowed: Optional[FrozenSet[Oid]] = None
         for cls in classes:

@@ -15,20 +15,11 @@ columns, which enumerates rows in left-outer/right-inner order, the
 order ``[{**l, **r} for l in left for r in right]`` gives over the row
 dicts.  The property suite in ``tests/xsql/test_batch_algebra.py``
 holds the algebra to exactly that list-of-dicts reference.
-
-Morsel-driven parallelism lives here too: :func:`split_morsels` cuts a
-candidate list into fixed-size morsels and :func:`morsel_map` dispatches
-them across a thread pool, concatenating the per-morsel results in
-morsel order — so the output is identical for every worker count, which
-is what keeps parallel scans inside the engines' bit-identical result
-contract (the difftest oracle is the gate).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -44,14 +35,11 @@ __all__ = [
     "UNBOUND",
     "ColumnBatch",
     "State",
-    "DEFAULT_MORSEL_SIZE",
     "cross_state",
     "merge_all",
     "merge_overlapping",
-    "morsel_map",
     "product_count",
     "replay_deltas",
-    "split_morsels",
 ]
 
 
@@ -221,11 +209,6 @@ def replay_deltas(
 #: the logical binding stream.  The empty state means "one empty env".
 State = List[ColumnBatch]
 
-#: Default morsel granularity for parallel scans: small enough that a
-#: scale-tier extent splits across workers, large enough that the paper
-#: databases stay single-morsel (no thread overhead on toy inputs).
-DEFAULT_MORSEL_SIZE = 256
-
 
 def _cross_pair(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
     """Cross product, left-outer/right-inner: repeat left, tile right."""
@@ -300,48 +283,3 @@ def product_count(state: State) -> int:
         count *= len(batch)
     return count
 
-
-# ----------------------------------------------------------------------
-# morsels
-# ----------------------------------------------------------------------
-
-
-def split_morsels(
-    items: Sequence, morsel_size: int = DEFAULT_MORSEL_SIZE
-) -> List[Sequence]:
-    """Cut *items* into contiguous morsels of at most *morsel_size*."""
-    if morsel_size <= 0:
-        raise ValueError(f"morsel_size must be positive, got {morsel_size}")
-    return [
-        items[start : start + morsel_size]
-        for start in range(0, len(items), morsel_size)
-    ]
-
-
-def morsel_map(
-    work: Callable[[Sequence], List],
-    items: Sequence,
-    workers: int = 1,
-    morsel_size: int = DEFAULT_MORSEL_SIZE,
-) -> Tuple[List, int, int]:
-    """Apply *work* to each morsel of *items*; deterministic merge order.
-
-    Returns ``(results, n_morsels, workers_used)`` where *results* is
-    the concatenation of the per-morsel outputs **in morsel order** —
-    the output is therefore identical for every worker count; only the
-    wall-clock interleaving changes.  A single morsel (or ``workers <=
-    1``) runs inline with no pool.
-    """
-    morsels = split_morsels(items, morsel_size)
-    if len(morsels) <= 1 or workers <= 1:
-        results: List = []
-        for morsel in morsels:
-            results.extend(work(morsel))
-        return results, len(morsels), 1
-    used = min(workers, len(morsels))
-    with ThreadPoolExecutor(max_workers=used) as pool:
-        chunks = list(pool.map(work, morsels))
-    results = []
-    for chunk in chunks:
-        results.extend(chunk)
-    return results, len(morsels), used

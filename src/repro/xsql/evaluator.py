@@ -259,7 +259,7 @@ class Evaluator:
         self, decl: ast.FromDecl, env1: Bindings, cls: Atom
     ) -> Tuple[Sequence[Atom], "Callable[[Atom], bool]"]:
         """The ordered candidate stream for one scan, plus its admission
-        predicate — the morsel unit of the scan operator."""
+        predicate, which the scan operator applies in order."""
         restriction = self.walker.restriction_for(decl.var)
         if restriction is not None and len(restriction) * 4 <= max(
             1, self.store.extent_estimate(cls)

@@ -56,19 +56,17 @@ gather their output columns by index, so joins and projection build no
 per-row binding dicts.  Only :meth:`Project.bindings` (creation and
 views) enumerates the deduplicated stream as dicts.
 
-Scans split their candidate extents into morsels dispatched across a
-worker pool (``ExecutionOptions.workers``; deterministic morsel-order
-merge), merges repeat/tile value vectors, and conjunct evaluation groups
-the stream by its projection onto the conjunct's variables, consulting
-the session-persistent walker memo once per distinct projection.  The
+Scans admit their candidate extents in one sequential pass, merges
+repeat/tile value vectors, and conjunct evaluation groups the stream by
+its projection onto the conjunct's variables, consulting the
+session-persistent walker memo once per distinct projection.  The
 binding stream — order included — is the one the tuple-at-a-time
 evaluator enumerates; only the work saved differs.
 
 Each operator carries runtime counters — rows in/out (logical stream
-sizes), batches, rows per batch, wall time of its own transform,
-path-cache hits, and (for morsel scans) morsel/worker counts — surfaced
-by ``CompiledQuery.explain(analyze=True)`` via :func:`tree_dict` /
-:func:`render_tree`.
+sizes), batches, rows per batch, wall time of its own transform, and
+path-cache hits — surfaced by ``CompiledQuery.explain(analyze=True)``
+via :func:`tree_dict` / :func:`render_tree`.
 """
 
 from __future__ import annotations
@@ -101,7 +99,6 @@ from repro.xsql.batches import (
     cross_state,
     merge_all,
     merge_overlapping,
-    morsel_map,
     product_count,
     replay_deltas,
 )
@@ -206,17 +203,15 @@ def join_strategy_of(cond: ast.Cond) -> str:
 class ExecContext:
     """Per-run execution context shared by every operator in a tree."""
 
-    __slots__ = ("evaluator", "metrics", "workers")
+    __slots__ = ("evaluator", "metrics")
 
     def __init__(
         self,
         evaluator: Evaluator,
         metrics: Optional["SessionMetrics"] = None,
-        workers: int = 1,
     ) -> None:
         self.evaluator = evaluator
         self.metrics = metrics
-        self.workers = workers
 
     def path_cache_hits(self) -> int:
         if self.metrics is None:
@@ -267,8 +262,6 @@ class Operator:
         self.batches_out = 0
         self.wall_seconds = 0.0
         self.cache_hits = 0
-        self.morsels = 0
-        self.workers_used = 0
         self.executed = False
 
     @property
@@ -357,13 +350,11 @@ class ScanOperator(Operator):
     def _bind_decl(
         self, base: ColumnBatch, touched: Set[Variable]
     ) -> ColumnBatch:
-        """Bind the declaration morsel-at-a-time over *base*.
+        """Bind the declaration over *base*.
 
         Mirrors ``Evaluator._bind_from`` binding for binding: the
         candidate stream (extent, restricted set, or the already-bound
-        object) is cut into morsels and admitted in parallel, then
-        concatenated in morsel order — so the output is identical to the
-        sequential scan for every worker count.
+        object) is admitted in order.
 
         When the FROM class is a constant and the incoming batch leaves
         the scan variable unbound, candidates and admission are
@@ -387,15 +378,7 @@ class ScanOperator(Operator):
                 )
             _env1, cls = pairs[0]
             candidates, admit = evaluator._scan_candidates(decl, {}, cls)
-
-            def admit_morsel(morsel, admit=admit):
-                return [obj for obj in morsel if admit(obj)]
-
-            admitted, n_morsels, used = morsel_map(
-                admit_morsel, candidates, workers=ctx.workers
-            )
-            self.morsels += n_morsels
-            self.workers_used = max(self.workers_used, used)
+            admitted = [obj for obj in candidates if admit(obj)]
             bound = ColumnBatch(
                 {decl.var}, {decl.var: admitted}, len(admitted)
             )
@@ -411,22 +394,11 @@ class ScanOperator(Operator):
                 candidates, admit = evaluator._scan_candidates(
                     decl, env1, cls
                 )
-
-                def work(morsel, env1=env1, admit=admit, var=decl.var):
-                    out = []
-                    for obj in morsel:
-                        if admit(obj):
-                            bound_env = dict(env1)
-                            bound_env[var] = obj
-                            out.append(bound_env)
-                    return out
-
-                got, n_morsels, used = morsel_map(
-                    work, candidates, workers=ctx.workers
-                )
-                rows.extend(got)
-                self.morsels += n_morsels
-                self.workers_used = max(self.workers_used, used)
+                for obj in candidates:
+                    if admit(obj):
+                        bound_env = dict(env1)
+                        bound_env[decl.var] = obj
+                        rows.append(bound_env)
         return ColumnBatch.from_rows(base.vars | touched, rows)
 
 
@@ -784,9 +756,8 @@ class PointerJoin(CondOperator):
     scan-then-filter.
 
     The operator groups the stream by its projection onto the other
-    side's variables and dereferences once per distinct projection, with
-    the distinct keys dispatched across the morsel worker pool; deltas
-    are memoized in the walker's generation-stamped memo.
+    side's variables and dereferences once per distinct projection;
+    deltas are memoized in the walker's generation-stamped memo.
 
     Every precondition is re-checked at runtime — an unbound operand
     variable, an incomplete index, or an already-bound fused variable
@@ -949,40 +920,29 @@ class PointerJoin(CondOperator):
         method: Optional[Atom],
         args: Tuple[Oid, ...],
     ) -> Optional[ColumnBatch]:
-        """Dereference once per distinct projection, morsel-parallel."""
+        """Dereference once per distinct projection."""
         ctx = self._ctx
         assert ctx is not None
         walker = ctx.evaluator.walker
         key_vars = sorted(other_vars, key=_var_key)
         keys = base.projection_keys(key_vars)
-        distinct = list(dict.fromkeys(keys))
         token = walker.memo_token("pointer:" + self.direction, self.cond)
-
-        def work(morsel):
-            out = []
-            for key in morsel:
-                memo_key = (token, key)
-                deltas = walker.memo_get_fresh(memo_key)
-                if deltas is None:
-                    projection = {
-                        kvar: value
-                        for kvar, value in zip(key_vars, key)
-                        if value is not None
-                    }
-                    deltas = self._bind(other, projection, method, args)
-                    if deltas is not None:
-                        walker.memo_put(memo_key, deltas)
-                else:
-                    self.cache_hits += 1
-                out.append((key, deltas))
-            return out
-
-        results, n_morsels, used = morsel_map(
-            work, distinct, workers=ctx.workers
-        )
-        self.morsels += n_morsels
-        self.workers_used = max(self.workers_used, used)
-        mapping = dict(results)
+        mapping = {}
+        for key in dict.fromkeys(keys):
+            memo_key = (token, key)
+            deltas = walker.memo_get_fresh(memo_key)
+            if deltas is None:
+                projection = {
+                    kvar: value
+                    for kvar, value in zip(key_vars, key)
+                    if value is not None
+                }
+                deltas = self._bind(other, projection, method, args)
+                if deltas is not None:
+                    walker.memo_put(memo_key, deltas)
+            else:
+                self.cache_hits += 1
+            mapping[key] = deltas
         if any(deltas is None for deltas in mapping.values()):
             return None  # incomplete index discovered mid-run
         per_row = [mapping[key] for key in keys]
@@ -1446,11 +1406,9 @@ def execute(
     root: Operator,
     evaluator: Evaluator,
     metrics: Optional["SessionMetrics"] = None,
-    *,
-    workers: int = 1,
 ) -> QueryResult:
     """Run an operator tree to completion and return its result table."""
-    ctx = ExecContext(evaluator, metrics, workers)
+    ctx = ExecContext(evaluator, metrics)
     root.open(ctx)
     try:
         return root.result()
@@ -1510,9 +1468,6 @@ def tree_dict(op: Operator) -> Dict[str, object]:
         "cache_hits": op.cache_hits,
         "time_ms": round(op.wall_seconds * 1000.0, 3),
     }
-    if op.morsels:
-        data["morsels"] = op.morsels
-        data["workers"] = op.workers_used
     derefs = getattr(op, "derefs", 0)
     if derefs:
         data["derefs"] = derefs
@@ -1540,11 +1495,6 @@ def render_tree(data: Mapping[str, object], indent: int = 0) -> List[str]:
         else ""
     )
     label = f" {data['label']}" if data.get("label") else ""
-    morsels = (
-        f"morsels={data['morsels']} workers={data['workers']} "
-        if "morsels" in data
-        else ""
-    )
     derefs = (
         f"{data['direction']} derefs={data['derefs']} "
         f"derefs/batch={data['derefs_per_batch']:g} "
@@ -1555,7 +1505,7 @@ def render_tree(data: Mapping[str, object], indent: int = 0) -> List[str]:
         f"{'  ' * indent}{data['operator']}{label} "
         f"[{est.strip() + ' ' if est else ''}act={data['rows_out']} "
         f"in={data['rows_in']} batches={data['batches']} "
-        f"rows/batch={data.get('rows_per_batch', 0):g} {morsels}{derefs}"
+        f"rows/batch={data.get('rows_per_batch', 0):g} {derefs}"
         f"cache_hits={data['cache_hits']} time={data['time_ms']}ms]"
     )
     lines = [line]

@@ -2,14 +2,14 @@
 
 Historically ``Session.prepare()``/``query()`` grew loose keyword
 arguments one at a time (``plan=``, ``engine=``, ``join_mode=``).
-:class:`ExecutionOptions` gathers them — plus the
-morsel-scan ``workers`` count and the ``pointer_join`` policy — into a
-single frozen dataclass accepted uniformly by :meth:`Session.prepare`,
-:meth:`Session.query`, :meth:`CompiledQuery.explain`, the REPL, and the
-difftest oracle.  The loose kwargs remain as thin aliases that construct
-one, and the statement cache is keyed on :meth:`ExecutionOptions.cache_key`,
-so two calls with equivalent options share a compiled entry.  Every
-knob is per call.
+:class:`ExecutionOptions` gathers them — plus the ``pointer_join``
+policy — into a single frozen dataclass accepted uniformly by
+:meth:`Session.prepare`, :meth:`Session.query`,
+:meth:`CompiledQuery.explain`, the REPL, and the difftest oracle.  The
+loose kwargs remain as thin aliases that construct one, and the
+statement cache is keyed on :meth:`ExecutionOptions.cache_key`, so two
+calls with equivalent options share a compiled entry.  Every knob is
+per call.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ JOIN_MODES = ("hash", "nested")
 #: ``"force"`` fuses whenever the shape applies, ``"off"`` never fuses.
 POINTER_JOIN_MODES = ("auto", "off", "force")
 
-#: Upper bound on the scan worker pool — morsel scans are thread-based,
-#: so more workers than cores only adds scheduling overhead.
-MAX_WORKERS = 64
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
@@ -63,10 +59,6 @@ class ExecutionOptions:
         path operands become hash, semi or pointer joins; ``"nested"``
         merges the whole stream at every operator.  Results are
         identical either way.
-    ``workers``
-        Worker threads for morsel-driven scans and pointer-join
-        dereferences.  Results are bit-identical for every worker
-        count.
     ``pointer_join``
         Pointer-join fusion policy (``"auto"``/``"off"``/``"force"``).
         Under ``plan="cost"`` with the factored executor, an equality
@@ -79,7 +71,6 @@ class ExecutionOptions:
     plan: str = "none"
     engine: str = "reference"
     join_mode: str = "hash"
-    workers: int = 1
     pointer_join: str = "auto"
 
     def validate(self) -> "ExecutionOptions":
@@ -95,12 +86,6 @@ class ExecutionOptions:
             raise QueryError(
                 f"unknown join_mode {self.join_mode!r}; "
                 f"choose from {JOIN_MODES}"
-            )
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise QueryError(f"workers must be an int, got {self.workers!r}")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise QueryError(
-                f"workers must be in 1..{MAX_WORKERS}, got {self.workers}"
             )
         if self.pointer_join not in POINTER_JOIN_MODES:
             raise QueryError(
@@ -119,7 +104,6 @@ class ExecutionOptions:
             self.plan,
             self.engine,
             self.join_mode,
-            self.workers,
             self.pointer_join,
         )
 

@@ -54,6 +54,7 @@ from repro.xsql.result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.datamodel.versions import Version
+    from repro.oid import Atom, Variable
     from repro.typing.analysis import TypingReport
     from repro.xsql.costplan import CostPlan
     from repro.xsql.session import Session
@@ -83,6 +84,12 @@ class CompiledQuery:
     #: §6.2 typing report; computed under ``plan="typed"``/``"cost"`` or
     #: lazily by explain().
     report: Optional["TypingReport"] = field(repr=False, default=None)
+    #: Theorem 6.1 range classes per variable (``range_classes`` of
+    #: :mod:`repro.typing.optimizer`), set with ``report`` when the query
+    #: is strictly well-typed; schema-only, so kept until recompilation.
+    range_classes: Optional[Dict["Variable", List["Atom"]]] = field(
+        repr=False, default=None
+    )
     #: The cost-based artifact (join order, access paths, probes);
     #: computed under ``plan="cost"``, or lazily (advisory, no index
     #: auto-enabling) by :meth:`access_paths` / :meth:`explain`.
@@ -123,10 +130,6 @@ class CompiledQuery:
     @property
     def join_mode(self) -> str:
         return self.options.join_mode
-
-    @property
-    def workers(self) -> int:
-        return self.options.workers
 
     @property
     def is_stale(self) -> bool:
@@ -219,7 +222,6 @@ class CompiledQuery:
                 "plan": self.plan,
                 "engine": self.engine,
                 "join_mode": self.join_mode,
-                "workers": self.workers,
                 "pointer_join": self.options.pointer_join,
             },
         }
@@ -246,7 +248,7 @@ class CompiledQuery:
             from repro.typing.optimizer import extent_restrictions
 
             restrictions = extent_restrictions(
-                self.session.store, assignment, report.typed_query, statement
+                self.session.store, self.range_classes or {}, statement
             )
             data["restrictions"] = {
                 str(var): len(allowed)
@@ -344,7 +346,6 @@ class CompiledQuery:
             f"pipeline: plan={pipeline['plan']} "  # type: ignore[index]
             f"engine={pipeline['engine']} "  # type: ignore[index]
             f"join_mode={pipeline['join_mode']} "  # type: ignore[index]
-            f"workers={pipeline['workers']} "  # type: ignore[index]
             f"pointer_join={pipeline['pointer_join']}"  # type: ignore[index]
         )
         return "\n".join(lines)
@@ -406,6 +407,7 @@ class QueryPipeline:
             statement = normalize_statement(raw)
         compiled.statement = statement
         compiled.report = None
+        compiled.range_classes = None
         compiled.cost_plan = None
         compiled.last_trace = None
         compiled.last_optree = None
@@ -416,6 +418,7 @@ class QueryPipeline:
                 from repro.typing.analysis import analyze
 
                 compiled.report = analyze(statement, store)
+                self._attach_range_classes(compiled)
         with metrics.time("plan"):
             compiled.planned = self._plan_statement(compiled)
         # Stamped *after* planning: the cost planner may auto-enable an
@@ -471,31 +474,28 @@ class QueryPipeline:
         if not planner.applicable(statement):
             return None
         cost_plan = planner.plan(
-            statement, range_classes=self._range_classes(compiled)
+            statement, range_classes=compiled.range_classes
         )
         compiled.cost_plan = cost_plan
         return planner.apply(statement, cost_plan)
 
-    def _range_classes(self, compiled: CompiledQuery) -> Optional[dict]:
-        """Theorem 6.1 range classes per FROM variable, when well-typed."""
+    def _attach_range_classes(self, compiled: CompiledQuery) -> None:
+        """Store the Theorem 6.1 range classes, when strictly well-typed.
+
+        Computed once per compilation: ranges depend only on the schema,
+        and a schema change recompiles the entry.
+        """
         report = compiled.report
         if report is None or report.strict_witness is None:
-            return None
+            return
         assert report.typed_query is not None
-        from repro.datamodel.hierarchy import OBJECT_CLASS
+        from repro.typing.optimizer import range_classes
 
-        store = self.session.store
         assignment, _plan = report.strict_witness
-        ranges: dict = {}
-        for var, range_ in assignment.all_ranges(report.typed_query).items():
-            classes = [
-                cls
-                for cls in range_.sorted_classes()
-                if cls != OBJECT_CLASS and cls in store.hierarchy
-            ]
-            if classes:
-                ranges[var] = classes
-        return ranges or None
+        compiled.range_classes = (
+            range_classes(self.session.store, assignment, report.typed_query)
+            or None
+        )
 
     def ensure_report(self, compiled: CompiledQuery) -> None:
         """Lazily attach the typing report (``explain`` needs it)."""
@@ -511,6 +511,7 @@ class QueryPipeline:
                 compiled.report = analyze(
                     compiled.statement, self.session.store
                 )
+                self._attach_range_classes(compiled)
 
     # ------------------------------------------------------------------
     # execution
@@ -570,9 +571,7 @@ class QueryPipeline:
         # survive across runs of any statement.
         evaluator = session.evaluator(restrictions or None)
         root = operators.lower_statement(compiled.planned, spec)
-        result = operators.execute(
-            root, evaluator, session.metrics, workers=compiled.workers
-        )
+        result = operators.execute(root, evaluator, session.metrics)
         compiled.last_optree = operators.tree_dict(root)
         if cost_plan is not None:
             trace = operators.stage_trace(root)
@@ -629,13 +628,9 @@ class QueryPipeline:
         from repro.typing.optimizer import extent_restrictions
 
         session = self.session
-        report = compiled.report
-        assert report is not None and report.strict_witness is not None
-        assignment, _plan = report.strict_witness
-        assert report.typed_query is not None
         assert isinstance(compiled.statement, ast.Query)
         restrictions = extent_restrictions(
-            session.store, assignment, report.typed_query, compiled.statement
+            session.store, compiled.range_classes or {}, compiled.statement
         )
         for allowed in restrictions.values():
             session.metrics.observe("restriction", len(allowed))
@@ -675,12 +670,10 @@ class QueryPipeline:
         statement = compiled.statement
         assert isinstance(statement, ast.Query)
         restrictions: Dict[object, frozenset] = {}
-        report = compiled.report
-        if report is not None and report.strict_witness is not None:
+        ranges = compiled.range_classes
+        if ranges is not None:
             from repro.typing.optimizer import extent_restrictions
 
-            assignment, _plan = report.strict_witness
-            assert report.typed_query is not None
             # Each Theorem 6.1 set costs a ``store.extent`` per range
             # class (O(extent); only literal classes scan the active
             # domain) and is never needed for soundness, so only
@@ -689,7 +682,6 @@ class QueryPipeline:
             # variables (walks bind those, and the conds re-verify every
             # binding anyway), and FROM variables whose range is exactly
             # the declared class (``_bind_from`` scans that same extent).
-            ranges = self._range_classes(compiled) or {}
             probed = {probe.var for probe in cost_plan.probes}
             keep = {
                 decl.var
@@ -699,9 +691,7 @@ class QueryPipeline:
             }
             skip = frozenset(var for var in ranges if var not in keep)
             restrictions = dict(
-                extent_restrictions(
-                    store, assignment, report.typed_query, statement, skip
-                )
+                extent_restrictions(store, ranges, statement, skip)
             )
             for allowed in restrictions.values():
                 metrics.observe("restriction", len(allowed))
@@ -749,7 +739,7 @@ class QueryPipeline:
             return None
         self.ensure_report(compiled)
         cost_plan = planner.plan(
-            statement, range_classes=self._range_classes(compiled)
+            statement, range_classes=compiled.range_classes
         )
         if compiled.plan == "cost":
             # _plan_cost declined (e.g. it was not applicable then); keep

@@ -4,8 +4,7 @@ Run with::
 
     python -m repro.xsql.repl [--paper | --synthetic N]
                               [--plan {none,greedy,typed,cost}]
-                              [--workers N] [--stats]
-                              [--storage SPEC]
+                              [--stats] [--storage SPEC]
 
 Statements end with ``;``.  Meta-commands (no semicolon):
 
@@ -36,12 +35,11 @@ Statements end with ``;``.  Meta-commands (no semicolon):
 With ``--paper`` the shell starts on the Figure 1 schema and the paper's
 instance database, so every example of the paper can be typed in
 directly.  ``--plan`` selects the conjunct planner every statement runs
-under; ``--workers N`` spreads scans over N morsel-parallel worker
-threads — same results for every N;
-``--stats`` prints a per-statement pipeline timing line and a cumulative
-report on exit.  ``--storage SPEC`` opens the session on a storage
-backend up front (same specs as ``.open``; ``--paper``/``--synthetic``
-seed the database only when the backend holds nothing yet).
+under; ``--stats`` prints a per-statement pipeline timing line and a
+cumulative report on exit.  ``--storage SPEC`` opens the session on a
+storage backend up front (same specs as ``.open``;
+``--paper``/``--synthetic`` seed the database only when the backend
+holds nothing yet).
 """
 
 from __future__ import annotations
@@ -287,13 +285,6 @@ def main(argv: Optional[list] = None) -> int:
         help="conjunct planner for executed statements (default: none)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for morsel-parallel scans",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print per-statement pipeline timings and a final summary",
@@ -308,7 +299,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     args = parser.parse_args(argv)
     session = _make_session(args)
-    options = ExecutionOptions(plan=args.plan, workers=args.workers).validate()
+    options = ExecutionOptions(plan=args.plan).validate()
     return run_repl(
         session, plan=args.plan, show_stats=args.stats, options=options
     )

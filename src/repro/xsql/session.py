@@ -178,7 +178,6 @@ class Session:
         plan: Optional[str] = None,
         engine: Optional[str] = None,
         join_mode: Optional[str] = None,
-        workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
     ) -> CompiledQuery:
         """Compile one statement through the pipeline, without running it.
@@ -186,7 +185,7 @@ class Session:
         Execution knobs arrive either as one
         :class:`~repro.xsql.options.ExecutionOptions` record
         (``options=``) or as the historical loose kwargs (``plan=``,
-        ``engine=``, ``join_mode=``, ``workers=``, ``pointer_join=``) —
+        ``engine=``, ``join_mode=``, ``pointer_join=``) —
         the kwargs are thin aliases that override fields of the record.
 
         The returned :class:`~repro.xsql.pipeline.CompiledQuery` is
@@ -202,7 +201,6 @@ class Session:
             plan=plan,
             engine=engine,
             join_mode=join_mode,
-            workers=workers,
             pointer_join=pointer_join,
         )
         self.metrics.begin_statement()
@@ -216,7 +214,6 @@ class Session:
         plan: Optional[str] = None,
         engine: Optional[str] = None,
         join_mode: Optional[str] = None,
-        workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
     ) -> QueryResult:
         """Execute a SELECT query (the common case).
@@ -228,17 +225,15 @@ class Session:
         (the statistics-driven optimizer).  ``engine`` selects
         ``"reference"`` (the binding-stream evaluator) or ``"naive"``
         (the literal §3.4 enumerate-all-substitutions semantics).
-        ``join_mode``, ``workers``, and ``pointer_join`` tune the
-        reference executor; pass
-        ``options=ExecutionOptions(...)`` to set everything at once (see
-        :meth:`prepare`).
+        ``join_mode`` and ``pointer_join`` tune the reference executor;
+        pass ``options=ExecutionOptions(...)`` to set everything at once
+        (see :meth:`prepare`).
         """
         resolved = ExecutionOptions.coerce(
             options,
             plan=plan,
             engine=engine,
             join_mode=join_mode,
-            workers=workers,
             pointer_join=pointer_join,
         )
         self.metrics.begin_statement()
@@ -627,7 +622,6 @@ class Session:
         options: Optional[ExecutionOptions] = None,
         plan: Optional[str] = None,
         join_mode: Optional[str] = None,
-        workers: Optional[int] = None,
         pointer_join: Optional[str] = None,
         format: str = "text",
         analyze: bool = False,
@@ -638,14 +632,13 @@ class Session:
         the compiled statement.  ``analyze=True`` executes the query and
         includes the instrumented physical-operator tree (per-operator
         estimated vs actual rows, batches, rows per batch, cache hits,
-        morsel/worker counts, wall time).
+        wall time).
         """
         return self.prepare(
             source,
             options=options,
             plan=plan,
             join_mode=join_mode,
-            workers=workers,
             pointer_join=pointer_join,
         ).explain(format=format, analyze=analyze)
 

@@ -23,7 +23,7 @@ from repro.bench.scale import (
 @pytest.fixture(scope="module")
 def artifact():
     return run_scale_benchmark(
-        tiers=("1k",), rounds=1, modes=[("cost", "hash", 1)]
+        tiers=("1k",), rounds=1, modes=[("cost", "hash")]
     )
 
 
@@ -116,3 +116,21 @@ class TestBaselineGate:
         baseline = copy.deepcopy(artifact)
         baseline["tiers"][0]["tier"] = "other"
         assert compare_to_baseline(artifact, baseline) == []
+        # A baseline mode the payload did not run is not a regression.
+        richer = copy.deepcopy(artifact)
+        extra = copy.deepcopy(richer["tiers"][0]["modes"][0])
+        extra["join_mode"] = "nested"
+        richer["tiers"][0]["modes"].append(extra)
+        assert compare_to_baseline(artifact, richer) == []
+
+    def test_payload_mode_missing_from_baseline_is_reported(self, artifact):
+        """A mode with nothing to compare against must not pass silently:
+        a re-keyed mode grid or a stale baseline would disable the gate."""
+        payload = copy.deepcopy(artifact)
+        extra = copy.deepcopy(payload["tiers"][0]["modes"][0])
+        extra["plan"] = "typed"
+        payload["tiers"][0]["modes"].append(extra)
+        problems = compare_to_baseline(payload, artifact)
+        assert problems == [
+            "1k plan=typed join=hash: no baseline entry to compare"
+        ]

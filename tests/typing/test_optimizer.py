@@ -5,7 +5,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.oid import Atom, Variable
-from repro.typing import analyze, build_typed_query, extent_restrictions, reorder
+from repro.typing import (
+    analyze,
+    build_typed_query,
+    extent_restrictions,
+    range_classes,
+    reorder,
+)
 from repro.typing.plans import ExecutionPlan
 from repro.typing.strict import is_coherent
 from repro.workloads.generator import WorkloadConfig, generate_database
@@ -88,7 +94,7 @@ class TestTheoremParts:
         for plan in all_plans(typed_query):
             if is_coherent(assignment, plan, typed_query, store):
                 restrictions = extent_restrictions(
-                    store, assignment, typed_query, query
+                    store, range_classes(store, assignment, typed_query), query
                 )
                 reordered = reorder(query, typed_query, plan)
                 root = operators.lower_statement(
@@ -106,7 +112,7 @@ class TestTheoremParts:
         report = analyze(query, store)
         assignment, _ = report.strict_witness
         restrictions = extent_restrictions(
-            store, assignment, report.typed_query, query
+            store, range_classes(store, assignment, report.typed_query), query
         )
         m_allowed = restrictions[Variable("M")]
         assert m_allowed == store.extent("Company")

@@ -19,8 +19,7 @@ list-of-dicts cross product over each batch's ``to_rows()``.
 ``merge_overlapping``, ``merge_all`` and ``cross_state`` must enumerate
 exactly its rows, in its order — ragged rows (variables UNBOUND in some
 rows) and the empty-state identity included.  Row↔column round-trips
-are exact, and morsel splitting is a concat identity whose
-:func:`morsel_map` output is independent of the worker count.
+are exact.
 """
 
 from collections import Counter
@@ -33,8 +32,6 @@ from repro.xsql.batches import (
     UNBOUND,
     ColumnBatch,
     cross_state,
-    morsel_map,
-    split_morsels,
 )
 from repro.xsql.operators import (
     merge_all,
@@ -271,36 +268,3 @@ class TestColumnBatch:
         assert merged.to_rows() == [{}] == reference_product([])
         assert merge_all([]).to_rows() == [{}]
 
-
-class TestMorsels:
-    @given(
-        items=st.lists(st.integers(), max_size=50),
-        morsel_size=st.integers(1, 7),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_split_concat_identity(self, items, morsel_size):
-        morsels = split_morsels(items, morsel_size)
-        assert [x for morsel in morsels for x in morsel] == items
-        assert all(len(morsel) <= morsel_size for morsel in morsels)
-        assert all(morsels)  # no empty morsels
-
-    @given(
-        items=st.lists(st.integers(), max_size=50),
-        morsel_size=st.integers(1, 7),
-        workers=st.integers(1, 4),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_worker_count_independence(self, items, morsel_size, workers):
-        """morsel_map output is identical for every worker count."""
-        work = lambda morsel: [x * 2 for x in morsel]
-        baseline, n_morsels, _ = morsel_map(
-            work, items, workers=1, morsel_size=morsel_size
-        )
-        result, n_morsels_w, used = morsel_map(
-            work, items, workers=workers, morsel_size=morsel_size
-        )
-        assert result == baseline == [x * 2 for x in items]
-        assert n_morsels_w == n_morsels == len(
-            split_morsels(items, morsel_size)
-        )
-        assert 1 <= used <= max(1, workers)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.storage import decode_store
+from repro.typing.assignments import TypeAssignment
 from repro.xsql.pipeline import ENGINES, PLAN_MODES, CompiledQuery
 from tests.conftest import names, store_image
 
@@ -123,6 +124,24 @@ class TestStatementCache:
         # The evicted (oldest) entry misses again.
         paper_session.query("SELECT X FROM Company X")
         assert paper_session.stats()["counters"]["cache.miss"] == 4
+
+    @pytest.mark.parametrize("plan", ["cost", "typed"])
+    def test_range_classes_computed_once_per_compile(
+        self, paper_session, monkeypatch, plan
+    ):
+        """Ranges depend only on the schema: re-runs of a prepared
+        statement, after a data write too, never recompute them."""
+        compiled = paper_session.prepare(STRICT_QUERY, plan=plan)
+        first = list(compiled.run())
+
+        def recomputed(self, typed_query):
+            raise AssertionError("a re-run recomputed the ranges")
+
+        monkeypatch.setattr(TypeAssignment, "all_ranges", recomputed)
+        assert list(compiled.run()) == first
+        paper_session.execute("UPDATE CLASS Employee SET ben.Salary = 1")
+        assert list(compiled.run()) == first
+        assert compiled.range_classes  # the restrictions were in play
 
     def test_replace_store_clears_cache(self, paper_session):
         paper_session.query(FAMILY_QUERY)
