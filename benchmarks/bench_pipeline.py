@@ -25,15 +25,26 @@ nested loops on every query, and each query's hash p50 must stay within
 2× of the checked-in baseline artifact (``--baseline``; by default
 ``benchmarks/BENCH_pipeline.json``).
 
+**Shape benchmark** — for every paper query with literals, three
+``prepare`` timings: *cold* (empty statement cache: parse → normalize →
+analyze → plan), *exact hit* (the same text again: one lex and a
+lookup), and *shape hit* (a text that differs only in literals, served
+by rebinding them into the cached compilation: one lex, a lookup and
+the plan stage).  On every such query a shape-hit prepare must take at
+most 0.5× the cold prepare.
+
 **Pointer-join benchmark** — ``pointer_join="force"`` vs
 ``pointer_join="off"`` on prepared ``plan="cost"`` re-runs: V1 binds a
 fan-out conjunct (``D.Manager =some Y``) by dereferencing the stored
 cell instead of scanning the 600-employee extent and hashing it; V2
 is a star with two navigation edges hanging off one selective
-dimension.  Both must clear 5×.
+dimension.  The pointer side must beat the hash side on every query,
+and each query's pointer p50 must stay within 2× of the checked-in
+baseline artifact.
 
 **Compile-scaling benchmark** — the p50 of a cold
-``prepare(..., plan="cost")`` over 200 distinct point-lookup texts on
+``prepare(..., plan="cost")`` (statement cache cleared first) over 200
+distinct point-lookup texts on
 scaled stores of 2k and 20k objects.  Planning reads only the
 statistics catalogue and O(classes) schema counts, so the 20k p50 must
 stay within 2× of the 2k p50.
@@ -55,8 +66,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--rounds N]
         [--plan none|greedy|typed|cost] [--json PATH] [--baseline PATH]
 
-or through pytest (asserts the ratio criteria; the baseline gate is
-CLI-only)::
+or through pytest (asserts the ratio criteria; the join baseline gate
+is CLI-only, the pointer one runs in both)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_pipeline.py
 """
@@ -70,11 +81,14 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import Session
+from repro.difftest.oracle import shape_sibling
 from repro.oid import Atom
 from repro.schema.figure1 import build_figure1_schema
 from repro.workloads.generator import WorkloadConfig, generate_database
 from repro.workloads.paper_db import populate_paper_database
 from repro.workloads.scale import ScaleSpec, generate_scaled
+from repro.xsql.lexer import tokenize
+from repro.xsql.pipeline import statement_shape
 
 #: The paper's numbered examples Q1–Q12 (read-only; Q13 is measured
 #: separately because object creation mutates the store).
@@ -183,7 +197,10 @@ DEFAULT_BASELINE = Path(__file__).with_name("BENCH_pipeline.json")
 #: under identical ``plan="cost"`` join orders, with ``Name`` indexed
 #: so the kept side is a probe and the *skipped* extent dominates.  V1
 #: navigates one stored-oid edge instead of scanning and hashing the
-#: employee extent; V2 is a star with two fused navigation edges.
+#: employee extent; V2 is a star with two fused navigation edges.  The
+#: pointer side must beat the hash side on every query, and no query's
+#: pointer p50 may exceed ``POINTER_BASELINE_FACTOR`` times its
+#: baseline-artifact p50 (the form of the join gate).
 POINTER_WORKLOAD = WorkloadConfig(n_people=1000, n_companies=8, seed=11)
 POINTER_QUERIES: List[Tuple[str, str]] = [
     (
@@ -198,7 +215,13 @@ POINTER_QUERIES: List[Tuple[str, str]] = [
         "and D.Location =some A",
     ),
 ]
-POINTER_TARGET = 5.0
+POINTER_BASELINE_FACTOR = 2.0
+
+#: The shape benchmark: a shape-hit prepare of every paper query with
+#: literals must cost at most this fraction of its cold prepare.
+SHAPE_HIT_LIMIT = 0.5
+#: Prepare timings are tens of microseconds, so take more samples.
+SHAPE_ROUNDS = 51
 
 #: The compile-scaling benchmark: cold ``plan="cost"`` compiles of
 #: distinct point lookups (every text misses the statement cache) on a
@@ -288,6 +311,67 @@ def measure(
     q13_cached_s = _median_seconds(q13_compiled.run, rounds)
     results.append(("Q13*", q13_cold_s, q13_cached_s))
     return results
+
+
+def measure_shape(
+    plan: str = "typed", rounds: int = SHAPE_ROUNDS
+) -> List[Tuple[str, float, float, float]]:
+    """Per-query (name, cold, exact_hit, shape_hit) prepare medians.
+
+    Only paper queries with literals take part.  The shape hit prepares
+    the query's :func:`~repro.difftest.oracle.shape_sibling` (every
+    literal swapped for a fresh one of its kind) while the query itself
+    is the cached entry; each of those prepares must count a
+    ``cache.rebind``.
+    """
+    session = _paper_session()
+    counters = session.metrics.counters
+    results = []
+    for name, text in PAPER_QUERIES:
+        if not statement_shape(tokenize(text))[1]:
+            continue
+        sibling = shape_sibling(text)
+
+        def cold() -> None:
+            session.pipeline.clear()
+            session.prepare(text, plan=plan)
+
+        cold_s = _median_seconds(cold, rounds)
+        session.prepare(text, plan=plan)
+        exact_s = _median_seconds(
+            lambda: session.prepare(text, plan=plan), rounds
+        )
+        rebinds = counters.get("cache.rebind", 0)
+        shape_s = _median_seconds(
+            lambda: session.prepare(sibling, plan=plan), rounds
+        )
+        assert counters.get("cache.rebind", 0) == rebinds + rounds, name
+        results.append((name, cold_s, exact_s, shape_s))
+    return results
+
+
+def worst_shape_ratio(results: List[Tuple[str, float, float, float]]) -> float:
+    """The largest shape-hit / cold prepare ratio over the queries."""
+    return max(shape / cold for _name, cold, _exact, shape in results)
+
+
+def report_shape(results: List[Tuple[str, float, float, float]]) -> str:
+    lines = [
+        "shape-keyed statement cache: prepare of the paper queries with "
+        "literals",
+        f"{'query':6s} {'cold':>10s} {'exact':>10s} {'shape':>10s} "
+        f"{'shape/cold':>10s}",
+    ]
+    for name, cold, exact, shape in results:
+        lines.append(
+            f"{name:6s} {cold * 1000:8.3f}ms {exact * 1000:8.3f}ms "
+            f"{shape * 1000:8.3f}ms {shape / cold:9.2f}x"
+        )
+    lines.append(
+        f"worst shape/cold: {worst_shape_ratio(results):.2f}x "
+        f"(limit <= {SHAPE_HIT_LIMIT:g}x on every query)"
+    )
+    return "\n".join(lines)
 
 
 def measure_selective(
@@ -387,6 +471,9 @@ def measure_compile() -> List[Tuple[int, float]]:
     for index in range(COMPILE_TEXTS + 1):
         text = f"SELECT X FROM Person X WHERE X.Name['P{index}']"
         for session, samples in zip(sessions, times):
+            # A cold compile: with the entry of this text's shape in the
+            # cache, the prepare would only rebind the literal.
+            session.pipeline.clear()
             started = time.perf_counter()
             session.prepare(text, plan="cost")
             if index:
@@ -682,34 +769,66 @@ def hash_beats_nested(results: List[Tuple[str, float, float, int]]) -> bool:
     return all(hashed < nested for _name, nested, hashed, _rows in results)
 
 
+def _baseline_regressions(
+    measured: List[Tuple[str, float]],
+    baseline: Dict[str, object],
+    section: str,
+    side: str,
+    factor: float,
+) -> List[str]:
+    """Queries whose *side* p50 exceeds *factor* x the baseline's, or
+    that the baseline's *section* has no entry for (a missing entry
+    fails rather than silently turning the gate off)."""
+    base = {
+        entry["query"]: entry[f"{side}_ms"]
+        for entry in baseline.get(section, [])
+    }
+    problems = []
+    for name, seconds in measured:
+        base_ms = base.get(name)
+        if not base_ms:
+            problems.append(f"{name}: no {side} p50 in the baseline")
+        elif seconds * 1000 > base_ms * factor:
+            problems.append(
+                f"{name}: {side} p50 {seconds * 1000:.3f}ms is "
+                f">{factor:g}x above baseline {base_ms:.3f}ms"
+            )
+    return problems
+
+
 def join_baseline_regressions(
     results: List[Tuple[str, float, float, int]],
     baseline: Dict[str, object],
     factor: float = JOIN_BASELINE_FACTOR,
 ) -> List[str]:
-    """J queries whose hash p50 exceeds *factor* x the baseline's, or
-    that the baseline has no entry for (a missing entry fails rather
-    than silently turning the gate off)."""
-    base = {
-        entry["query"]: entry["hash_ms"] for entry in baseline.get("joins", [])
-    }
-    problems = []
-    for name, _nested, hashed, _rows in results:
-        base_ms = base.get(name)
-        if not base_ms:
-            problems.append(f"{name}: no hash p50 in the baseline")
-        elif hashed * 1000 > base_ms * factor:
-            problems.append(
-                f"{name}: hash p50 {hashed * 1000:.3f}ms is >{factor:g}x "
-                f"above baseline {base_ms:.3f}ms"
-            )
-    return problems
+    """J queries whose hash p50 regressed against the baseline."""
+    return _baseline_regressions(
+        [(name, hashed) for name, _nested, hashed, _rows in results],
+        baseline, "joins", "hash", factor,
+    )
+
+
+def pointer_baseline_regressions(
+    results: List[Tuple[str, float, float, int]],
+    baseline: Dict[str, object],
+    factor: float = POINTER_BASELINE_FACTOR,
+) -> List[str]:
+    """V queries whose pointer p50 regressed against the baseline."""
+    return _baseline_regressions(
+        [(name, fused) for name, _hashed, fused, _rows in results],
+        baseline, "pointer", "pointer", factor,
+    )
+
+
+def pointer_beats_hash(results: List[Tuple[str, float, float, int]]) -> bool:
+    """Every V workload must run faster fused than hashed."""
+    return all(fused < hashed for _name, hashed, fused, _rows in results)
 
 
 def worst_pointer_speedup(
     results: List[Tuple[str, float, float, int]]
 ) -> float:
-    """The *minimum* speedup: every V workload must clear the target."""
+    """The *minimum* hash/pointer ratio over the V workloads."""
     return min(
         hashed / fused
         for _name, hashed, fused, _rows in results
@@ -740,8 +859,9 @@ def report_pointer(
             f"{ratio:7.2f}x {rows:5d}"
         )
     lines.append(
-        f"worst speedup: {worst_pointer_speedup(results):.2f}x "
-        f"(target >= {POINTER_TARGET:.0f}x on every workload)"
+        f"worst speedup: {worst_pointer_speedup(results):.2f}x; "
+        "pointer beats hash on every workload: "
+        f"{'yes' if pointer_beats_hash(results) else 'NO'}"
     )
     return "\n".join(lines)
 
@@ -832,6 +952,7 @@ def as_json(
     snapshot_results: List[Tuple[str, float, float]],
     compile_results: List[Tuple[int, float]],
     maintenance_results: List[Tuple[int, float, float]],
+    shape_results: List[Tuple[str, float, float, float]],
 ) -> Dict[str, object]:
     """The JSON artifact CI uploads (``BENCH_pipeline.json``)."""
     targeted_s, recompute_s, groups = maintenance
@@ -841,7 +962,8 @@ def as_json(
             "cache_speedup": SPEEDUP_TARGET,
             "selective_speedup": SELECTIVE_TARGET,
             "join_hash_baseline_factor": JOIN_BASELINE_FACTOR,
-            "pointer_speedup": POINTER_TARGET,
+            "pointer_baseline_factor": POINTER_BASELINE_FACTOR,
+            "shape_hit_limit": SHAPE_HIT_LIMIT,
             "view_maintenance_speedup": VIEW_TARGET,
             "snapshot_overhead_limit": SNAPSHOT_OVERHEAD_LIMIT,
             "compile_scaling_limit": COMPILE_SCALING_LIMIT,
@@ -857,6 +979,17 @@ def as_json(
             for name, cold, cached in cache_results
         ],
         "best_cache_speedup": round(best_speedup(cache_results), 2),
+        "shape": [
+            {
+                "query": name,
+                "cold_ms": round(cold * 1000, 4),
+                "exact_hit_ms": round(exact * 1000, 4),
+                "shape_hit_ms": round(shape * 1000, 4),
+                "shape_over_cold": round(shape / cold, 3),
+            }
+            for name, cold, exact, shape in shape_results
+        ],
+        "worst_shape_over_cold": round(worst_shape_ratio(shape_results), 3),
         "selective": [
             {
                 "query": name,
@@ -894,6 +1027,7 @@ def as_json(
         "worst_pointer_speedup": round(
             worst_pointer_speedup(pointer_results), 2
         ),
+        "pointer_beats_hash": pointer_beats_hash(pointer_results),
         "view_maintenance": {
             "writes": VIEW_WRITES,
             "groups": groups,
@@ -959,10 +1093,31 @@ def test_join_baseline_gate_fails_on_slow_or_missing_entries():
     ]
 
 
-def test_pointer_joins_beat_hash_5x_on_every_pointer_workload():
+def test_pointer_joins_beat_hash_on_every_pointer_workload():
     results = measure_pointer(rounds=7)
-    assert worst_pointer_speedup(results) >= POINTER_TARGET, (
-        report_pointer(results)
+    assert pointer_beats_hash(results), report_pointer(results)
+    with open(DEFAULT_BASELINE) as handle:
+        baseline = json.load(handle)
+    regressions = pointer_baseline_regressions(results, baseline)
+    assert not regressions, "\n".join(regressions)
+
+
+def test_pointer_baseline_gate_fails_on_slow_or_missing_entries():
+    results = [("V1", 1.0, 0.010, 1), ("V2", 1.0, 0.050, 1)]
+    baseline = {"pointer": [{"query": "V1", "pointer_ms": 10.0},
+                            {"query": "V2", "pointer_ms": 10.0}]}
+    problems = pointer_baseline_regressions(results, baseline)
+    assert [line.split(":")[0] for line in problems] == ["V2"]
+    assert pointer_baseline_regressions(results[:1], {}) == [
+        "V1: no pointer p50 in the baseline"
+    ]
+
+
+def test_shape_hit_prepare_at_most_half_of_cold_on_every_literal_query():
+    results = measure_shape()
+    assert len(results) == 6  # Q3, Q5, Q7-Q10
+    assert worst_shape_ratio(results) <= SHAPE_HIT_LIMIT, (
+        report_shape(results)
     )
 
 
@@ -1027,8 +1182,9 @@ def main() -> int:
         "--baseline",
         metavar="PATH",
         default=str(DEFAULT_BASELINE),
-        help="artifact whose J-query hash p50s gate this run at "
-        f"{JOIN_BASELINE_FACTOR:g}x (default: %(default)s)",
+        help="artifact whose J-query hash p50s and V-query pointer p50s "
+        f"gate this run at {JOIN_BASELINE_FACTOR:g}x and "
+        f"{POINTER_BASELINE_FACTOR:g}x (default: %(default)s)",
     )
     args = parser.parse_args()
     # Read before measuring: --json may overwrite the same file.
@@ -1038,6 +1194,7 @@ def main() -> int:
     with open(args.baseline) as handle:
         baseline = json.load(handle)
     results = measure(plan=args.plan, rounds=args.rounds)
+    shape = measure_shape(plan=args.plan)
     selective = measure_selective(rounds=args.rounds)
     joins = measure_joins(rounds=min(args.rounds, 5))
     pointer = measure_pointer(rounds=min(args.rounds, 7))
@@ -1047,6 +1204,8 @@ def main() -> int:
     upkeep = measure_maintenance()
     estimation = measure_estimation() if args.analyze else None
     print(report(results))
+    print()
+    print(report_shape(shape))
     print()
     print(report_selective(selective))
     print()
@@ -1061,6 +1220,14 @@ def main() -> int:
         )
     print()
     print(report_pointer(pointer))
+    pointer_regressions = pointer_baseline_regressions(pointer, baseline)
+    for line in pointer_regressions:
+        print(f"REGRESSION vs {args.baseline}: {line}")
+    if not pointer_regressions:
+        print(
+            f"pointer p50s within {POINTER_BASELINE_FACTOR:g}x of "
+            f"{args.baseline}"
+        )
     print()
     print(report_view_maintenance(maintenance))
     print()
@@ -1075,7 +1242,7 @@ def main() -> int:
     if args.json:
         payload = as_json(
             results, selective, joins, pointer, maintenance, snapshot,
-            compiled, upkeep,
+            compiled, upkeep, shape,
         )
         if estimation is not None:
             payload["analyze"] = estimation_as_json(estimation)
@@ -1088,7 +1255,9 @@ def main() -> int:
         and best_selective_speedup(selective) >= SELECTIVE_TARGET
         and hash_beats_nested(joins)
         and not regressions
-        and worst_pointer_speedup(pointer) >= POINTER_TARGET
+        and worst_shape_ratio(shape) <= SHAPE_HIT_LIMIT
+        and pointer_beats_hash(pointer)
+        and not pointer_regressions
         and view_maintenance_speedup(maintenance) >= VIEW_TARGET
         and snapshot_overhead(snapshot) <= SNAPSHOT_OVERHEAD_LIMIT
         and compile_scaling(compiled) <= COMPILE_SCALING_LIMIT

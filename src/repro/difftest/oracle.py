@@ -6,8 +6,9 @@ The engine matrix is one table, :data:`ENGINES` (see also
 scope it runs on (rows with one scope share a persistent
 :class:`~repro.xsql.session.Session`, so its statement cache and walker
 memo stay warm across a fuzz run), and an optional store transform that
-scope's session runs over.  Only ``flogic`` and ``cached`` have their
-own runner; every other row is ``session.query(text, options=...)``.
+scope's session runs over.  Only ``flogic``, ``cached`` and ``shape``
+have their own runner; every other row is
+``session.query(text, options=...)``.
 
 {matrix}
 
@@ -36,10 +37,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 from repro.datamodel.store import ObjectStore
 from repro.errors import XsqlError
 from repro.flogic import FlogicDatabase, TranslationUnsupported, evaluate, translate
-from repro.oid import Atom, Oid
+from repro.oid import Atom, Oid, Value
 from repro.xsql import ast
+from repro.xsql.lexer import Token, literal_value, tokenize
 from repro.xsql.options import ExecutionOptions
 from repro.xsql.parser import parse_query
+from repro.xsql.pipeline import statement_shape
 from repro.xsql.result import QueryResult
 from repro.xsql.session import Session
 
@@ -50,6 +53,7 @@ __all__ = [
     "EngineOutcome",
     "Oracle",
     "OracleReport",
+    "shape_sibling",
     "wal_roundtrip",
 ]
 
@@ -78,6 +82,52 @@ def wal_roundtrip(store: ObjectStore) -> ObjectStore:
             recovered.close()
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _spelling(token: Token) -> str:
+    if token.kind == "KEYWORD":
+        return token.raw or token.text
+    if token.kind == "CLASSVAR":
+        return "#" + token.text
+    if token.kind == "METHODVAR":
+        return '"' + token.text
+    return token.text
+
+
+def shape_sibling(text: str) -> str:
+    """*text* with its literals swapped for fresh ones of the same shape.
+
+    Each literal becomes a value of its kind (int, float, str) that the
+    text does not contain, equal literals alike, so the sibling has the
+    statement-cache shape of *text*
+    (:func:`repro.xsql.pipeline.statement_shape`).  Tokens are joined by
+    single spaces, which the lexer ignores.
+    """
+    tokens = tokenize(text)
+    _shape, literals = statement_shape(tokens)
+    taken = {(type(value), value) for value in literals}
+    fresh: Dict[Tuple[type, object], str] = {}
+    parts = []
+    for token in tokens[:-1]:  # the EOF token spells nothing
+        if token.kind not in ("NUMBER", "STRING"):
+            parts.append(_spelling(token))
+            continue
+        value = literal_value(token)
+        kind = type(value)
+        if (kind, value) not in fresh:
+            serial = 7001 + len(fresh)
+            while True:
+                candidate = {int: serial, float: serial + 0.5}.get(
+                    kind, f"~{serial}"
+                )
+                if (kind, candidate) not in taken:
+                    break
+                serial += 1
+            fresh[(kind, value)] = (
+                f"'{candidate}'" if kind is str else str(candidate)
+            )
+        parts.append(fresh[(kind, value)])
+    return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -124,8 +174,9 @@ ENGINES: Tuple[Engine, ...] = (
         runner="_run_flogic",
     ),
     Engine(
-        "columnar", _Opts(plan="cost"),
-        "walker memo kept across queries", scope="columnar",
+        "shape", _Opts(plan="cost"),
+        "served by rebinding literals into a same-shape compile",
+        scope="shape", runner="_run_shape",
     ),
     Engine(
         "kv", _Opts(), "reference plan over the WAL-recovered store",
@@ -345,6 +396,39 @@ class Oracle:
                 "CompiledQuery disagree"
             )
         return first
+
+    def _run_shape(
+        self, engine: Engine, text: str, parsed: ast.Query
+    ) -> QueryResult:
+        """The shape-keyed cache engine: compiled by rebinding literals.
+
+        A sibling of *text* (:func:`shape_sibling`) is prepared first on
+        the scope's session, then *text* itself, which the statement
+        cache must serve by rebinding its literals into the sibling's
+        compilation; a text with literals that records no
+        ``cache.rebind`` is an error.  The exception is a literal whose
+        class memberships differ from its sibling's: such a text must
+        compile fresh.
+        """
+        session = self.session_for(engine.scope)
+        sibling = shape_sibling(text)
+        session.prepare(sibling, options=engine.options)
+        counters = session.metrics.counters
+        rebinds = counters.get("cache.rebind", 0)
+        compiled = session.prepare(text, options=engine.options)
+        _shape, literals = statement_shape(tokenize(text))
+        _shape, fresh = statement_shape(tokenize(sibling))
+        direct = session.store.direct_classes_of
+        expect_rebind = bool(literals) and all(
+            direct(Value(old)) == direct(Value(new))
+            for old, new in zip(literals, fresh)
+        )
+        if expect_rebind and counters.get("cache.rebind", 0) == rebinds:
+            raise XsqlError(
+                "statement cache compiled a same-shape text from scratch "
+                f"instead of rebinding it (sibling: {sibling})"
+            )
+        return compiled.run()
 
     def _run_flogic(self, engine: Engine, text: str, parsed: ast.Query) -> Rows:
         if self._flogic_db is None:

@@ -18,12 +18,18 @@ SQL; everything else is case-sensitive, like the paper's examples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import XsqlSyntaxError
 
-__all__ = ["Token", "tokenize", "split_script", "split_statements", "KEYWORDS"]
+__all__ = [
+    "Token",
+    "tokenize",
+    "split_script",
+    "split_statements",
+    "literal_value",
+    "KEYWORDS",
+]
 
 KEYWORDS = frozenset(
     {
@@ -73,10 +79,8 @@ KEYWORDS = frozenset(
     }
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
+_LEXEMES = r"""
+    (?P<comment>--[^\n]*)
   | (?P<number>\d+\.\d+|\d+)
   | (?P<string>'(?:[^'\\]|\\.)*')
   | (?P<classvar>\#[A-Za-z_][A-Za-z0-9_]*)
@@ -85,13 +89,23 @@ _TOKEN_RE = re.compile(
   | (?P<arrow>=>>|=>|->>|->)
   | (?P<op><>|!=|<=|>=|=|<|>|\+|-|\*|/)
   | (?P<punct>[.,()\[\]{}@;:])
-    """,
-    re.VERBOSE,
-)
+"""
+#: Whitespace as a lexeme of its own: the script splitter keeps it.
+_TOKEN_RE = re.compile(r"(?P<ws>\s+) |" + _LEXEMES, re.VERBOSE)
+#: One match per token, the whitespace before it skipped in the same
+#: match: the tokenizer runs on every statement-cache lookup.
+_NEXT_TOKEN_RE = re.compile(r"\s* (?:" + _LEXEMES + ")", re.VERBOSE)
+
+_KINDS = {
+    "number": "NUMBER",
+    "string": "STRING",
+    "arrow": "ARROW",
+    "punct": "PUNCT",
+    "op": "OP",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, KEYWORD, NUMBER, STRING, CLASSVAR, METHODVAR,
     #            OP, ARROW, PUNCT, EOF
     text: str
@@ -118,72 +132,57 @@ _SOFT_KEYWORDS = {
 }
 
 
-def _soften_keywords(tokens: List[Token]) -> List[Token]:
-    result: List[Token] = []
-    for token in tokens:
-        if token.kind == "KEYWORD" and token.text in _SOFT_KEYWORDS:
-            previous = result[-1] if result else None
-            allowed_after = _SOFT_KEYWORDS[token.text]
-            if previous is None or not previous.is_keyword(*allowed_after):
-                token = Token(
-                    "IDENT",
-                    token.raw or token.text,
-                    token.line,
-                    token.column,
-                )
-        result.append(token)
-    return result
-
-
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source*, appending a trailing EOF token."""
     tokens: List[Token] = []
+    append = tokens.append
+    next_token = _NEXT_TOKEN_RE.match
     line = 1
     line_start = 0
     pos = 0
     length = len(source)
-    while pos < length:
-        match = _TOKEN_RE.match(source, pos)
+    while True:
+        match = next_token(source, pos)
+        if match is None:  # only whitespace or a bad character is left
+            start = length - len(source[pos:].lstrip())
+        else:
+            kind = match.lastgroup
+            start = match.start(kind)
+        newlines = source.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
         if match is None:
-            column = pos - line_start + 1
-            raise XsqlSyntaxError(
-                f"unexpected character {source[pos]!r}", line, column
-            )
-        kind = match.lastgroup
-        text = match.group()
-        column = pos - line_start + 1
+            if start < length:
+                raise XsqlSyntaxError(
+                    f"unexpected character {source[start]!r}", line, column
+                )
+            break
         pos = match.end()
-        if kind in ("ws", "comment"):
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos - len(text.rsplit("\n", 1)[-1])
-            continue
+        text = source[start:pos]
         if kind == "ident":
             lowered = text.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token("KEYWORD", lowered, line, column, text))
+            soft = _SOFT_KEYWORDS.get(lowered)
+            if lowered not in KEYWORDS or (
+                soft is not None
+                and not (tokens and tokens[-1].is_keyword(*soft))
+            ):
+                append(Token("IDENT", text, line, column))
             else:
-                tokens.append(Token("IDENT", text, line, column))
-        elif kind == "number":
-            tokens.append(Token("NUMBER", text, line, column))
-        elif kind == "string":
-            tokens.append(Token("STRING", text, line, column))
+                append(Token("KEYWORD", lowered, line, column, text))
+        elif kind == "comment":
+            continue
         elif kind == "classvar":
-            tokens.append(Token("CLASSVAR", text[1:], line, column))
+            append(Token("CLASSVAR", text[1:], line, column))
         elif kind == "methodvar":
-            tokens.append(Token("METHODVAR", text[1:], line, column))
-        elif kind == "arrow":
-            tokens.append(Token("ARROW", text, line, column))
-        elif kind == "op":
-            canonical = "!=" if text == "<>" else text
-            tokens.append(Token("OP", canonical, line, column))
-        elif kind == "punct":
-            tokens.append(Token("PUNCT", text, line, column))
-        else:  # pragma: no cover - regex groups are exhaustive
-            raise XsqlSyntaxError(f"unhandled token {text!r}", line, column)
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
-    return _soften_keywords(tokens)
+            append(Token("METHODVAR", text[1:], line, column))
+        elif kind == "op" and text == "<>":
+            append(Token("OP", "!=", line, column))
+        else:
+            append(Token(_KINDS[kind], text, line, column))
+    append(Token("EOF", "", line, column))
+    return tokens
 
 
 def split_script(source: str) -> "Tuple[List[str], str]":
@@ -229,3 +228,10 @@ def unescape_string(text: str) -> str:
     """Strip quotes and process backslash escapes of a STRING token."""
     body = text[1:-1]
     return body.replace("\\'", "'").replace("\\\\", "\\")
+
+
+def literal_value(token: Token) -> Union[int, float, str]:
+    """The payload of a NUMBER or STRING token (``1`` int, ``1.0`` float)."""
+    if token.kind == "STRING":
+        return unescape_string(token.text)
+    return float(token.text) if "." in token.text else int(token.text)

@@ -24,50 +24,49 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import XsqlSyntaxError
-from repro.oid import Oid, Variable, VarSort
+from repro.oid import FuncOid, Oid, Term, Variable, VarSort
 from repro.xsql import ast
 
 __all__ = [
     "unify_variable_sorts",
     "desugar",
     "with_tail_variable",
+    "map_terms",
     "rewrite_variables",
 ]
 
 
 # ----------------------------------------------------------------------
-# generic variable rewriting
+# generic term mapping
 # ----------------------------------------------------------------------
 
 
-def _map_selector(node, fn):
-    if isinstance(node, Variable):
-        return fn(node)
-    if isinstance(node, ast.App):
-        return ast.App(node.functor, tuple(_map_node(a, fn) for a in node.args))
-    return node
+def _map_term(term, fn):
+    if isinstance(term, FuncOid):
+        return FuncOid(
+            term.functor, tuple(_map_term(a, fn) for a in term.args)
+        )
+    if isinstance(term, Term):
+        return fn(term)
+    return term
 
 
 def _map_node(node, fn):
-    if isinstance(node, Variable):
-        return fn(node)
     if isinstance(node, ast.App):
-        return _map_selector(node, fn)
+        return ast.App(node.functor, tuple(_map_node(a, fn) for a in node.args))
     if isinstance(node, ast.PathExpr):
         return _map_path(node, fn)
-    return node
+    return _map_term(node, fn)
 
 
 def _map_path(path: ast.PathExpr, fn) -> ast.PathExpr:
-    head = _map_selector(path.head, fn)
+    head = _map_node(path.head, fn)
     steps = []
     for step in path.steps:
-        method = step.method_expr.method
-        if isinstance(method, Variable):
-            method = fn(method)
+        method = _map_term(step.method_expr.method, fn)
         args = tuple(_map_node(a, fn) for a in step.method_expr.args)
         selector = (
-            _map_selector(step.selector, fn)
+            _map_node(step.selector, fn)
             if step.selector is not None
             else None
         )
@@ -91,6 +90,10 @@ def _map_operand(operand: ast.Operand, fn) -> ast.Operand:
         )
     if isinstance(operand, ast.SubQueryOperand):
         return ast.SubQueryOperand(_map_query(operand.query, fn))
+    if isinstance(operand, ast.SetLitOperand):
+        return ast.SetLitOperand(
+            tuple(_map_term(v, fn) for v in operand.values)
+        )
     return operand
 
 
@@ -143,16 +146,13 @@ def _map_query(query: ast.Query, fn) -> ast.Query:
         elif isinstance(item, ast.MethodItem):
             select.append(
                 ast.MethodItem(
-                    method=item.method,
+                    method=_map_term(item.method, fn),
                     args=tuple(_map_node(a, fn) for a in item.args),
                     value=_map_operand(item.value, fn),
                 )
             )
     from_ = tuple(
-        ast.FromDecl(
-            cls=fn(d.cls) if isinstance(d.cls, Variable) else d.cls,
-            var=fn(d.var),
-        )
+        ast.FromDecl(cls=_map_term(d.cls, fn), var=fn(d.var))
         for d in query.from_
     )
     where = _map_cond(query.where, fn) if query.where is not None else None
@@ -171,15 +171,20 @@ def _map_query(query: ast.Query, fn) -> ast.Query:
     )
 
 
-def rewrite_variables(node, fn):
-    """Rewrite every variable occurrence of *node* with ``fn(var)``."""
+def map_terms(node, fn):
+    """Rebuild *node* with every term occurrence ``t`` replaced by ``fn(t)``.
+
+    *fn* sees each variable and each atomic oid (``Atom``, ``Value``) —
+    in paths, conditions, FROM and SELECT clauses, set literals and
+    ``INSERT … VALUES`` rows; an id-function oid is mapped argument by
+    argument.  The one tree walker behind sort unification, variable
+    renaming and the statement cache's literal rebinding.
+    """
     if isinstance(node, ast.Query):
         return _map_query(node, fn)
     if isinstance(node, ast.QueryOp):
         return ast.QueryOp(
-            node.op,
-            rewrite_variables(node.left, fn),
-            rewrite_variables(node.right, fn),
+            node.op, map_terms(node.left, fn), map_terms(node.right, fn)
         )
     if isinstance(node, ast.CreateView):
         return ast.CreateView(
@@ -197,10 +202,14 @@ def rewrite_variables(node, fn):
     if isinstance(node, ast.UpdateClass):
         return _map_update(node, fn)
     if isinstance(node, ast.InsertInto):
-        if node.query is None:
-            return node
         return ast.InsertInto(
-            name=node.name, query=_map_query(node.query, fn), rows=node.rows
+            name=node.name,
+            query=(
+                _map_query(node.query, fn) if node.query is not None else None
+            ),
+            rows=tuple(
+                tuple(_map_term(v, fn) for v in row) for row in node.rows
+            ),
         )
     if isinstance(node, (ast.CreateClass, ast.CreateRelation)):
         return node
@@ -209,6 +218,13 @@ def rewrite_variables(node, fn):
     if isinstance(node, ast.Cond):
         return _map_cond(node, fn)
     raise TypeError(f"cannot rewrite {node!r}")
+
+
+def rewrite_variables(node, fn):
+    """Rewrite every variable occurrence of *node* with ``fn(var)``."""
+    return map_terms(
+        node, lambda term: fn(term) if isinstance(term, Variable) else term
+    )
 
 
 # ----------------------------------------------------------------------

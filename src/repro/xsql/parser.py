@@ -20,13 +20,14 @@ from typing import List, Optional, Sequence, Set, Tuple, Union
 from repro.errors import XsqlSyntaxError
 from repro.oid import NIL, Atom, Oid, Value, Variable, VarSort
 from repro.xsql import ast
-from repro.xsql.lexer import Token, split_statements, tokenize, unescape_string
+from repro.xsql.lexer import Token, literal_value, split_statements, tokenize
 from repro.xsql.normalize import desugar, unify_variable_sorts
 
 __all__ = [
     "parse_query",
     "parse_statement",
     "parse_statement_raw",
+    "parse_tokens",
     "parse_statements",
     "normalize_statement",
 ]
@@ -445,15 +446,10 @@ class _Parser:
 
     def _parse_factor(self) -> ast.Operand:
         token = self._peek()
-        if token.kind == "NUMBER":
+        if token.kind in ("NUMBER", "STRING"):
             self._next()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return ast.PathOperand(ast.path_of_term(Value(value)))
-        if token.kind == "STRING":
-            self._next()
-            return ast.PathOperand(
-                ast.path_of_term(Value(unescape_string(token.text)))
-            )
+            value = Value(literal_value(token))
+            return ast.PathOperand(ast.path_of_term(value))
         if token.is_keyword("nil"):
             self._next()
             return ast.PathOperand(ast.path_of_term(NIL))
@@ -496,11 +492,8 @@ class _Parser:
         values: List[Oid] = []
         while True:
             token = self._next()
-            if token.kind == "NUMBER":
-                value = float(token.text) if "." in token.text else int(token.text)
-                values.append(Value(value))
-            elif token.kind == "STRING":
-                values.append(Value(unescape_string(token.text)))
+            if token.kind in ("NUMBER", "STRING"):
+                values.append(Value(literal_value(token)))
             elif token.kind == "IDENT":
                 values.append(Atom(token.text))
             else:
@@ -524,12 +517,8 @@ class _Parser:
 
     def _parse_selector(self) -> ast.SelectorNode:
         token = self._next()
-        if token.kind == "NUMBER":
-            return Value(
-                float(token.text) if "." in token.text else int(token.text)
-            )
-        if token.kind == "STRING":
-            return Value(unescape_string(token.text))
+        if token.kind in ("NUMBER", "STRING"):
+            return Value(literal_value(token))
         if token.kind == "CLASSVAR":
             self._declared_vars.add(token.text)
             return Variable(token.text, VarSort.CLASS)
@@ -815,7 +804,18 @@ def parse_statement_raw(
     :func:`parse_statement`, which composes this with
     :func:`normalize_statement`.
     """
-    parser = _Parser(tokenize(source), set(outer_vars))
+    return parse_tokens(tokenize(source), outer_vars)
+
+
+def parse_tokens(
+    tokens: List[Token], outer_vars: Sequence[str] = ()
+) -> ast.Statement:
+    """:func:`parse_statement_raw` over an already-lexed token stream.
+
+    The pipeline lexes once to key its statement cache, and a miss
+    parses those same tokens.
+    """
+    parser = _Parser(tokens, set(outer_vars))
     statement = parser.parse_statement()
     if not parser.at_end():
         raise parser._error("trailing input after statement")

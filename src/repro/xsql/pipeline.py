@@ -8,7 +8,8 @@ so repeated-query workloads pay the front half of the pipeline once.
 
 Stages (each timed into :class:`repro.metrics.SessionMetrics`):
 
-1. **parse** — tokenize + recursive descent (store-independent);
+1. **parse** — tokenize + recursive descent (store-independent); the
+   shape lookup of the statement cache sits between the two;
 2. **normalize** — variable-sort unification and §5 desugaring;
 3. **analyze** — the §6.2 typing spectrum (only under ``plan="typed"``,
    or lazily for ``explain()``);
@@ -16,7 +17,9 @@ Stages (each timed into :class:`repro.metrics.SessionMetrics`):
    (``plan="greedy"``), the Theorem 6.1 coherent plan (``plan="typed"``,
    falling back to greedy when the query is not strictly well-typed), or
    the cost-based optimizer (``plan="cost"`` — statistics-driven join
-   order and access paths, :mod:`repro.xsql.costplan`);
+   order and access paths, :mod:`repro.xsql.costplan`); after a shape
+   hit this stage also binds the text's literals into the cached
+   statement;
 5. **execute** — the planned statement is *lowered* to a physical
    operator tree (:mod:`repro.xsql.operators`) and run through the one
    executor every ``plan=``/``engine=``/``join_mode`` combination
@@ -27,11 +30,29 @@ Stages (each timed into :class:`repro.metrics.SessionMetrics`):
    ``join_mode="hash"``.  The instrumented tree of the latest run is
    kept on the compiled statement for ``explain(analyze=True)``.
 
-Cache soundness: entries are keyed on ``(source,) + options.cache_key()``
-(the frozen :class:`~repro.xsql.options.ExecutionOptions` tuple) and
-stamped with the owning store's :class:`~repro.datamodel.versions.Version`.
-Typing analysis and conjunct order depend only on the schema, so a
-compiled statement goes stale only when the *schema* component of the
+Cache soundness: entries are keyed on the statement's *shape*
+(:func:`statement_shape`) plus ``options.cache_key()`` (the frozen
+:class:`~repro.xsql.options.ExecutionOptions` tuple), and stamped with
+the owning store's :class:`~repro.datamodel.versions.Version`.  The
+shape is the token stream with each number or string literal replaced
+by its kind (``int``, ``float``, ``str``) and the equality pattern of
+the literals; keywords (``true``, ``false``, ``nil``), names, variables
+and oids stay verbatim.  By §6 the type assignment, the coherent plan
+and the Theorem 6.1 ranges depend on types, not on constants, so a text
+whose shape is cached reuses that compilation: the exact text gets the
+cached object back, and any other text of the shape gets a new
+:class:`CompiledQuery` that shares the typing report and range classes,
+carries the cached normalized statement with its own literals bound in,
+and re-runs only the plan stage (cost estimates and index probes read
+literal values, so its cost plan is that of a fresh compile).  A literal
+whose direct class memberships differ from those of the literal it would
+replace compiles fresh, because §6 validity reads ``is_instance`` on
+ground terms.  The exact texts of the cached entries are indexed, so an
+exact hit costs one dictionary lookup; any other text is lexed once
+(timed as ``parse``) to find its shape, and a miss parses those same
+tokens.
+
+A compiled statement goes stale only when the *schema* component of the
 version moves (DDL) — plain data updates do not recompile; the one
 data-dependent artifact — the extent-restriction sets of Theorem 6.1 —
 is recomputed on every execution, and cost plans re-rank when the *data*
@@ -47,9 +68,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
+from repro.oid import Scalar, Value
 from repro.xsql import ast, operators
+from repro.xsql.lexer import Token, literal_value, tokenize
+from repro.xsql.normalize import map_terms
 from repro.xsql.options import ENGINES, PLAN_MODES, ExecutionOptions
-from repro.xsql.parser import normalize_statement, parse_statement_raw
+from repro.xsql.parser import (
+    normalize_statement,
+    parse_statement_raw,
+    parse_tokens,
+)
 from repro.xsql.result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,7 +89,42 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 # PLAN_MODES and ENGINES moved to repro.xsql.options (the canonical
 # home); re-exported here for the REPL and existing imports.
-__all__ = ["CompiledQuery", "QueryPipeline", "PLAN_MODES", "ENGINES"]
+__all__ = [
+    "CompiledQuery",
+    "QueryPipeline",
+    "statement_shape",
+    "PLAN_MODES",
+    "ENGINES",
+]
+
+
+def statement_shape(
+    tokens: List[Token],
+) -> Tuple[Tuple[object, ...], Tuple[Scalar, ...]]:
+    """The statement-cache shape of a lexed statement, and its literals.
+
+    Every token but a literal enters the shape as its kind and text, so
+    keywords (``true``, ``false``, ``nil``), names and variables stay
+    verbatim.  A ``NUMBER``/``STRING`` token enters as its literal kind
+    (``int``, ``float`` or ``str``) and the index of the first literal
+    equal to it, so the shape also fixes which literals are equal.  The
+    literals come back in token order.
+    """
+    shape: List[object] = []
+    literals: List[Scalar] = []
+    first: Dict[Tuple[type, Scalar], int] = {}
+    for token in tokens:
+        kind = token.kind
+        if kind == "NUMBER" or kind == "STRING":
+            value = literal_value(token)
+            shape.append(type(value))
+            kind_value = (type(value), value)
+            shape.append(first.setdefault(kind_value, len(literals)))
+            literals.append(value)
+        else:
+            shape.append(kind)
+            shape.append(token.text)
+    return tuple(shape), tuple(literals)
 
 
 @dataclass
@@ -106,7 +169,14 @@ class CompiledQuery:
     #: Store version when this compile happened; the schema component
     #: decides staleness (DDL recompiles, data writes do not).
     version: Optional["Version"] = None
+    #: The source's NUMBER/STRING literals in token order (see
+    #: :func:`statement_shape`).
+    literals: Tuple[Scalar, ...] = field(repr=False, default=())
     _store_token: int = field(repr=False, default=-1)
+    #: True while ``report`` is the typing report of the cached statement
+    #: this one was rebound from: right for planning, but its occurrences
+    #: print that statement's literals, so explain() re-analyzes.
+    _report_borrowed: bool = field(repr=False, default=False)
 
     # ------------------------------------------------------------------
 
@@ -357,7 +427,11 @@ class QueryPipeline:
     def __init__(self, session: "Session", cache_size: int = 128) -> None:
         self.session = session
         self.cache_size = max(0, cache_size)
+        #: Shape key -> compilation, least recently used first.
         self._cache: "OrderedDict[Tuple, CompiledQuery]" = OrderedDict()
+        #: (source,) + options key -> shape key, for each cached entry:
+        #: the exact text of an entry is found without lexing it.
+        self._texts: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     # compilation
@@ -369,12 +443,18 @@ class QueryPipeline:
         """Compile *source*, reusing a cached compilation when sound.
 
         *options* is already validated (``Session.prepare``/``query``
-        coerce their keyword aliases into it).
+        coerce their keyword aliases into it).  The cache is keyed on
+        the statement's shape: the exact text of an entry returns the
+        cached compilation without being lexed, another text of the same
+        shape rebinds its literals into it (:meth:`_rebind`), and
+        anything else compiles from the tokens already lexed.
         """
         metrics = self.session.metrics
-        key = (source,) + options.cache_key()
-        cached = self._cache.get(key)
-        if cached is not None:
+        options_key = options.cache_key()
+        key = self._texts.get((source,) + options_key)
+        if key is not None:
+            cached = self._cache[key]
+            self._cache.move_to_end(key)
             if cached.is_stale:
                 metrics.count("cache.invalidated")
                 metrics.note_last("cache", "invalidated")
@@ -382,31 +462,132 @@ class QueryPipeline:
             else:
                 metrics.count("cache.hit")
                 metrics.note_last("cache", "hit")
-            self._cache.move_to_end(key)
             return cached
-        metrics.count("cache.miss")
-        metrics.note_last("cache", "miss")
+        with metrics.time("parse"):
+            tokens = tokenize(source)
+            shape, literals = statement_shape(tokens)
+            key = shape + options_key
+            cached = self._cache.get(key)
+            rebind = cached is not None and self._rebindable(cached, literals)
+            raw = None if rebind else parse_tokens(tokens)
+        if rebind:
+            assert cached is not None
+            self._cache.move_to_end(key)
+            metrics.count("cache.hit")
+            metrics.count("cache.rebind")
+            metrics.note_last("cache", "rebind")
+            return self._rebind(cached, source, literals)
+        # A stale entry of this shape is replaced; one whose literals
+        # differ in class membership stays, and this text runs uncached.
+        store_it = cached is None or cached.is_stale
+        outcome = "invalidated" if cached is not None and store_it else "miss"
+        metrics.count(f"cache.{outcome}")
+        metrics.note_last("cache", outcome)
         compiled = CompiledQuery(
-            session=self.session, source=source, options=options
+            session=self.session,
+            source=source,
+            options=options,
+            literals=literals,
         )
-        self._build(compiled)
-        if self.cache_size:
+        self._build(compiled, raw)
+        if self.cache_size and store_it:
+            if cached is not None:
+                del self._texts[(cached.source,) + options_key]
             self._cache[key] = compiled
+            self._cache.move_to_end(key)
+            self._texts[(source,) + options_key] = key
             while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+                _key, evicted = self._cache.popitem(last=False)
+                del self._texts[
+                    (evicted.source,) + evicted.options.cache_key()
+                ]
                 metrics.count("cache.evicted")
         return compiled
 
-    def _build(self, compiled: CompiledQuery) -> None:
-        """Run the compile-time stages, filling *compiled* in place."""
+    def _rebindable(
+        self, cached: CompiledQuery, literals: Tuple[Scalar, ...]
+    ) -> bool:
+        """May *literals* be rebound into *cached*, a same-shape entry?
+
+        Only while the entry is fresh, and only when each new literal has
+        the direct classes (``store.direct_classes_of``) of the literal it
+        replaces: §6 validity reads ``is_instance`` on ground terms, and a
+        literal may carry explicit memberships.  The implicit classes
+        follow from the literal kind, which the shape fixes, so the
+        explicit memberships are what is compared.
+        """
+        if cached.is_stale:
+            return False
+        explicit = self.session.store.explicit_classes_of
+        return all(
+            old == new or explicit(Value(old)) == explicit(Value(new))
+            for old, new in zip(cached.literals, literals)
+        )
+
+    def _rebind(
+        self,
+        template: CompiledQuery,
+        source: str,
+        literals: Tuple[Scalar, ...],
+    ) -> CompiledQuery:
+        """A new compilation of *source* from a same-shape *template*.
+
+        Parse, normalization and typing depend on the shape alone, so
+        they are skipped: the template's schema-only artifacts (typing
+        report, range classes) are shared, and only the plan stage runs.
+        It binds the new literals into the template's normalized
+        statement, then re-plans, because cost estimates and index
+        probes read literal values.  *template* is left untouched:
+        prepared handles of one shape run side by side.
+        """
         metrics = self.session.metrics
         store = self.session.store
-        with metrics.time("parse"):
-            raw = parse_statement_raw(compiled.source)
+        # Keyed by (type, value): Value(1) == Value(True) == Value(1.0).
+        # The shape's equality pattern makes the mapping one-to-one.
+        swap = {
+            (type(old), old): Value(new)
+            for old, new in zip(template.literals, literals)
+        }
+
+        def rebind(term):
+            if type(term) is Value:
+                return swap.get((type(term.value), term.value), term)
+            return term
+
+        with metrics.time("plan"):
+            compiled = CompiledQuery(
+                session=self.session,
+                source=source,
+                options=template.options,
+                statement=map_terms(template.statement, rebind),
+                report=template.report,
+                range_classes=template.range_classes,
+                literals=literals,
+                _report_borrowed=template.report is not None,
+            )
+            compiled.planned = self._plan_statement(compiled)
+        compiled.version = store.version
+        compiled._store_token = id(store)
+        return compiled
+
+    def _build(
+        self, compiled: CompiledQuery, raw: Optional[ast.Statement] = None
+    ) -> None:
+        """Run the compile-time stages, filling *compiled* in place.
+
+        *raw* is the parsed statement when the caller has parsed it
+        already; otherwise the source is parsed here.
+        """
+        metrics = self.session.metrics
+        store = self.session.store
+        if raw is None:
+            with metrics.time("parse"):
+                raw = parse_statement_raw(compiled.source)
         with metrics.time("normalize"):
             statement = normalize_statement(raw)
         compiled.statement = statement
         compiled.report = None
+        compiled._report_borrowed = False
         compiled.range_classes = None
         compiled.cost_plan = None
         compiled.last_trace = None
@@ -498,19 +679,21 @@ class QueryPipeline:
         )
 
     def ensure_report(self, compiled: CompiledQuery) -> None:
-        """Lazily attach the typing report (``explain`` needs it)."""
+        """Lazily attach the statement's own typing report (``explain``
+        needs it; a rebound statement's borrowed report is replaced)."""
         if compiled.is_stale:
             self.session.metrics.count("cache.invalidated")
             self._build(compiled)
-        if compiled.report is None and isinstance(
-            compiled.statement, ast.Query
-        ):
+        if (
+            compiled.report is None or compiled._report_borrowed
+        ) and isinstance(compiled.statement, ast.Query):
             with self.session.metrics.time("analyze"):
                 from repro.typing.analysis import analyze
 
                 compiled.report = analyze(
                     compiled.statement, self.session.store
                 )
+                compiled._report_borrowed = False
                 self._attach_range_classes(compiled)
 
     # ------------------------------------------------------------------
@@ -754,6 +937,7 @@ class QueryPipeline:
     def clear(self) -> None:
         """Drop every cached compilation (the store was replaced)."""
         self._cache.clear()
+        self._texts.clear()
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -55,20 +55,23 @@ class GreedyPlanner:
     def plan_where(
         self, conjuncts: List[ast.Cond], seed: Set[Variable]
     ) -> List[ast.Cond]:
-        remaining = list(conjuncts)
+        # Each conjunct's variables are collected once, not per round.
+        remaining = [(cond, _cond_variables(cond)) for cond in conjuncts]
         bound = set(seed)
         ordered: List[ast.Cond] = []
         while remaining:
             best_index = min(
                 range(len(remaining)),
-                key=lambda i: self._score(remaining[i], bound),
+                key=lambda i: self._score(*remaining[i], bound),
             )
-            chosen = remaining.pop(best_index)
+            chosen, variables = remaining.pop(best_index)
             ordered.append(chosen)
-            bound |= _cond_variables(chosen)
+            bound |= variables
         return ordered
 
-    def _score(self, cond: ast.Cond, bound: Set[Variable]) -> Tuple:
+    def _score(
+        self, cond: ast.Cond, variables: Set[Variable], bound: Set[Variable]
+    ) -> Tuple:
         """Lower scores run earlier.
 
         The primary key is the number of *blind* enumeration points the
@@ -77,9 +80,7 @@ class GreedyPlanner:
         conditions are preferred over comparisons at equal cost because
         they *bind* variables for later conjuncts.
         """
-        unbound = {
-            v for v in _cond_variables(cond) if v not in bound
-        }
+        unbound = variables - bound
         if isinstance(cond, ast.PathCond):
             head = cond.path.head
             head_blind = int(

@@ -192,9 +192,11 @@ class Session:
         re-runnable (``compiled.run()``) and inspectable
         (``compiled.explain()``); re-runs skip parsing, typing, and
         planning.  Compilations are memoized in the session's LRU
-        statement cache, keyed on the frozen options tuple, and
+        statement cache, keyed on the statement's shape (literals
+        replaced by their kinds) and the frozen options tuple, and
         transparently refreshed when DDL bumps the store's schema
-        generation.
+        generation.  A text that differs from a cached one only in
+        literals is compiled by rebinding them: only planning re-runs.
         """
         resolved = ExecutionOptions.coerce(
             options,

@@ -135,3 +135,50 @@ def test_kv_engine_runs_on_recovered_store(oracle):
     kv_session = oracle.session_for("kv")
     assert kv_session.store is not oracle.store
     assert oracle.session_for("kv") is kv_session
+
+
+def test_shape_engine_is_served_by_a_rebind(oracle):
+    shape_session = oracle.session_for("shape")
+    before = shape_session.metrics.counters.get("cache.rebind", 0)
+    report = oracle.run(
+        "SELECT X.Name FROM Employee X WHERE X.Salary > 25000 "
+        "and X.Name != 'nobody'"
+    )
+    assert report.agreed, report.summary()
+    assert report.outcomes["shape"].status == "ok"
+    assert shape_session.metrics.counters["cache.rebind"] == before + 1
+
+
+def test_shape_engine_fails_a_text_compiled_from_scratch(
+    oracle, monkeypatch
+):
+    from repro.xsql.pipeline import QueryPipeline
+
+    monkeypatch.setattr(
+        QueryPipeline, "_rebindable", lambda self, cached, literals: False
+    )
+    report = oracle.run(
+        "SELECT X FROM Employee X WHERE X.Salary > 31000",
+        engines=("reference", "shape"),
+    )
+    assert report.outcomes["shape"].status == "error"
+    assert "rebinding" in report.outcomes["shape"].detail
+    assert not report.agreed
+
+
+def test_shape_sibling_keeps_shape_and_equality_pattern():
+    from repro.difftest.oracle import shape_sibling
+    from repro.xsql.lexer import tokenize
+    from repro.xsql.pipeline import statement_shape
+
+    text = (
+        "SELECT X FROM Person X WHERE X.Name['a'] and X.City['a'] "
+        "and X.Age > 7001 and X.Height = 1.5 and X.Flag[true]"
+    )
+    sibling = shape_sibling(text)
+    shape, literals = statement_shape(tokenize(text))
+    sibling_shape, fresh = statement_shape(tokenize(sibling))
+    assert sibling_shape == shape
+    assert fresh[0] == fresh[1]
+    assert all(new != old for old, new in zip(literals, fresh))
+    assert "true" in sibling
