@@ -42,6 +42,14 @@ dimension.  The pointer side must beat the hash side on every query,
 and each query's pointer p50 must stay within 2× of the checked-in
 baseline artifact.
 
+**Cold-path benchmark** — the ``oltp`` snapshot scan
+``SELECT X.Name, X.Salary FROM Employee X WHERE X.Salary > 300000`` on
+a 2,000-person store with a cold walker memo: C1 is the p50 of the
+first scan on a freshly pinned ``SnapshotSession``, C2 the p50 of a
+prepared live run right after a point write.  Both run on the
+comparison kernel and the atom-chain fetch; each p50 must stay within
+2× of the checked-in baseline artifact.
+
 **Compile-scaling benchmark** — the p50 of a cold
 ``prepare(..., plan="cost")`` (statement cache cleared first) over 200
 distinct point-lookup texts on
@@ -67,7 +75,7 @@ Run standalone::
         [--plan none|greedy|typed|cost] [--json PATH] [--baseline PATH]
 
 or through pytest (asserts the ratio criteria; the join baseline gate
-is CLI-only, the pointer one runs in both)::
+is CLI-only, the pointer and cold ones run in both)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_pipeline.py
 """
@@ -216,6 +224,17 @@ POINTER_QUERIES: List[Tuple[str, str]] = [
     ),
 ]
 POINTER_BASELINE_FACTOR = 2.0
+
+#: The cold-path benchmark: the ``oltp`` snapshot scan with the walker
+#: memo cold.  C1 pins a fresh SnapshotSession per round and times its
+#: first scan (compile included, as the workload runs it); C2 times a
+#: prepared live run right after a point write, which drops the memo.
+#: No p50 may exceed ``COLD_BASELINE_FACTOR`` times its baseline p50.
+COLD_WORKLOAD = WorkloadConfig(n_people=2000, n_companies=8, seed=19)
+COLD_SCAN = (
+    "SELECT X.Name, X.Salary FROM Employee X WHERE X.Salary > 300000"
+)
+COLD_BASELINE_FACTOR = 2.0
 
 #: The shape benchmark: a shape-hit prepare of every paper query with
 #: literals must cost at most this fraction of its cold prepare.
@@ -453,6 +472,80 @@ def measure_pointer(
         fused_s = _median_seconds(fused.run, rounds)
         results.append((name, hash_s, fused_s, len(fused_rows)))
     return results
+
+
+def measure_cold(rounds: int = 9) -> List[Tuple[str, float, int]]:
+    """Per-query (name, p50_seconds, rows) of the cold-memo scan.
+
+    C1: each round pins a new snapshot and times its first scan.  C2:
+    each round writes one salary (below the scan's floor, so the
+    answer keeps its size) and times the prepared live re-run.  Both
+    answers are checked against ``plan="none"`` off the clock.
+    """
+    session = Session(generate_database(COLD_WORKLOAD))
+    expected = session.query(COLD_SCAN, plan="none").rows()
+    snapshot_times = []
+    for _ in range(rounds):
+        with session.snapshot_view() as snap:
+            started = time.perf_counter()
+            rows = snap.query(COLD_SCAN, plan="cost").rows()
+            snapshot_times.append(time.perf_counter() - started)
+        assert rows == expected, "C1: snapshot scan disagrees"
+    compiled = session.prepare(COLD_SCAN, plan="cost")
+    compiled.run()
+    target = min(
+        (
+            obj
+            for obj in session.store.extent("Employee")
+            if session.store.invoke_scalar(obj, "Salary").value < 300000
+        ),
+        key=str,
+    )
+    live_times = []
+    for index in range(rounds):
+        session.execute(
+            f"UPDATE CLASS Employee SET {target}.Salary = {20000 + index}"
+        )
+        started = time.perf_counter()
+        rows = compiled.run().rows()
+        live_times.append(time.perf_counter() - started)
+    assert rows == session.query(COLD_SCAN, plan="none").rows(), (
+        "C2: live scan disagrees"
+    )
+    return [
+        ("C1", statistics.median(snapshot_times), len(expected)),
+        ("C2", statistics.median(live_times), len(rows)),
+    ]
+
+
+def cold_baseline_regressions(
+    results: List[Tuple[str, float, int]],
+    baseline: Dict[str, object],
+    factor: float = COLD_BASELINE_FACTOR,
+) -> List[str]:
+    """C queries whose cold p50 regressed against the baseline."""
+    return _baseline_regressions(
+        [(name, seconds) for name, seconds, _rows in results],
+        baseline, "cold", "cold", factor,
+    )
+
+
+def report_cold(results: List[Tuple[str, float, int]]) -> str:
+    labels = {
+        "C1": "first scan on a new snapshot",
+        "C2": "prepared live run after a write",
+    }
+    lines = [
+        "cold-memo scans (oltp snapshot scan, "
+        f"{COLD_WORKLOAD.n_people:,} people):",
+        f"{'query':>6}  {'p50':>10}  {'rows':>5}  what",
+    ]
+    for name, seconds, rows in results:
+        lines.append(
+            f"{name:>6}  {seconds * 1000:>8.3f}ms  {rows:>5}  "
+            f"{labels.get(name, '')}"
+        )
+    return "\n".join(lines)
 
 
 def measure_compile() -> List[Tuple[int, float]]:
@@ -953,6 +1046,7 @@ def as_json(
     compile_results: List[Tuple[int, float]],
     maintenance_results: List[Tuple[int, float, float]],
     shape_results: List[Tuple[str, float, float, float]],
+    cold_results: List[Tuple[str, float, int]],
 ) -> Dict[str, object]:
     """The JSON artifact CI uploads (``BENCH_pipeline.json``)."""
     targeted_s, recompute_s, groups = maintenance
@@ -963,6 +1057,7 @@ def as_json(
             "selective_speedup": SELECTIVE_TARGET,
             "join_hash_baseline_factor": JOIN_BASELINE_FACTOR,
             "pointer_baseline_factor": POINTER_BASELINE_FACTOR,
+            "cold_baseline_factor": COLD_BASELINE_FACTOR,
             "shape_hit_limit": SHAPE_HIT_LIMIT,
             "view_maintenance_speedup": VIEW_TARGET,
             "snapshot_overhead_limit": SNAPSHOT_OVERHEAD_LIMIT,
@@ -1028,6 +1123,10 @@ def as_json(
             worst_pointer_speedup(pointer_results), 2
         ),
         "pointer_beats_hash": pointer_beats_hash(pointer_results),
+        "cold": [
+            {"query": name, "cold_ms": round(seconds * 1000, 4), "rows": rows}
+            for name, seconds, rows in cold_results
+        ],
         "view_maintenance": {
             "writes": VIEW_WRITES,
             "groups": groups,
@@ -1113,6 +1212,27 @@ def test_pointer_baseline_gate_fails_on_slow_or_missing_entries():
     ]
 
 
+def test_cold_scans_within_2x_of_baseline():
+    results = measure_cold(rounds=5)
+    with open(DEFAULT_BASELINE) as handle:
+        baseline = json.load(handle)
+    regressions = cold_baseline_regressions(results, baseline)
+    assert not regressions, report_cold(results) + "\n" + "\n".join(
+        regressions
+    )
+
+
+def test_cold_baseline_gate_fails_on_slow_or_missing_entries():
+    results = [("C1", 0.010, 3), ("C2", 0.050, 3)]
+    baseline = {"cold": [{"query": "C1", "cold_ms": 10.0},
+                         {"query": "C2", "cold_ms": 10.0}]}
+    problems = cold_baseline_regressions(results, baseline)
+    assert [line.split(":")[0] for line in problems] == ["C2"]
+    assert cold_baseline_regressions(results[:1], {}) == [
+        "C1: no cold p50 in the baseline"
+    ]
+
+
 def test_shape_hit_prepare_at_most_half_of_cold_on_every_literal_query():
     results = measure_shape()
     assert len(results) == 6  # Q3, Q5, Q7-Q10
@@ -1182,9 +1302,10 @@ def main() -> int:
         "--baseline",
         metavar="PATH",
         default=str(DEFAULT_BASELINE),
-        help="artifact whose J-query hash p50s and V-query pointer p50s "
-        f"gate this run at {JOIN_BASELINE_FACTOR:g}x and "
-        f"{POINTER_BASELINE_FACTOR:g}x (default: %(default)s)",
+        help="artifact whose J-query hash p50s, V-query pointer p50s "
+        f"and C-query cold p50s gate this run at {JOIN_BASELINE_FACTOR:g}x, "
+        f"{POINTER_BASELINE_FACTOR:g}x and {COLD_BASELINE_FACTOR:g}x "
+        "(default: %(default)s)",
     )
     args = parser.parse_args()
     # Read before measuring: --json may overwrite the same file.
@@ -1198,6 +1319,7 @@ def main() -> int:
     selective = measure_selective(rounds=args.rounds)
     joins = measure_joins(rounds=min(args.rounds, 5))
     pointer = measure_pointer(rounds=min(args.rounds, 7))
+    cold = measure_cold(rounds=args.rounds)
     maintenance = measure_view_maintenance(rounds=min(args.rounds, 5))
     snapshot = measure_snapshot(rounds=args.rounds)
     compiled = measure_compile()
@@ -1229,6 +1351,15 @@ def main() -> int:
             f"{args.baseline}"
         )
     print()
+    print(report_cold(cold))
+    cold_regressions = cold_baseline_regressions(cold, baseline)
+    for line in cold_regressions:
+        print(f"REGRESSION vs {args.baseline}: {line}")
+    if not cold_regressions:
+        print(
+            f"cold p50s within {COLD_BASELINE_FACTOR:g}x of {args.baseline}"
+        )
+    print()
     print(report_view_maintenance(maintenance))
     print()
     print(report_snapshot(snapshot))
@@ -1242,7 +1373,7 @@ def main() -> int:
     if args.json:
         payload = as_json(
             results, selective, joins, pointer, maintenance, snapshot,
-            compiled, upkeep, shape,
+            compiled, upkeep, shape, cold,
         )
         if estimation is not None:
             payload["analyze"] = estimation_as_json(estimation)
@@ -1258,6 +1389,7 @@ def main() -> int:
         and worst_shape_ratio(shape) <= SHAPE_HIT_LIMIT
         and pointer_beats_hash(pointer)
         and not pointer_regressions
+        and not cold_regressions
         and view_maintenance_speedup(maintenance) >= VIEW_TARGET
         and snapshot_overhead(snapshot) <= SNAPSHOT_OVERHEAD_LIMIT
         and compile_scaling(compiled) <= COMPILE_SCALING_LIMIT

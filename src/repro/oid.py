@@ -94,7 +94,10 @@ class Value(Oid):
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
-            return f"'{self.value}'"
+            # The escapes the lexer's ``unescape_string`` undoes, so a
+            # printed literal parses back to the same value.
+            escaped = self.value.replace("\\", "\\\\").replace("'", "\\'")
+            return f"'{escaped}'"
         return str(self.value)
 
     def __repr__(self) -> str:

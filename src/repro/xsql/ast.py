@@ -136,6 +136,17 @@ class PathExpr:
         """The path's distinct variables, head to tail (computed once)."""
         return tuple(dict.fromkeys(path_variables(self)))
 
+    @cached_property
+    def is_atom_chain(self) -> bool:
+        """Every step a ground 0-ary method without a selector (computed
+        once): ``H.M1.M2…``, whose value is a plain attribute fetch."""
+        return all(
+            isinstance(step.method_expr.method, Atom)
+            and not step.method_expr.args
+            and step.selector is None
+            for step in self.steps
+        )
+
 
 def path_of_term(term: SelectorNode) -> PathExpr:
     """Wrap a selector as the trivial path it denotes."""

@@ -102,6 +102,7 @@ from repro.xsql.batches import (
     product_count,
     replay_deltas,
 )
+from repro.xsql.comparisons import compare
 from repro.xsql.evaluator import (
     Evaluator,
     check_projectable,
@@ -467,6 +468,10 @@ class CondOperator(Operator):
         assembled without materializing row dicts.  Replay order per row
         equals the per-row ``eval_cond`` order, so the stream is
         bit-identical to the ungrouped evaluation.
+
+        A comparison computes each key on the comparison kernel
+        (:func:`_comparison_kernel`) instead of ``eval_cond`` whenever
+        the key binds every variable the comparison would enumerate.
         """
         ctx = self._ctx
         assert ctx is not None and self.cond is not None
@@ -483,8 +488,11 @@ class CondOperator(Operator):
                 for out in evaluator.eval_cond(cond, projection)
             )
 
+        compute = deltas
+        if isinstance(cond, ast.Comparison):
+            compute = _comparison_kernel(evaluator, cond, deltas)
         keys, per_key = self._per_key(
-            "cond", cond, sorted(cond_vars, key=_var_key), base, deltas
+            "cond", cond, sorted(cond_vars, key=_var_key), base, compute
         )
         return replay_deltas(base, cond_vars, [per_key[key] for key in keys])
 
@@ -605,6 +613,42 @@ class Aggregate(CondOperator):
     """A comparison over an aggregate operand (count/sum/avg/min/max)."""
 
     name = "Aggregate"
+
+
+def _comparison_kernel(
+    evaluator: Evaluator,
+    cond: ast.Comparison,
+    fallback,
+):
+    """The per-key computation of a comparison conjunct.
+
+    When the projection binds every variable ``eval_cond`` would
+    enumerate, §3.2's quantified test is one ``compare`` over the two
+    operand values, and the delta is :data:`_KEEP` or nothing, which is
+    what ``eval_cond`` yields there.  Other keys go to *fallback*.  The
+    enumerated variables are collected on the first key computed, so a
+    run answered wholly from the memo pays nothing extra.
+    """
+    enumerated: Optional[FrozenSet[Variable]] = None
+
+    def compute(projection: Bindings) -> Tuple[Bindings, ...]:
+        nonlocal enumerated
+        if enumerated is None:
+            enumerated = frozenset(
+                itertools.chain(
+                    evaluator._comparison_free_vars(cond.lhs),
+                    evaluator._comparison_free_vars(cond.rhs),
+                )
+            )
+        if not projection.keys() >= enumerated:
+            return fallback(projection)
+        left = evaluator.eval_operand(cond.lhs, projection)
+        right = evaluator.eval_operand(cond.rhs, projection)
+        if compare(cond.op, left, right, cond.lq, cond.rq):
+            return _KEEP
+        return ()
+
+    return compute
 
 
 def _covering(state: State, needed: Set[Variable]) -> Optional[State]:
@@ -1085,6 +1129,9 @@ def _item_values(
     if not isinstance(item, ast.PathItem):
         raise QueryError("set-attribute SELECT items require OID FUNCTION OF")
     env = {var: cell for var, cell in zip(item_vars, key) if cell is not None}
+    chained = walker.chain_value(item.path, env)
+    if chained is not None:
+        return chained[0]
     return frozenset(hit.tail for hit in walker.walk(item.path, env))
 
 

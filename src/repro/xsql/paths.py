@@ -552,6 +552,41 @@ class PathWalker:
             for final_env, tail, flag in frontier:
                 yield PathHit(_freeze(final_env), tail, flag)
 
+    def chain_value(
+        self, path: ast.PathExpr, env: Bindings
+    ) -> Optional[Tuple[FrozenSet[Oid], bool]]:
+        """The chain fetch: ``(tails, set-shaped)`` of an atom chain
+        (``H.M1.M2…``: ground 0-ary methods, no selectors) whose head
+        resolves to an oid under *env*; ``None`` for any other path.
+
+        Equal to folding :meth:`walk`, which enumerates every database
+        path: a node's continuation does not depend on how it was
+        reached, so the frontier keeps each node once with the OR of the
+        flags of the prefixes reaching it, and the flag read at the end
+        is the OR over complete paths only (an empty frontier reads
+        ``False``, as a walk that yields nothing does).  Uncached and
+        uncounted, like :meth:`walk`.
+        """
+        if not path.is_atom_chain:
+            return None
+        head = resolve_term(path.head, env)
+        if not isinstance(head, Oid):
+            return None
+        frontier: Dict[Oid, bool] = {head: False}
+        for step in path.steps:
+            method = step.method_expr.method
+            reached: Dict[Oid, bool] = {}
+            for node, flag in frontier.items():
+                values, set_valued = self._invoke(node, method, ())
+                flag = flag or set_valued
+                for value in values:
+                    if flag or value not in reached:
+                        reached[value] = flag
+            frontier = reached
+            if not frontier:
+                break
+        return frozenset(frontier), any(frontier.values())
+
     def value(
         self, path: ast.PathExpr, env: Optional[Bindings] = None
     ) -> FrozenSet[Oid]:
@@ -573,6 +608,9 @@ class PathWalker:
         outer environments that agree on those variables share one walk.
         The memo lives behind :meth:`_fresh_caches`, so any schema or data
         generation bump discards it before the next lookup.
+
+        A miss on an atom chain under a ground head takes
+        :meth:`chain_value` instead of the generic :meth:`walk`.
         """
         self._fresh_caches()
         env = env or {}
@@ -585,12 +623,14 @@ class PathWalker:
             if self._metrics is not None:
                 self._metrics.count("cache.path.hit")
             return cached
-        tails = set()
-        shaped = False
-        for hit in self.walk(path, env):
-            tails.add(hit.tail)
-            shaped = shaped or hit.set_shaped
-        result = (frozenset(tails), shaped)
+        result = self.chain_value(path, env)
+        if result is None:
+            tails = set()
+            shaped = False
+            for hit in self.walk(path, env):
+                tails.add(hit.tail)
+                shaped = shaped or hit.set_shaped
+            result = (frozenset(tails), shaped)
         if self._metrics is not None:
             self._metrics.count("cache.path.miss")
         if self._value_cache_cap:

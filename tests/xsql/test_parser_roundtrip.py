@@ -49,3 +49,35 @@ def test_roundtrip(text):
     # Desugaring introduces fresh variables whose names depend on the
     # pass; compare the re-rendered forms, which normalizes them.
     assert str(second) == rendered, f"{text!r} -> {rendered!r}"
+
+
+# String literals holding the two characters the lexer escapes: the
+# quote and the backslash (a raw ``\'``, a doubled backslash, a
+# backslash right before the closing quote).
+ESCAPED_LITERALS = [
+    r"'it\'s'",
+    r"'back\\slash'",
+    r"'both \\ and \' here'",
+    r"'\\\''",
+    r"'ends with \\'",
+]
+
+
+@pytest.mark.parametrize("literal", ESCAPED_LITERALS)
+def test_escaped_string_literals_reparse(literal):
+    for text in (
+        f"SELECT X FROM Person X WHERE X.Name[{literal}]",
+        f"SELECT X FROM Person X WHERE X.Name = {literal}",
+        f"SELECT X FROM Person X WHERE X.Name some= {{{literal}, 'b'}}",
+    ):
+        query = parse_query(text)
+        assert parse_query(str(query)) == query, text
+
+
+def test_printed_literal_escapes_quote_and_backslash():
+    from repro.oid import Value
+
+    assert str(Value("it's")) == r"'it\'s'"
+    assert str(Value("a\\b")) == r"'a\\b'"
+    query = parse_query(r"SELECT X WHERE X.Name['it\'s \\']")
+    assert r"'it\'s \\'" in str(query)
