@@ -50,6 +50,14 @@ prepared live run right after a point write.  Both run on the
 comparison kernel and the atom-chain fetch; each p50 must stay within
 2× of the checked-in baseline artifact.
 
+**Term benchmark** — the id-term operations every operator memo,
+batch column, extent set and binding dict repeats: T1 is 10,000
+operator-memo-style lookups on ``(int, Atom, Value)`` keys, T2 builds a
+frozenset of 10,000 ``Value`` oids, T3 is 10,000 binding-dict lookups
+keyed by ``Variable``.  The lookup keys are equal to, not identical
+with, the stored ones, so every hit also compares terms.  Each p50 must
+stay within 2× of the checked-in baseline artifact.
+
 **Compile-scaling benchmark** — the p50 of a cold
 ``prepare(..., plan="cost")`` (statement cache cleared first) over 200
 distinct point-lookup texts on
@@ -75,7 +83,7 @@ Run standalone::
         [--plan none|greedy|typed|cost] [--json PATH] [--baseline PATH]
 
 or through pytest (asserts the ratio criteria; the join baseline gate
-is CLI-only, the pointer and cold ones run in both)::
+is CLI-only, the pointer, cold and term ones run in both)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_pipeline.py
 """
@@ -90,7 +98,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import Session
 from repro.difftest.oracle import shape_sibling
-from repro.oid import Atom
+from repro.oid import Atom, Value, Variable
 from repro.schema.figure1 import build_figure1_schema
 from repro.workloads.generator import WorkloadConfig, generate_database
 from repro.workloads.paper_db import populate_paper_database
@@ -235,6 +243,11 @@ COLD_SCAN = (
     "SELECT X.Name, X.Salary FROM Employee X WHERE X.Salary > 300000"
 )
 COLD_BASELINE_FACTOR = 2.0
+
+#: The term benchmark: operations per timed round, and the gate factor
+#: against the baseline artifact's p50s.
+TERMS_SIZE = 10_000
+TERMS_BASELINE_FACTOR = 2.0
 
 #: The shape benchmark: a shape-hit prepare of every paper query with
 #: literals must cost at most this fraction of its cold prepare.
@@ -528,6 +541,65 @@ def cold_baseline_regressions(
         [(name, seconds) for name, seconds, _rows in results],
         baseline, "cold", "cold", factor,
     )
+
+
+def measure_terms(rounds: int = 9) -> List[Tuple[str, float]]:
+    """Per-operation (name, p50_seconds) of the id-term operations.
+
+    The lookup keys are built from fresh term instances, equal to the
+    stored ones but not identical, as a memo key built from a query's
+    literals is to one built from a stored cell.
+    """
+    n = TERMS_SIZE
+    memo = {(i % 7, Atom(f"o{i}"), Value(i)): i for i in range(n)}
+    memo_keys = [(i % 7, Atom(f"o{i}"), Value(i)) for i in range(n)]
+    values = [Value(i) for i in range(n)]
+    env = {Variable(f"V{i}"): Atom(f"o{i}") for i in range(8)}
+    env_keys = [Variable(f"V{i % 8}") for i in range(n)]
+
+    def lookups() -> None:
+        for key in memo_keys:
+            memo[key]
+
+    def build_set() -> None:
+        frozenset(values)
+
+    def bindings() -> None:
+        for var in env_keys:
+            env[var]
+
+    return [
+        (name, _median_seconds(action, rounds))
+        for name, action in (
+            ("T1", lookups), ("T2", build_set), ("T3", bindings)
+        )
+    ]
+
+
+def terms_baseline_regressions(
+    results: List[Tuple[str, float]],
+    baseline: Dict[str, object],
+    factor: float = TERMS_BASELINE_FACTOR,
+) -> List[str]:
+    """T operations whose p50 regressed against the baseline."""
+    return _baseline_regressions(results, baseline, "terms", "terms", factor)
+
+
+def report_terms(results: List[Tuple[str, float]]) -> str:
+    labels = {
+        "T1": "memo lookups on (int, Atom, Value) keys",
+        "T2": "frozenset of Value oids",
+        "T3": "binding-dict lookups keyed by Variable",
+    }
+    lines = [
+        f"id-term operations ({TERMS_SIZE:,} per round):",
+        f"{'op':>6}  {'p50':>10}  what",
+    ]
+    for name, seconds in results:
+        lines.append(
+            f"{name:>6}  {seconds * 1000:>8.3f}ms  {labels.get(name, '')}"
+        )
+    return "\n".join(lines)
 
 
 def report_cold(results: List[Tuple[str, float, int]]) -> str:
@@ -1047,6 +1119,7 @@ def as_json(
     maintenance_results: List[Tuple[int, float, float]],
     shape_results: List[Tuple[str, float, float, float]],
     cold_results: List[Tuple[str, float, int]],
+    terms_results: List[Tuple[str, float]],
 ) -> Dict[str, object]:
     """The JSON artifact CI uploads (``BENCH_pipeline.json``)."""
     targeted_s, recompute_s, groups = maintenance
@@ -1058,6 +1131,7 @@ def as_json(
             "join_hash_baseline_factor": JOIN_BASELINE_FACTOR,
             "pointer_baseline_factor": POINTER_BASELINE_FACTOR,
             "cold_baseline_factor": COLD_BASELINE_FACTOR,
+            "terms_baseline_factor": TERMS_BASELINE_FACTOR,
             "shape_hit_limit": SHAPE_HIT_LIMIT,
             "view_maintenance_speedup": VIEW_TARGET,
             "snapshot_overhead_limit": SNAPSHOT_OVERHEAD_LIMIT,
@@ -1126,6 +1200,10 @@ def as_json(
         "cold": [
             {"query": name, "cold_ms": round(seconds * 1000, 4), "rows": rows}
             for name, seconds, rows in cold_results
+        ],
+        "terms": [
+            {"query": name, "terms_ms": round(seconds * 1000, 4)}
+            for name, seconds in terms_results
         ],
         "view_maintenance": {
             "writes": VIEW_WRITES,
@@ -1233,6 +1311,27 @@ def test_cold_baseline_gate_fails_on_slow_or_missing_entries():
     ]
 
 
+def test_terms_within_2x_of_baseline():
+    results = measure_terms(rounds=5)
+    with open(DEFAULT_BASELINE) as handle:
+        baseline = json.load(handle)
+    regressions = terms_baseline_regressions(results, baseline)
+    assert not regressions, report_terms(results) + "\n" + "\n".join(
+        regressions
+    )
+
+
+def test_terms_baseline_gate_fails_on_slow_or_missing_entries():
+    results = [("T1", 0.001), ("T2", 0.005)]
+    baseline = {"terms": [{"query": "T1", "terms_ms": 1.0},
+                          {"query": "T2", "terms_ms": 1.0}]}
+    problems = terms_baseline_regressions(results, baseline)
+    assert [line.split(":")[0] for line in problems] == ["T2"]
+    assert terms_baseline_regressions(results[:1], {}) == [
+        "T1: no terms p50 in the baseline"
+    ]
+
+
 def test_shape_hit_prepare_at_most_half_of_cold_on_every_literal_query():
     results = measure_shape()
     assert len(results) == 6  # Q3, Q5, Q7-Q10
@@ -1302,9 +1401,10 @@ def main() -> int:
         "--baseline",
         metavar="PATH",
         default=str(DEFAULT_BASELINE),
-        help="artifact whose J-query hash p50s, V-query pointer p50s "
-        f"and C-query cold p50s gate this run at {JOIN_BASELINE_FACTOR:g}x, "
-        f"{POINTER_BASELINE_FACTOR:g}x and {COLD_BASELINE_FACTOR:g}x "
+        help="artifact whose J-query hash p50s, V-query pointer p50s, "
+        "C-query cold p50s and T-operation term p50s gate this run at "
+        f"{JOIN_BASELINE_FACTOR:g}x, {POINTER_BASELINE_FACTOR:g}x, "
+        f"{COLD_BASELINE_FACTOR:g}x and {TERMS_BASELINE_FACTOR:g}x "
         "(default: %(default)s)",
     )
     args = parser.parse_args()
@@ -1320,6 +1420,7 @@ def main() -> int:
     joins = measure_joins(rounds=min(args.rounds, 5))
     pointer = measure_pointer(rounds=min(args.rounds, 7))
     cold = measure_cold(rounds=args.rounds)
+    terms = measure_terms(rounds=args.rounds)
     maintenance = measure_view_maintenance(rounds=min(args.rounds, 5))
     snapshot = measure_snapshot(rounds=args.rounds)
     compiled = measure_compile()
@@ -1360,6 +1461,15 @@ def main() -> int:
             f"cold p50s within {COLD_BASELINE_FACTOR:g}x of {args.baseline}"
         )
     print()
+    print(report_terms(terms))
+    terms_regressions = terms_baseline_regressions(terms, baseline)
+    for line in terms_regressions:
+        print(f"REGRESSION vs {args.baseline}: {line}")
+    if not terms_regressions:
+        print(
+            f"term p50s within {TERMS_BASELINE_FACTOR:g}x of {args.baseline}"
+        )
+    print()
     print(report_view_maintenance(maintenance))
     print()
     print(report_snapshot(snapshot))
@@ -1373,7 +1483,7 @@ def main() -> int:
     if args.json:
         payload = as_json(
             results, selective, joins, pointer, maintenance, snapshot,
-            compiled, upkeep, shape, cold,
+            compiled, upkeep, shape, cold, terms,
         )
         if estimation is not None:
             payload["analyze"] = estimation_as_json(estimation)
@@ -1390,6 +1500,7 @@ def main() -> int:
         and pointer_beats_hash(pointer)
         and not pointer_regressions
         and not cold_regressions
+        and not terms_regressions
         and view_maintenance_speedup(maintenance) >= VIEW_TARGET
         and snapshot_overhead(snapshot) <= SNAPSHOT_OVERHEAD_LIMIT
         and compile_scaling(compiled) <= COMPILE_SCALING_LIMIT

@@ -16,14 +16,27 @@ used by XSQL: individual (``X``), class (``#X``), method (``"Y``), and path
 (``*Y``).
 
 All term classes are immutable and hashable so they can live in sets and
-serve as dictionary keys throughout the store and the evaluators.
+serve as dictionary keys throughout the store and the evaluators.  Every
+operator memo, binding dict, extent set and path cache hashes them, so each
+term is a *tagged tuple*: a ``tuple`` subclass whose first item is an
+integer kind tag, followed by the payload (``Atom`` → ``(tag, name)``,
+``Value`` → ``(tag, value)``, ``FuncOid`` → ``(tag, functor, args)``,
+``Variable`` → ``(tag, name, sort)``).  Hashing and equality then run in C.
+The tag keeps the domains apart: ``Atom('x') != Value('x')``, and a boolean
+literal has its own tag, so ``Value(True) != Value(1)`` while
+``Value(1) == Value(1.0)``.
+
+Being a tuple, an oid equals a *plain* tuple with the same tag and payload
+(``Atom('x') == (tag, 'x')``).  Never key one map with both oids and plain
+tuples, and test for a plain tuple (a path variable's method sequence) with
+``type(x) is tuple``, never ``isinstance(x, tuple)``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from operator import itemgetter
+from typing import Iterator, Mapping, Tuple, Union
 
 __all__ = [
     "Term",
@@ -43,6 +56,10 @@ __all__ = [
 
 Scalar = Union[int, float, str, bool]
 
+# Kind tags: the first item of every term tuple.  Booleans get their own
+# tag so ``true`` and ``1`` are distinct objects.
+_ATOM, _VALUE, _BOOL, _FUNC, _VARIABLE = range(5)
+
 
 class Term:
     """Common base class for id-terms (oids and variables)."""
@@ -56,8 +73,7 @@ class Oid(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(Oid):
+class Atom(tuple, Oid):
     """A symbolic logical oid: ``mary123``, ``Person``, ``Residence`` ...
 
     Atoms name individuals, classes, and methods alike; which role an atom
@@ -65,7 +81,15 @@ class Atom(Oid):
     the space of attribute names from the space of other logical oids").
     """
 
-    name: str
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> "Atom":
+        return tuple.__new__(cls, (_ATOM, name))
+
+    name = property(itemgetter(1))
+
+    def __getnewargs__(self) -> Tuple[str]:
+        return (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -74,8 +98,7 @@ class Atom(Oid):
         return f"Atom({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Value(Oid):
+class Value(tuple, Oid):
     """A literal object: a number, string, or boolean.
 
     Per §2, ``'20'`` is "a logical id of the abstract object with the usual
@@ -84,13 +107,19 @@ class Value(Oid):
     ``Boolean``.
     """
 
-    value: Scalar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.value, bool):
-            return
-        if not isinstance(self.value, (int, float, str)):
-            raise TypeError(f"unsupported literal payload: {self.value!r}")
+    def __new__(cls, value: Scalar) -> "Value":
+        if isinstance(value, bool):
+            return tuple.__new__(cls, (_BOOL, value))
+        if not isinstance(value, (int, float, str)):
+            raise TypeError(f"unsupported literal payload: {value!r}")
+        return tuple.__new__(cls, (_VALUE, value))
+
+    value = property(itemgetter(1))
+
+    def __getnewargs__(self) -> Tuple[Scalar]:
+        return (self.value,)
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -104,8 +133,7 @@ class Value(Oid):
         return f"Value({self.value!r})"
 
 
-@dataclass(frozen=True)
-class FuncOid(Oid):
+class FuncOid(tuple, Oid):
     """An id-function application ``f(t1, ..., tn)`` over ground id-terms.
 
     Id-functions "invent new object identifiers by applying function symbols
@@ -113,13 +141,20 @@ class FuncOid(Oid):
     object-creating queries and views mint fresh, reproducible oids (§4).
     """
 
-    functor: str
-    args: Tuple[Oid, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for arg in self.args:
+    def __new__(cls, functor: str, args: Tuple[Oid, ...]) -> "FuncOid":
+        args = tuple(args)
+        for arg in args:
             if not isinstance(arg, Oid):
                 raise TypeError(f"FuncOid argument must be ground, got {arg!r}")
+        return tuple.__new__(cls, (_FUNC, functor, args))
+
+    functor = property(itemgetter(1))
+    args = property(itemgetter(2))
+
+    def __getnewargs__(self) -> Tuple[str, Tuple[Oid, ...]]:
+        return (self.functor, self.args)
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -129,14 +164,15 @@ class FuncOid(Oid):
         return f"FuncOid({self.functor!r}, {self.args!r})"
 
 
-class VarSort(enum.Enum):
+class VarSort(str, enum.Enum):
     """The four variable sorts of XSQL (§3.1).
 
     ``INDIVIDUAL`` variables range over ids of individual objects,
     ``CLASS`` variables (written ``#X``) over class-objects, ``METHOD``
     variables (written ``"Y``) over method-objects (including attributes),
     and ``PATH`` variables (written ``*Y``) over finite sequences of
-    method-objects.
+    method-objects.  The ``str`` mixin makes a member hash as its value,
+    in C.
     """
 
     INDIVIDUAL = "individual"
@@ -153,12 +189,21 @@ _SORT_PREFIX = {
 }
 
 
-@dataclass(frozen=True)
-class Variable(Term):
+class Variable(tuple, Term):
     """A sorted query variable."""
 
-    name: str
-    sort: VarSort = VarSort.INDIVIDUAL
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, sort: VarSort = VarSort.INDIVIDUAL
+    ) -> "Variable":
+        return tuple.__new__(cls, (_VARIABLE, name, sort))
+
+    name = property(itemgetter(1))
+    sort = property(itemgetter(2))
+
+    def __getnewargs__(self) -> Tuple[str, VarSort]:
+        return (self.name, self.sort)
 
     def __str__(self) -> str:
         return _SORT_PREFIX[self.sort] + self.name
@@ -201,9 +246,6 @@ def substitute(term: Term, bindings: Mapping[Variable, Oid]) -> Term:
     if isinstance(term, Variable):
         return bindings.get(term, term)
     return term
-
-
-_KIND_ORDER: Dict[type, int] = {Value: 0, Atom: 1, FuncOid: 2, Variable: 3}
 
 
 def term_sort_key(term: Term) -> Tuple:

@@ -100,7 +100,7 @@ def path(
     for item in steps:
         if isinstance(item, ast.Step):
             built.append(item)
-        elif isinstance(item, tuple):
+        elif type(item) is tuple:  # not an oid: those are tuples too
             built.append(step(*item))
         else:
             built.append(step(item))

@@ -264,9 +264,10 @@ class PathWalker:
         self, head: object, env: Bindings
     ) -> Iterator[Tuple[Bindings, Oid]]:
         resolved = resolve_term(head, env)
-        if isinstance(resolved, tuple):
+        if type(resolved) is tuple:
             # A bound path variable (a method-atom sequence) projected as
             # a value: reify it as an id-term so it can live in results.
+            # (Oids are tuple subclasses, so the test is on the exact type.)
             yield env, FuncOid("attrpath", resolved)
             return
         if isinstance(resolved, Oid):

@@ -6,6 +6,9 @@ from repro.datamodel import ObjectStore
 from repro.datamodel.catalogue import BOOLEAN, NUMERAL, STRING
 from repro.errors import SchemaError
 from repro.oid import NIL, Atom, Value
+from repro.storage import decode_store
+from repro.xsql.session import Session
+from tests.conftest import store_image
 
 
 class TestSorts:
@@ -78,3 +81,50 @@ class TestLiteralClassification:
         store = ObjectStore()
         for builtin in (NUMERAL, STRING, BOOLEAN):
             assert store.hierarchy.is_subclass(builtin, Atom("Object"))
+
+
+class TestBooleanIsNotNumeral:
+    """``true`` and ``1`` are distinct literal objects: each lands in its
+    own extent, a selector of one kind never matches the other, and the
+    codec keeps both."""
+
+    @pytest.fixture
+    def session(self):
+        session = Session()
+        session.execute(
+            "CREATE CLASS Thing SIGNATURE Qty = Numeral, Flag = Boolean"
+        )
+        for name in ("a", "b"):
+            session.store.create_object(Atom(name), ["Thing"])
+        # The boolean is written first: it must not stand for the 1.
+        session.store.set_attr(Atom("a"), "Flag", True)
+        session.store.set_attr(Atom("b"), "Qty", 1)
+        return session
+
+    def test_each_extent_holds_its_own_literal(self, session):
+        assert session.query("SELECT X FROM Numeral X").rows() == {
+            (Value(1),)
+        }
+        assert session.query("SELECT X FROM Boolean X").rows() == {
+            (Value(True),)
+        }
+
+    def test_cross_typed_selectors_match_nothing(self, session):
+        for text in (
+            "SELECT X FROM Thing X WHERE X.Flag[1]",
+            "SELECT X FROM Thing X WHERE X.Qty[true]",
+        ):
+            assert not session.query(text).rows(), text
+        assert session.query(
+            "SELECT X FROM Thing X WHERE X.Flag[true]"
+        ).rows() == {(Atom("a"),)}
+        assert session.query(
+            "SELECT X FROM Thing X WHERE X.Qty[1]"
+        ).rows() == {(Atom("b"),)}
+
+    def test_codec_roundtrip_keeps_both(self, session):
+        restored = decode_store(store_image(session.store))
+        assert restored.extent("Numeral") == frozenset({Value(1)})
+        assert restored.extent("Boolean") == frozenset({Value(True)})
+        assert restored.invoke(Atom("a"), "Flag") == frozenset({Value(True)})
+        assert restored.invoke(Atom("b"), "Qty") == frozenset({Value(1)})

@@ -1,5 +1,8 @@
 """Tests for logical object ids and id-terms (paper §2, §4.2)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +33,20 @@ class TestAtoms:
     def test_hashable(self):
         assert len({Atom("a"), Atom("a"), Atom("b")}) == 2
 
+    def test_same_payload_in_another_class_is_unequal(self):
+        assert Atom("x") != Value("x")
+        assert Variable("X") != Atom("X")
+        assert Atom("x") not in {Value("x"): 1}
+
+    def test_attribute_assignment_raises(self):
+        with pytest.raises(AttributeError):
+            Atom("a").name = "b"  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            Atom("a").extra = 1  # type: ignore[attr-defined]
+
+    def test_no_instance_dict(self):
+        assert not hasattr(Atom("a"), "__dict__")
+
 
 class TestValues:
     def test_numeric_literal(self):
@@ -48,6 +65,20 @@ class TestValues:
 
     def test_bool_payload_allowed(self):
         assert Value(True).value is True
+
+    def test_boolean_is_not_the_number(self):
+        assert Value(True) != Value(1) and Value(False) != Value(0)
+        assert len({Value(True), Value(1)}) == 2
+        assert Value(1) == Value(1.0) and hash(Value(1)) == hash(Value(1.0))
+
+    def test_rejects_other_non_scalars(self):
+        for payload in (None, (1,), {"a": 1}, Atom("a")):
+            with pytest.raises(TypeError):
+                Value(payload)  # type: ignore[arg-type]
+
+    def test_attribute_assignment_raises(self):
+        with pytest.raises(AttributeError):
+            Value(1).value = 2  # type: ignore[misc]
 
 
 class TestFuncOids:
@@ -68,6 +99,13 @@ class TestFuncOids:
     def test_rejects_variable_arguments(self):
         with pytest.raises(TypeError):
             FuncOid("f", (Variable("X"),))  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            FuncOid("f", (Atom("a"), "raw"))  # type: ignore[arg-type]
+
+    def test_attribute_assignment_raises(self):
+        term = FuncOid("f", (Atom("a"),))
+        with pytest.raises(AttributeError):
+            term.args = ()  # type: ignore[misc]
 
 
 class TestVariables:
@@ -79,6 +117,51 @@ class TestVariables:
 
     def test_same_name_different_sort_distinct(self):
         assert Variable("X") != Variable("X", VarSort.CLASS)
+        assert Variable("X", VarSort.CLASS) != Atom("X")
+
+    def test_default_sort_is_individual(self):
+        assert Variable("X") == Variable("X", VarSort.INDIVIDUAL)
+        assert Variable("X").sort is VarSort.INDIVIDUAL
+
+    def test_sort_lookup_by_value(self):
+        assert VarSort("class") is VarSort.CLASS
+        assert VarSort.PATH.value == "path"
+        assert repr(Variable("Y", VarSort("method"))) == "Variable('Y', method)"
+
+    def test_attribute_assignment_raises(self):
+        with pytest.raises(AttributeError):
+            Variable("X").sort = VarSort.CLASS  # type: ignore[misc]
+
+
+TERMS = [
+    Atom("mary123"),
+    Value(20),
+    Value(2.5),
+    Value("it's"),
+    Value(True),
+    FuncOid("f", (Atom("a"), FuncOid("g", (Value(1),)))),
+    Variable("X"),
+    Variable("P", VarSort.PATH),
+]
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda t: pickle.loads(pickle.dumps(t)),
+            lambda t: pickle.loads(pickle.dumps(t, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-0", "copy", "deepcopy"],
+    )
+    def test_roundtrip_keeps_type_equality_and_hash(self, term, clone):
+        twin = clone(term)
+        assert type(twin) is type(term)
+        assert twin == term and hash(twin) == hash(term)
+        assert repr(twin) == repr(term)
 
 
 class TestHelpers:

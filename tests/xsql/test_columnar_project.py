@@ -253,6 +253,15 @@ class TestProjectEdges:
         assert FuncOid("attrpath", (Atom("Residence"),)) in (
             got.single_column()
         )
+        # A two-method sequence: the walk must tell the plain tuple
+        # (Dependents, Residence) from an oid, which is a tuple too.
+        got = _query_checked(
+            paper_session,
+            "SELECT P FROM Employee X WHERE X.*P.City['newyork']",
+        )
+        assert FuncOid(
+            "attrpath", (Atom("Dependents"), Atom("Residence"))
+        ) in got.single_column()
 
     def test_path_variable_cells_over_many_keys(self, paper_session):
         walker = paper_session.evaluator().walker

@@ -13,7 +13,7 @@ from repro.errors import QueryError
 from repro.schema.figure1 import build_figure1_schema
 from repro.workloads.paper_db import populate_paper_database
 from repro.oid import Atom, Value
-from repro.xsql import build
+from repro.xsql import ast, build
 from repro.xsql.operators import join_strategy_of
 from repro.xsql.parser import parse_query
 
@@ -69,7 +69,6 @@ def test_hash_matches_nested_and_naive(stores, text):
     )
     assert hash_result.rows() == nested_result.rows(), text
     assert list(hash_result) == list(nested_result), text
-    from repro.xsql import ast
 
     parsed = parse_query(text)
     n_vars = len(set(ast.free_variables(parsed)))
@@ -111,6 +110,17 @@ def test_join_strategy_classification():
     xn = build.operand(build.path(x, "Name"))
     xd = build.operand(build.path(x, "Residence"))
     assert join_strategy_of(build.compare(xn, "=", xd)) == "nested"
+
+
+def test_path_steps_from_atoms_and_tuples():
+    # An Atom is a tuple too: it must build one plain step, not be
+    # splatted as a (method, selector) pair.
+    x, a = build.ivar("X"), build.ivar("A")
+    assert build.path(x, Atom("Salary")) == build.path(x, "Salary")
+    built = build.path(x, ("Residence", a), (Atom("City"), "newyork"))
+    assert all(isinstance(step, ast.Step) for step in built.steps)
+    assert built.steps[0] == build.step("Residence", a)
+    assert built.steps[1] == build.step(Atom("City"), Value("newyork"))
 
 
 def test_join_metrics_counted(stores):
