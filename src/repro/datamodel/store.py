@@ -178,6 +178,11 @@ class ObjectStore:
         return self._history.version_of(self)
 
     @property
+    def ticket(self) -> int:
+        """The mutation ticket alone: every write of the version moves it."""
+        return self._history.ticket
+
+    @property
     def write_lock(self):
         """The store-level write lock (reentrant; readers never take it)."""
         return self._history.lock

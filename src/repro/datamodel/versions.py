@@ -576,6 +576,11 @@ class StoreView(ObjectStore):
         return self._pin.version
 
     @property
+    def ticket(self) -> int:
+        """The pinned ticket: a view's state never moves."""
+        return self._ticket
+
+    @property
     def pinned(self) -> bool:
         return not self._pin.released
 

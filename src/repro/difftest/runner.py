@@ -169,7 +169,7 @@ def run_fuzz(
             # are O(extent^|FROM|): a two-variable query over a scale
             # population cross-products the whole extents before any
             # conjunct can filter.  Single-FROM queries keep every
-            # engine linear in the population, so the 11-engine matrix
+            # engine linear in the population, so the 10-engine matrix
             # stays comparable at 10^3-10^4 objects.
             size_config = dataclasses.replace(config, max_from=1)
         else:

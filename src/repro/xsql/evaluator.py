@@ -139,8 +139,8 @@ class Evaluator:
     ) -> None:
         self.store = store
         # A caller may supply a shared (session-persistent) walker so its
-        # generation-stamped caches survive across runs; it must have
-        # been built over the same store and restrictions.
+        # ticket-stamped memo survives across runs; it must have been
+        # built over the same store and restrictions.
         self.walker = walker if walker is not None else PathWalker(
             store,
             max_path_var_length=max_path_var_length,
@@ -150,8 +150,6 @@ class Evaluator:
         )
         self._restrictions = restrictions or {}
         self._metrics = metrics
-        # (subquery identity, correlation bindings) -> answer set.
-        self._subquery_cache: Dict[Tuple, FrozenSet[Oid]] = {}
 
     # ------------------------------------------------------------------
     # top level
@@ -565,27 +563,22 @@ class Evaluator:
         """Evaluate a correlated subquery, memoized per correlation key.
 
         A subquery's result depends only on the bindings of its free
-        variables (locals are re-bound inside), so identical correlation
-        keys can reuse the previous answer.  The cache is invalidated by
-        updates (:meth:`execute_update`), keeping the memo sound even in
-        WHERE clauses that mix reads and writes.
+        variables (locals are re-bound inside), so its answer goes into
+        the walker memo under a ``"subquery"`` token, keyed on those
+        bindings, and lasts across runs.  The memo is stamped with the
+        store's mutation ticket, so an ``UPDATE`` earlier in the same
+        WHERE clause, or any write between runs, drops it before the
+        next lookup.
         """
-        correlation = tuple(
-            sorted(
-                {
-                    (var.name, var.sort.value, env.get(var))
-                    for var in ast.free_variables(operand.query)
-                    if env.get(var) is not None
-                },
-                key=lambda item: (item[0], item[1]),
-            )
-        )
-        key = (id(operand), correlation)
-        cached = self._subquery_cache.get(key)
-        if cached is None:
-            cached = self.run(operand.query, env).single_column()
-            self._subquery_cache[key] = cached
-        return cached
+        key_vars = tuple(dict.fromkeys(ast.free_variables(operand.query)))
+        key = tuple(env.get(var) for var in key_vars)
+        return self.walker.memoized(
+            "subquery",
+            operand,
+            key_vars,
+            (key,),
+            lambda _projection: self.run(operand.query, env).single_column(),
+        )[key]
 
     def _eval_arith(
         self, operand: ast.ArithOperand, env: Bindings
@@ -638,8 +631,6 @@ class Evaluator:
         env = dict(env or {})
         cls = Atom(update.cls)
         self.store.hierarchy.require(cls)
-        # Writes invalidate memoized subquery answers.
-        self._subquery_cache.clear()
         for path, expr in update.assignments:
             if not path.steps:
                 raise QueryError("an UPDATE path needs at least one step")
@@ -674,7 +665,6 @@ class Evaluator:
         args: Tuple[Oid, ...],
         values: FrozenSet[Oid],
     ) -> bool:
-        self._subquery_cache.clear()
         set_valued = self._method_declared_set_valued(target, method)
         if set_valued:
             self.store.set_attr_set(target, method, values, args)

@@ -214,10 +214,14 @@ class ExecContext:
         self.evaluator = evaluator
         self.metrics = metrics
 
-    def path_cache_hits(self) -> int:
+    def cache_hits(self) -> int:
+        """Walker memo hits so far: path values plus every other entry."""
         if self.metrics is None:
             return 0
-        return self.metrics.counters.get("cache.path.hit", 0)
+        counters = self.metrics.counters
+        return counters.get("cache.path.hit", 0) + counters.get(
+            "cache.memo.hit", 0
+        )
 
 
 # ----------------------------------------------------------------------
@@ -297,11 +301,11 @@ class Operator:
         ctx = self._ctx
         assert ctx is not None, "operator used before open()"
         self.rows_in = product_count(state)
-        hits = ctx.path_cache_hits()
+        hits = ctx.cache_hits()
         started = time.perf_counter()
         out = self._transform(state)
         self.wall_seconds += time.perf_counter() - started
-        self.cache_hits += ctx.path_cache_hits() - hits
+        self.cache_hits += ctx.cache_hits() - hits
         self.rows_out = product_count(out)
         self.batches_out = len(out)
         self.executed = True
@@ -464,10 +468,10 @@ class CondOperator(Operator):
         projection.  The whole step is column-at-a-time: projection keys
         are zipped straight out of the batch's vectors, deltas are
         computed once per distinct key (and memoized across runs in the
-        walker's generation-stamped memo), and the output vectors are
-        assembled without materializing row dicts.  Replay order per row
-        equals the per-row ``eval_cond`` order, so the stream is
-        bit-identical to the ungrouped evaluation.
+        walker memo), and the output vectors are assembled without
+        materializing row dicts.  Replay order per row equals the
+        per-row ``eval_cond`` order, so the stream is bit-identical to
+        the ungrouped evaluation.
 
         A comparison computes each key on the comparison kernel
         (:func:`_comparison_kernel`) instead of ``eval_cond`` whenever
@@ -506,45 +510,14 @@ class CondOperator(Operator):
     ) -> Tuple[List[Tuple], Dict[Tuple, object]]:
         """*compute* once per distinct projection of *base* onto *key_vars*.
 
-        Returns the per-row projection keys and the computed value per
-        distinct key.  Values are memoized across runs in the walker's
-        generation-stamped memo under the interned ``(tag, node)`` token;
-        *compute* receives the projection as a binding dict (unbound
-        cells omitted).
+        Returns the per-row projection keys and the value per distinct
+        key, memoized across runs under the ``(tag, node)`` token
+        (:meth:`PathWalker.memoized`).
         """
-        ctx = self._ctx
-        assert ctx is not None
-        walker = ctx.evaluator.walker
+        assert self._ctx is not None
         keys = base.projection_keys(key_vars)
-        distinct: Dict[Tuple, object] = dict.fromkeys(keys)
-        # Past the memo's capacity the entries would evict each other
-        # before any reuse, so evaluate without the cross-run memo.
-        use_memo = len(distinct) <= walker.memo_capacity
-        # memo_token runs the generation check; the loop below cannot
-        # mutate the store (pipeline conjuncts are side-effect-free), so
-        # the per-key lookups use the unguarded fast path.
-        token = walker.memo_token(tag, node)
-        hits = misses = 0
-        for key in distinct:
-            memo_key = (token, key)
-            value = walker.memo_get_fresh(memo_key) if use_memo else None
-            if value is None:
-                value = compute(
-                    {
-                        var: cell
-                        for var, cell in zip(key_vars, key)
-                        if cell is not None
-                    }
-                )
-                misses += 1
-                if use_memo:
-                    walker.memo_put(memo_key, value)
-            else:
-                hits += 1
-            distinct[key] = value
-        self.cache_hits += hits
-        walker.memo_counts(hits, misses)
-        return keys, distinct
+        walker = self._ctx.evaluator.walker
+        return keys, walker.memoized(tag, node, key_vars, keys, compute)
 
     def _operand_per_key(
         self, operand: ast.Operand, base: ColumnBatch
@@ -552,43 +525,35 @@ class CondOperator(Operator):
         """The operand's value set once per distinct projection of *base*
         onto the operand's variables (the key :meth:`_operand_values`
         memoizes under, so both share entries)."""
-        ctx = self._ctx
-        assert ctx is not None
-        evaluator = ctx.evaluator
+        assert self._ctx is not None
+        evaluator = self._ctx.evaluator
         return self._per_key(
             "operand",
             operand,
-            sorted(set(ast.operand_variables(operand)), key=_var_key),
+            _operand_key_vars(operand),
             base,
             lambda projection: evaluator.eval_operand(operand, projection),
         )
 
     def _operand_values(self, operand: ast.Operand, env: Bindings):
-        """The operand's value set under *env*; walker-memoized (keyed on
-        the projection onto the operand's variables, which bounds
-        everything its evaluation can read)."""
-        ctx = self._ctx
-        assert ctx is not None
-        evaluator = ctx.evaluator
-        op_vars = sorted(
-            set(ast.operand_variables(operand)),
-            key=lambda var: (var.name, var.sort.value),
-        )
-        key = tuple(env.get(var) for var in op_vars)
-        token = evaluator.walker.memo_token("operand", operand)
-        memo_key = (token, key)
-        values = evaluator.walker.memo_get(memo_key)
-        if values is None:
-            projection = {
-                var: value
-                for var, value in zip(op_vars, key)
-                if value is not None
-            }
-            values = evaluator.eval_operand(operand, projection)
-            evaluator.walker.memo_put(memo_key, values)
-        else:
-            self.cache_hits += 1
-        return values
+        """The operand's value set under *env*, memoized on the projection
+        onto the operand's variables (which bounds everything its
+        evaluation can read)."""
+        assert self._ctx is not None
+        evaluator = self._ctx.evaluator
+        key_vars = _operand_key_vars(operand)
+        key = tuple(env.get(var) for var in key_vars)
+        return evaluator.walker.memoized(
+            "operand",
+            operand,
+            key_vars,
+            (key,),
+            lambda projection: evaluator.eval_operand(operand, projection),
+        )[key]
+
+
+def _operand_key_vars(operand: ast.Operand) -> List[Variable]:
+    return sorted(set(ast.operand_variables(operand)), key=_var_key)
 
 
 class PathEval(CondOperator):
@@ -801,7 +766,7 @@ class PointerJoin(CondOperator):
 
     The operator groups the stream by its projection onto the other
     side's variables and dereferences once per distinct projection;
-    deltas are memoized in the walker's generation-stamped memo.
+    deltas are memoized in the walker memo.
 
     Every precondition is re-checked at runtime — an unbound operand
     variable, an incomplete index, or an already-bound fused variable
@@ -965,32 +930,16 @@ class PointerJoin(CondOperator):
         args: Tuple[Oid, ...],
     ) -> Optional[ColumnBatch]:
         """Dereference once per distinct projection."""
-        ctx = self._ctx
-        assert ctx is not None
-        walker = ctx.evaluator.walker
-        key_vars = sorted(other_vars, key=_var_key)
-        keys = base.projection_keys(key_vars)
-        token = walker.memo_token("pointer:" + self.direction, self.cond)
-        mapping = {}
-        for key in dict.fromkeys(keys):
-            memo_key = (token, key)
-            deltas = walker.memo_get_fresh(memo_key)
-            if deltas is None:
-                projection = {
-                    kvar: value
-                    for kvar, value in zip(key_vars, key)
-                    if value is not None
-                }
-                deltas = self._bind(other, projection, method, args)
-                if deltas is not None:
-                    walker.memo_put(memo_key, deltas)
-            else:
-                self.cache_hits += 1
-            mapping[key] = deltas
-        if any(deltas is None for deltas in mapping.values()):
+        keys, deltas = self._per_key(
+            "pointer:" + self.direction,
+            self.cond,
+            sorted(other_vars, key=_var_key),
+            base,
+            lambda projection: self._bind(other, projection, method, args),
+        )
+        if any(found is None for found in deltas.values()):
             return None  # incomplete index discovered mid-run
-        per_row = [mapping[key] for key in keys]
-        return replay_deltas(base, cond_vars, per_row)
+        return replay_deltas(base, cond_vars, [deltas[key] for key in keys])
 
 
 class NestedLoop(CondOperator):
@@ -1027,11 +976,11 @@ class NestedLoop(CondOperator):
     def result(self) -> QueryResult:
         assert self.statement is not None and self._ctx is not None
         ctx = self._ctx
-        hits = ctx.path_cache_hits()
+        hits = ctx.cache_hits()
         started = time.perf_counter()
         result = ctx.evaluator.run(self.statement)
         self.wall_seconds += time.perf_counter() - started
-        self.cache_hits += ctx.path_cache_hits() - hits
+        self.cache_hits += ctx.cache_hits() - hits
         self.rows_out = len(result)
         self.batches_out = 1
         self.executed = True
@@ -1064,12 +1013,12 @@ class Project(Operator):
     rows, and an empty one empties the answer), takes each remaining
     batch's distinct projection onto the SELECT variables, and evaluates
     each item once per distinct binding of its own variables, memoized
-    across runs in the walker's generation-stamped operator memo.  A
-    projection's rows are the product of its items' value sets.  The
-    items are walked jointly (``select_rows``) only where a projection
-    leaves unbound a variable two items share, so both bind it to the
-    same value, and where there is a single projection, which has
-    nothing to reuse and so skips the per-item setup.
+    across runs in the walker memo.  A projection's rows are the
+    product of its items' value sets.  The items are walked jointly
+    (``select_rows``) only where a projection leaves unbound a variable
+    two items share, so both bind it to the same value, and where there
+    is a single projection, which has nothing to reuse and so skips the
+    per-item setup.
     """
 
     name = "Project"
@@ -1099,13 +1048,13 @@ class Project(Operator):
         ctx = self._ctx
         assert ctx is not None
         state = self._input()
-        hits = ctx.path_cache_hits()
+        hits = ctx.cache_hits()
         started = time.perf_counter()
         result = QueryResult([column_name(item) for item in query.select])
         for row in _project(ctx.evaluator.walker, query.select, state):
             result.add(row)
         self.wall_seconds += time.perf_counter() - started
-        self.cache_hits += ctx.path_cache_hits() - hits
+        self.cache_hits += ctx.cache_hits() - hits
         self.rows_out = len(result)
         self.batches_out = 1
         self.executed = True
@@ -1172,11 +1121,11 @@ def _project(
     ]
     uses = Counter(var for vars_ in item_vars for var in vars_)
     shared = {slots.get(var, unbound_slot) for var, n in uses.items() if n > 1}
-    # Per item: this run's values by key, then the cross-run memo under
-    # an interned token (memo_token runs the generation check; walks are
-    # read-only, so the loop uses the unguarded lookups).  A run writes
-    # at most the memo's capacity, so its entries never evict each other
-    # before any reuse.
+    # Per item: this run's values by key, then the walker memo under an
+    # interned token (memo_token runs the freshness check; walks are
+    # read-only, so the loop uses the unchecked primitives).  A run
+    # writes at most the memo's capacity, the rule of
+    # PathWalker.memoized.
     seen: List[Dict[Tuple, FrozenSet[Oid]]] = [{} for _ in items]
     budget = walker.memo_capacity
     tokens = [walker.memo_token("select", item) for item in items]

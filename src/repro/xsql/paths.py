@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
+)
 
 from repro.datamodel.store import ObjectStore
 from repro.errors import ArityError, QueryError
@@ -70,7 +73,6 @@ class PathWalker:
         id_function_instances=None,
         restrictions: Optional[Dict[Variable, FrozenSet[Oid]]] = None,
         metrics=None,
-        value_cache_size: int = 4096,
     ) -> None:
         self._store = store
         self._max_seq = max_path_var_length
@@ -84,69 +86,61 @@ class PathWalker:
         self._restrictions = restrictions or {}
         # Optional SessionMetrics: counts index probes vs universe scans.
         self._metrics = metrics
-        # Path-traversal memo: (path shape, bindings of the path's free
-        # variables) -> (tails, set-shaped).  LRU-capped; stamped with the
-        # store's (schema, statistics) generation pair so any DDL or data
-        # write since the last lookup drops every memoized traversal.
-        self._value_cache: "OrderedDict[Tuple, Tuple[FrozenSet[Oid], bool]]" = (
-            OrderedDict()
-        )
-        self._value_cache_cap = max(0, value_cache_size)
-        # Cross-run operator memo for operator-tree execution: ("cond"|
-        # "operand", frozen AST node, projection-value tuple) -> the
-        # binding deltas / value set the conjunct or operand produced.
-        # AST nodes are frozen dataclasses, so structurally equal
-        # conjuncts share entries.  Same generation stamping as the
-        # value cache: any schema or data write drops every entry.
+        # The memo, the one store of derived values: (token, bindings of
+        # the node's own variables) -> what the node evaluates to there.
+        # A token interns a (tag, frozen AST node) prefix: "path" values,
+        # "cond" deltas, "operand" values, "pointer:*" dereferences,
+        # "select" item values and "subquery" answers.  Structurally
+        # equal nodes share entries.  One LRU, stamped with the store's
+        # mutation ticket: any write drops every entry.
         self._memo_cache: "OrderedDict[Tuple, object]" = OrderedDict()
         self._memo_cache_cap = 65536
-        # Interning table for memo-key prefixes: hashing a frozen AST
-        # node walks it recursively, so operators exchange their
-        # ("cond"|"operand", node) prefix for a small int once per run
-        # and memo keys hash int-fast afterwards.
+        # Interning table for the token prefixes: hashing a frozen AST
+        # node walks it recursively, so a caller exchanges its prefix for
+        # a small int once per call and memo keys hash int-fast.
         self._memo_tokens: Dict[Tuple, int] = {}
-        # Generation-stamped sorted universes / candidate lists / extents —
+        # Ticket-stamped sorted universes / candidate lists / extents —
         # rebuilding these per binding is the old per-tuple hot spot.
         self._universe_cache: Dict[VarSort, List[Oid]] = {}
         self._candidate_cache: Dict[Variable, List[Oid]] = {}
         self._extent_cache: Dict[Oid, List[Oid]] = {}
-        self._cache_stamp = None  # Optional[Version]
+        self._cache_stamp: Optional[int] = None
 
     # ------------------------------------------------------------------
-    # generation-stamped caches
+    # the ticket-stamped memo
     # ------------------------------------------------------------------
 
     def _fresh_caches(self) -> None:
         """Drop every data-derived cache if the store has moved on.
 
-        The caches are stamped with the store's full
-        :class:`~repro.datamodel.versions.Version`: the schema component
-        moves on DDL (new classes, signatures, indexes), the data
-        component on every statistics-visible write, and the ticket on
-        *every* mutation — including ones the component counters cannot
-        see, such as relation tuple inserts — so a mid-query UPDATE
-        invalidates memoized traversals before the next lookup.
+        The caches are stamped with the store's mutation ticket.  Every
+        mutator advances it (before moving the schema or statistics
+        generation, and also for writes those counters cannot see, such
+        as relation tuple inserts), so a mid-query UPDATE invalidates
+        memoized values before the next lookup.  A pinned
+        :class:`~repro.datamodel.versions.StoreView` reports its pinned
+        ticket, which never moves.
         """
-        stamp = self._store.version
-        if stamp == self._cache_stamp:
+        ticket = self._store.ticket
+        if ticket == self._cache_stamp:
             return
         if self._cache_stamp is not None:
             if self._metrics is not None:
                 self._metrics.count("cache.path.invalidated")
-            self._value_cache.clear()
             self._memo_cache.clear()
             self._memo_tokens.clear()
             self._universe_cache.clear()
             self._candidate_cache.clear()
             self._extent_cache.clear()
-        self._cache_stamp = stamp
+        self._cache_stamp = ticket
 
     def memo_token(self, tag: str, node: object) -> int:
-        """Intern a memo-key prefix: one AST hash per run, ints after.
+        """Intern a memo-key prefix: one AST hash per call, ints after.
 
-        Tokens share the memo's generation stamping: a schema or data
-        write clears the table together with the entries keyed on it, so
-        a recycled token can never resurrect a stale entry.
+        This is the memo's freshness check.  Tokens share the memo's
+        stamping: a write clears the table together with the entries
+        keyed on it, so a recycled token can never resurrect a stale
+        entry.
         """
         self._fresh_caches()
         key = (tag, node)
@@ -158,37 +152,16 @@ class PathWalker:
 
     @property
     def memo_capacity(self) -> int:
-        """How many entries the operator memo holds before evicting."""
+        """How many entries the memo holds before evicting."""
         return self._memo_cache_cap
 
-    def memo_get(self, key: Tuple) -> Optional[object]:
-        """Cross-run operator memo lookup (operator-tree execution).
-
-        Returns ``None`` on a miss — callers never store ``None`` (the
-        smallest stored value is an empty tuple or frozenset).
-        """
-        self._fresh_caches()
-        cached = self._memo_cache.get(key)
-        if cached is None:
-            if self._metrics is not None:
-                self._metrics.count("cache.memo.miss")
-            return None
-        self._memo_cache.move_to_end(key)
-        if self._metrics is not None:
-            self._metrics.count("cache.memo.hit")
-        return cached
-
     def memo_get_fresh(self, key: Tuple) -> Optional[object]:
-        """:meth:`memo_get` minus the per-call generation check and
-        metrics — for tight loops that called :meth:`memo_token` (or any
-        guarded method) this statement and cannot mutate the store
-        mid-loop (pipeline conjuncts are side-effect-free).  Callers
-        report hit/miss counts in aggregate via ``metrics.count(by=)``.
-        """
+        """Memo lookup under a token taken in this call; ``None`` on a
+        miss (nothing stored is ``None``).  No freshness check and no
+        metrics: callers count hits and misses in aggregate."""
         cached = self._memo_cache.get(key)
-        if cached is None:
-            return None
-        self._memo_cache.move_to_end(key)
+        if cached is not None:
+            self._memo_cache.move_to_end(key)
         return cached
 
     def memo_counts(self, hits: int, misses: int) -> None:
@@ -200,13 +173,55 @@ class PathWalker:
                 self._metrics.count("cache.memo.miss", misses)
 
     def memo_put(self, key: Tuple, value: object) -> None:
-        """Store one operator-memo entry, LRU-evicting past the cap."""
-        self._fresh_caches()
+        """Store one entry under a token taken in this call, evicting the
+        least recently used entry past the capacity."""
         self._memo_cache[key] = value
         if len(self._memo_cache) > self._memo_cache_cap:
             self._memo_cache.popitem(last=False)
             if self._metrics is not None:
                 self._metrics.count("cache.memo.evict")
+
+    def memoized(
+        self,
+        tag: str,
+        node: object,
+        key_vars: Sequence[Variable],
+        keys: Iterable[Tuple],
+        compute: Callable[[Bindings], object],
+    ) -> Dict[Tuple, object]:
+        """The value of *node* under each distinct key of *keys*.
+
+        A key holds one cell per variable of *key_vars* (None if
+        unbound); *compute* gets it as a binding dict without the unbound
+        cells and runs once per key the memo lacks.  The freshness check
+        runs once per call, so only a one-key call may write the store
+        from *compute* (the next call sees the write); a ``None`` it
+        returns is passed through, never stored.  Every key is looked up
+        and a call writes at most :attr:`memo_capacity` entries, so a
+        call over more keys than the memo holds cannot cycle it.
+        """
+        token = self.memo_token(tag, node)
+        budget = self._memo_cache_cap
+        values: Dict[Tuple, object] = {}
+        hits = misses = 0
+        for key in keys:
+            if key in values:
+                continue
+            memo_key = (token, key)
+            value = self.memo_get_fresh(memo_key)
+            if value is None:
+                value = compute(
+                    {v: c for v, c in zip(key_vars, key) if c is not None}
+                )
+                misses += 1
+                if budget and value is not None:
+                    self.memo_put(memo_key, value)
+                    budget -= 1
+            else:
+                hits += 1
+            values[key] = value
+        self.memo_counts(hits, misses)
+        return values
 
     # ------------------------------------------------------------------
     # universes
@@ -239,7 +254,7 @@ class PathWalker:
         return cached
 
     def extent_sorted(self, cls: Oid) -> List[Oid]:
-        """The sorted extent of *cls*, memoized per generation stamp."""
+        """The sorted extent of *cls*, memoized per ticket stamp."""
         self._fresh_caches()
         cached = self._extent_cache.get(cls)
         if cached is None:
@@ -604,23 +619,19 @@ class PathWalker:
     ) -> Tuple[FrozenSet[Oid], bool]:
         """Path value plus whether any satisfying walk was set-shaped.
 
-        Memoized on (path shape, bindings of the path's free variables):
-        only the variables the path mentions key the cache, so distinct
-        outer environments that agree on those variables share one walk.
-        The memo lives behind :meth:`_fresh_caches`, so any schema or data
-        generation bump discards it before the next lookup.
+        Memoized under a ``"path"`` token on the bindings of the path's
+        free variables: only the variables the path mentions key the
+        entry, so distinct outer environments that agree on those
+        variables share one walk.  Counted as ``cache.path.hit/miss``.
 
         A miss on an atom chain under a ground head takes
         :meth:`chain_value` instead of the generic :meth:`walk`.
         """
-        self._fresh_caches()
+        token = self.memo_token("path", path)
         env = env or {}
-        key = (path,) + tuple(
-            (var, env.get(var)) for var in path.free_variables
-        )
-        cached = self._value_cache.get(key)
+        key = (token, tuple(env.get(var) for var in path.free_variables))
+        cached = self.memo_get_fresh(key)
         if cached is not None:
-            self._value_cache.move_to_end(key)
             if self._metrics is not None:
                 self._metrics.count("cache.path.hit")
             return cached
@@ -634,10 +645,5 @@ class PathWalker:
             result = (frozenset(tails), shaped)
         if self._metrics is not None:
             self._metrics.count("cache.path.miss")
-        if self._value_cache_cap:
-            self._value_cache[key] = result
-            if len(self._value_cache) > self._value_cache_cap:
-                self._value_cache.popitem(last=False)
-                if self._metrics is not None:
-                    self._metrics.count("cache.path.evict")
+        self.memo_put(key, result)
         return result

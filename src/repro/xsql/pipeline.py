@@ -750,8 +750,7 @@ class QueryPipeline:
             return session._dispatch(statement)
         restrictions, spec, cost_plan = self._lowering_inputs(compiled)
         # Every run shares the session-persistent walker, so its
-        # generation-stamped caches (path values + operator memo)
-        # survive across runs of any statement.
+        # ticket-stamped memo survives across runs of any statement.
         evaluator = session.evaluator(restrictions or None)
         root = operators.lower_statement(compiled.planned, spec)
         result = operators.execute(root, evaluator, session.metrics)

@@ -97,9 +97,10 @@ class Session:
         self.metrics = SessionMetrics()
         self.pipeline = QueryPipeline(self, cache_size=statement_cache_size)
         # Session-persistent walkers, keyed by the run's restriction
-        # content.  Their generation-stamped caches (path values + the
-        # operator memo) survive across runs, which is where the
-        # warm-run speedup comes from.
+        # content.  Each holds one ticket-stamped memo (path values,
+        # conjunct deltas, operand values, pointer dereferences, SELECT
+        # items, subquery answers) that survives across runs until the
+        # next write; that is where the warm-run speedup comes from.
         self._walkers: (
             "OrderedDict[Optional[Tuple], PathWalker]"
         ) = OrderedDict()
@@ -129,8 +130,8 @@ class Session:
         index instantiation sets differ between plans and replanning),
         LRU-capped at :data:`_WALKER_CACHE_SIZE`.  Staleness is handled
         inside the walker: every cache it holds is stamped with the
-        store's (schema, statistics) generation pair, so a shared walker
-        never serves results from before a write.
+        store's mutation ticket, so a shared walker never serves results
+        from before a write.
         """
         token: Optional[Tuple] = None
         if restrictions:

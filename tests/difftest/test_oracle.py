@@ -18,7 +18,6 @@ def test_all_engines_agree_on_conjunctive_query(oracle):
     assert report.agreed
     for name in (
         "reference",
-        "optimized",
         "cached",
         "naive",
         "flogic",

@@ -416,7 +416,8 @@ def test_p4_p11_j1_run_without_row_dicts(paper_session, monkeypatch):
 def test_project_writes_at_most_the_memo_capacity(monkeypatch):
     # More projected keys than the walker memo holds: the run still
     # evaluates every item key, but writes only as many "select" memo
-    # entries as the memo can hold, so they cannot evict each other.
+    # entries as the memo can hold -- the memo's one budget rule, which
+    # PathWalker.memoized applies to every other bulk call.
     from repro.xsql.paths import PathWalker
 
     expected = make_paper_session().query(P11, plan="cost").rows()

@@ -120,6 +120,75 @@ class TestUpdateEdgeCases:
         assert store.invoke_scalar(Atom("d_adv"), "Function") == Value("b")
 
 
+#: A §5 statement (its WHERE holds an UPDATE, so the tuple-at-a-time
+#: evaluator runs it) with a correlated subquery.  The update's prefix
+#: reaches no object, so running the statement writes nothing.
+CORRELATED_UPDATE = (
+    "SELECT X FROM Division X WHERE X.Manager =some "
+    "(SELECT W FROM Employee W WHERE X.Employees[W] and W.Salary > 20000) "
+    "and (UPDATE CLASS Division SET X.Manager[nobody].Salary = 1)"
+)
+
+
+@pytest.fixture
+def subquery_runs(monkeypatch):
+    """Records every subquery evaluation (a run with outer bindings)."""
+    calls = []
+    run = Evaluator.run
+
+    def counting(self, query, initial=None):
+        if initial is not None:
+            calls.append(query)
+        return run(self, query, initial)
+
+    monkeypatch.setattr(Evaluator, "run", counting)
+    return calls
+
+
+class TestSubqueryMemo:
+    def test_answers_survive_across_runs(self, paper_session, subquery_runs):
+        compiled = paper_session.prepare(CORRELATED_UPDATE)
+        first = compiled.run()
+        assert len(first) > 0
+        assert subquery_runs
+        subquery_runs.clear()
+        second = compiled.run()
+        assert list(second) == list(first)
+        assert subquery_runs == []
+
+    def test_write_between_runs_gives_new_answer(
+        self, paper_session, subquery_runs
+    ):
+        store = paper_session.store
+        compiled = paper_session.prepare(CORRELATED_UPDATE)
+        first = compiled.run().single_column()
+        division = sorted(first, key=str)[0]
+        manager = store.invoke_scalar(division, "Manager")
+        store.set_attr(manager, "Salary", Value(10))
+        subquery_runs.clear()
+        second = compiled.run().single_column()
+        assert subquery_runs
+        assert division not in second
+        assert second < first
+
+    def test_update_earlier_in_where_is_seen_by_subquery(self, paper_session):
+        # Each binding's UPDATE lowers its division's manager below the
+        # uncorrelated subquery's bound before the subquery runs: a
+        # memoized answer from an earlier binding would miss it.
+        result = paper_session.query(
+            "SELECT X FROM Division X WHERE "
+            "(UPDATE CLASS Employee SET X.Manager.Salary = 1) and "
+            "X.Manager =some (SELECT W FROM Employee W WHERE W.Salary < 2)"
+        )
+        managed = {
+            division
+            for division in paper_session.store.extent("Division")
+            if paper_session.store.invoke_scalar(division, "Manager")
+        }
+        assert len(managed) > 1
+        assert result.single_column() == managed
+
+
 class TestResultColumnShapes:
     def test_default_column_is_path_text(self, shared_paper_session):
         result = shared_paper_session.query("SELECT mary123.Residence.City")

@@ -187,6 +187,91 @@ def test_path_cache_invalidated_by_schema_bumps(stores):
     )
 
 
+def _define_twice(store, _obj):
+    from repro.datamodel.methods import PythonMethod
+
+    store.define_method(
+        "Employee", PythonMethod(Atom("Twice"), lambda st, owner: Value(2))
+    )
+
+
+#: One write through each store mutator that moves the ticket; the
+#: relation insert needs its relation declared first.
+MEMO_WRITES = {
+    "declare_class": lambda store, obj: store.declare_class(
+        "Hovercraft", ["Vehicle"]
+    ),
+    "declare_signature": lambda store, obj: store.declare_signature(
+        "Employee", "Nickname", "String"
+    ),
+    "enable_index": lambda store, obj: store.enable_index("Salary"),
+    "define_method": _define_twice,
+    "resolve_inheritance": lambda store, obj: store.resolve_inheritance(
+        "Employee", "Age", "Person"
+    ),
+    "set_attr": lambda store, obj: store.set_attr(
+        obj, "Salary", Value(99_000)
+    ),
+    "add_instance": lambda store, obj: store.add_instance(
+        "newcomer", "Employee"
+    ),
+    "insert_tuple": lambda store, obj: store.insert_tuple(
+        "Pairs", (obj, obj)
+    ),
+}
+
+
+@pytest.mark.parametrize("write", sorted(MEMO_WRITES))
+def test_every_mutator_drops_memoized_path_values(stores, write):
+    # The walker stamps its memo with the store's mutation ticket, one
+    # integer compare per check: each mutator must move it.
+    session = stores()
+    store = session.store
+    store.declare_relation("Pairs", ["left", "right"])
+    walker = session.evaluator().walker
+    jane = sorted(store.extent("Employee"), key=str)[0]
+    path = parse_query("SELECT X.Salary FROM Employee X").select[0].path
+    env = {build.ivar("X"): jane}
+    walker.value(path, env)
+    counters = session.metrics.counters
+    hits = counters.get("cache.path.hit", 0)
+    walker.value(path, env)
+    assert counters.get("cache.path.hit", 0) == hits + 1
+    misses = counters.get("cache.path.miss", 0)
+    invalidated = counters.get("cache.path.invalidated", 0)
+    MEMO_WRITES[write](store, jane)
+    walker.value(path, env)
+    assert counters.get("cache.path.miss", 0) == misses + 1
+    assert counters.get("cache.path.invalidated", 0) == invalidated + 1
+
+
+def test_memo_call_writes_at_most_the_capacity_and_reads_every_key():
+    from repro.metrics import SessionMetrics
+    from repro.xsql.paths import PathWalker
+
+    metrics = SessionMetrics()
+    walker = PathWalker(Session().store, metrics=metrics)
+    walker._memo_cache_cap = 2
+    x = build.ivar("X")
+    computed = []
+
+    def compute(projection):
+        computed.append(projection[x])
+        return frozenset({projection[x]})
+
+    keys = [(Value(n),) for n in (1, 2, 3, 1)]
+    first = walker.memoized("probe", "node", [x], keys, compute)
+    assert first == {key: frozenset(key) for key in keys}
+    assert computed == [Value(1), Value(2), Value(3)]  # once per key
+    assert len(walker._memo_cache) == 2  # the budget: capacity writes
+    walker.memoized("probe", "node", [x], keys, compute)
+    assert computed[3:] == [Value(3)]  # the written keys are read back
+    counters = metrics.snapshot()["counters"]
+    assert counters["cache.memo.hit"] == 2
+    assert counters["cache.memo.miss"] == 4
+    assert counters["cache.memo.evict"] == 1
+
+
 def test_path_cache_evicts_at_capacity():
     from repro.metrics import SessionMetrics
     from repro.xsql.paths import PathWalker
@@ -195,15 +280,17 @@ def test_path_cache_evicts_at_capacity():
     build_figure1_schema(session.store)
     populate_paper_database(session.store)
     metrics = SessionMetrics()
-    walker = PathWalker(
-        session.store, metrics=metrics, value_cache_size=2
-    )
+    walker = PathWalker(session.store, metrics=metrics)
+    walker._memo_cache_cap = 2
     path = parse_query("SELECT X.Age FROM Person X").select[0].path
     people = sorted(session.store.extent("Person"), key=str)[:3]
     for person in people:
         walker.value(path, {build.ivar("X"): person})
     counters = metrics.snapshot()["counters"]
-    assert counters.get("cache.path.evict", 0) >= 1
+    # Path values live in the one walker memo, whose evictions are
+    # counted under cache.memo.evict.
+    assert counters.get("cache.path.miss", 0) == 3
+    assert counters.get("cache.memo.evict", 0) == 1
 
 
 def test_updates_keep_nested_semantics(stores):

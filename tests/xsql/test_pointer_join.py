@@ -181,6 +181,33 @@ class TestParity:
         assert after.rows() == before
 
 
+class TestMemo:
+    def test_second_run_dereferences_from_the_memo(self, monkeypatch):
+        from repro.xsql.operators import PointerJoin
+
+        session = fresh_session()
+        first = session.query(FORWARD_QUERY, plan="cost", pointer_join="force")
+        counters = session.metrics.counters
+        assert counters.get("join.pointer", 0) == 1
+        binds = []
+        bind = PointerJoin._bind
+
+        def counting(self, *args):
+            binds.append(args)
+            return bind(self, *args)
+
+        monkeypatch.setattr(PointerJoin, "_bind", counting)
+        hits = counters.get("cache.memo.hit", 0)
+        second = session.query(
+            FORWARD_QUERY, plan="cost", pointer_join="force"
+        )
+        assert list(second) == list(first)
+        assert counters.get("join.pointer", 0) == 2
+        assert binds == []
+        # The dereferences answered from the memo are counted as hits.
+        assert counters.get("cache.memo.hit", 0) > hits
+
+
 class TestExplainSurface:
     def test_analyze_shows_direction_and_derefs(self):
         session = fresh_session()
