@@ -45,6 +45,11 @@ def test_binding_stream(benchmark, n_people):
     assert len(result) >= 0
 
 
+#: The gap test's repetitions: each one times both sizes back to back,
+#: and each size's gap is the median over the repetitions.
+GAP_REPEATS = 7
+
+
 def _best_of(runs, evaluate):
     """Fastest of *runs* timings, so one GC pause cannot flip a ratio."""
     import time
@@ -58,13 +63,29 @@ def _best_of(runs, evaluate):
 
 
 def test_gap_shape():
-    gaps = []
-    for n_people in SIZES:
-        store = _store(n_people)
-        query = parse_query(QUERY)
-        naive_s, naive = _best_of(5, lambda: NaiveEvaluator(store).run(query))
-        stream_s, stream = _best_of(5, lambda: Evaluator(store).run(query))
-        assert naive.rows() == stream.rows()
-        gaps.append(naive_s / max(stream_s, 1e-9))
+    """The naive/stream gap widens with the database.
+
+    One repetition alternates the two sizes, so a slow stretch of the
+    host slows both gaps of that repetition; the gate compares each
+    size's median gap over :data:`GAP_REPEATS` repetitions.  The naive
+    run takes hundreds of milliseconds and varies little; the stream
+    run takes under one, so it is the fastest of five.
+    """
+    import statistics
+
+    query = parse_query(QUERY)
+    stores = [_store(n_people) for n_people in SIZES]
+    samples = [[] for _ in SIZES]
+    for _ in range(GAP_REPEATS):
+        for store, gaps in zip(stores, samples):
+            naive_s, naive = _best_of(
+                1, lambda: NaiveEvaluator(store).run(query)
+            )
+            stream_s, stream = _best_of(
+                5, lambda: Evaluator(store).run(query)
+            )
+            assert naive.rows() == stream.rows()
+            gaps.append(naive_s / max(stream_s, 1e-9))
+    gaps = [statistics.median(size_gaps) for size_gaps in samples]
     assert all(g > 1 for g in gaps)
-    assert gaps[-1] > gaps[0]
+    assert gaps[-1] > gaps[0], samples

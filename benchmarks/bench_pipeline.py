@@ -252,8 +252,15 @@ TERMS_BASELINE_FACTOR = 2.0
 #: The shape benchmark: a shape-hit prepare of every paper query with
 #: literals must cost at most this fraction of its cold prepare.
 SHAPE_HIT_LIMIT = 0.5
-#: Prepare timings are tens of microseconds, so take more samples.
-SHAPE_ROUNDS = 51
+#: The gated ratio is the median over ``SHAPE_REPEATS`` repetitions;
+#: each repetition times ``SHAPE_ROUNDS`` cold, then as many shape-hit
+#: prepares (tens of microseconds each, so several per repetition).
+SHAPE_REPEATS = 7
+SHAPE_ROUNDS = 9
+
+#: Per-query (name, cold, exact_hit, shape_hit, shape/cold) prepare
+#: figures of the shape benchmark.
+ShapeResult = Tuple[str, float, float, float, float]
 
 #: The compile-scaling benchmark: cold ``plan="cost"`` compiles of
 #: distinct point lookups (every text misses the statement cache) on a
@@ -304,13 +311,17 @@ def _paper_session() -> Session:
     return session
 
 
-def _median_seconds(action: Callable[[], object], rounds: int) -> float:
+def _timings(action: Callable[[], object], rounds: int) -> List[float]:
     times = []
     for _ in range(rounds):
         started = time.perf_counter()
         action()
         times.append(time.perf_counter() - started)
-    return statistics.median(times)
+    return times
+
+
+def _median_seconds(action: Callable[[], object], rounds: int) -> float:
+    return statistics.median(_timings(action, rounds))
 
 
 def measure(
@@ -346,15 +357,21 @@ def measure(
 
 
 def measure_shape(
-    plan: str = "typed", rounds: int = SHAPE_ROUNDS
-) -> List[Tuple[str, float, float, float]]:
-    """Per-query (name, cold, exact_hit, shape_hit) prepare medians.
+    plan: str = "typed",
+    repeats: int = SHAPE_REPEATS,
+    rounds: int = SHAPE_ROUNDS,
+) -> List[ShapeResult]:
+    """Per-query prepare medians and the shape-hit / cold ratio.
 
     Only paper queries with literals take part.  The shape hit prepares
     the query's :func:`~repro.difftest.oracle.shape_sibling` (every
     literal swapped for a fresh one of its kind) while the query itself
     is the cached entry; each of those prepares must count a
-    ``cache.rebind``.
+    ``cache.rebind``.  A repetition times *rounds* cold prepares, then
+    *rounds* shape-hit prepares; repetitions alternate the two, so a
+    slow stretch of the host slows both sides of a ratio.  The ratio is
+    the median over *repeats* repetitions of each repetition's median
+    shape-hit over its median cold prepare.
     """
     session = _paper_session()
     counters = session.metrics.counters
@@ -363,41 +380,59 @@ def measure_shape(
         if not statement_shape(tokenize(text))[1]:
             continue
         sibling = shape_sibling(text)
+        rebinds = counters.get("cache.rebind", 0)
+        colds: List[float] = []
+        shapes: List[float] = []
+        ratios = []
 
         def cold() -> None:
             session.pipeline.clear()
             session.prepare(text, plan=plan)
 
-        cold_s = _median_seconds(cold, rounds)
-        session.prepare(text, plan=plan)
+        for _ in range(repeats):
+            cold_round = _timings(cold, rounds)
+            shape_round = _timings(
+                lambda: session.prepare(sibling, plan=plan), rounds
+            )
+            ratios.append(
+                statistics.median(shape_round) / statistics.median(cold_round)
+            )
+            colds += cold_round
+            shapes += shape_round
+        assert counters.get("cache.rebind", 0) == (
+            rebinds + repeats * rounds
+        ), name
         exact_s = _median_seconds(
-            lambda: session.prepare(text, plan=plan), rounds
+            lambda: session.prepare(text, plan=plan), repeats * rounds
         )
-        rebinds = counters.get("cache.rebind", 0)
-        shape_s = _median_seconds(
-            lambda: session.prepare(sibling, plan=plan), rounds
+        results.append(
+            (
+                name,
+                statistics.median(colds),
+                exact_s,
+                statistics.median(shapes),
+                statistics.median(ratios),
+            )
         )
-        assert counters.get("cache.rebind", 0) == rebinds + rounds, name
-        results.append((name, cold_s, exact_s, shape_s))
     return results
 
 
-def worst_shape_ratio(results: List[Tuple[str, float, float, float]]) -> float:
+def worst_shape_ratio(results: List[ShapeResult]) -> float:
     """The largest shape-hit / cold prepare ratio over the queries."""
-    return max(shape / cold for _name, cold, _exact, shape in results)
+    return max(ratio for *_times, ratio in results)
 
 
-def report_shape(results: List[Tuple[str, float, float, float]]) -> str:
+def report_shape(results: List[ShapeResult]) -> str:
     lines = [
         "shape-keyed statement cache: prepare of the paper queries with "
         "literals",
         f"{'query':6s} {'cold':>10s} {'exact':>10s} {'shape':>10s} "
         f"{'shape/cold':>10s}",
     ]
-    for name, cold, exact, shape in results:
+    for name, cold, exact, shape, ratio in results:
         lines.append(
             f"{name:6s} {cold * 1000:8.3f}ms {exact * 1000:8.3f}ms "
-            f"{shape * 1000:8.3f}ms {shape / cold:9.2f}x"
+            f"{shape * 1000:8.3f}ms {ratio:9.2f}x"
         )
     lines.append(
         f"worst shape/cold: {worst_shape_ratio(results):.2f}x "
@@ -1117,7 +1152,7 @@ def as_json(
     snapshot_results: List[Tuple[str, float, float]],
     compile_results: List[Tuple[int, float]],
     maintenance_results: List[Tuple[int, float, float]],
-    shape_results: List[Tuple[str, float, float, float]],
+    shape_results: List[ShapeResult],
     cold_results: List[Tuple[str, float, int]],
     terms_results: List[Tuple[str, float]],
 ) -> Dict[str, object]:
@@ -1154,9 +1189,9 @@ def as_json(
                 "cold_ms": round(cold * 1000, 4),
                 "exact_hit_ms": round(exact * 1000, 4),
                 "shape_hit_ms": round(shape * 1000, 4),
-                "shape_over_cold": round(shape / cold, 3),
+                "shape_over_cold": round(ratio, 3),
             }
-            for name, cold, exact, shape in shape_results
+            for name, cold, exact, shape, ratio in shape_results
         ],
         "worst_shape_over_cold": round(worst_shape_ratio(shape_results), 3),
         "selective": [

@@ -10,7 +10,18 @@ down at all, the memory mirror costs one codec pass per mutation, and
 the WAL adds framing plus an append.  The bench pins the ingest cost
 curve per backend and the open-with-replay (crash recovery) and
 checkpoint-then-open costs of the log engine.
+
+The checkpoint group times ``checkpoint()`` itself on generated stores
+of about 2k and 20k objects (``sync="checkpoint"``, so the three fsyncs
+are in): each round writes one key, then checkpoints.  The log engine's
+memtable holds every live key as its image record, so a checkpoint
+joins records and encodes nothing; its cost is the join, the CRC and
+the writes, and it grows with the image's bytes, not with re-encoding
+every key.  The group has no absolute gate: its p50s depend on the host
+and its disk.
 """
+
+import itertools
 
 import pytest
 
@@ -23,6 +34,7 @@ from repro.storage import (
     encode_store,
 )
 from repro.workloads.generator import WorkloadConfig, generate_database
+from repro.workloads.scale import ScaleSpec, generate_scaled
 from repro.xsql.evaluator import Evaluator
 from repro.xsql.parser import parse_query
 
@@ -30,6 +42,7 @@ N_PEOPLE = 300
 REFERENCE_AGE = 40
 CODEC_SIZES = [50, 200]
 CODEC_REFERENCE = "SELECT X FROM Employee X WHERE X.Salary > 200000"
+CHECKPOINT_SIZES = [2_000, 20_000]
 
 
 @pytest.mark.parametrize("n_people", CODEC_SIZES)
@@ -157,3 +170,30 @@ def test_open_from_checkpoint(benchmark, tmp_path):
 
     recovered = benchmark(recover)
     assert count_over_40(recovered) == count_over_40(reference)
+
+
+@pytest.mark.parametrize("n_objects", CHECKPOINT_SIZES)
+@pytest.mark.benchmark(group="storage-checkpoint")
+def test_checkpoint(benchmark, tmp_path, n_objects):
+    path = str(tmp_path / "db")
+    engine = LogStructuredEngine(path, sync="checkpoint")
+    report = encode_store(
+        generate_scaled(ScaleSpec(n_objects=n_objects)), engine
+    )
+    assert report.objects == n_objects
+    engine.checkpoint()  # both slot files exist before the timed rounds
+    engine.checkpoint()
+    rounds = itertools.count()
+
+    def write_and_checkpoint():
+        engine.put(b"\xffbench", b"%d" % next(rounds))
+        return engine.checkpoint()
+
+    stamp = benchmark(write_and_checkpoint)
+    assert stamp == engine.last_stamp()
+    items = engine.items()
+    engine.close()
+    recovered = LogStructuredEngine(path, sync="never")
+    assert recovered.recovery.checkpoint_lsn == recovered.last_stamp().lsn
+    assert recovered.items() == items
+    recovered.close()

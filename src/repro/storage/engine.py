@@ -13,8 +13,9 @@ defines the narrow seam everything persists through:
 * :class:`MemoryEngine` — the reference implementation: a dict plus a
   lazily re-sorted key list, no durability, zero dependencies;
 * :class:`~repro.storage.wal.LogStructuredEngine` (sibling module) —
-  the durable member: the same memtable fronted by an append-only
-  CRC-framed write-ahead log with checkpointing and crash recovery.
+  the durable member: a memtable of framed put records fronted by an
+  append-only CRC-framed write-ahead log with checkpointing and crash
+  recovery.
 
 The design follows SNIPPETS.md's ``okdb`` note — an ordered key-value
 store is the primitive every database is built on — and keeps the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import bisect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import XsqlError
 
@@ -221,8 +222,10 @@ class MemoryEngine(StorageEngine):
     """The sorted in-memory ordered-KV engine (no durability).
 
     This is both a usable backend (a KV mirror of the store, handy for
-    tests and for staging data that will be shipped elsewhere) and the
-    memtable inside :class:`~repro.storage.wal.LogStructuredEngine`.
+    tests and for staging data that will be shipped elsewhere) and, by
+    a subclass that stores each key's framed put record in place of its
+    value, the memtable inside
+    :class:`~repro.storage.wal.LogStructuredEngine`.
     """
 
     name = "memory"
@@ -247,37 +250,48 @@ class MemoryEngine(StorageEngine):
         end: Optional[bytes] = None,
         reverse: bool = False,
     ) -> Iterator[Tuple[bytes, bytes]]:
+        data = self._data
+        for key in self._window(start, end, reverse):
+            yield key, data[key]
+
+    def _window(
+        self, start: Optional[bytes], end: Optional[bytes], reverse: bool
+    ) -> Iterable[bytes]:
+        """The live keys in ``[start, end)``, in order (a copy)."""
         keys = self._sorted.ensure_sorted()
         lo = 0 if start is None else bisect.bisect_left(keys, start)
         hi = len(keys) if end is None else bisect.bisect_left(keys, end)
         window = keys[lo:hi]
-        if reverse:
-            window = reversed(window)
-        for key in window:
-            yield key, self._data[key]
+        return reversed(window) if reverse else window
 
     # -- batches --------------------------------------------------------
 
-    def _apply_op(self, op: Tuple) -> None:
-        kind = op[0]
-        if kind == OP_PUT:
-            _kind, key, value = op
-            if key not in self._data:
-                self._sorted.add(key)
-            self._data[key] = value
-        elif kind == OP_DELETE:
-            _kind, key = op
-            if key in self._data:
-                del self._data[key]
-                self._sorted.discard(key)
-        elif kind == OP_DELETE_RANGE:
-            _kind, start, end = op
-            doomed = [key for key, _value in self.range_scan(start, end)]
-            for key in doomed:
-                del self._data[key]
-                self._sorted.discard(key)
-        else:  # pragma: no cover - batches are built by WriteBatch only
-            raise StorageError(f"unknown batch op {kind!r}")
+    def apply_ops(self, ops: Iterable[Tuple]) -> None:
+        """Apply :class:`WriteBatch`-shaped ops without stamping them.
+
+        A put stores its third field as given, which is how the log
+        engine's memtable keeps a framed record in place of the value.
+        """
+        data = self._data
+        for op in ops:
+            kind = op[0]
+            if kind == OP_PUT:
+                _kind, key, stored = op
+                if key not in data:
+                    self._sorted.add(key)
+                data[key] = stored
+            elif kind == OP_DELETE:
+                _kind, key = op
+                if key in data:
+                    del data[key]
+                    self._sorted.discard(key)
+            elif kind == OP_DELETE_RANGE:
+                _kind, start, end = op
+                for key in self._window(start, end, False):
+                    del data[key]
+                    self._sorted.discard(key)
+            else:  # pragma: no cover - batches are built by WriteBatch only
+                raise StorageError(f"unknown batch op {kind!r}")
 
     def apply(
         self,
@@ -286,8 +300,7 @@ class MemoryEngine(StorageEngine):
         statistics_generation: int = 0,
         ticket: int = 0,
     ) -> CommitStamp:
-        for op in batch.ops:
-            self._apply_op(op)
+        self.apply_ops(batch.ops)
         self._stamp = CommitStamp(
             lsn=self._stamp.lsn + 1,
             schema_generation=schema_generation,

@@ -16,8 +16,12 @@ half-batch).  A second database commits the same batches with three
 checkpoints in between and is copied while still open — once with
 records logged since a checkpoint, once right after one, and that copy
 again with its WAL header cut short; each must recover every committed
-batch.  The deepest survivor also answers a small query battery
-against a never-crashed reference session.
+batch.  The checkpointed database is then recovered and grown: half
+again as many batches, committed across one close and reopen, then a
+checkpoint and a crash; recovery must reach the last of them, so the
+records a recovery rebuilt from an image and from the log are written
+into an image and read back.  The deepest survivor also answers a small
+query battery against a never-crashed reference session.
 
 Every crash point appends its recovery report to ``--out``; the process
 exits non-zero on the first divergence.
@@ -91,24 +95,37 @@ def _query_rows(session, source: str):
     return sorted(repr(row) for row in session.query(source).rows())
 
 
-def build_database(root: str, batches: int) -> List[Image]:
-    """Write *batches* journal batches; return expected states per LSN."""
+def expected_states(batches: int) -> List[Image]:
+    """The canonical state a database holds after each LSN.
+
+    LSN 1 is the seed batch of the (empty) fresh session, so
+    ``states[k]`` carries mutation batches ``1..k-1``.
+    """
     from repro.datamodel.store import ObjectStore
+
+    reference = ObjectStore()
+    states = [canonical(ObjectStore()), canonical(reference)]
+    for i in range(1, batches + 1):
+        apply_batch(reference, i)
+        states.append(canonical(reference))
+    return states
+
+
+def build_database(root: str, batches: int) -> None:
+    """Write *batches* journal batches into a fresh database."""
     from repro.xsql.session import Session
 
     session = Session.open(root, sync="never")
-    reference = ObjectStore()
-    # states[lsn] == canonical state the engine holds after that LSN;
-    # LSN 1 is the seed batch of the (empty) fresh session.
-    states = [canonical(ObjectStore()), canonical(reference)]
+    commit(session, range(1, batches + 1))
+    session.close()
+
+
+def commit(session, numbers) -> None:
+    """Commit mutation batch *i* for each *i* of *numbers*."""
     journal = session.store.journal
-    for i in range(1, batches + 1):
+    for i in numbers:
         with journal.batch():
             apply_batch(session.store, i)
-        apply_batch(reference, i)
-        states.append(canonical(reference))
-    session.close()
-    return states
 
 
 def crash_and_recover(
@@ -178,7 +195,6 @@ def checkpointed_crashes(
     from repro.xsql.session import Session
 
     session = Session.open(root, sync="checkpoint")
-    journal = session.store.journal
     crashes = []
 
     def crash(label: str) -> None:
@@ -187,8 +203,7 @@ def checkpointed_crashes(
         crashes.append((label, victim))
 
     for i in range(1, batches + 1):
-        with journal.batch():
-            apply_batch(session.store, i)
+        commit(session, [i])
         if i in (batches // 3, 2 * batches // 3):
             session.checkpoint()
     crash("records logged since the second checkpoint, then crash")
@@ -196,6 +211,30 @@ def checkpointed_crashes(
     crash("checkpoint then crash")
     session.close()
     return crashes
+
+
+def resumed_crash(root: str, scratch: str, first: int, last: int) -> str:
+    """Recover the closed, checkpointed database and grow it; crash.
+
+    The first open loads the image, so every live key's record comes
+    from the image; batches ``first..`` are committed and the database
+    is closed and reopened, so the log replays records too; the rest up
+    to *last* are committed, then a checkpoint writes all of those
+    records into an image and the directory is copied while open.
+    """
+    from repro.xsql.session import Session
+
+    middle = (first + last) // 2
+    session = Session.open(root, sync="checkpoint")
+    commit(session, range(first, middle + 1))
+    session.close()
+    session = Session.open(root, sync="checkpoint")
+    commit(session, range(middle + 1, last + 1))
+    session.checkpoint()
+    victim = os.path.join(scratch, "crash-resumed")
+    shutil.copytree(root, victim)
+    session.close()
+    return victim
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -221,7 +260,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     deepest = None
     try:
         root = os.path.join(scratch, "db")
-        states = build_database(root, args.batches)
+        build_database(root, args.batches)
+        resumed = args.batches + max(2, args.batches // 2)
+        states = expected_states(resumed)
+        committed = states[: args.batches + 2]
         wal_size = os.path.getsize(os.path.join(root, "wal.log"))
         log.append(f"WAL size after {args.batches} batches: {wal_size} bytes")
 
@@ -239,7 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
         )
         for cut in cuts:
-            survivor = crash_and_recover(root, scratch, cut, states, log)
+            survivor = crash_and_recover(root, scratch, cut, committed, log)
             if survivor is None:
                 failed = True
             elif survivor is not True:
@@ -249,19 +291,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         # use, the log rewound but never closed), and the last one again
         # with its WAL header cut short: an empty log that continues the
         # newest image.
-        crashes = checkpointed_crashes(
-            os.path.join(scratch, "checkpointed"), scratch, args.batches
-        )
+        checkpointed = os.path.join(scratch, "checkpointed")
+        crashes = checkpointed_crashes(checkpointed, scratch, args.batches)
         label, victim = crashes[-1]
         shortened = victim + "-short-header"
         shutil.copytree(victim, shortened)
         truncate_wal(shortened, 9)
         crashes.append((f"{label}, WAL header cut to 9 byte(s)", shortened))
-        for label, victim in crashes:
-            survivor = recover_and_check(victim, label, states, log)
+        checks = [(label, victim, committed) for label, victim in crashes]
+        # Then recover the checkpointed database, grow it across a
+        # reopen, checkpoint and crash: the image is written from records
+        # that recovery rebuilt.
+        checks.append(
+            (
+                f"recovered, batches {args.batches + 1}..{resumed} "
+                "committed across a reopen, checkpoint then crash",
+                resumed_crash(
+                    checkpointed, scratch, args.batches + 1, resumed
+                ),
+                states,
+            )
+        )
+        for label, victim, expected in checks:
+            survivor = recover_and_check(victim, label, expected, log)
             if survivor is None:
                 failed = True
-            elif survivor is True or survivor[0] != len(states) - 1:
+            elif survivor is True or survivor[0] != len(expected) - 1:
                 log.append("  FAIL: a checkpointed crash lost committed batches")
                 failed = True
 

@@ -31,15 +31,27 @@ the store's schema/statistics counters at commit time and ``ticket`` is
 the MVCC mutation ticket — together the commit stamp, from which a
 recovered store resumes its version sequence.
 
+**Memtable.**  Each live key maps to its put record, ``'P' u32 klen key
+u32 vlen value``: the op bytes the WAL logged for the key's last put,
+which are also what the checkpoint image stores for it.  A commit
+encodes each op once and hands the same record bytes to the log and the
+memtable; image load and WAL replay keep records sliced straight from
+their payloads.  ``get`` and ``range_scan`` slice the value out.
+
 **Checkpoint protocol.**  ``checkpoint()`` fsyncs the log, then writes
-the whole memtable (same length+CRC framing, one frame) into the image
-slot that does *not* hold the newest valid image, overwriting it in
-place, and fsyncs it.  A torn write can only damage the older image.
-It then rewinds the log in place: one write of a header carrying the
-new base LSN plus an end-of-log marker at offset 0, and an fsync.  No
-file is renamed, unlinked or truncated, so a checkpoint frees no disk
-blocks.  The directory is fsynced once when ``wal.log`` or a slot file
-is first created.
+the whole memtable as one all-put batch (same length+CRC framing, one
+frame) into the image slot that does *not* hold the newest valid image,
+overwriting it in place, and fsyncs it.  The payload is the batch head
+plus the memtable's records joined in key order: a checkpoint encodes
+nothing, so it costs one join, one CRC and the writes.  A torn write
+can only damage the older image.  It then rewinds the log in place: one
+write of a header carrying the new base LSN plus an end-of-log marker
+at offset 0, and an fsync.  No file is renamed, unlinked or truncated,
+so a checkpoint frees no disk blocks.  The directory is fsynced once
+when ``wal.log`` or a slot file is first created.  ``status()`` reports
+the newest image's slot file and framed length (``image_slot``,
+``image_bytes``); the slot file itself may be longer, holding a stale
+tail of an older image.
 
 **Recovery.**  Replay loads the valid slot with the highest LSN (a slot
 is valid iff its framed payload is complete and passes its CRC; a stale
@@ -103,6 +115,11 @@ CKP_SLOTS = ("checkpoint.snap", "checkpoint.alt.snap")
 # lsn, schema gen, stats gen, mvcc ticket, op count
 _BATCH_HEAD = struct.Struct(">QQQQI")
 _U32 = struct.Struct(">I")
+#: A put record's op byte and two length fields: its value starts this
+#: many bytes past the key's length.
+_PUT_FIXED = 1 + 2 * _U32.size
+#: Bytes an image slot holds before the image payload.
+_SLOT_HEAD = len(CKP_MAGIC) + _FRAME.size
 
 #: ``sync`` policies: fsync every commit, only at checkpoints/close, or
 #: never (tests and throwaway stores).
@@ -153,66 +170,76 @@ def _batch_head(stamp: CommitStamp, op_count: int) -> bytes:
     )
 
 
-def _put_parts(key: bytes, value: bytes) -> Tuple[bytes, ...]:
-    return (b"P", _U32.pack(len(key)), key, _U32.pack(len(value)), value)
+def _put_record(key: bytes, value: bytes) -> bytes:
+    """A put op's bytes: its WAL op and, unchanged, its image record."""
+    return b"".join(
+        (b"P", _U32.pack(len(key)), key, _U32.pack(len(value)), value)
+    )
 
 
 def _encode_batch(
     batch: WriteBatch, stamp: CommitStamp
-) -> bytes:
+) -> Tuple[bytes, List[Tuple]]:
+    """The batch's WAL payload, and its ops with each put's value
+    replaced by the put's record (what the memtable stores)."""
     parts = [_batch_head(stamp, len(batch.ops))]
+    ops = []
     for op in batch.ops:
         kind = op[0]
         if kind == OP_PUT:
             _k, key, value = op
-            parts += _put_parts(key, value)
+            record = _put_record(key, value)
+            parts.append(record)
+            op = (OP_PUT, key, record)
         elif kind == OP_DELETE:
             _k, key = op
-            parts.append(b"D")
-            parts.append(_U32.pack(len(key)))
-            parts.append(key)
+            parts += (b"D", _U32.pack(len(key)), key)
         elif kind == OP_DELETE_RANGE:
             _k, start, end = op
-            parts.append(b"R")
-            parts.append(_U32.pack(len(start)))
-            parts.append(start)
-            parts.append(_U32.pack(len(end)))
-            parts.append(end)
+            parts += (b"R", _U32.pack(len(start)), start)
+            parts += (_U32.pack(len(end)), end)
         else:  # pragma: no cover - WriteBatch only emits the three kinds
             raise StorageError(f"unknown batch op {kind!r}")
-    return b"".join(parts)
+        ops.append(op)
+    return b"".join(parts), ops
 
 
-def _decode_batch(payload: bytes) -> Tuple[CommitStamp, WriteBatch]:
+def _decode_batch(payload: bytes) -> Tuple[CommitStamp, List[Tuple]]:
+    """A batch payload's stamp and ops, each put carrying its record
+    sliced from *payload* in place of the value."""
     lsn, schema_gen, stats_gen, ticket, op_count = _BATCH_HEAD.unpack_from(
         payload, 0
     )
     offset = _BATCH_HEAD.size
-    batch = WriteBatch()
+    size = len(payload)
+    ops = []
 
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(payload):
+    def length_at(at: int) -> int:
+        if at + 4 > size:
             raise StorageError("batch payload underrun")
-        piece = payload[offset : offset + n]
-        offset += n
-        return piece
+        return _U32.unpack_from(payload, at)[0]
 
     for _ in range(op_count):
-        kind = take(1)
-        if kind == b"P":
-            key = take(_U32.unpack(take(4))[0])
-            value = take(_U32.unpack(take(4))[0])
-            batch.put(key, value)
-        elif kind == b"D":
-            batch.delete(take(_U32.unpack(take(4))[0]))
-        elif kind == b"R":
-            start = take(_U32.unpack(take(4))[0])
-            end = take(_U32.unpack(take(4))[0])
-            batch.delete_range(start, end)
-        else:
+        kind = payload[offset : offset + 1]
+        if kind not in (b"P", b"D", b"R"):
             raise StorageError(f"unknown op byte {kind!r} in WAL record")
-    if offset != len(payload):
+        key_at = offset + 1 + _U32.size
+        key_end = key_at + length_at(offset + 1)
+        key = payload[key_at:key_end]
+        if kind == b"D":
+            end = key_end
+            op = (OP_DELETE, key)
+        else:
+            end = key_end + 4 + length_at(key_end)
+            if kind == b"P":
+                op = (OP_PUT, key, payload[offset:end])
+            else:
+                op = (OP_DELETE_RANGE, key, payload[key_end + 4 : end])
+        if end > size:
+            raise StorageError("batch payload underrun")
+        ops.append(op)
+        offset = end
+    if offset != size:
         raise StorageError("trailing bytes in WAL record payload")
     stamp = CommitStamp(
         lsn=lsn,
@@ -220,23 +247,39 @@ def _decode_batch(payload: bytes) -> Tuple[CommitStamp, WriteBatch]:
         statistics_generation=stats_gen,
         ticket=ticket,
     )
-    return stamp, batch
+    return stamp, ops
 
 
 def _frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _encode_image(memtable: MemoryEngine, stamp: CommitStamp) -> bytes:
-    """The checkpoint payload: the whole memtable as one all-put batch.
+class _RecordMemtable(MemoryEngine):
+    """The log engine's memtable: each live key maps to its put record.
 
-    Built straight from the scan with one join rather than through an
-    intermediate :class:`WriteBatch`.
+    The record ``'P' u32 klen key u32 vlen value`` is the bytes the WAL
+    logged for the key's last put and exactly what the checkpoint image
+    stores for it, so a checkpoint only joins records and encodes
+    nothing.  Reads slice the value out of the record.  Ops come in
+    through :meth:`~MemoryEngine.apply_ops` in the shape
+    :func:`_encode_batch` and :func:`_decode_batch` return.
     """
-    parts = [_batch_head(stamp, len(memtable))]
-    for key, value in memtable.range_scan():
-        parts += _put_parts(key, value)
-    return b"".join(parts)
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        record = self._data.get(key)
+        return None if record is None else record[_PUT_FIXED + len(key) :]
+
+    def range_scan(self, start=None, end=None, reverse=False):
+        data = self._data
+        for key in self._window(start, end, reverse):
+            yield key, data[key][_PUT_FIXED + len(key) :]
+
+    def image(self) -> bytes:
+        """The checkpoint payload: every record in key order behind the
+        batch head of the last stamp."""
+        parts = [_batch_head(self.last_stamp(), len(self._data))]
+        parts += map(self._data.__getitem__, self._sorted.ensure_sorted())
+        return b"".join(parts)
 
 
 def _read_image(path: Path) -> Optional[bytes]:
@@ -246,11 +289,10 @@ def _read_image(path: Path) -> Optional[bytes]:
     image keeps a stale tail that is never looked at.
     """
     blob = path.read_bytes()
-    head = len(CKP_MAGIC) + _FRAME.size
-    if len(blob) < head or not blob.startswith(CKP_MAGIC):
+    if len(blob) < _SLOT_HEAD or not blob.startswith(CKP_MAGIC):
         return None
     length, crc = _FRAME.unpack_from(blob, len(CKP_MAGIC))
-    payload = blob[head : head + length]
+    payload = blob[_SLOT_HEAD : _SLOT_HEAD + length]
     if (
         length < _BATCH_HEAD.size
         or len(payload) != length
@@ -281,8 +323,8 @@ def _sync_dir(path: Path) -> None:
 class LogStructuredEngine(StorageEngine):
     """An ordered-KV engine backed by a write-ahead log on disk.
 
-    Reads are served from an in-memory :class:`MemoryEngine` memtable;
-    every committed batch is first framed into ``wal.log``.  Opening a
+    Reads are served from an in-memory memtable of put records; every
+    committed batch is first framed into ``wal.log``.  Opening a
     directory that already holds a database *is* crash recovery — there
     is no separate recovery entry point to forget to call.
     """
@@ -301,11 +343,13 @@ class LogStructuredEngine(StorageEngine):
         self.root = Path(path)
         self.root.mkdir(parents=True, exist_ok=True)
         self.sync_mode = sync
-        self._mem = MemoryEngine()
+        self._mem = _RecordMemtable()
         self._closed = False
         self._checkpoint_lsn = 0
-        #: Index into :data:`CKP_SLOTS` of the newest valid image.
+        #: Index into :data:`CKP_SLOTS` of the newest valid image, and
+        #: that image's framed length (magic included).
         self._slot: Optional[int] = None
+        self._image_bytes = 0
         self.recovery = RecoveryReport(path=str(self.root))
         self._load_checkpoint()
         created = not self._wal_path.exists()
@@ -351,13 +395,9 @@ class LogStructuredEngine(StorageEngine):
             # torn; the log's base LSN tells the two from a lost image.
             return
         _lsn, self._slot, payload = max(images)
-        stamp, batch = _decode_batch(payload)
-        self._mem.apply(
-            batch,
-            stamp.schema_generation,
-            stamp.statistics_generation,
-            stamp.ticket,
-        )
+        self._image_bytes = _SLOT_HEAD + len(payload)
+        stamp, ops = _decode_batch(payload)
+        self._mem.apply_ops(ops)
         self._mem.set_stamp(stamp)
         self._checkpoint_lsn = stamp.lsn
         self.recovery.checkpoint_lsn = stamp.lsn
@@ -406,7 +446,7 @@ class LogStructuredEngine(StorageEngine):
                 report.torn_reason = "record CRC mismatch"
                 break
             try:
-                stamp, batch = _decode_batch(payload)
+                stamp, ops = _decode_batch(payload)
             except StorageError as exc:
                 report.torn_reason = f"undecodable record ({exc})"
                 break
@@ -420,15 +460,10 @@ class LogStructuredEngine(StorageEngine):
                 # already in the image, skip it.
                 report.skipped_batches += 1
             else:
-                self._mem.apply(
-                    batch,
-                    stamp.schema_generation,
-                    stamp.statistics_generation,
-                    stamp.ticket,
-                )
+                self._mem.apply_ops(ops)
                 self._mem.set_stamp(stamp)
                 report.replayed_batches += 1
-                report.replayed_ops += len(batch)
+                report.replayed_ops += len(ops)
             last_lsn = stamp.lsn
             offset = body_start + length
             good_end = offset
@@ -482,14 +517,13 @@ class LogStructuredEngine(StorageEngine):
             statistics_generation=statistics_generation,
             ticket=ticket,
         )
-        record = _frame(_encode_batch(batch, stamp))
+        payload, ops = _encode_batch(batch, stamp)
+        record = _frame(payload)
         _write_at(self._wal, record + _END, self._wal_offset)
         if self.sync_mode == "commit":
             os.fsync(self._wal.fileno())
         self._wal_offset += len(record)
-        self._mem.apply(
-            batch, schema_generation, statistics_generation, ticket
-        )
+        self._mem.apply_ops(ops)
         self._mem.set_stamp(stamp)
         return stamp
 
@@ -513,7 +547,7 @@ class LogStructuredEngine(StorageEngine):
         self._require_open()
         self.sync()
         stamp = self._mem.last_stamp()
-        payload = _encode_image(self._mem, stamp)
+        payload = self._mem.image()
         head = CKP_MAGIC + _FRAME.pack(len(payload), zlib.crc32(payload))
         # The slot becomes the newest image only once its write and fsync
         # have succeeded: a failed write is retried into the same slot,
@@ -521,6 +555,7 @@ class LogStructuredEngine(StorageEngine):
         target = 0 if self._slot is None else 1 - self._slot
         self._overwrite_slot(self._slot_path(target), head, payload)
         self._slot = target
+        self._image_bytes = len(head) + len(payload)
         self._rewind(stamp.lsn)
         self._checkpoint_lsn = stamp.lsn
         return stamp
@@ -565,6 +600,10 @@ class LogStructuredEngine(StorageEngine):
                 "sync": self.sync_mode,
                 "wal_bytes": self._wal_offset,
                 "checkpoint_lsn": self._checkpoint_lsn,
+                "image_bytes": self._image_bytes,
+                "image_slot": (
+                    None if self._slot is None else CKP_SLOTS[self._slot]
+                ),
             }
         )
         return info

@@ -97,8 +97,10 @@ class PathWalker:
         self._memo_cache_cap = 65536
         # Interning table for the token prefixes: hashing a frozen AST
         # node walks it recursively, so a caller exchanges its prefix for
-        # a small int once per call and memo keys hash int-fast.
+        # a small int once per call and memo keys hash int-fast.  Tokens
+        # come from a counter that never restarts, so no token is reused.
         self._memo_tokens: Dict[Tuple, int] = {}
+        self._next_memo_token = 0
         # Ticket-stamped sorted universes / candidate lists / extents —
         # rebuilding these per binding is the old per-tuple hot spot.
         self._universe_cache: Dict[VarSort, List[Oid]] = {}
@@ -137,16 +139,20 @@ class PathWalker:
     def memo_token(self, tag: str, node: object) -> int:
         """Intern a memo-key prefix: one AST hash per call, ints after.
 
-        This is the memo's freshness check.  Tokens share the memo's
-        stamping: a write clears the table together with the entries
-        keyed on it, so a recycled token can never resurrect a stale
-        entry.
+        This is the memo's freshness check.  A write clears the table
+        together with the entries keyed on it.  The table holds at most
+        :attr:`memo_capacity` prefixes: past that it is dropped, and the
+        entries keyed on dropped tokens age out of the LRU.  Tokens are
+        never reused, so a stale entry is never reached again.
         """
         self._fresh_caches()
         key = (tag, node)
         token = self._memo_tokens.get(key)
         if token is None:
-            token = len(self._memo_tokens)
+            if len(self._memo_tokens) >= self._memo_cache_cap:
+                self._memo_tokens.clear()
+            token = self._next_memo_token
+            self._next_memo_token += 1
             self._memo_tokens[key] = token
         return token
 

@@ -236,6 +236,46 @@ class TestStatus:
         assert status["wal_bytes"] > len(WAL_MAGIC)
         engine.close()
 
+    def test_status_reports_the_newest_image(self, db):
+        engine = _open(db)
+        assert engine.status()["image_bytes"] == 0
+        assert engine.status()["image_slot"] is None
+        _write(engine, [(b"k%03d" % i, b"x" * 50) for i in range(100)])
+        engine.checkpoint()
+        engine.checkpoint()
+        batch = WriteBatch()
+        batch.delete_range(b"k001", b"k100")
+        engine.apply(batch)
+        engine.checkpoint()  # the third image lands in slot 0 over the first
+        status = engine.status()
+        slot = os.path.join(db, CKP_SLOTS[0])
+        with open(slot, "rb") as handle:
+            blob = handle.read()
+        length = struct.unpack_from(">I", blob, len(CKP_MAGIC))[0]
+        framed = len(CKP_MAGIC) + 8 + length
+        assert status["image_slot"] == CKP_SLOTS[0]
+        assert status["image_bytes"] == framed
+        assert status["image_bytes"] < os.path.getsize(slot)
+        engine.close()
+        recovered = _open(db)
+        assert recovered.status()["image_slot"] == CKP_SLOTS[0]
+        assert recovered.status()["image_bytes"] == framed
+        recovered.close()
+
+    def test_session_storage_status_shows_the_image(self, tmp_path):
+        from repro.xsql.repl import _storage_line
+        from repro.xsql.session import Session
+
+        session = Session.open(str(tmp_path / "db"), sync="never")
+        session.checkpoint()
+        status = session.storage_status()
+        assert status["image_slot"] == CKP_SLOTS[0]
+        assert status["image_bytes"] == os.path.getsize(
+            str(tmp_path / "db" / CKP_SLOTS[0])
+        )
+        assert f"image_bytes={status['image_bytes']}" in _storage_line(session)
+        session.close()
+
     def test_recovery_report_lines(self, db):
         engine = _open(db)
         _write(engine, [(b"k", b"v")])

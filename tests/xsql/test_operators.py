@@ -310,19 +310,28 @@ class TestOperatorMemoCapacity:
 
         init = PathWalker.__init__
         put = PathWalker.memo_put
+        token = PathWalker.memo_token
         written = []
+        # The walker's token table is bounded by the memo capacity, so
+        # tags are recorded as tokens are issued.
+        tags = {}
 
         def tiny_memo(self, *args, **kw):
             init(self, *args, **kw)
             self._memo_cache_cap = 1
 
+        def tagging_token(self, tag, node):
+            issued = token(self, tag, node)
+            tags[id(self), issued] = tag
+            return issued
+
         def counting_put(self, key, value):
-            tags = {tok: tag for (tag, _node), tok in self._memo_tokens.items()}
-            written.append(tags.get(key[0]))
+            written.append(tags.get((id(self), key[0])))
             put(self, key, value)
 
         monkeypatch.setattr(PathWalker, "__init__", tiny_memo)
         monkeypatch.setattr(PathWalker, "memo_put", counting_put)
+        monkeypatch.setattr(PathWalker, "memo_token", tagging_token)
         session = make_paper_session()
         assert session.query(
             JOIN_QUERY, plan="cost", join_mode="nested"

@@ -553,6 +553,23 @@ class TestSessionMemory:
         run(200, 1000)
         assert live_paths() <= settled + 16
 
+    def test_memo_token_table_is_bounded(self, paper_session):
+        """A write-free session interns at most ``memo_capacity`` memo
+        tokens, and dropping the table changes no answer."""
+        text = "SELECT X FROM Employee X WHERE X.Salary > {}"
+        reference = make_paper_session()
+        answered = paper_session.query(text.format(25000)).rows()
+        (walker,) = paper_session._walkers.values()
+        walker._memo_cache_cap = 50
+        for n in range(3000):
+            query = text.format(n * 110)
+            assert paper_session.query(query).rows() == (
+                reference.query(query).rows()
+            )
+            assert len(walker._memo_tokens) <= 50
+        assert paper_session.query(text.format(25000)).rows() == answered
+        assert walker._next_memo_token > 3000
+
     def test_reads_and_closed_snapshots_leave_little_cyclic_garbage(
         self, paper_session
     ):
