@@ -34,12 +34,13 @@ fuzz-smoke: fuzz-concurrent
 	PYTHONPATH=src python -m repro.difftest --seed 0 --queries 10 --sizes scale-1k --quiet
 	PYTHONPATH=src python -m repro.difftest --seed 0 --queries 20 --sizes scale-1k --preset joins --quiet
 
-# Snapshot-isolation smoke: one writer thread vs 3 snapshot readers,
-# every (pinned ticket, query, rows) observation checked bit-for-bit
-# against single-threaded replay of the op prefix (docs/MVCC.md).
+# Snapshot-isolation smoke: one writer thread (data writes and DDL) vs
+# 3 snapshot readers, every (pinned ticket, query, rows) observation
+# checked bit-for-bit against single-threaded replay of the op prefix
+# (docs/MVCC.md).
 fuzz-concurrent:
 	PYTHONPATH=src python -m repro.difftest.concurrent --seed 11 \
-		--ops 300 --readers 3 --queries 10
+		--ops 300 --readers 3 --queries 10 --rounds 2
 
 # Open-ended fuzzing; override SEED/QUERIES/SIZES as needed, e.g.
 #   make fuzz SEED=7 QUERIES=2000 SIZES=tiny,medium

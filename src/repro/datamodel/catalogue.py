@@ -65,7 +65,7 @@ class Catalogue:
             hierarchy.add_class(builtin, [OBJECT_CLASS])
 
     def clone(self, hierarchy: ClassHierarchy) -> "Catalogue":
-        """An independent copy over *hierarchy* (snapshot schema images)."""
+        """An independent copy over *hierarchy* (a schema clone's)."""
         copy = Catalogue(
             hierarchy, strict_method_namespace=self.strict_method_namespace
         )

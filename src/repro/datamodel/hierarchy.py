@@ -66,6 +66,8 @@ class ClassHierarchy:
 
     def add_edge(self, sub: Atom, sup: Atom) -> None:
         """Record that *sub* IS-A *sup*, rejecting cycles."""
+        if sup in self._parents.get(sub, ()):
+            return
         for cls in (sub, sup):
             if cls not in self._parents:
                 self._parents[cls] = set()
@@ -85,12 +87,14 @@ class ClassHierarchy:
         self._sub_cache.clear()
 
     def clone(self) -> "ClassHierarchy":
-        """An independent copy of the graph (snapshot schema images)."""
+        """An independent copy of the graph, closure memos included."""
         copy = ClassHierarchy()
         copy._parents = {cls: set(sups) for cls, sups in self._parents.items()}
         copy._children = {
             cls: set(subs) for cls, subs in self._children.items()
         }
+        copy._super_cache = dict(self._super_cache)
+        copy._sub_cache = dict(self._sub_cache)
         return copy
 
     # ------------------------------------------------------------------

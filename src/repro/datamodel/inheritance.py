@@ -34,7 +34,7 @@ class InheritanceResolver:
         self._resolutions: Dict[Tuple[Atom, Atom], Atom] = {}
 
     def clone(self, hierarchy: ClassHierarchy) -> "InheritanceResolver":
-        """An independent copy over *hierarchy* (snapshot schema images)."""
+        """An independent copy over *hierarchy* (a schema clone's)."""
         copy = InheritanceResolver(hierarchy)
         copy._resolutions = dict(self._resolutions)
         return copy

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -52,7 +53,7 @@ from repro.errors import (
 )
 from repro.oid import Atom, FuncOid, Oid, Value, oid as as_oid
 
-__all__ = ["ObjectStore"]
+__all__ = ["ObjectStore", "Schema"]
 
 ClassLike = Union[Atom, str]
 OidLike = Union[Oid, int, float, str, bool]
@@ -92,6 +93,92 @@ def _has_implicit_members(
     )
 
 
+class Schema:
+    """The schema as one value: hierarchy, catalogue, resolver, declared
+    signatures, method implementations, and the arrow-kind memo derived
+    from them.
+
+    XSQL variables range over classes and methods (§3), so the schema is
+    data that queries read.  A store publishes a Schema by one assignment
+    and never mutates it afterwards: DDL edits a :meth:`clone` and
+    publishes the clone (:meth:`ObjectStore._ddl`).  A reference — a
+    pin's, a reader's local — therefore always holds one consistent
+    schema, and an edit that fails half-way leaves nothing behind.
+    """
+
+    __slots__ = (
+        "hierarchy", "catalogue", "resolver", "signatures",
+        "implementations", "arrow_kinds",
+    )
+
+    def __init__(self, strict_method_namespace: bool = False) -> None:
+        self.hierarchy = ClassHierarchy()
+        self.catalogue = Catalogue(
+            self.hierarchy, strict_method_namespace=strict_method_namespace
+        )
+        self.resolver = InheritanceResolver(self.hierarchy)
+        #: class -> method -> [Signature, ...]  (declared, pre-inheritance)
+        self.signatures: Dict[Atom, Dict[Atom, List[Signature]]] = {}
+        self.implementations: Dict[
+            Tuple[Atom, Atom], MethodImplementation
+        ] = {}
+        #: (method, frozenset-of-direct-classes) -> declared arrow kinds
+        #: (set of ``set_valued`` flags).  The write path consults the
+        #: schema on every cell write; memoizing the visible kinds per
+        #: membership set makes bulk loads (``repro.workloads.scale``)
+        #: scale to millions of objects.  A clone starts it empty.
+        self.arrow_kinds: Dict[
+            Tuple[Atom, FrozenSet[Atom]], FrozenSet[bool]
+        ] = {}
+
+    def clone(self) -> "Schema":
+        """An independent, unpublished copy for one DDL edit."""
+        copy = Schema.__new__(Schema)
+        copy.hierarchy = self.hierarchy.clone()
+        copy.catalogue = self.catalogue.clone(copy.hierarchy)
+        copy.resolver = self.resolver.clone(copy.hierarchy)
+        copy.signatures = {
+            cls: {method: list(sigs) for method, sigs in per.items()}
+            for cls, per in self.signatures.items()
+        }
+        copy.implementations = dict(self.implementations)
+        copy.arrow_kinds = {}
+        return copy
+
+    def declared_signatures(
+        self, cls: Atom, method: Optional[Atom] = None
+    ) -> List[Signature]:
+        per_class = self.signatures.get(cls, {})
+        if method is None:
+            return [s for sigs in per_class.values() for s in sigs]
+        return list(per_class.get(method, []))
+
+    def implementation_classes(self, method: Atom) -> List[Atom]:
+        return sorted(
+            (cls for (cls, name) in self.implementations if name == method),
+            key=lambda a: a.name,
+        )
+
+    # edits: unpublished clones only
+
+    def add_signature(self, signature: Signature) -> None:
+        expr = signature.type_expr
+        for cls in (expr.scope, expr.result, *expr.args):
+            self.hierarchy.require(cls)
+        per_class = self.signatures.setdefault(expr.scope, {})
+        existing = per_class.setdefault(signature.method, [])
+        if signature not in existing:
+            existing.append(signature)
+        self.catalogue.register_method(signature.method)
+
+    def add_implementation(
+        self, cls: Atom, impl: MethodImplementation
+    ) -> None:
+        self.hierarchy.require(cls)
+        self.implementations[(cls, impl.name)] = impl
+        self.catalogue.register_method(impl.name)
+
+
 class ObjectStore:
     """A complete object-oriented database instance."""
 
@@ -100,22 +187,15 @@ class ObjectStore:
         strict_method_namespace: bool = False,
         validate_values: bool = False,
     ) -> None:
-        self.hierarchy = ClassHierarchy()
-        self.catalogue = Catalogue(
-            self.hierarchy, strict_method_namespace=strict_method_namespace
-        )
+        #: The published :class:`Schema`; DDL replaces it, never edits it.
+        self.schema = Schema(strict_method_namespace)
         #: When on, stored values must be instances of some declared
         #: result class of the attribute (a conservative schema mode; the
         #: paper's default treats typing as metalogical).
         self.validate_values = validate_values
-        self.resolver = InheritanceResolver(self.hierarchy)
         self._records: Dict[Oid, ObjectRecord] = {}
         self._memberships: Dict[Oid, Set[Atom]] = {}
         self._direct_extents: Dict[Atom, Set[Oid]] = {}
-        # (class, method) -> implementation
-        self._implementations: Dict[Tuple[Atom, Atom], MethodImplementation] = {}
-        # class -> method -> [Signature, ...]  (declared, pre-inheritance)
-        self._signatures: Dict[Atom, Dict[Atom, List[Signature]]] = {}
         self._relations: Dict[str, StoredRelation] = {}
         self._known: Set[Oid] = set()
         #: Opt-in inverted attribute indexes ([BERT89]-style).  Private:
@@ -133,14 +213,6 @@ class ObjectStore:
         #: (data-dependent artifacts such as Theorem 6.1 extent
         #: restrictions are recomputed per execution).
         self.schema_generation = 0
-        #: (method, frozenset-of-direct-classes) -> declared arrow kinds
-        #: (set of ``set_valued`` flags).  The write path consults the
-        #: schema on every cell write; memoizing the visible kinds per
-        #: membership set makes bulk loads (``repro.workloads.scale``)
-        #: scale to millions of objects.  Cleared on every schema bump.
-        self._arrow_kinds: Dict[
-            Tuple[Atom, FrozenSet[Atom]], FrozenSet[bool]
-        ] = {}
         #: Optional persistence listener
         #: (:class:`repro.storage.codec.StoreJournal`).  When attached,
         #: every mutation below emits codec-encoded KV operations; the
@@ -162,6 +234,18 @@ class ObjectStore:
         from repro.datamodel.versions import VersionHistory
 
         self._history = VersionHistory(self)
+
+    @property
+    def hierarchy(self) -> ClassHierarchy:
+        return self.schema.hierarchy
+
+    @property
+    def catalogue(self) -> Catalogue:
+        return self.schema.catalogue
+
+    @property
+    def resolver(self) -> InheritanceResolver:
+        return self.schema.resolver
 
     # ------------------------------------------------------------------
     # versions and snapshots (MVCC)
@@ -258,8 +342,35 @@ class ObjectStore:
 
     def _bump_schema(self) -> None:
         self.schema_generation += 1
-        self._arrow_kinds.clear()
         self.statistics.note_schema_change()
+
+    def _ddl(
+        self,
+        edit: Callable[[Schema], None],
+        known: Optional[Atom] = None,
+        note: Optional[Callable[[object, Schema], None]] = None,
+    ) -> Schema:
+        """Commit one DDL edit: clone, edit, publish, then advance.
+
+        Under the write lock, *edit* mutates a clone of the published
+        schema.  If it raises, the clone is dropped and nothing moves:
+        the published schema, the ticket, ``schema_generation`` and the
+        sinks never see the attempt.  Otherwise the clone is published
+        by one assignment, *known* joins the known set, and
+        ``note(sink, schema)`` tells each sink.
+        """
+        with self._history.lock:
+            schema = self.schema.clone()
+            edit(schema)
+            self._history.advance()
+            self.schema = schema
+            if known is not None:
+                self._known_add(known)
+            self._bump_schema()
+            if note is not None:
+                for sink in self._sinks:
+                    note(sink, schema)
+        return schema
 
     # ------------------------------------------------------------------
     # schema: classes and signatures
@@ -270,21 +381,19 @@ class ObjectStore:
     ) -> Atom:
         """Declare a class (idempotent), returning its class atom."""
         cls = _atom(name)
-        with self._history.lock:
-            self._history.advance()
-            self._history.record_schema()
-            self.hierarchy.add_class(cls, [_atom(p) for p in parents])
-            self._known_add(cls)
-            self._bump_schema()
-            for sink in self._sinks:
-                sink.note_class(
-                    cls,
-                    [
-                        sup
-                        for sup in self.hierarchy.direct_superclasses(cls)
-                        if sup != OBJECT_CLASS
-                    ],
-                )
+        parent_atoms = [_atom(p) for p in parents]
+        self._ddl(
+            lambda schema: schema.hierarchy.add_class(cls, parent_atoms),
+            known=cls,
+            note=lambda sink, schema: sink.note_class(
+                cls,
+                [
+                    sup
+                    for sup in schema.hierarchy.direct_superclasses(cls)
+                    if sup != OBJECT_CLASS
+                ],
+            ),
+        )
         return cls
 
     def declare_signature(
@@ -304,39 +413,27 @@ class ObjectStore:
         cls_atom = _atom(cls)
         method_atom = _atom(method)
         result_atom = _atom(result)
-        with self._history.lock:
-            self.hierarchy.require(cls_atom)
-            self.hierarchy.require(result_atom)
-            arg_atoms = tuple(_atom(a) for a in args)
-            for arg in arg_atoms:
-                self.hierarchy.require(arg)
-            signature = Signature(
-                method_atom,
-                TypeExpr(cls_atom, arg_atoms, result_atom, set_valued),
-            )
-            self._history.advance()
-            self._history.record_schema()
-            per_class = self._signatures.setdefault(cls_atom, {})
-            existing = per_class.setdefault(method_atom, [])
-            if signature not in existing:
-                existing.append(signature)
-            self.catalogue.register_method(method_atom)
-            self._known_add(method_atom)
-            self._bump_schema()
-            for sink in self._sinks:
-                sink.note_signature(
-                    cls_atom, method_atom, result_atom, arg_atoms, set_valued
-                )
+        arg_atoms = tuple(_atom(a) for a in args)
+        signature = Signature(
+            method_atom,
+            TypeExpr(cls_atom, arg_atoms, result_atom, set_valued),
+        )
+        self._ddl(
+            lambda schema: schema.add_signature(signature),
+            known=method_atom,
+            note=lambda sink, _schema: sink.note_signature(
+                cls_atom, method_atom, result_atom, arg_atoms, set_valued
+            ),
+        )
         return signature
 
     def declared_signatures(
         self, cls: ClassLike, method: Optional[ClassLike] = None
     ) -> List[Signature]:
         """Signatures declared *directly* on *cls* (no inheritance)."""
-        per_class = self._signatures.get(_atom(cls), {})
-        if method is None:
-            return [s for sigs in per_class.values() for s in sigs]
-        return list(per_class.get(_atom(method), []))
+        return self.schema.declared_signatures(
+            _atom(cls), None if method is None else _atom(method)
+        )
 
     def signatures_of(
         self, cls: ClassLike, method: Optional[ClassLike] = None
@@ -348,20 +445,22 @@ class ObjectStore:
         C'" — types are always inherited and never overwritten.
         """
         cls_atom = _atom(cls)
-        self.hierarchy.require(cls_atom)
+        schema = self.schema
+        schema.hierarchy.require(cls_atom)
+        method_atom = None if method is None else _atom(method)
         result: List[Signature] = []
         for ancestor in sorted(
-            self.hierarchy.superclasses(cls_atom, strict=False),
+            schema.hierarchy.superclasses(cls_atom, strict=False),
             key=lambda a: a.name,
         ):
-            result.extend(self.declared_signatures(ancestor, method))
+            result.extend(schema.declared_signatures(ancestor, method_atom))
         return result
 
     def all_type_exprs(self, method: ClassLike) -> List[TypeExpr]:
         """Every declared type expression of *method*, across all classes."""
         method_atom = _atom(method)
         found: List[TypeExpr] = []
-        for per_class in self._signatures.values():
+        for per_class in self.schema.signatures.values():
             for signature in per_class.get(method_atom, []):
                 if signature.type_expr not in found:
                     found.append(signature.type_expr)
@@ -369,7 +468,7 @@ class ObjectStore:
 
     def method_names(self) -> FrozenSet[Atom]:
         """All method-objects known to the catalogue."""
-        return self.catalogue.methods()
+        return self.schema.catalogue.methods()
 
     # ------------------------------------------------------------------
     # instances
@@ -381,7 +480,7 @@ class ObjectStore:
         """Register an object and its direct class memberships."""
         obj = as_oid(oid_like)
         with self._history.lock:
-            self.catalogue.check_individual(obj)
+            self.schema.catalogue.check_individual(obj)
             self._history.advance()
             is_new = obj not in self._records
             self._records.setdefault(obj, ObjectRecord(obj))
@@ -397,8 +496,9 @@ class ObjectStore:
         obj = as_oid(oid_like)
         cls_atom = _atom(cls)
         with self._history.lock:
-            self.hierarchy.require(cls_atom)
-            self.catalogue.check_individual(obj)
+            schema = self.schema
+            schema.hierarchy.require(cls_atom)
+            schema.catalogue.check_individual(obj)
             self._history.advance()
             memberships = self._memberships.setdefault(obj, set())
             if cls_atom not in memberships:
@@ -468,18 +568,19 @@ class ObjectStore:
         """Explicit instance-of memberships plus implicit literal classes."""
         obj = as_oid(oid_like)
         explicit = frozenset(self._memberships.get(obj, set()))
-        return explicit | self.catalogue.implicit_classes(obj)
+        return explicit | self.schema.catalogue.implicit_classes(obj)
 
     def classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         """All classes *obj* belongs to, including inherited memberships.
 
         If C is a subclass of C', instances of C belong to C' too (§2).
         """
+        hierarchy = self.schema.hierarchy
         direct = self.direct_classes_of(oid_like)
         closure: Set[Atom] = set(direct)
         for cls in direct:
-            if cls in self.hierarchy:
-                closure |= self.hierarchy.superclasses(cls)
+            if cls in hierarchy:
+                closure |= hierarchy.superclasses(cls)
         return frozenset(closure)
 
     def is_instance(self, oid_like: OidLike, cls: ClassLike) -> bool:
@@ -498,14 +599,15 @@ class ObjectStore:
         O(extent) rather than O(store).
         """
         cls_atom = _atom(cls)
-        hierarchy = self.hierarchy
+        schema = self.schema
+        hierarchy = schema.hierarchy
         hierarchy.require(cls_atom)
         members: Set[Oid] = set(self._direct_extent(cls_atom))
         if not direct:
             for sub in hierarchy.subclasses(cls_atom):
                 members |= self._direct_extent(sub)
         if _has_implicit_members(hierarchy, cls_atom, direct):
-            catalogue = self.catalogue
+            catalogue = schema.catalogue
             for obj in self._known_oids():
                 implicit = catalogue.implicit_classes(obj)
                 if cls_atom in implicit or (
@@ -535,8 +637,9 @@ class ObjectStore:
 
     def individual_universe(self) -> FrozenSet[Oid]:
         """The range of individual variables: all known non-class oids."""
+        is_class = self.schema.catalogue.is_class
         return frozenset(
-            obj for obj in self._known if not self.catalogue.is_class(obj)
+            obj for obj in self._known_oids() if not is_class(obj)
         )
 
     def individual_count(self) -> int:
@@ -545,18 +648,19 @@ class ObjectStore:
         The cost model sizes the individual sort with this on every
         compile, so it must not walk the known set.
         """
-        return _count_individuals(self._known, self.hierarchy)
+        return _count_individuals(self._known, self.schema.hierarchy)
 
     def class_universe(self) -> FrozenSet[Atom]:
         """The range of class variables (``#X``)."""
-        return frozenset(self.hierarchy.classes())
+        return frozenset(self.schema.hierarchy.classes())
 
     def method_universe(self) -> FrozenSet[Atom]:
         """The range of method variables (``"Y``)."""
-        names: Set[Atom] = set(self.catalogue.methods())
+        schema = self.schema
+        names: Set[Atom] = set(schema.catalogue.methods())
         for record in self._records.values():
             names.update(record.defined_methods())
-        for _cls, method in self._implementations:
+        for _cls, method in schema.implementations:
             names.add(method)
         return frozenset(names)
 
@@ -616,19 +720,20 @@ class ObjectStore:
         """
         classes = self.direct_classes_of(owner)
         key = (method, classes)
-        kinds = self._arrow_kinds.get(key)
+        schema = self.schema
+        kinds = schema.arrow_kinds.get(key)
         if kinds is None:
             kinds = frozenset(
                 signature.set_valued
                 for cls in classes
-                if cls in self.hierarchy
+                if cls in schema.hierarchy
                 for signature in self.signatures_of(cls, method)
             )
-            self._arrow_kinds[key] = kinds
+            schema.arrow_kinds[key] = kinds
         if kinds <= {set_valued}:
             return
         for cls in classes:
-            if cls not in self.hierarchy:
+            if cls not in schema.hierarchy:
                 continue
             for signature in self.signatures_of(cls, method):
                 if signature.set_valued != set_valued:
@@ -646,10 +751,11 @@ class ObjectStore:
         """
         if not self.validate_values:
             return
+        hierarchy = self.schema.hierarchy
         results = [
             signature.result
             for cls in self.direct_classes_of(owner)
-            if cls in self.hierarchy
+            if cls in hierarchy
             for signature in self.signatures_of(cls, method)
         ]
         if not results:
@@ -828,41 +934,32 @@ class ObjectStore:
     ) -> None:
         """Register a method implementation in the scope of *cls*."""
         cls_atom = _atom(cls)
-        with self._history.lock:
-            self.hierarchy.require(cls_atom)
-            name = getattr(impl, "name", None)
-            if not isinstance(name, Atom):
-                raise SchemaError(
-                    "method implementation must carry a name Atom"
-                )
-            self._history.advance()
-            self._history.record_schema()
-            self._implementations[(cls_atom, name)] = impl
-            self.catalogue.register_method(name)
-            self._known_add(name)
-            self._bump_schema()
+        name = getattr(impl, "name", None)
+        if not isinstance(name, Atom):
+            raise SchemaError("method implementation must carry a name Atom")
+        self._ddl(
+            lambda schema: schema.add_implementation(cls_atom, impl),
+            known=name,
+        )
 
     def implementation_classes(self, method: Atom) -> List[Atom]:
-        return sorted(
-            (cls for (cls, name) in self._implementations if name == method),
-            key=lambda a: a.name,
-        )
+        return self.schema.implementation_classes(method)
 
     def resolve_inheritance(
         self, cls: ClassLike, method: ClassLike, use_class: ClassLike
     ) -> None:
         """Declare which superclass's definition *cls* inherits (§6.1)."""
-        with self._history.lock:
-            self._history.advance()
-            self._history.record_schema()
-            self.resolver.declare_resolution(
-                _atom(cls), _atom(method), _atom(use_class)
-            )
-            self._bump_schema()
-            for sink in self._sinks:
-                sink.note_resolution(
-                    _atom(cls), _atom(method), _atom(use_class)
-                )
+        cls_atom, method_atom, use_atom = (
+            _atom(cls), _atom(method), _atom(use_class)
+        )
+        self._ddl(
+            lambda schema: schema.resolver.declare_resolution(
+                cls_atom, method_atom, use_atom
+            ),
+            note=lambda sink, _schema: sink.note_resolution(
+                cls_atom, method_atom, use_atom
+            ),
+        )
 
     # ------------------------------------------------------------------
     # invocation: the heart of the data model
@@ -903,18 +1000,19 @@ class ObjectStore:
             return cell.as_set(), cell.set_valued
 
         member_classes = self.direct_classes_of(owner_oid)
+        schema = self.schema
 
         # Inherited default value (footnote 5: all attributes are default
         # attributes in the paper's scope).  Class-objects inherit from
         # their own superclasses.
-        if self.catalogue.is_class(owner_oid):
+        if schema.catalogue.is_class(owner_oid):
             member_classes = frozenset({owner_oid})  # type: ignore[arg-type]
         defining = [
             cls
-            for cls in self.hierarchy.classes()
+            for cls in schema.hierarchy.classes()
             if self._has_cell(cls, method_atom, arg_oids)
         ]
-        chosen = self.resolver.select(
+        chosen = schema.resolver.select(
             str(owner_oid), member_classes, method_atom, defining
         )
         if chosen is not None and chosen != owner_oid:
@@ -923,13 +1021,13 @@ class ObjectStore:
                 return cell.as_set(), cell.set_valued
 
         # Computed implementation with behavioral inheritance + overriding.
-        impl_classes = self.implementation_classes(method_atom)
+        impl_classes = schema.implementation_classes(method_atom)
         if impl_classes:
-            chosen_impl = self.resolver.select(
+            chosen_impl = schema.resolver.select(
                 str(owner_oid), member_classes, method_atom, impl_classes
             )
             if chosen_impl is not None:
-                impl = self._implementations[(chosen_impl, method_atom)]
+                impl = schema.implementations[(chosen_impl, method_atom)]
                 if impl.arity != len(arg_oids):
                     raise ArityError(
                         f"method {method_atom} expects {impl.arity} "
@@ -973,12 +1071,13 @@ class ObjectStore:
         and implementations on reachable classes.
         """
         owner_oid = as_oid(owner)
+        schema = self.schema
         names: Set[Atom] = set()
         record = self._records.get(owner_oid)
         if record is not None:
             names.update(record.defined_methods())
-        if self.catalogue.is_class(owner_oid):
-            reachable = self.hierarchy.superclasses(
+        if schema.catalogue.is_class(owner_oid):
+            reachable = schema.hierarchy.superclasses(
                 owner_oid, strict=False  # type: ignore[arg-type]
             )
         else:
@@ -987,7 +1086,7 @@ class ObjectStore:
             cls_record = self._records.get(cls)
             if cls_record is not None:
                 names.update(cls_record.defined_methods())
-        for (cls, name) in self._implementations:
+        for (cls, name) in schema.implementations:
             if cls in reachable:
                 names.add(name)
         return frozenset(names)
@@ -1001,7 +1100,6 @@ class ObjectStore:
         method_atom = _atom(method)
         with self._history.lock:
             self._history.advance()
-            self._history.record_schema()
             self._indexes.enable(method_atom, self)
             self._bump_schema()
             for sink in self._sinks:
@@ -1011,7 +1109,6 @@ class ObjectStore:
         method_atom = _atom(method)
         with self._history.lock:
             self._history.advance()
-            self._history.record_schema()
             self._indexes.disable(method_atom)
             self._bump_schema()
             for sink in self._sinks:
@@ -1043,9 +1140,10 @@ class ObjectStore:
         lower bound — fine for ranking plans, unsound for execution.
         """
         cls_atom = _atom(cls)
-        self.hierarchy.require(cls_atom)
+        hierarchy = self.schema.hierarchy
+        hierarchy.require(cls_atom)
         total = self.statistics.direct_extent_count(cls_atom)
-        for sub in self.hierarchy.subclasses(cls_atom):
+        for sub in hierarchy.subclasses(cls_atom):
             total += self.statistics.direct_extent_count(sub)
         return total
 
@@ -1062,7 +1160,7 @@ class ObjectStore:
         method_atom = _atom(method)
         if self.implementation_classes(method_atom):
             return False
-        for cls in self.hierarchy.classes():
+        for cls in self.schema.hierarchy.classes():
             record = self._records.get(cls)
             if record is None:
                 continue
@@ -1102,7 +1200,6 @@ class ObjectStore:
         relation = StoredRelation(name, tuple(column_names))
         with self._history.lock:
             self._history.advance()
-            self._history.record_schema()
             self._history.record_relation(name, self._relations.get(name))
             self._relations[name] = relation
             self._bump_schema()

@@ -31,13 +31,13 @@ rely on CPython-atomic snapshots of live containers (``dict.copy``,
 followed by chain overlays.  Acquiring a *new* pin does synchronize with
 the write lock, so pins always align with mutator boundaries.
 
-Schema DDL concurrent with *active* readers is best-effort: a pinned
-reader resolves its schema through a pre-DDL :class:`SchemaImage`
-(captured into the chain by the mutator), but a reader racing the DDL
-instant itself may observe the live hierarchy mid-edit.  Sequential
-DDL-then-pin and data-plane concurrency are fully consistent; the
+The schema needs no chain: it is one immutable value
+(:class:`~repro.datamodel.store.Schema`) that DDL replaces by a single
+assignment under the write lock.  A pin captures the published schema
+reference alongside its ticket, so a view reads schema and data at one
+version, and DDL is atomic — a failed edit publishes nothing.  The
 concurrent differential fuzzer (:mod:`repro.difftest.concurrent`)
-therefore drives data-plane writers against snapshot readers.
+interleaves DDL with data-plane writes against snapshot readers.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from repro.datamodel.objects import (
 from repro.datamodel.store import (
     ObjectStore,
     OidLike,
+    Schema,
     _atom,
     _count_individuals,
 )
@@ -84,7 +85,6 @@ __all__ = [
     "Version",
     "SnapshotPin",
     "VersionHistory",
-    "SchemaImage",
     "FrozenStatistics",
     "FrozenRelation",
     "StoreView",
@@ -137,41 +137,17 @@ def _resolve(chain: Sequence[_Entry], ticket: int) -> Tuple[bool, Any]:
     return False, None
 
 
-@dataclass
-class SchemaImage:
-    """A full pre-DDL copy of the store's schema-shaped state."""
-
-    hierarchy: Any
-    catalogue: Any
-    resolver: Any
-    signatures: Dict[Atom, Dict[Atom, List]]
-    implementations: Dict[Tuple[Atom, Atom], Any]
-    validate_values: bool
-
-
-def _capture_schema(store: ObjectStore) -> SchemaImage:
-    hierarchy = store.hierarchy.clone()
-    return SchemaImage(
-        hierarchy=hierarchy,
-        catalogue=store.catalogue.clone(hierarchy),
-        resolver=store.resolver.clone(hierarchy),
-        signatures={
-            cls: {method: list(sigs) for method, sigs in per.items()}
-            for cls, per in store._signatures.items()
-        },
-        implementations=dict(store._implementations),
-        validate_values=store.validate_values,
-    )
-
-
 class SnapshotPin:
-    """A refcounted pin on one committed version (context manager)."""
+    """A refcounted pin on one committed version and its schema value."""
 
-    __slots__ = ("history", "version", "_released")
+    __slots__ = ("history", "version", "schema", "_released")
 
-    def __init__(self, history: "VersionHistory", version: Version) -> None:
+    def __init__(
+        self, history: "VersionHistory", version: Version, schema: Schema
+    ) -> None:
         self.history = history
         self.version = version
+        self.schema = schema
         self._released = False
 
     @property
@@ -220,7 +196,6 @@ class VersionHistory:
         self._membership_dirty: Dict[Atom, Set[Oid]] = {}
         self._known_chains: Dict[Oid, List[_Entry]] = {}
         self._relation_chains: Dict[str, List[_Entry]] = {}
-        self._schema_chain: List[_Entry] = []
 
     # ------------------------------------------------------------------
     # versions and pins
@@ -245,13 +220,15 @@ class VersionHistory:
         """Pin the current committed version.
 
         Takes the write lock, so the pin aligns with a mutator boundary
-        and captures a consistent (ticket, schema, data) triple.
+        and captures a consistent (ticket, schema, data) triple and the
+        schema value published at that ticket.
         """
         with self.lock:
             ticket = self.ticket
             self._pins[ticket] = self._pins.get(ticket, 0) + 1
             version = self.version_of(self._store)
-        return SnapshotPin(self, version)
+            schema = self._store.schema
+        return SnapshotPin(self, version, schema)
 
     def _unpin(self, ticket: int) -> None:
         with self.lock:
@@ -325,14 +302,6 @@ class VersionHistory:
         )
         chain.append((self.ticket, pre))
 
-    def record_schema(self) -> None:
-        if not self._pins:
-            return
-        chain = self._schema_chain
-        if self._covered(chain):
-            return
-        chain.append((self.ticket, _capture_schema(self._store)))
-
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
@@ -389,7 +358,6 @@ class VersionHistory:
             for name, chain in self._relation_chains.items()
             if (swept := sweep(chain))
         }
-        self._schema_chain = sweep(self._schema_chain)
 
     # ------------------------------------------------------------------
     # observability
@@ -421,7 +389,6 @@ class VersionHistory:
                 "relation_chain_entries": sum(
                     len(c) for c in self._relation_chains.values()
                 ),
-                "schema_images": len(self._schema_chain),
             }
 
 
@@ -530,7 +497,9 @@ class FrozenRelation:
 class StoreView(ObjectStore):
     """A read-only :class:`ObjectStore` pinned to one committed version.
 
-    Reads reconstruct the state at the pin's ticket by overlaying the
+    Schema reads go to the schema value the pin captured; every schema
+    accessor is inherited from :class:`ObjectStore`.  Data reads
+    reconstruct the state at the pin's ticket by overlaying the
     pre-image chains on CPython-atomic copies of the live structures
     (live first, chain second — chain wins); per-owner reconstructions
     are memoized, which is sound because a pinned state never changes.
@@ -548,10 +517,11 @@ class StoreView(ObjectStore):
         self._pin = pin
         self._history = store._history
         self._ticket = pin.version.ticket
+        self.schema = pin.schema
         self.schema_generation = pin.version.schema
+        self.validate_values = store.validate_values
         self.statistics = FrozenStatistics(store.statistics, pin.version.data)
         self._indexes = AttributeIndexes()
-        self._arrow_kinds: Dict = {}
         self._journal = None
         self._observers: Tuple = ()
         self._sinks: Tuple = ()
@@ -560,7 +530,6 @@ class StoreView(ObjectStore):
         #: ``_note_values`` discovery, so query execution over a snapshot
         #: behaves identically to serial execution at the pinned state.
         self._discovered: Set[Oid] = set()
-        self._image: Optional[SchemaImage] = None
         self._cells_memo: Dict[Oid, Dict[CellKey, Cell]] = {}
         self._classes_memo: Dict[Oid, FrozenSet[Atom]] = {}
         self._relations_memo: Dict[str, Optional[FrozenRelation]] = {}
@@ -601,57 +570,6 @@ class StoreView(ObjectStore):
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-    # ------------------------------------------------------------------
-    # schema resolution (pre-DDL image when one applies, else live)
-    # ------------------------------------------------------------------
-
-    def _schema_image(self) -> Optional[SchemaImage]:
-        if self._image is None:
-            hit, image = _resolve(self._history._schema_chain, self._ticket)
-            if hit:
-                self._image = image
-        return self._image
-
-    @property
-    def hierarchy(self):
-        image = self._schema_image()
-        return image.hierarchy if image is not None else self._base.hierarchy
-
-    @property
-    def catalogue(self):
-        image = self._schema_image()
-        return image.catalogue if image is not None else self._base.catalogue
-
-    @property
-    def resolver(self):
-        image = self._schema_image()
-        return image.resolver if image is not None else self._base.resolver
-
-    @property
-    def validate_values(self) -> bool:
-        image = self._schema_image()
-        return (
-            image.validate_values
-            if image is not None
-            else self._base.validate_values
-        )
-
-    @property
-    def _signatures(self):
-        image = self._schema_image()
-        return (
-            image.signatures if image is not None else self._base._signatures
-        )
-
-    @property
-    def _implementations(self):
-        image = self._schema_image()
-        return (
-            image.implementations
-            if image is not None
-            else self._base._implementations
-        )
 
     # ------------------------------------------------------------------
     # data reads: live copy first, chain overlay second
@@ -720,9 +638,8 @@ class StoreView(ObjectStore):
 
     def direct_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         obj = as_oid(oid_like)
-        return self.explicit_classes_of(obj) | self.catalogue.implicit_classes(
-            obj
-        )
+        implicit = self.schema.catalogue.implicit_classes(obj)
+        return self.explicit_classes_of(obj) | implicit
 
     def _direct_extent(self, cls_atom: Atom) -> Set[Oid]:
         live = set(self._base._direct_extents.get(cls_atom, ()))
@@ -754,29 +671,22 @@ class StoreView(ObjectStore):
             return self._known_memo | self._discovered
         return self._known_memo
 
-    def individual_universe(self) -> FrozenSet[Oid]:
-        return frozenset(
-            obj
-            for obj in self.known_objects()
-            if not self.catalogue.is_class(obj)
-        )
-
     def individual_count(self) -> int:
         # Count the view-local discoveries apart from the per-pin memo:
         # building their union, as known_objects() does, is O(store).
         self.known_objects()
         memo = self._known_memo
-        hierarchy = self.hierarchy
+        hierarchy = self.schema.hierarchy
         return _count_individuals(memo, hierarchy) + _count_individuals(
             self._discovered - memo, hierarchy
         )
 
     def method_universe(self) -> FrozenSet[Atom]:
-        names: Set[Atom] = set(self.catalogue.methods())
+        names: Set[Atom] = set(self.schema.catalogue.methods())
         for owner in self._snapshot_owners():
             for method, _args in self._cells_of(owner):
                 names.add(method)
-        for _cls, method in list(self._implementations):
+        for _cls, method in self.schema.implementations:
             names.add(method)
         return frozenset(names)
 
@@ -785,15 +695,16 @@ class StoreView(ObjectStore):
         names: Set[Atom] = {
             method for method, _args in self._cells_of(owner_oid)
         }
-        if self.catalogue.is_class(owner_oid):
-            reachable = self.hierarchy.superclasses(owner_oid, strict=False)
+        schema = self.schema
+        if schema.catalogue.is_class(owner_oid):
+            reachable = schema.hierarchy.superclasses(owner_oid, strict=False)
         else:
             reachable = self.classes_of(owner_oid)
         for cls in reachable:
             names.update(
                 method for method, _args in self._cells_of(cls)
             )
-        for (cls, name) in list(self._implementations):
+        for (cls, name) in schema.implementations:
             if cls in reachable:
                 names.add(name)
         return frozenset(names)
@@ -802,7 +713,7 @@ class StoreView(ObjectStore):
         method_atom = _atom(method)
         if self.implementation_classes(method_atom):
             return False
-        for cls in self.hierarchy.classes():
+        for cls in self.schema.hierarchy.classes():
             if any(m == method_atom for m, _args in self._cells_of(cls)):
                 return False
         return True
@@ -898,7 +809,8 @@ class StoreView(ObjectStore):
                 self._discovered.update(value.args)
 
     # ------------------------------------------------------------------
-    # the write surface raises; observers are inert
+    # the write surface raises (every mutator is set below the class);
+    # observers are inert
     # ------------------------------------------------------------------
 
     def _read_only(self, operation: str):
@@ -907,63 +819,27 @@ class StoreView(ObjectStore):
             f"snapshots are read-only — write through the live store"
         )
 
-    def declare_class(self, name, parents=()):
-        self._read_only("declare_class")
-
-    def declare_signature(self, cls, method, result, args=(), set_valued=False):
-        self._read_only("declare_signature")
-
-    def create_object(self, oid_like, classes=()):
-        self._read_only("create_object")
-
-    def add_instance(self, oid_like, cls):
-        self._read_only("add_instance")
-
-    def remove_instance(self, oid_like, cls):
-        self._read_only("remove_instance")
-
-    def purge_object(self, oid_like):
-        self._read_only("purge_object")
-
-    def set_attr(self, owner, method, value, args=()):
-        self._read_only("set_attr")
-
-    def set_attr_set(self, owner, method, values, args=()):
-        self._read_only("set_attr_set")
-
-    def add_to_set(self, owner, method, member, args=()):
-        self._read_only("add_to_set")
-
-    def unset_attr(self, owner, method, args=()):
-        self._read_only("unset_attr")
-
-    def define_method(self, cls, impl):
-        self._read_only("define_method")
-
-    def resolve_inheritance(self, cls, method, use_class):
-        self._read_only("resolve_inheritance")
-
-    def enable_index(self, method):
-        self._read_only("enable_index")
-
-    def disable_index(self, method):
-        self._read_only("disable_index")
-
-    def declare_relation(self, name, column_names):
-        self._read_only("declare_relation")
-
-    def insert_tuple(self, name, row):
-        self._read_only("insert_tuple")
-
-    def set_journal(self, journal):
-        self._read_only("set_journal")
-
-    def _record(self, oid_like):
-        self._read_only("_record")
-
     def add_observer(self, observer) -> None:
         # Observers watch writes; a snapshot never writes.
         pass
 
     def remove_observer(self, observer) -> None:
         pass
+
+
+def _read_only_mutator(name: str):
+    def mutator(self, *args, **kwargs):
+        self._read_only(name)
+
+    mutator.__name__ = mutator.__qualname__ = name
+    return mutator
+
+
+for _name in (
+    "declare_class", "declare_signature", "create_object", "add_instance",
+    "remove_instance", "purge_object", "set_attr", "set_attr_set",
+    "add_to_set", "unset_attr", "define_method", "resolve_inheritance",
+    "enable_index", "disable_index", "declare_relation", "insert_tuple",
+    "set_journal", "_record",
+):
+    setattr(StoreView, _name, _read_only_mutator(_name))

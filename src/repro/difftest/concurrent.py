@@ -4,12 +4,13 @@ The CI gate behind the MVCC layer's isolation claim::
 
     python -m repro.difftest.concurrent --seed 11 --ops 300 --readers 3
 
-The harness seeds a small Person/Employee database, then runs one
-*writer* thread applying a deterministic stream of data-plane mutations
-(object churn, attribute writes, membership flips, purges, relation
-inserts) against the live :class:`~repro.datamodel.store.ObjectStore`
-while ``--readers`` *reader* threads repeatedly take snapshot sessions
-(:meth:`Session.snapshot_view`), run queries from a fixed pool against
+The harness seeds a small Person/Employee/Manager database, then runs one
+*writer* thread applying a deterministic stream of mutations (object
+churn, attribute writes, membership flips, purges, relation inserts, and
+DDL: new subclasses, extra parents, signatures) against the live
+:class:`~repro.datamodel.store.ObjectStore` while ``--readers`` *reader*
+threads repeatedly take snapshot sessions (:meth:`Session.snapshot_view`),
+run queries from a fixed pool — two of which read the schema — against
 their pinned version, and record ``(pinned ticket, query, rows)``.
 
 The oracle is *serial replay*: mutation tickets advance deterministically
@@ -20,11 +21,7 @@ exactly the state ``seed + ops[0..j]`` where ``j`` is the last op whose
 ticket is ``<= t`` — the verification pass rebuilds that prefix in a
 fresh single-threaded store, runs the same query, and compares rows
 bit-for-bit.  Any disagreement is a broken snapshot (a torn read, a
-leaked post-pin write, or a lost pre-image) and fails the process.
-
-Writers only perform data-plane ops: concurrent DDL with active pins is
-a documented best-effort limitation of the schema-image mechanism (see
-``docs/MVCC.md``), so the fuzzer holds the schema fixed after seeding.
+leaked post-pin write or DDL, or a lost pre-image) and fails the process.
 """
 
 from __future__ import annotations
@@ -56,6 +53,8 @@ QUERIES = (
     "SELECT X.Name, X.Age FROM Person X WHERE X.Age < 100",
     "SELECT X.Name FROM Employee X WHERE X.Salary > 5000",
     "SELECT X FROM Person X WHERE X.Friend[Y] and Y.Age > 30",
+    "SELECT #X WHERE #X subclassOf Person",
+    "SELECT X.Name FROM Manager X",
 )
 
 #: An op is a plain tuple ``(kind, *payload)`` — picklable, printable,
@@ -67,6 +66,7 @@ def seed_store(store) -> None:
     """Schema + starting population (identical on both sides)."""
     store.declare_class("Person")
     store.declare_class("Employee", ["Person"])
+    store.declare_class("Manager", ["Employee"])
     store.declare_signature("Person", "Name", "String")
     store.declare_signature("Person", "Age", "Numeral")
     store.declare_signature("Person", "Friend", "Person")
@@ -109,6 +109,12 @@ def apply_op(store, op: Op) -> None:
     elif kind == "insert_tuple":
         _kind, name, who, what = op
         store.insert_tuple(name, [Atom(who), Value(what)])
+    elif kind == "declare_class":
+        _kind, name, parents = op
+        store.declare_class(name, list(parents))
+    elif kind == "declare_signature":
+        _kind, cls, method, result = op
+        store.declare_signature(cls, method, result)
     else:  # pragma: no cover - ops are built by generate_ops only
         raise ValueError(f"unknown fuzz op {kind!r}")
 
@@ -128,6 +134,9 @@ def generate_ops(seed: int, count: int) -> Tuple[List[Op], List[int]]:
     scratch = ObjectStore()
     seed_store(scratch)
     names = [f"s{i}" for i in range(8)]
+    # DDL (re-)declares these with Person or Employee as the extra
+    # parent, which can never close a cycle.
+    subclasses = ["Manager"]
     fresh = 0
     ops: List[Op] = []
     tickets: List[int] = []
@@ -136,8 +145,8 @@ def generate_ops(seed: int, count: int) -> Tuple[List[Op], List[int]]:
         if roll < 0.18:
             name = f"w{fresh}"
             fresh += 1
-            classes = ["Employee"] if rng.random() < 0.4 else ["Person"]
-            op: Op = ("create", name, tuple(classes))
+            cls = rng.choice(["Person", "Person", "Employee", *subclasses])
+            op: Op = ("create", name, (cls,))
             names.append(name)
         elif roll < 0.45:
             op = ("set", rng.choice(names), "Age", rng.randrange(18, 80))
@@ -153,10 +162,21 @@ def generate_ops(seed: int, count: int) -> Tuple[List[Op], List[int]]:
             op = ("add_instance", rng.choice(names), "Employee")
         elif roll < 0.89:
             op = ("remove_instance", rng.choice(names), "Employee")
-        elif roll < 0.94:
+        elif roll < 0.92:
             op = ("insert_tuple", "Likes", rng.choice(names), f"t{rng.randrange(40)}")
-        else:
+        elif roll < 0.94:
             op = ("purge", rng.choice(names))
+        elif roll < 0.98:
+            cls = rng.choice([*subclasses, f"D{len(subclasses)}"])
+            if cls not in subclasses:
+                subclasses.append(cls)
+            parent = rng.choice(["Person", "Employee"])
+            op = ("declare_class", cls, (parent,))
+        else:
+            method, result = rng.choice(
+                [("Rank", "Numeral"), ("Badge", "String")]
+            )
+            op = ("declare_signature", rng.choice(subclasses), method, result)
         try:
             apply_op(scratch, op)
         except Exception:

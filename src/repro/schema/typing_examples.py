@@ -23,7 +23,7 @@ __all__ = ["extend_with_typing_classes"]
 def extend_with_typing_classes(store: ObjectStore) -> ObjectStore:
     """Add Organization/Association on top of the Figure 1 schema."""
     store.declare_class("Organization")
-    store.hierarchy.add_edge(Atom("Company"), Atom("Organization"))
+    store.declare_class("Company", ["Organization"])
     store.declare_class("Association", ["Organization"])
     store.declare_signature(
         "Association", "Member", "Organization", args=["Numeral"]

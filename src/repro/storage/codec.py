@@ -592,7 +592,7 @@ def encode_store(
             store.resolver._resolutions.items(), key=str
         ):
             journal.note_resolution(cls, method, use)
-        for (cls, method) in sorted(store._implementations, key=str):
+        for (cls, method) in sorted(store.schema.implementations, key=str):
             report.skipped.append(
                 f"method implementation {method} on {cls} (re-install "
                 f"implementations after loading)"

@@ -188,31 +188,19 @@ class StorageEngine(ABC):
 
 @dataclass
 class _SortedKeys:
-    """A lazily maintained sorted view over the memtable's keys.
+    """The memtable's live keys as a list kept sorted at all times.
 
-    Bulk loads insert out of order; re-sorting once per scan amortizes
-    far better than keeping a tree for the write-heavy ingest path,
-    while point writes into an already-sorted list use ``bisect`` so a
-    scan-heavy workload never pays a full re-sort per write.
+    Each new key is placed with ``bisect.insort`` and each removed key
+    is found by bisection, so scans read :attr:`keys` directly.
     """
 
     keys: List[bytes] = field(default_factory=list)
-    dirty: bool = False
-
-    def ensure_sorted(self) -> List[bytes]:
-        if self.dirty:
-            self.keys.sort()
-            self.dirty = False
-        return self.keys
 
     def add(self, key: bytes) -> None:
-        if self.dirty:
-            self.keys.append(key)
-        else:
-            bisect.insort(self.keys, key)
+        bisect.insort(self.keys, key)
 
     def discard(self, key: bytes) -> None:
-        keys = self.ensure_sorted()
+        keys = self.keys
         index = bisect.bisect_left(keys, key)
         if index < len(keys) and keys[index] == key:
             keys.pop(index)
@@ -258,7 +246,7 @@ class MemoryEngine(StorageEngine):
         self, start: Optional[bytes], end: Optional[bytes], reverse: bool
     ) -> Iterable[bytes]:
         """The live keys in ``[start, end)``, in order (a copy)."""
-        keys = self._sorted.ensure_sorted()
+        keys = self._sorted.keys
         lo = 0 if start is None else bisect.bisect_left(keys, start)
         hi = len(keys) if end is None else bisect.bisect_left(keys, end)
         window = keys[lo:hi]

@@ -278,7 +278,7 @@ class _RecordMemtable(MemoryEngine):
         """The checkpoint payload: every record in key order behind the
         batch head of the last stamp."""
         parts = [_batch_head(self.last_stamp(), len(self._data))]
-        parts += map(self._data.__getitem__, self._sorted.ensure_sorted())
+        parts += map(self._data.__getitem__, self._sorted.keys)
         return b"".join(parts)
 
 

@@ -30,7 +30,7 @@ class TestSorts:
         store = ObjectStore()
         store.declare_class("Person")
         with pytest.raises(SchemaError):
-            store.catalogue.register_method(Atom("Person"))
+            store.declare_signature("Person", "Person", "String")
 
 
 class TestStrictNamespace:

@@ -172,4 +172,3 @@ class TestSnapshotEqualsReplay:
             assert status["membership_chain_entries"] == 0
             assert status["known_chain_entries"] == 0
             assert status["relation_chain_entries"] == 0
-            assert status["schema_images"] == 0

@@ -2,18 +2,21 @@
 
 Covers the Version value type, pin/unpin lifecycle and chain GC, the
 copy-on-write pre-image families (cells, memberships, known set,
-relations, schema), and the read-only StoreView surface.
+relations), the pinned schema value and atomic DDL, and the read-only
+StoreView surface.
 """
 
 import pytest
 
-from repro.datamodel import ObjectStore
+from repro.datamodel import ObjectStore, PythonMethod
 from repro.datamodel.versions import StoreView, Version
 from repro.errors import (
+    CyclicHierarchyError,
     SnapshotReadOnlyError,
     UnknownClassError,
 )
 from repro.oid import Atom, Value
+from repro.storage import MemoryEngine, StoreJournal
 
 
 ANN = Atom("ann")
@@ -183,6 +186,63 @@ class TestSnapshotReads:
             store.set_attr(ANN, "Age", 77)
             assert view.version == pinned
             assert store.version != pinned
+
+
+class TestSchemaValue:
+    def test_schema_references_stay_pinned(self):
+        # A reference taken from a view before post-pin DDL is the
+        # pinned schema, not the live one.
+        store = seeded_store()
+        with store.snapshot_view() as view:
+            hierarchy = view.hierarchy
+            catalogue = view.catalogue
+            signatures = view.signatures_of("Employee")
+            methods = view.methods_defined_on(ANN)
+            store.declare_class("Manager", ["Employee"])
+            store.declare_signature("Employee", "Badge", "String")
+            store.define_method(
+                "Employee",
+                PythonMethod(name=Atom("Bonus"), fn=lambda s, o: Value(1)),
+            )
+            for current in (hierarchy, view.hierarchy):
+                assert Atom("Manager") not in current
+            for current in (catalogue, view.catalogue):
+                assert not current.is_method(Atom("Badge"))
+                assert not current.is_method(Atom("Bonus"))
+            assert view.signatures_of("Employee") == signatures
+            assert view.methods_defined_on(ANN) == methods
+            assert Atom("Manager") in store.hierarchy
+            assert Atom("Bonus") in store.methods_defined_on(ANN)
+
+    def test_failed_ddl_publishes_nothing(self):
+        store = ObjectStore()
+        engine = MemoryEngine()
+        store.set_journal(StoreJournal(engine, store))
+        store.declare_class("A")
+        store.declare_class("B", ["A"])
+        schema, version = store.schema, store.version
+        journaled = engine.items()
+        with pytest.raises(CyclicHierarchyError):
+            store.declare_class("A", ["C", "B"])
+        assert store.schema is schema
+        assert store.version == version
+        assert Atom("C") not in store.hierarchy
+        assert engine.items() == journaled
+
+    def test_published_schema_is_never_edited(self):
+        store = seeded_store()
+        schema = store.schema
+        parents = schema.hierarchy.direct_superclasses(Atom("Employee"))
+        store.declare_class("Employee", ["Person", "Manager"])
+        store.declare_signature("Employee", "Badge", "String")
+        assert store.schema is not schema
+        assert schema.hierarchy.direct_superclasses(Atom("Employee")) == (
+            parents
+        )
+        assert Atom("Manager") not in schema.hierarchy
+        assert not schema.declared_signatures(
+            Atom("Employee"), Atom("Badge")
+        )
 
 
 class TestStoreViewSurface:

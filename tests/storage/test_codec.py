@@ -4,6 +4,8 @@ import pytest
 
 from repro.datamodel.store import ObjectStore
 from repro.oid import Atom, FuncOid, Value
+from repro.schema.figure1 import build_figure1_schema
+from repro.schema.typing_examples import extend_with_typing_classes
 from repro.storage import (
     CodecError,
     MemoryEngine,
@@ -211,6 +213,21 @@ class TestJournalMirroring:
         live.insert_tuple("Likes", [mary, bob])
         live.enable_index("Name")
         assert canonical(decode_store(engine)) == canonical(reference)
+
+    def test_typing_extension_edge_is_journaled(self):
+        # The §6.2 extension makes Company a subclass of Organization;
+        # that edge must reach the journal like any other DDL.
+        engine, live = self.make_live()
+        build_figure1_schema(live)
+        extend_with_typing_classes(live)
+        restored = decode_store(engine)
+        assert restored.hierarchy.is_subclass(
+            Atom("Company"), Atom("Organization")
+        )
+        for cls in live.hierarchy.classes():
+            assert restored.hierarchy.superclasses(
+                cls
+            ) == live.hierarchy.superclasses(cls)
 
     def test_unset_deletes_cell_but_keeps_object(self):
         engine, live = self.make_live()

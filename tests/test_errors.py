@@ -46,13 +46,12 @@ class TestFailureInjection:
 
     def test_cycle(self):
         from repro.datamodel import ObjectStore
-        from repro.oid import Atom
 
         store = ObjectStore()
         store.declare_class("A")
         store.declare_class("B", ["A"])
         with pytest.raises(errors.CyclicHierarchyError):
-            store.hierarchy.add_edge(Atom("A"), Atom("B"))
+            store.declare_class("A", ["B"])
 
     def test_parse_error_has_position(self):
         from repro.xsql.parser import parse_query
