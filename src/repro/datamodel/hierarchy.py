@@ -123,6 +123,18 @@ class ClassHierarchy:
         self.require(cls)
         return frozenset(self._parents[cls])
 
+    def declared_parents(self, cls: Atom) -> List[Atom]:
+        """The parent list that re-declares *cls* with the same edges.
+
+        ``Object`` is left out only when it is the sole parent, which
+        :meth:`add_class` implies; an ``Object`` edge beside other
+        parents is kept, because re-declaring a class never drops one.
+        """
+        parents = self.direct_superclasses(cls)
+        if parents == {OBJECT_CLASS}:
+            return []
+        return sorted(parents, key=lambda a: a.name)
+
     def direct_subclasses(self, cls: Atom) -> FrozenSet[Atom]:
         self.require(cls)
         return frozenset(self._children[cls])

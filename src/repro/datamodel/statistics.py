@@ -15,11 +15,10 @@ module maintains the three quantities the cost model
 Everything is maintained incrementally through the store's single write
 path — the same hooks that keep the inverted indexes
 (:mod:`repro.datamodel.indexes`) current — so reading a statistic is a
-dictionary lookup, never a scan.  The catalogue carries a monotone
-``generation`` counter, bumped on every data write and by every
-schema-shaping operation (the store forwards its ``schema_generation``
-bumps), which compiled cost plans record so the pipeline can tell when a
-cached plan was costed against numbers that have since moved.
+dictionary lookup, never a scan.  The catalogue keeps no counter of its
+own: a cost plan records the store's mutation ticket, which every write
+moves, so the pipeline re-costs a cached plan whenever the numbers may
+have moved.
 
 Statistics are *estimates* by design: implicit literal-class members and
 computed method implementations are invisible to the write path, so the
@@ -126,9 +125,6 @@ class StatisticsCatalogue:
     def __init__(self) -> None:
         self._methods: Dict[Atom, MethodStats] = {}
         self._direct_extents: Dict[Atom, int] = {}
-        #: Bumped on every data write and every schema bump the store
-        #: forwards; cost plans record it to detect drifted estimates.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # hooks (called from ObjectStore's single write path)
@@ -148,18 +144,12 @@ class StatisticsCatalogue:
         if stats is None:
             stats = self._methods[method] = MethodStats()
         stats.note_write(owner, old_values, new_values)
-        self.generation += 1
 
     def note_membership(self, cls: Atom, delta: int) -> None:
         """An object joined (+1) or left (-1) the direct extent of *cls*."""
         self._direct_extents[cls] = self._direct_extents.get(cls, 0) + delta
         if self._direct_extents[cls] <= 0:
             self._direct_extents.pop(cls, None)
-        self.generation += 1
-
-    def note_schema_change(self) -> None:
-        """Forwarded ``schema_generation`` bump (DDL moves estimates too)."""
-        self.generation += 1
 
     # ------------------------------------------------------------------
     # reads (the cost model's interface)
@@ -178,7 +168,6 @@ class StatisticsCatalogue:
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-friendly dump (``.stats`` in the REPL, debugging)."""
         return {
-            "generation": self.generation,
             "extents": {
                 cls.name: count
                 for cls, count in sorted(

@@ -205,14 +205,6 @@ class ObjectStore:
         #: Incrementally maintained cardinality statistics feeding the
         #: cost-based planner (:mod:`repro.xsql.costplan`).
         self.statistics = StatisticsCatalogue()
-        #: Monotone counter bumped by every schema-shaping operation
-        #: (classes, signatures, relations, implementations, inheritance
-        #: resolutions, indexes).  Compiled query plans are keyed on it:
-        #: typing analysis and plan choice depend only on the schema, so
-        #: DDL invalidates cached plans while plain data writes do not
-        #: (data-dependent artifacts such as Theorem 6.1 extent
-        #: restrictions are recomputed per execution).
-        self.schema_generation = 0
         #: Optional persistence listener
         #: (:class:`repro.storage.codec.StoreJournal`).  When attached,
         #: every mutation below emits codec-encoded KV operations; the
@@ -231,9 +223,9 @@ class ObjectStore:
         #: copy-on-write pre-image chains pinned snapshots read through
         #: (:mod:`repro.datamodel.versions`).  Imported lazily — versions
         #: subclasses this class for :class:`StoreView`.
-        from repro.datamodel.versions import VersionHistory
+        from repro.datamodel.versions import MvccHistory
 
-        self._history = VersionHistory(self)
+        self._history = MvccHistory(self)
 
     @property
     def hierarchy(self) -> ClassHierarchy:
@@ -252,18 +244,14 @@ class ObjectStore:
     # ------------------------------------------------------------------
 
     @property
-    def version(self):
-        """The current committed :class:`~repro.datamodel.versions.Version`.
-
-        Ticket, schema generation, and statistics generation in one
-        stamp — the single staleness currency for every cached artifact
-        (compiled plans, cost plans, path caches, view states).
-        """
-        return self._history.version_of(self)
-
-    @property
     def ticket(self) -> int:
-        """The mutation ticket alone: every write of the version moves it."""
+        """The mutation ticket: every mutator advances it.
+
+        With the identity of :attr:`schema` it is the store's whole
+        version: compiled statements and views are stale iff the schema
+        they were built against is not the published one, and cost plans
+        and path caches iff the ticket moved.
+        """
         return self._history.ticket
 
     @property
@@ -340,23 +328,19 @@ class ObjectStore:
         """Explicit instance-of memberships only (no implicit classes)."""
         return frozenset(self._memberships.get(as_oid(oid_like), set()))
 
-    def _bump_schema(self) -> None:
-        self.schema_generation += 1
-        self.statistics.note_schema_change()
-
     def _ddl(
         self,
         edit: Callable[[Schema], None],
-        known: Optional[Atom] = None,
+        known: Iterable[Atom] = (),
         note: Optional[Callable[[object, Schema], None]] = None,
     ) -> Schema:
         """Commit one DDL edit: clone, edit, publish, then advance.
 
         Under the write lock, *edit* mutates a clone of the published
         schema.  If it raises, the clone is dropped and nothing moves:
-        the published schema, the ticket, ``schema_generation`` and the
-        sinks never see the attempt.  Otherwise the clone is published
-        by one assignment, *known* joins the known set, and
+        the published schema, the ticket and the sinks never see the
+        attempt.  Otherwise the clone is published by one assignment,
+        the atoms of *known* join the known set, and
         ``note(sink, schema)`` tells each sink.
         """
         with self._history.lock:
@@ -364,9 +348,8 @@ class ObjectStore:
             edit(schema)
             self._history.advance()
             self.schema = schema
-            if known is not None:
-                self._known_add(known)
-            self._bump_schema()
+            for atom in known:
+                self._known_add(atom)
             if note is not None:
                 for sink in self._sinks:
                     note(sink, schema)
@@ -379,21 +362,31 @@ class ObjectStore:
     def declare_class(
         self, name: ClassLike, parents: Iterable[ClassLike] = ()
     ) -> Atom:
-        """Declare a class (idempotent), returning its class atom."""
+        """Declare a class (idempotent), returning its class atom.
+
+        A parent not yet declared is declared with it, as a direct
+        subclass of ``Object``, and the sinks see both declarations.
+        """
         cls = _atom(name)
         parent_atoms = [_atom(p) for p in parents]
-        self._ddl(
-            lambda schema: schema.hierarchy.add_class(cls, parent_atoms),
-            known=cls,
-            note=lambda sink, schema: sink.note_class(
-                cls,
-                [
-                    sup
-                    for sup in schema.hierarchy.direct_superclasses(cls)
-                    if sup != OBJECT_CLASS
-                ],
-            ),
-        )
+        with self._history.lock:
+            hierarchy = self.schema.hierarchy
+            declared = [
+                p for p in dict.fromkeys(parent_atoms) if p not in hierarchy
+            ]
+            declared.append(cls)
+
+            def note(sink, schema: Schema) -> None:
+                for atom in declared:
+                    sink.note_class(
+                        atom, schema.hierarchy.declared_parents(atom)
+                    )
+
+            self._ddl(
+                lambda schema: schema.hierarchy.add_class(cls, parent_atoms),
+                known=declared,
+                note=note,
+            )
         return cls
 
     def declare_signature(
@@ -420,7 +413,7 @@ class ObjectStore:
         )
         self._ddl(
             lambda schema: schema.add_signature(signature),
-            known=method_atom,
+            known=(method_atom,),
             note=lambda sink, _schema: sink.note_signature(
                 cls_atom, method_atom, result_atom, arg_atoms, set_valued
             ),
@@ -477,10 +470,19 @@ class ObjectStore:
     def create_object(
         self, oid_like: OidLike, classes: Iterable[ClassLike] = ()
     ) -> Oid:
-        """Register an object and its direct class memberships."""
+        """Register an object and its direct class memberships.
+
+        Atomic: every class is checked before anything moves, so an
+        unknown class leaves the ticket, the object and the sinks as
+        they were.
+        """
         obj = as_oid(oid_like)
+        cls_atoms = [_atom(cls) for cls in classes]
         with self._history.lock:
-            self.schema.catalogue.check_individual(obj)
+            schema = self.schema
+            schema.catalogue.check_individual(obj)
+            for cls_atom in cls_atoms:
+                schema.hierarchy.require(cls_atom)
             self._history.advance()
             is_new = obj not in self._records
             self._records.setdefault(obj, ObjectRecord(obj))
@@ -488,8 +490,8 @@ class ObjectStore:
             if is_new:
                 for sink in self._sinks:
                     sink.note_object(obj)
-            for cls in classes:
-                self.add_instance(obj, cls)
+            for cls_atom in cls_atoms:
+                self.add_instance(obj, cls_atom)
         return obj
 
     def add_instance(self, oid_like: OidLike, cls: ClassLike) -> None:
@@ -939,7 +941,7 @@ class ObjectStore:
             raise SchemaError("method implementation must carry a name Atom")
         self._ddl(
             lambda schema: schema.add_implementation(cls_atom, impl),
-            known=name,
+            known=(name,),
         )
 
     def implementation_classes(self, method: Atom) -> List[Atom]:
@@ -1101,7 +1103,6 @@ class ObjectStore:
         with self._history.lock:
             self._history.advance()
             self._indexes.enable(method_atom, self)
-            self._bump_schema()
             for sink in self._sinks:
                 sink.note_index(method_atom, True)
 
@@ -1110,7 +1111,6 @@ class ObjectStore:
         with self._history.lock:
             self._history.advance()
             self._indexes.disable(method_atom)
-            self._bump_schema()
             for sink in self._sinks:
                 sink.note_index(method_atom, False)
 
@@ -1202,7 +1202,6 @@ class ObjectStore:
             self._history.advance()
             self._history.record_relation(name, self._relations.get(name))
             self._relations[name] = relation
-            self._bump_schema()
             for sink in self._sinks:
                 sink.note_relation(name, relation.column_names)
         return relation

@@ -1,9 +1,7 @@
 """MVCC versions: tickets, copy-on-write pre-image chains, snapshot views.
 
-The generation counters the engine always carried — ``schema_generation``
-for DDL, ``statistics.generation`` for data drift — are most of an MVCC
-version stamp.  This module reifies them into one first-class
-:class:`Version` and builds snapshot isolation on top:
+A store's version is two facts: the mutation **ticket** and the
+published schema value.  This module builds snapshot isolation on them:
 
 * every mutation of an :class:`~repro.datamodel.store.ObjectStore`
   advances a monotone **ticket** under the store's write lock;
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
     Any,
@@ -82,41 +79,11 @@ from repro.errors import (
 from repro.oid import Atom, FuncOid, Oid, oid as as_oid, term_sort_key
 
 __all__ = [
-    "Version",
     "SnapshotPin",
-    "VersionHistory",
-    "FrozenStatistics",
+    "MvccHistory",
     "FrozenRelation",
     "StoreView",
 ]
-
-
-@dataclass(frozen=True)
-class Version:
-    """One point in a store's mutation history.
-
-    ``ticket`` totally orders committed mutations; ``schema`` and
-    ``data`` are the component counters consumers compare to decide how
-    much of a cached artifact survives: compiled plans care about
-    :meth:`same_schema`, costed plans about :meth:`same_data`, and path
-    caches about full equality (the ticket also moves on writes the
-    component counters cannot see, such as relation tuple inserts).
-    """
-
-    ticket: int
-    schema: int
-    data: int
-
-    def same_schema(self, other: "Version") -> bool:
-        """No DDL separates the two versions."""
-        return self.schema == other.schema
-
-    def same_data(self, other: "Version") -> bool:
-        """No statistics-visible data drift separates the two versions."""
-        return self.data == other.data
-
-    def __str__(self) -> str:
-        return f"v{self.ticket}(schema={self.schema}, data={self.data})"
 
 
 #: One pre-image chain entry: the mutation ticket and the value that was
@@ -138,15 +105,15 @@ def _resolve(chain: Sequence[_Entry], ticket: int) -> Tuple[bool, Any]:
 
 
 class SnapshotPin:
-    """A refcounted pin on one committed version and its schema value."""
+    """A refcounted pin on one committed ticket and its schema value."""
 
-    __slots__ = ("history", "version", "schema", "_released")
+    __slots__ = ("history", "ticket", "schema", "_released")
 
     def __init__(
-        self, history: "VersionHistory", version: Version, schema: Schema
+        self, history: "MvccHistory", ticket: int, schema: Schema
     ) -> None:
         self.history = history
-        self.version = version
+        self.ticket = ticket
         self.schema = schema
         self._released = False
 
@@ -158,7 +125,7 @@ class SnapshotPin:
         """Drop the pin (idempotent); may trigger chain GC."""
         if not self._released:
             self._released = True
-            self.history._unpin(self.version.ticket)
+            self.history._unpin(self.ticket)
 
     def __enter__(self) -> "SnapshotPin":
         return self
@@ -168,10 +135,10 @@ class SnapshotPin:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "released" if self._released else "pinned"
-        return f"SnapshotPin({self.version}, {state})"
+        return f"SnapshotPin(v{self.ticket}, {state})"
 
 
-class VersionHistory:
+class MvccHistory:
     """Per-store MVCC bookkeeping: ticket, pins, and pre-image chains.
 
     All writes happen under :attr:`lock` (an :class:`~threading.RLock`,
@@ -201,11 +168,6 @@ class VersionHistory:
     # versions and pins
     # ------------------------------------------------------------------
 
-    def version_of(self, store: ObjectStore) -> Version:
-        return Version(
-            self.ticket, store.schema_generation, store.statistics.generation
-        )
-
     def advance(self) -> int:
         """Next mutation ticket (callers hold :attr:`lock`)."""
         self.ticket += 1
@@ -220,15 +182,13 @@ class VersionHistory:
         """Pin the current committed version.
 
         Takes the write lock, so the pin aligns with a mutator boundary
-        and captures a consistent (ticket, schema, data) triple and the
-        schema value published at that ticket.
+        and captures the ticket with the schema value published at it.
         """
         with self.lock:
             ticket = self.ticket
             self._pins[ticket] = self._pins.get(ticket, 0) + 1
-            version = self.version_of(self._store)
             schema = self._store.schema
-        return SnapshotPin(self, version, schema)
+        return SnapshotPin(self, ticket, schema)
 
     def _unpin(self, ticket: int) -> None:
         with self.lock:
@@ -392,49 +352,6 @@ class VersionHistory:
             }
 
 
-class FrozenStatistics:
-    """Read-only statistics facade for a snapshot view.
-
-    ``generation`` is pinned to the snapshot's data counter so version
-    stamps computed against the view are stable; the *estimates* keep
-    delegating to the live catalogue — statistics are approximations by
-    design (they only rank plans, the executor never trusts them), so a
-    slightly newer estimate is fine where a torn extent would not be.
-    """
-
-    def __init__(self, live, generation: int) -> None:
-        self._live = live
-        self.generation = generation
-
-    def method_stats(self, method: Atom):
-        return self._live.method_stats(method)
-
-    def direct_extent_count(self, cls: Atom) -> int:
-        return self._live.direct_extent_count(cls)
-
-    def known_methods(self):
-        return self._live.known_methods()
-
-    def snapshot(self) -> Dict[str, Dict]:
-        dump = dict(self._live.snapshot())
-        dump["generation"] = self.generation
-        return dump
-
-    def _read_only(self) -> None:
-        raise SnapshotReadOnlyError(
-            "statistics of a snapshot view are read-only"
-        )
-
-    def note_write(self, *args, **kwargs) -> None:
-        self._read_only()
-
-    def note_membership(self, *args, **kwargs) -> None:
-        self._read_only()
-
-    def note_schema_change(self) -> None:
-        self._read_only()
-
-
 class FrozenRelation:
     """An immutable relation as of a pinned version.
 
@@ -516,11 +433,12 @@ class StoreView(ObjectStore):
         self._base = store
         self._pin = pin
         self._history = store._history
-        self._ticket = pin.version.ticket
+        self._ticket = pin.ticket
         self.schema = pin.schema
-        self.schema_generation = pin.version.schema
         self.validate_values = store.validate_values
-        self.statistics = FrozenStatistics(store.statistics, pin.version.data)
+        # Shared with the live store: statistics only rank plans, and
+        # every view mutator raises before it could write them.
+        self.statistics = store.statistics
         self._indexes = AttributeIndexes()
         self._journal = None
         self._observers: Tuple = ()
@@ -538,11 +456,6 @@ class StoreView(ObjectStore):
     # ------------------------------------------------------------------
     # pin lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def version(self) -> Version:
-        """The pinned version this view reads at."""
-        return self._pin.version
 
     @property
     def ticket(self) -> int:
@@ -815,7 +728,7 @@ class StoreView(ObjectStore):
 
     def _read_only(self, operation: str):
         raise SnapshotReadOnlyError(
-            f"{operation} on a snapshot pinned at {self._pin.version}; "
+            f"{operation} on a snapshot pinned at v{self._ticket}; "
             f"snapshots are read-only — write through the live store"
         )
 

@@ -6,12 +6,13 @@ The CI gate behind the MVCC layer's isolation claim::
 
 The harness seeds a small Person/Employee/Manager database, then runs one
 *writer* thread applying a deterministic stream of mutations (object
-churn, attribute writes, membership flips, purges, relation inserts, and
-DDL: new subclasses, extra parents, signatures) against the live
-:class:`~repro.datamodel.store.ObjectStore` while ``--readers`` *reader*
-threads repeatedly take snapshot sessions (:meth:`Session.snapshot_view`),
-run queries from a fixed pool — two of which read the schema — against
-their pinned version, and record ``(pinned ticket, query, rows)``.
+churn, attribute writes, membership flips, purges, relation inserts,
+index toggles, and DDL: new subclasses, extra parents, signatures)
+against the live :class:`~repro.datamodel.store.ObjectStore` while
+``--readers`` *reader* threads repeatedly take snapshot sessions
+(:meth:`Session.snapshot_view`), run queries from a fixed pool — two of
+which read the schema — against their pinned version, and record
+``(pinned ticket, query, rows)``.
 
 The oracle is *serial replay*: mutation tickets advance deterministically
 (one era per top-level mutator call, pins never advance them), so the
@@ -22,6 +23,9 @@ ticket is ``<= t`` — the verification pass rebuilds that prefix in a
 fresh single-threaded store, runs the same query, and compares rows
 bit-for-bit.  Any disagreement is a broken snapshot (a torn read, a
 leaked post-pin write or DDL, or a lost pre-image) and fails the process.
+The replay side answers under ``plan="cost"`` with the stream's indexes
+(``index_mode="manual"``), so its statement cache also carries compiled
+statements and index probes across every index toggle.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ QUERIES = (
     "SELECT X FROM Person X WHERE X.Friend[Y] and Y.Age > 30",
     "SELECT #X WHERE #X subclassOf Person",
     "SELECT X.Name FROM Manager X",
+    "SELECT X FROM Person X WHERE X.Age[40]",
 )
 
 #: An op is a plain tuple ``(kind, *payload)`` — picklable, printable,
@@ -115,6 +120,8 @@ def apply_op(store, op: Op) -> None:
     elif kind == "declare_signature":
         _kind, cls, method, result = op
         store.declare_signature(cls, method, result)
+    elif kind in ("enable_index", "disable_index"):
+        getattr(store, kind)(op[1])
     else:  # pragma: no cover - ops are built by generate_ops only
         raise ValueError(f"unknown fuzz op {kind!r}")
 
@@ -148,8 +155,13 @@ def generate_ops(seed: int, count: int) -> Tuple[List[Op], List[int]]:
             cls = rng.choice(["Person", "Person", "Employee", *subclasses])
             op: Op = ("create", name, (cls,))
             names.append(name)
-        elif roll < 0.45:
+        elif roll < 0.43:
             op = ("set", rng.choice(names), "Age", rng.randrange(18, 80))
+        elif roll < 0.45:
+            op = (
+                rng.choice(["enable_index", "disable_index"]),
+                rng.choice(["Age", "Name", "Salary"]),
+            )
         elif roll < 0.58:
             op = ("set", rng.choice(names), "Name", f"N{rng.randrange(99)}")
         elif roll < 0.66:
@@ -186,7 +198,7 @@ def generate_ops(seed: int, count: int) -> Tuple[List[Op], List[int]]:
         if op[0] == "purge":
             names.remove(op[1])
         ops.append(op)
-        tickets.append(scratch.version.ticket)
+        tickets.append(scratch.ticket)
     return ops, tickets
 
 
@@ -214,8 +226,10 @@ class ConcurrentStats:
         )
 
 
-def _rows(session, source: str) -> List[str]:
-    return sorted(repr(row) for row in session.query(source).rows())
+def _rows(session, source: str, plan: str = "none") -> List[str]:
+    return sorted(
+        repr(row) for row in session.query(source, plan=plan).rows()
+    )
 
 
 def run_fuzz(
@@ -266,11 +280,9 @@ def run_fuzz(
                         if seen != again:
                             stats.disagreements.append(
                                 f"unstable snapshot at ticket "
-                                f"{snap.version.ticket}: {source}"
+                                f"{snap.ticket}: {source}"
                             )
-                        observations.append(
-                            (snap.version.ticket, source, seen)
-                        )
+                        observations.append((snap.ticket, source, seen))
                 done += 1
                 if writer_done.is_set() and done >= queries_per_reader:
                     break
@@ -297,12 +309,13 @@ def run_fuzz(
     replay = ObjectStore()
     seed_store(replay)
     oracle = Session(replay)
+    oracle.index_mode = "manual"
     applied = 0
     for pinned, source, seen in observations:
         while applied < len(stream) and tickets[applied] <= pinned:
             apply_op(replay, stream[applied])
             applied += 1
-        want = _rows(oracle, source)
+        want = _rows(oracle, source, plan="cost")
         if seen != want:
             stats.disagreements.append(
                 f"ticket {pinned}: {source}\n"

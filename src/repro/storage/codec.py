@@ -35,9 +35,7 @@ logical key — the codec is a bijection, property-tested per fact kind.
 every mutation arrives as one ``note_*`` call and leaves as codec-
 encoded ops on the attached engine, batched per mutation (autocommit)
 or grouped under :meth:`StoreJournal.batch`.  The commit stamp of every
-batch carries the store's :class:`~repro.datamodel.versions.Version`
-components — schema generation, statistics generation, and the MVCC
-mutation ticket — at commit time.
+batch carries the store's MVCC mutation ticket at commit time.
 """
 
 from __future__ import annotations
@@ -358,12 +356,7 @@ class StoreJournal:
         if not self._pending:
             return
         batch, self._pending = self._pending, WriteBatch()
-        self.engine.apply(
-            batch,
-            schema_generation=self.store.schema_generation,
-            statistics_generation=self.store.statistics.generation,
-            ticket=self.store.version.ticket,
-        )
+        self.engine.apply(batch, ticket=self.store.ticket)
         self.batches_committed += 1
 
     # -- schema ---------------------------------------------------------
@@ -545,12 +538,7 @@ def encode_store(
         for cls in hierarchy.classes():
             if cls in implicit:
                 continue
-            parents = [
-                sup
-                for sup in hierarchy.direct_superclasses(cls)
-                if sup != OBJECT_CLASS
-            ]
-            journal.note_class(cls, parents)
+            journal.note_class(cls, hierarchy.declared_parents(cls))
             report.classes += 1
         for cls in hierarchy.classes():
             for signature in store.declared_signatures(cls):
@@ -613,11 +601,9 @@ def decode_store(engine: StorageEngine) -> "ObjectStore":
     """Rebuild an :class:`ObjectStore` from an engine's key ranges.
 
     The rebuild runs with no journal attached and no caches live, so
-    replaying a million records bumps nothing but the fresh store's own
-    counters; at the end the store's generation pair is raised to the
-    engine's last commit stamp, so a session adopting the store
-    invalidates its compiled plans exactly once — never once per
-    replayed record.
+    replaying a million records touches nothing but the fresh store; at
+    the end its ticket is raised to the engine's last commit stamp, so
+    the recovered store resumes the ticket sequence it committed.
     """
     from repro.datamodel.store import ObjectStore
 
@@ -698,12 +684,5 @@ def decode_store(engine: StorageEngine) -> "ObjectStore":
 
     store.validate_values = bool(options.get("validate_values", False))
 
-    stamp = engine.last_stamp()
-    store.schema_generation = max(
-        store.schema_generation, stamp.schema_generation
-    )
-    store.statistics.generation = max(
-        store.statistics.generation, stamp.statistics_generation
-    )
-    store.restore_version_ticket(stamp.ticket)
+    store.restore_version_ticket(engine.last_stamp().ticket)
     return store

@@ -50,17 +50,11 @@ class CommitStamp:
     """What one committed batch was stamped with.
 
     ``lsn`` is the engine-assigned monotonic log sequence number;
-    ``schema_generation``, ``statistics_generation``, and ``ticket`` are
-    the components of the store's MVCC
-    :class:`~repro.datamodel.versions.Version` at commit time — the
-    cache-invalidation stamps double as the WAL commit stamp, so a
-    recovered store can report exactly which logical version it reached
-    and resume its mutation-ticket sequence from there.
+    ``ticket`` is the store's MVCC mutation ticket at commit time, so a
+    recovered store resumes its ticket sequence from there.
     """
 
     lsn: int = 0
-    schema_generation: int = 0
-    statistics_generation: int = 0
     ticket: int = 0
 
 
@@ -138,13 +132,7 @@ class StorageEngine(ABC):
     # -- batches and durability ----------------------------------------
 
     @abstractmethod
-    def apply(
-        self,
-        batch: WriteBatch,
-        schema_generation: int = 0,
-        statistics_generation: int = 0,
-        ticket: int = 0,
-    ) -> CommitStamp:
+    def apply(self, batch: WriteBatch, ticket: int = 0) -> CommitStamp:
         """Commit *batch* atomically; returns the assigned stamp."""
 
     @abstractmethod
@@ -180,8 +168,6 @@ class StorageEngine(ABC):
             "engine": self.name,
             "keys": len(self),
             "lsn": stamp.lsn,
-            "schema_generation": stamp.schema_generation,
-            "statistics_generation": stamp.statistics_generation,
             "ticket": stamp.ticket,
         }
 
@@ -281,20 +267,9 @@ class MemoryEngine(StorageEngine):
             else:  # pragma: no cover - batches are built by WriteBatch only
                 raise StorageError(f"unknown batch op {kind!r}")
 
-    def apply(
-        self,
-        batch: WriteBatch,
-        schema_generation: int = 0,
-        statistics_generation: int = 0,
-        ticket: int = 0,
-    ) -> CommitStamp:
+    def apply(self, batch: WriteBatch, ticket: int = 0) -> CommitStamp:
         self.apply_ops(batch.ops)
-        self._stamp = CommitStamp(
-            lsn=self._stamp.lsn + 1,
-            schema_generation=schema_generation,
-            statistics_generation=statistics_generation,
-            ticket=ticket,
-        )
+        self._stamp = CommitStamp(lsn=self._stamp.lsn + 1, ticket=ticket)
         self.batches_applied += 1
         return self._stamp
 

@@ -13,8 +13,7 @@ continues (0 for a log that starts from an empty database).  Each
 committed batch is one record::
 
     u32 payload_length | u32 crc32(payload) | payload
-    payload := u64 lsn | u64 schema_generation | u64 statistics_generation
-             | u64 ticket | u32 op_count | op*
+    payload := u64 lsn | u64 ticket | u32 op_count | op*
     op      := 'P' u32 klen key u32 vlen value      (put)
              | 'D' u32 klen key                     (delete)
              | 'R' u32 len start u32 len end        (delete_range)
@@ -26,10 +25,9 @@ never read.  ``close()`` truncates the file to its logical end, so a
 closed database's log is exactly header plus records.
 
 LSNs are assigned at commit and strictly monotonic for the lifetime of
-the database (they survive checkpoints).  The two generation fields are
-the store's schema/statistics counters at commit time and ``ticket`` is
-the MVCC mutation ticket — together the commit stamp, from which a
-recovered store resumes its version sequence.
+the database (they survive checkpoints).  ``ticket`` is the store's MVCC
+mutation ticket at commit time; with the LSN it is the commit stamp,
+from which a recovered store resumes its ticket sequence.
 
 **Memtable.**  Each live key maps to its put record, ``'P' u32 klen key
 u32 vlen value``: the op bytes the WAL logged for the key's last put,
@@ -101,8 +99,8 @@ __all__ = [
     "CKP_SLOTS",
 ]
 
-WAL_MAGIC = b"XSQLWAL3"
-CKP_MAGIC = b"XSQLCKP3"
+WAL_MAGIC = b"XSQLWAL4"
+CKP_MAGIC = b"XSQLCKP4"
 
 _WAL_HEADER = struct.Struct(">8sQ")  # magic, base lsn
 #: Bytes of the WAL header; an empty log is exactly this long.
@@ -112,8 +110,8 @@ _FRAME = struct.Struct(">II")  # payload length, crc32(payload)
 _END = _FRAME.pack(0, 0)
 #: The two checkpoint image slots, in the order they are first written.
 CKP_SLOTS = ("checkpoint.snap", "checkpoint.alt.snap")
-# lsn, schema gen, stats gen, mvcc ticket, op count
-_BATCH_HEAD = struct.Struct(">QQQQI")
+# lsn, mvcc ticket, op count
+_BATCH_HEAD = struct.Struct(">QQI")
 _U32 = struct.Struct(">I")
 #: A put record's op byte and two length fields: its value starts this
 #: many bytes past the key's length.
@@ -161,13 +159,7 @@ class RecoveryReport:
 
 
 def _batch_head(stamp: CommitStamp, op_count: int) -> bytes:
-    return _BATCH_HEAD.pack(
-        stamp.lsn,
-        stamp.schema_generation,
-        stamp.statistics_generation,
-        stamp.ticket,
-        op_count,
-    )
+    return _BATCH_HEAD.pack(stamp.lsn, stamp.ticket, op_count)
 
 
 def _put_record(key: bytes, value: bytes) -> bytes:
@@ -207,9 +199,7 @@ def _encode_batch(
 def _decode_batch(payload: bytes) -> Tuple[CommitStamp, List[Tuple]]:
     """A batch payload's stamp and ops, each put carrying its record
     sliced from *payload* in place of the value."""
-    lsn, schema_gen, stats_gen, ticket, op_count = _BATCH_HEAD.unpack_from(
-        payload, 0
-    )
+    lsn, ticket, op_count = _BATCH_HEAD.unpack_from(payload, 0)
     offset = _BATCH_HEAD.size
     size = len(payload)
     ops = []
@@ -241,13 +231,7 @@ def _decode_batch(payload: bytes) -> Tuple[CommitStamp, List[Tuple]]:
         offset = end
     if offset != size:
         raise StorageError("trailing bytes in WAL record payload")
-    stamp = CommitStamp(
-        lsn=lsn,
-        schema_generation=schema_gen,
-        statistics_generation=stats_gen,
-        ticket=ticket,
-    )
-    return stamp, ops
+    return CommitStamp(lsn=lsn, ticket=ticket), ops
 
 
 def _frame(payload: bytes) -> bytes:
@@ -503,20 +487,9 @@ class LogStructuredEngine(StorageEngine):
         if self._closed:
             raise StorageError(f"engine over {self.root} is closed")
 
-    def apply(
-        self,
-        batch: WriteBatch,
-        schema_generation: int = 0,
-        statistics_generation: int = 0,
-        ticket: int = 0,
-    ) -> CommitStamp:
+    def apply(self, batch: WriteBatch, ticket: int = 0) -> CommitStamp:
         self._require_open()
-        stamp = CommitStamp(
-            lsn=self._mem.last_stamp().lsn + 1,
-            schema_generation=schema_generation,
-            statistics_generation=statistics_generation,
-            ticket=ticket,
-        )
+        stamp = CommitStamp(lsn=self._mem.last_stamp().lsn + 1, ticket=ticket)
         payload, ops = _encode_batch(batch, stamp)
         record = _frame(payload)
         _write_at(self._wal, record + _END, self._wal_offset)

@@ -45,7 +45,8 @@ def range_classes(
     ``Object`` imposes nothing and classes the store's hierarchy does not
     know cannot be scanned, so both are dropped; a variable left with no
     class is omitted.  Ranges depend only on the schema, so callers may
-    keep the result for as long as the schema generation holds.
+    keep the result for as long as the store publishes the same schema
+    value.
     """
     classes_by_var: Dict[Variable, List[Atom]] = {}
     for var, range_ in assignment.all_ranges(typed_query).items():

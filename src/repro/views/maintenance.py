@@ -16,12 +16,12 @@ fan-out the storage journal hangs off — feeds every mutation to a
   re-derived at the next sync, O(delta) instead of O(database);
 * **structural** — a WHERE-relevant method write, a membership change
   inside a read class's subclass closure, a purge of a supporting
-  object, or a relation insert: group membership may have changed, so
-  the view re-materializes fully at the next sync;
-* **DDL** — detected by comparing the schema component of the store's
-  :class:`~repro.datamodel.versions.Version` against the stamp taken at
-  the last (re)materialization: the view is rebuilt *and* its read sets
-  re-derived.
+  object, or a relation insert or (re)declaration: group membership may
+  have changed, so the view re-materializes fully at the next sync;
+* **DDL** — detected by comparing the store's published
+  :class:`~repro.datamodel.store.Schema` value against the one stamped
+  at the last (re)materialization: the view is rebuilt *and* its read
+  sets re-derived.  An index toggle is not DDL: it changes no answer.
 
 Maintenance is *lazy*: the observer only records staleness;
 ``Session.sync_views()`` (called by the query pipeline before every
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Set
 
 from repro.datamodel.catalogue import BUILTIN_CLASSES
-from repro.datamodel.versions import Version
+from repro.datamodel.store import Schema
 from repro.oid import Atom, FuncOid, Oid, Variable
 from repro.xsql import ast
 
@@ -87,13 +87,11 @@ class ViewState:
     """Per-view maintenance bookkeeping held by the ViewManager."""
 
     read: ReadSets
-    #: ``store.version`` at the last (re)materialization; a schema-
-    #: component mismatch at sync time means DDL happened → full
-    #: rebuild.  An index toggle re-stamps the schema component instead
-    #: (``ViewManager._on_index``).  Data deltas between the stamp and
-    #: the current version arrive through the observer as pending
-    #: groups / structural flags.
-    version: "Version"
+    #: ``store.schema`` at the last (re)materialization; another value
+    #: at sync time means DDL happened → full rebuild.  Data deltas
+    #: since arrive through the observer as pending groups / structural
+    #: flags.
+    schema: Schema
     #: owner oid → view oids whose derived values read that owner.
     support: Dict[Oid, Set[FuncOid]] = field(default_factory=dict)
     #: The inverse of ``support``: view oid → the owners it reads, so
@@ -105,9 +103,9 @@ class ViewState:
     last_seconds: float = 0.0
     last_groups: int = 0
 
-    def staleness(self, current: "Version") -> str:
+    def staleness(self, current: Schema) -> str:
         """``fresh`` / ``delta-pending`` / ``rebuild-pending``."""
-        if not self.version.same_schema(current):
+        if self.schema is not current:
             return "rebuild-pending"
         if self.structural or self.pending_groups:
             return "delta-pending"
@@ -121,9 +119,9 @@ class ViewMaintenance:
     classification handlers unless ``muted`` (set during maintenance
     itself, so re-materialization writes do not mark views stale
     again).  Schema events need no forwarding — the manager compares
-    the schema component of the store's version against each view's
-    stamp at sync time instead — except index toggles, which move that
-    component without changing any answer.
+    the store's schema value against each view's stamp at sync time
+    instead.  A relation (re)declaration is data to a view: it empties
+    the relation.
     """
 
     def __init__(self, manager) -> None:
@@ -159,13 +157,17 @@ class ViewMaintenance:
 
     def note_tuple(self, name, row):
         if not self.muted:
-            self._manager._on_tuple(name)
+            self._manager._on_relation(name)
+
+    def note_relation(self, name, column_names):
+        if not self.muted:
+            self._manager._on_relation(name)
+
+    # -- schema events (covered by the schema stamp) and index toggles,
+    # which change no answer --------------------------------------------
 
     def note_index(self, method, enabled):
-        # Not DDL for a view: an index changes no answer.
-        self._manager._on_index()
-
-    # -- schema events (covered by the generation stamp) ----------------
+        pass
 
     def note_class(self, cls, parents):
         pass
@@ -174,9 +176,6 @@ class ViewMaintenance:
         pass
 
     def note_resolution(self, cls, method, use_class):
-        pass
-
-    def note_relation(self, name, column_names):
         pass
 
 

@@ -13,7 +13,7 @@ objects of a base class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datamodel.store import ObjectStore
@@ -166,7 +166,7 @@ class ViewManager:
         """(Re)derive a view's read sets and support index; stamp fresh."""
         state = ViewState(
             read=derive_read_sets(view.query, self._store),
-            version=self._store.version,
+            schema=self._store.schema,
         )
         for oid, envs in view.outcome.groups.items():
             self._update_support(
@@ -179,18 +179,18 @@ class ViewManager:
         """Is any materialized view stale?  Cheap enough for every query."""
         if not self._states:
             return False
-        version = self._store.version
+        schema = self._store.schema
         return any(
-            state.staleness(version) != "fresh"
+            state.staleness(schema) != "fresh"
             for state in self._states.values()
         )
 
     def maintenance_status(self) -> Dict[str, Dict[str, object]]:
         """Per-view staleness and last-maintenance cost (REPL ``.views``)."""
-        version = self._store.version
+        schema = self._store.schema
         return {
             name: {
-                "state": state.staleness(version),
+                "state": state.staleness(schema),
                 "objects": len(self._views[name].outcome.created),
                 "pending_groups": len(state.pending_groups),
                 "last_kind": state.last_kind,
@@ -203,19 +203,18 @@ class ViewManager:
     def sync(self, evaluator: Evaluator) -> List[Dict[str, object]]:
         """Bring every stale view up to date; returns one event per view.
 
-        DDL (a schema-component mismatch between the view's stamped
-        version and the store's) rebuilds the view and re-derives its
-        read sets; structural data changes re-materialize with the
-        existing read sets; select-only deltas re-derive just the
-        pending groups.
+        DDL (the store's schema value is not the one the view stamped)
+        rebuilds the view and re-derives its read sets; structural data
+        changes re-materialize with the existing read sets; select-only
+        deltas re-derive just the pending groups.
         """
-        version = self._store.version
+        schema = self._store.schema
         events: List[Dict[str, object]] = []
         for name in list(self._views):
             state = self._states.get(name)
             if state is None:
                 continue
-            staleness = state.staleness(version)
+            staleness = state.staleness(schema)
             if staleness == "fresh":
                 continue
             started = time.perf_counter()
@@ -347,16 +346,7 @@ class ViewManager:
             if state.read.class_wildcard or state.read.literal_domain:
                 state.structural = True
 
-    def _on_index(self) -> None:
-        """An index toggle moved the schema component by one; it changes
-        no answer, so a view stamped at the schema just before it stays
-        fresh.  Compiled statements still see the bump and re-plan."""
-        current = self._store.version
-        for state in self._states.values():
-            if state.version.schema == current.schema - 1:
-                state.version = replace(state.version, schema=current.schema)
-
-    def _on_tuple(self, name: str) -> None:
+    def _on_relation(self, name: str) -> None:
         for state in self._states.values():
             read = state.read
             if read.relations or read.class_wildcard or read.method_wildcard:

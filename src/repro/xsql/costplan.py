@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.datamodel.store import ObjectStore
-from repro.datamodel.versions import Version
 from repro.oid import Atom, Oid, Variable, VarSort
 from repro.xsql import ast
 from repro.xsql.operators import join_strategy_of, operand_join_vars
@@ -121,10 +120,10 @@ class CostPlan:
     #: The reordered WHERE (None when the query has no WHERE clause or
     #: reordering was inapplicable — execution then uses source order).
     ordered_where: Optional[ast.Cond] = None
-    #: Store version the estimates were computed against; the pipeline
-    #: re-plans when the data component has moved (optimality only — a
-    #: drifted plan is still sound).
-    version: Optional["Version"] = None
+    #: Store mutation ticket the estimates were computed against; the
+    #: pipeline re-plans once it has moved (optimality only — a drifted
+    #: plan is still sound).
+    ticket: int = -1
     estimated_result_rows: float = 0.0
     auto_enabled: Tuple[Atom, ...] = ()
     search: str = "none"  #: ``"exhaustive"``, ``"greedy"``, or ``"none"``
@@ -664,7 +663,7 @@ class CostPlanner:
         query is strictly well-typed) so restricted ranges can be costed
         as an access path; pass None outside the strict fragment.
         """
-        plan = CostPlan(version=self.store.version)
+        plan = CostPlan()
         model = self.model
         conjuncts = (
             _flatten(query.where) if self.applicable(query) else []
@@ -753,10 +752,10 @@ class CostPlanner:
         plan.probes = tuple(probes)
         plan.auto_enabled = tuple(auto_enabled)
         plan.search = search
-        # Stamped last: auto-enabling an index above bumps the schema and
-        # hence the statistics generation; stamping earlier would make
-        # this very plan look stale on its first run.
-        plan.version = self.store.version
+        # Stamped last: auto-enabling an index above advances the
+        # ticket; stamping earlier would make this very plan look stale
+        # on its first run.
+        plan.ticket = self.store.ticket
         return plan
 
     def apply(self, query: ast.Query, plan: CostPlan) -> ast.Query:

@@ -116,9 +116,8 @@ class PathWalker:
         """Drop every data-derived cache if the store has moved on.
 
         The caches are stamped with the store's mutation ticket.  Every
-        mutator advances it (before moving the schema or statistics
-        generation, and also for writes those counters cannot see, such
-        as relation tuple inserts), so a mid-query UPDATE invalidates
+        mutator advances it — data writes, relation inserts, index
+        toggles and DDL alike — so a mid-query UPDATE invalidates
         memoized values before the next lookup.  A pinned
         :class:`~repro.datamodel.versions.StoreView` reports its pinned
         ticket, which never moves.

@@ -33,7 +33,7 @@ Stages (each timed into :class:`repro.metrics.SessionMetrics`):
 Cache soundness: entries are keyed on the statement's *shape*
 (:func:`statement_shape`) plus ``options.cache_key()`` (the frozen
 :class:`~repro.xsql.options.ExecutionOptions` tuple), and stamped with
-the owning store's :class:`~repro.datamodel.versions.Version`.  The
+the store's published :class:`~repro.datamodel.store.Schema` value.  The
 shape is the token stream with each number or string literal replaced
 by its kind (``int``, ``float``, ``str``) and the equality pattern of
 the literals; keywords (``true``, ``false``, ``nil``), names, variables
@@ -52,12 +52,13 @@ exact hit costs one dictionary lookup; any other text is lexed once
 (timed as ``parse``) to find its shape, and a miss parses those same
 tokens.
 
-A compiled statement goes stale only when the *schema* component of the
-version moves (DDL) — plain data updates do not recompile; the one
-data-dependent artifact — the extent-restriction sets of Theorem 6.1 —
-is recomputed on every execution, and cost plans re-rank when the *data*
-component drifts.  Replacing the store (``Session.restore``) clears the
-cache outright.
+A compiled statement goes stale only when the store publishes another
+schema value (DDL, or a store swap) — plain data updates and index
+toggles do not recompile; the one data-dependent artifact — the
+extent-restriction sets of Theorem 6.1 — is recomputed on every
+execution, and cost plans re-rank when the store's mutation ticket has
+moved.  Replacing the store (``Session.restore``) clears the cache
+outright.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from repro.xsql.parser import (
 from repro.xsql.result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.datamodel.versions import Version
+    from repro.datamodel.store import Schema
     from repro.oid import Atom, Variable
     from repro.typing.analysis import TypingReport
     from repro.xsql.costplan import CostPlan
@@ -133,7 +134,7 @@ class CompiledQuery:
 
     Obtained from :meth:`repro.xsql.session.Session.prepare`; re-running
     skips parse/normalize/analyze/plan entirely (they are refreshed
-    transparently if DDL has moved the store's schema generation).
+    transparently once DDL has published another schema value).
     """
 
     session: "Session"
@@ -166,13 +167,12 @@ class CompiledQuery:
     last_optree: Optional[Dict[str, object]] = field(
         repr=False, default=None
     )
-    #: Store version when this compile happened; the schema component
-    #: decides staleness (DDL recompiles, data writes do not).
-    version: Optional["Version"] = None
+    #: The schema value this compile read; the statement is stale once
+    #: the store publishes another (DDL recompiles, data writes do not).
+    schema: Optional["Schema"] = field(repr=False, default=None)
     #: The source's NUMBER/STRING literals in token order (see
     #: :func:`statement_shape`).
     literals: Tuple[Scalar, ...] = field(repr=False, default=())
-    _store_token: int = field(repr=False, default=-1)
     #: True while ``report`` is the typing report of the cached statement
     #: this one was rebound from: right for planning, but its occurrences
     #: print that statement's literals, so explain() re-analyzes.
@@ -204,12 +204,7 @@ class CompiledQuery:
     @property
     def is_stale(self) -> bool:
         """Has DDL (or a store swap) outdated the compiled artifacts?"""
-        store = self.session.store
-        return (
-            id(store) != self._store_token
-            or self.version is None
-            or not self.version.same_schema(store.version)
-        )
+        return self.schema is not self.session.store.schema
 
     @property
     def discipline(self) -> Optional[str]:
@@ -541,7 +536,6 @@ class QueryPipeline:
         prepared handles of one shape run side by side.
         """
         metrics = self.session.metrics
-        store = self.session.store
         # Keyed by (type, value): Value(1) == Value(True) == Value(1.0).
         # The shape's equality pattern makes the mapping one-to-one.
         swap = {
@@ -562,12 +556,11 @@ class QueryPipeline:
                 statement=map_terms(template.statement, rebind),
                 report=template.report,
                 range_classes=template.range_classes,
+                schema=template.schema,
                 literals=literals,
                 _report_borrowed=template.report is not None,
             )
             compiled.planned = self._plan_statement(compiled)
-        compiled.version = store.version
-        compiled._store_token = id(store)
         return compiled
 
     def _build(
@@ -580,6 +573,7 @@ class QueryPipeline:
         """
         metrics = self.session.metrics
         store = self.session.store
+        compiled.schema = store.schema
         if raw is None:
             with metrics.time("parse"):
                 raw = parse_statement_raw(compiled.source)
@@ -602,10 +596,6 @@ class QueryPipeline:
                 self._attach_range_classes(compiled)
         with metrics.time("plan"):
             compiled.planned = self._plan_statement(compiled)
-        # Stamped *after* planning: the cost planner may auto-enable an
-        # index (a DDL bump), which must not invalidate this very compile.
-        compiled.version = store.version
-        compiled._store_token = id(store)
 
     def _plan_statement(self, compiled: CompiledQuery) -> ast.Statement:
         statement = compiled.statement
@@ -819,25 +809,22 @@ class QueryPipeline:
         return dict(restrictions)
 
     def _refresh_cost_plan(self, compiled: CompiledQuery) -> "CostPlan":
-        """Re-plan cheaply when only the statistics have drifted.
+        """Re-plan cheaply when the store has moved since costing.
 
-        If data writes (not DDL) have moved the statistics generation,
-        the compiled join order may be sub-optimal but is still sound —
-        re-plan without recompiling the statement.
+        After writes (or an index toggle) the compiled join order may be
+        sub-optimal but is still sound — re-plan without recompiling the
+        statement.
         """
         store = self.session.store
         metrics = self.session.metrics
         cost_plan = compiled.cost_plan
         assert cost_plan is not None
-        if cost_plan.version is None or not cost_plan.version.same_data(
-            store.version
-        ):
+        if cost_plan.ticket != store.ticket:
             metrics.count("plan.cost.replan")
             with metrics.time("plan"):
                 planned = self._plan_cost(compiled)
             if planned is not None:
                 compiled.planned = planned
-                compiled.version = store.version
                 cost_plan = compiled.cost_plan
                 assert cost_plan is not None
         return cost_plan

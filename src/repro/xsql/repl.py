@@ -26,8 +26,8 @@ Statements end with ``;``.  Meta-commands (no semicolon):
   is empty, adopted from it otherwise
 * ``.checkpoint``      — persist the database at a durable point
 * ``.storage``         — the attached backend's status line
-* ``.version``         — the store's MVCC version (mutation ticket +
-  schema/statistics generations) and pin/chain status
+* ``.version``         — the store's MVCC mutation ticket and pin/chain
+  status
 * ``.snapshot <query>``— run one query through a read-only snapshot
   pinned at the current version (see ``docs/MVCC.md``)
 * ``.quit``            — leave
@@ -195,7 +195,7 @@ def _handle_meta(
             )
         else:
             with session.snapshot_view() as snap:
-                print(f"snapshot pinned at {snap.version}", file=out)
+                print(f"snapshot pinned at v{snap.ticket}", file=out)
                 result = snap.query(rest.rstrip(";"), options=options)
                 print(result.pretty(limit=50), file=out)
     else:
@@ -212,7 +212,7 @@ def _storage_line(session: Session) -> str:
 
 def _version_line(session: Session) -> str:
     status = session.version_status()
-    return f"version: {session.version}  " + "  ".join(
+    return f"version: v{session.ticket}  " + "  ".join(
         f"{key}={value}" for key, value in status.items()
     )
 

@@ -195,9 +195,9 @@ class Session:
         planning.  Compilations are memoized in the session's LRU
         statement cache, keyed on the statement's shape (literals
         replaced by their kinds) and the frozen options tuple, and
-        transparently refreshed when DDL bumps the store's schema
-        generation.  A text that differs from a cached one only in
-        literals is compiled by rebinding them: only planning re-runs.
+        transparently refreshed when DDL publishes another schema value.
+        A text that differs from a cached one only in literals is
+        compiled by rebinding them: only planning re-runs.
         """
         resolved = ExecutionOptions.coerce(
             options,
@@ -270,9 +270,9 @@ class Session:
     # ------------------------------------------------------------------
 
     @property
-    def version(self):
-        """The store's current :class:`~repro.datamodel.versions.Version`."""
-        return self.store.version
+    def ticket(self) -> int:
+        """The store's mutation ticket (a snapshot's is its pinned one)."""
+        return self.store.ticket
 
     def version_status(self) -> Dict[str, int]:
         """Pins and copy-on-write chain statistics (REPL ``.snapshot``)."""
@@ -744,7 +744,7 @@ class ConcurrentSession:
     ) -> List[Tuple["object", QueryResult]]:
         """Run each query on its own snapshot across *workers* threads.
 
-        Returns ``[(version, result), ...]`` in query order: the version
+        Returns ``[(ticket, result), ...]`` in query order: the ticket
         each query was pinned at and its result.  Snapshots are pinned
         at task start, so queries submitted while the base session is
         writing observe whichever versions were current when their turn
@@ -754,7 +754,7 @@ class ConcurrentSession:
 
         def run_one(source: str):
             with self.base.snapshot_view() as snap:
-                return snap.version, snap.query(source, **query_kwargs)
+                return snap.ticket, snap.query(source, **query_kwargs)
 
         if not queries:
             return []

@@ -67,9 +67,9 @@ def test_after_read_path_discovery(store):
         ),
     )
     before = assert_exact(store)
-    ticket = store.version.ticket
+    ticket = store.ticket
     store.invoke(Atom("tom"), "Twin")
-    assert store.version.ticket == ticket  # discovery is not a write
+    assert store.ticket == ticket  # discovery is not a write
     assert assert_exact(store) == before + 1
 
 

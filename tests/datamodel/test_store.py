@@ -25,6 +25,23 @@ def store() -> ObjectStore:
 
 
 class TestInstances:
+    def test_create_object_with_unknown_class_moves_nothing(self, store):
+        from repro.storage import MemoryEngine, StoreJournal
+
+        store.declare_class("P")
+        journal = StoreJournal(MemoryEngine(), store)
+        store.set_journal(journal)
+        with journal.batch():
+            ticket, known = store.ticket, store.known_objects()
+            extent = store.extent("P")
+            pending = list(journal._pending.ops)
+            with pytest.raises(UnknownClassError):
+                store.create_object(Atom("x"), ["P", "Nope"])
+            assert store.ticket == ticket
+            assert store.known_objects() == known
+            assert store.extent("P") == extent
+            assert journal._pending.ops == pending
+
     def test_membership_closure(self, store):
         pam = store.create_object(Atom("pam"), ["Employee"])
         assert store.is_instance(pam, "Employee")

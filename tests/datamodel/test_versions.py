@@ -1,6 +1,6 @@
 """Unit tests for the MVCC version layer (versions.py).
 
-Covers the Version value type, pin/unpin lifecycle and chain GC, the
+Covers the mutation ticket, pin/unpin lifecycle and chain GC, the
 copy-on-write pre-image families (cells, memberships, known set,
 relations), the pinned schema value and atomic DDL, and the read-only
 StoreView surface.
@@ -9,7 +9,7 @@ StoreView surface.
 import pytest
 
 from repro.datamodel import ObjectStore, PythonMethod
-from repro.datamodel.versions import StoreView, Version
+from repro.datamodel.versions import StoreView
 from repro.errors import (
     CyclicHierarchyError,
     SnapshotReadOnlyError,
@@ -36,41 +36,41 @@ def seeded_store() -> ObjectStore:
 
 
 class TestVersion:
-    def test_version_is_a_value(self):
-        assert Version(3, 1, 2) == Version(3, 1, 2)
-        assert Version(3, 1, 2) != Version(4, 1, 2)
-        assert str(Version(3, 1, 2)) == "v3(schema=1, data=2)"
-
-    def test_component_comparisons(self):
-        a = Version(3, 1, 2)
-        assert a.same_schema(Version(9, 1, 7))
-        assert not a.same_schema(Version(9, 2, 2))
-        assert a.same_data(Version(9, 5, 2))
-        assert not a.same_data(Version(9, 1, 3))
-
     def test_every_mutator_advances_the_ticket(self):
         store = seeded_store()
-        before = store.version.ticket
+        before = store.ticket
         store.set_attr(ANN, "Age", 31)
-        assert store.version.ticket > before
+        assert store.ticket > before
 
     def test_ticket_catches_relation_inserts(self):
-        # insert_tuple bumps neither generation counter; the ticket is
-        # what makes relation churn visible to version comparisons.
+        # The ticket is what makes relation churn visible to cost plans
+        # and path caches; the schema value does not move.
         store = seeded_store()
         store.declare_relation("Likes", ["who", "what"])
-        before = store.version
+        before, schema = store.ticket, store.schema
         store.insert_tuple("Likes", [Atom("ann"), Value("jazz")])
-        after = store.version
-        assert after.ticket > before.ticket
-        assert after != before
+        assert store.ticket > before
+        assert store.schema is schema
+
+    def test_index_toggles_and_relations_are_not_schema(self):
+        store = seeded_store()
+        schema = store.schema
+        for mutate in (
+            lambda: store.enable_index("Name"),
+            lambda: store.disable_index("Name"),
+            lambda: store.declare_relation("Likes", ["who", "what"]),
+        ):
+            before = store.ticket
+            mutate()
+            assert store.ticket == before + 1
+        assert store.schema is schema
 
     def test_read_path_discovery_does_not_advance(self):
         store = seeded_store()
-        before = store.version.ticket
+        before = store.ticket
         store.invoke_kinded(Atom("ann"), Atom("Age"))
         store.extent("Person")
-        assert store.version.ticket == before
+        assert store.ticket == before
 
 
 class TestPinLifecycle:
@@ -182,10 +182,12 @@ class TestSnapshotReads:
     def test_view_version_is_stable(self):
         store = seeded_store()
         with store.snapshot_view() as view:
-            pinned = view.version
+            ticket, schema = view.ticket, view.schema
             store.set_attr(ANN, "Age", 77)
-            assert view.version == pinned
-            assert store.version != pinned
+            store.declare_class("Robot")
+            assert (view.ticket, view.schema) == (ticket, schema)
+            assert store.ticket > ticket
+            assert store.schema is not schema
 
 
 class TestSchemaValue:
@@ -220,12 +222,12 @@ class TestSchemaValue:
         store.set_journal(StoreJournal(engine, store))
         store.declare_class("A")
         store.declare_class("B", ["A"])
-        schema, version = store.schema, store.version
+        schema, ticket = store.schema, store.ticket
         journaled = engine.items()
         with pytest.raises(CyclicHierarchyError):
             store.declare_class("A", ["C", "B"])
         assert store.schema is schema
-        assert store.version == version
+        assert store.ticket == ticket
         assert Atom("C") not in store.hierarchy
         assert engine.items() == journaled
 
@@ -267,15 +269,6 @@ class TestStoreViewSurface:
             ):
                 with pytest.raises(SnapshotReadOnlyError):
                     call()
-
-    def test_statistics_are_frozen(self):
-        store = seeded_store()
-        with store.snapshot_view() as view:
-            frozen = view.statistics.generation
-            store.set_attr(ANN, "Age", 44)
-            assert view.statistics.generation == frozen
-            with pytest.raises(SnapshotReadOnlyError):
-                view.statistics.note_schema_change()
 
     def test_indexes_never_claim_completeness(self):
         store = seeded_store()

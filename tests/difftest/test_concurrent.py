@@ -25,7 +25,7 @@ class TestOpGeneration:
         seed_store(store)
         for op in ops:
             apply_op(store, op)
-        assert store.version.ticket == tickets[-1]
+        assert store.ticket == tickets[-1]
 
 
 class TestFuzzRound:

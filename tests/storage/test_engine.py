@@ -104,12 +104,9 @@ class TestBatches:
         assert [s.lsn for s in stamps] == [1, 2, 3, 4, 5]
 
     def test_stamp_carries_generations(self, engine):
-        stamp = engine.apply(
-            WriteBatch(), schema_generation=7, statistics_generation=11
-        )
-        assert stamp == CommitStamp(
-            lsn=1, schema_generation=7, statistics_generation=11
-        )
+        # The commit stamp's one counter is the store's mutation ticket.
+        stamp = engine.apply(WriteBatch(), ticket=11)
+        assert stamp == CommitStamp(lsn=1, ticket=11)
         assert engine.last_stamp() == stamp
 
     def test_batch_len_and_bool(self):

@@ -26,17 +26,11 @@ from repro.storage.wal import CKP_MAGIC, CKP_SLOTS, WAL_MAGIC
 from repro.workloads.generator import WorkloadConfig, generate_database
 
 _U32 = struct.Struct(">I")
-_HEAD = struct.Struct(">QQQQI")
+_HEAD = struct.Struct(">QQI")
 
 
 def reference_head(stamp, op_count):
-    return _HEAD.pack(
-        stamp.lsn,
-        stamp.schema_generation,
-        stamp.statistics_generation,
-        stamp.ticket,
-        op_count,
-    )
+    return _HEAD.pack(stamp.lsn, stamp.ticket, op_count)
 
 
 def reference_op(op):
@@ -119,9 +113,8 @@ def test_images_match_the_reference_encoder(tmp_path_factory, steps):
     try:
         for n, (kind, *args) in enumerate(steps, start=1):
             if kind == "batch":
-                stamp = (n, 2 * n, 3 * n)
-                engine.apply(_batch(args[0]), *stamp)
-                shadow.apply(_batch(args[0]), *stamp)
+                engine.apply(_batch(args[0]), ticket=3 * n)
+                shadow.apply(_batch(args[0]), ticket=3 * n)
             elif kind == "checkpoint":
                 stamp = engine.checkpoint()
                 assert stamp == shadow.last_stamp()
@@ -184,7 +177,7 @@ def test_reference_written_directory_recovers(tmp_path):
     root = tmp_path / "db"
     root.mkdir()
     image_items = [(b"a", b"1"), (b"b", b""), (b"c", b"33"), (b"d", b"4")]
-    image_stamp = CommitStamp(lsn=2, schema_generation=5, ticket=7)
+    image_stamp = CommitStamp(lsn=2, ticket=7)
     payload = reference_head(image_stamp, len(image_items)) + b"".join(
         reference_op(("put", k, v)) for k, v in image_items
     )
@@ -195,7 +188,7 @@ def test_reference_written_directory_recovers(tmp_path):
     ]
     log = [WAL_MAGIC + struct.pack(">Q", 2)]
     for lsn, ops in enumerate(batches, start=3):
-        stamp = CommitStamp(lsn=lsn, schema_generation=5, ticket=7 + lsn)
+        stamp = CommitStamp(lsn=lsn, ticket=7 + lsn)
         log.append(
             _frame(
                 reference_head(stamp, len(ops))

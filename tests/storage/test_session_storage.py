@@ -283,20 +283,17 @@ class TestRestoreAfterCheckpoint:
         session.close()
 
     def test_generations_raised_exactly_to_stamp(self, tmp_path):
-        """Reopening replays records without per-record generation churn."""
+        """Reopening lands the ticket on the commit stamp, and the
+        statistics match the data they count."""
         path = str(tmp_path / "db")
         session = self.make_session(tmp_path)
+        statistics = session.store.statistics.snapshot()
         session.close()
 
         reopened = Session.open(path, sync="never")
         stamp = reopened.storage_engine.last_stamp()
-        assert reopened.store.schema_generation >= stamp.schema_generation
-        # The statistics counter lands exactly on the commit stamp: the
-        # decode raised it once at the end, it did not tick per record.
-        assert (
-            reopened.store.statistics.generation
-            == stamp.statistics_generation
-        )
+        assert reopened.store.ticket >= stamp.ticket
+        assert reopened.store.statistics.snapshot() == statistics
         reopened.close()
 
     def test_restore_is_a_recoverable_event(self, tmp_path):
@@ -321,7 +318,7 @@ class TestVersionTicketResume:
         root = str(tmp_path / "db")
         session = Session.open(root, sync="never")
         load_people(session)
-        ticket_at_close = session.store.version.ticket
+        ticket_at_close = session.store.ticket
         assert ticket_at_close > 0
         session.close()
 
@@ -329,10 +326,10 @@ class TestVersionTicketResume:
         try:
             # The decoded store restored the committed ticket, so new
             # mutations continue the sequence instead of restarting it.
-            assert reopened.store.version.ticket >= ticket_at_close
-            before = reopened.store.version.ticket
+            assert reopened.store.ticket >= ticket_at_close
+            before = reopened.store.ticket
             reopened.store.set_attr(Atom("mary"), "Age", 33)
-            assert reopened.store.version.ticket > before
+            assert reopened.store.ticket > before
             assert names_over_40(reopened) == ["Bob", "Sue"]
         finally:
             reopened.close()

@@ -5,7 +5,12 @@ import struct
 
 import pytest
 
-from repro.storage import LogStructuredEngine, StorageError, WriteBatch
+from repro.storage import (
+    CommitStamp,
+    LogStructuredEngine,
+    StorageError,
+    WriteBatch,
+)
 from repro.storage.wal import CKP_MAGIC, CKP_SLOTS, WAL_HEADER_SIZE, WAL_MAGIC
 
 
@@ -68,14 +73,13 @@ class TestPersistence:
             engine.put(b"k")
 
     def test_generation_stamps_recovered(self, db):
+        # The commit stamp is (lsn, ticket); the batch head carries both.
         engine = _open(db)
-        engine.apply(
-            WriteBatch(), schema_generation=5, statistics_generation=9
-        )
+        engine.apply(WriteBatch(), ticket=5)
+        engine.apply(WriteBatch(), ticket=9)
         engine.close()
         recovered = _open(db)
-        stamp = recovered.last_stamp()
-        assert (stamp.schema_generation, stamp.statistics_generation) == (5, 9)
+        assert recovered.last_stamp() == CommitStamp(lsn=2, ticket=9)
         recovered.close()
 
 
@@ -130,6 +134,15 @@ class TestTornTail:
         with open(os.path.join(db, "wal.log"), "r+b") as handle:
             handle.write(b"NOTAWAL!")
         with pytest.raises(StorageError):
+            _open(db)
+
+    def test_previous_format_log_is_refused(self, db):
+        # A log with the previous batch-head layout fails on its magic
+        # instead of being misread.
+        os.makedirs(db)
+        with open(os.path.join(db, "wal.log"), "wb") as handle:
+            handle.write(b"XSQLWAL3" + struct.pack(">Q", 0) + bytes(8))
+        with pytest.raises(StorageError, match="bad magic"):
             _open(db)
 
     def test_appends_resume_after_truncation(self, db):
@@ -289,12 +302,7 @@ class TestStatus:
 class TestMvccTicket:
     def test_ticket_stamp_survives_reopen(self, db):
         engine = _open(db)
-        engine.apply(
-            WriteBatch(),
-            schema_generation=5,
-            statistics_generation=9,
-            ticket=42,
-        )
+        engine.apply(WriteBatch(), ticket=42)
         engine.close()
         recovered = _open(db)
         assert recovered.last_stamp().ticket == 42

@@ -130,19 +130,39 @@ class TestDeltaTiers:
         assert status["last_kind"] == "rebuild"
         assert status["objects"] == 6
 
+    def test_relation_redeclaration_stales_a_reading_view(
+        self, paper_session
+    ):
+        session = paper_session
+        session.execute("CREATE RELATION Partner (a, b)")
+        session.execute("INSERT INTO Partner VALUES (uniSQL, 'x')")
+        session.execute(
+            "CREATE VIEW Partners AS SUBCLASS OF Object "
+            "SIGNATURE CompName = String "
+            "SELECT CompName = X.Name FROM Company X "
+            "OID FUNCTION OF X WHERE Partner(X, Y)"
+        )
+        query = "SELECT V.CompName FROM Partners V"
+        assert session.query(query).scalars() == ["UniSQL"]
+        session.store.declare_relation("Partner", ["a", "b"])
+        assert session.views.pending()
+        assert state_of(session, "Partners")["state"] != "fresh"
+        assert session.query(query).scalars() == []
+        assert state_of(session, "Partners")["state"] == "fresh"
+
     def test_index_toggle_does_not_rebuild(self, view_session):
-        # An index changes no answer: enabling or disabling one under a
-        # materialized view leaves it fresh, although the schema
-        # component still moves for compiled statements to re-plan.
+        # An index changes no answer and is not schema: enabling or
+        # disabling one under a materialized view leaves it fresh and
+        # the published schema value in place.
         store = view_session.store
-        schema = store.version.schema
+        schema = store.schema
         store.enable_index("Name")
         events = view_session.sync_views()
         store.disable_index("Name")
         events += view_session.sync_views()
         assert sum(1 for e in events if e["kind"] == "rebuild") == 0
         assert state_of(view_session)["state"] == "fresh"
-        assert store.version.schema == schema + 2
+        assert store.schema is schema
         assert sorted(view_session.query(THROUGH_VIEW).scalars()) == [
             20000,
             250000,

@@ -123,9 +123,7 @@ class TestRoundTrip:
 
         The image covers objects, classes, signatures, indexes, and
         the id-function registry; statistics are not encoded but
-        rebuilt by replaying writes, so their snapshots must agree on
-        everything except the (write-order-dependent) generation
-        counter.
+        rebuilt by replaying writes, so their snapshots must agree.
         """
         spec = ScaleSpec(n_objects=10_000, seed=0)
         store = generate_scaled(spec)
@@ -135,12 +133,8 @@ class TestRoundTrip:
         restored = decode_store(image)
         assert canonical(restored) == list(image.range_scan())
         # Statistics: rebuilt incrementally on restore; identical
-        # estimates modulo the generation counter.
-        original_stats = store.statistics.snapshot()
-        restored_stats = restored.statistics.snapshot()
-        original_stats.pop("generation")
-        restored_stats.pop("generation")
-        assert original_stats == restored_stats
+        # estimates.
+        assert store.statistics.snapshot() == restored.statistics.snapshot()
         # Indexes answer identically after restore.
         assert store.known_objects() == restored.known_objects()
         for cls in ("Person", "Employee", "Automobile", "Division"):

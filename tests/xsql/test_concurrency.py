@@ -54,11 +54,11 @@ class TestSnapshotSession:
     def test_version_surfaces_on_both_sessions(self):
         base = seeded_session()
         with base.snapshot_view() as snap:
-            pinned = snap.version
-            assert pinned == base.version
+            pinned = snap.ticket
+            assert pinned == base.ticket
             base.store.set_attr(Atom("p0"), "Age", 77)
-            assert snap.version == pinned
-            assert base.version.ticket > pinned.ticket
+            assert snap.ticket == pinned
+            assert base.ticket > pinned
 
     def test_close_releases_the_pin(self):
         base = seeded_session()
@@ -75,7 +75,7 @@ class TestSnapshotSession:
                 rows_old = old.query(QUERY).rows()
                 rows_new = new.query(QUERY).rows()
                 assert rows_old != rows_new
-                assert old.version.ticket < new.version.ticket
+                assert old.ticket < new.ticket
 
     def test_snapshot_shares_the_base_registry(self):
         base = seeded_session()
@@ -116,7 +116,7 @@ class TestWritersNeverBlockReaders:
                     # must come back identical and none may deadlock.
                     while not writer_done.is_set():
                         assert snap.query(QUERY).rows() == baseline
-                        progress_seen.append(store.version.ticket)
+                        progress_seen.append(store.ticket)
                     assert snap.query(QUERY).rows() == baseline
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
@@ -131,7 +131,7 @@ class TestWritersNeverBlockReaders:
         assert not reader_thread.is_alive(), "reader blocked by writer"
         assert not errors, errors
         # The writer really did commit while the snapshot was pinned.
-        assert store.version.ticket >= mutations
+        assert store.ticket >= mutations
         assert len(set(progress_seen)) > 1, "no concurrent interleaving"
 
     def test_no_torn_reads_under_set_churn(self):
@@ -180,8 +180,8 @@ class TestConcurrentSession:
         queries = [QUERY, "SELECT X FROM Employee X", QUERY]
         results = concurrent.run_concurrently(queries, workers=3)
         assert len(results) == 3
-        for version, result in results:
-            assert version.ticket >= 0
+        for ticket, result in results:
+            assert ticket == base.ticket
             assert result.rows() is not None
         assert results[0][1].rows() == results[2][1].rows()
 

@@ -164,15 +164,40 @@ class TestCostExecution:
     def test_replan_when_statistics_drift(self, workload_session):
         compiled = workload_session.prepare(SELECTIVE, plan="cost")
         compiled.run()
-        version = compiled.cost_plan.version
-        # A data write moves the catalogue but not the schema; the next
+        ticket, schema = compiled.cost_plan.ticket, compiled.schema
+        # A data write moves the ticket but not the schema; the next
         # run re-plans in place without a full recompile.
         store = workload_session.store
         person = sorted(store.extent("Person"), key=str)[0]
         store.unset_attr(person, "Name")
         compiled.run()
-        assert compiled.cost_plan.version.data > version.data
-        assert compiled.cost_plan.version.same_schema(version)
+        assert compiled.cost_plan.ticket > ticket
+        assert compiled.schema is schema
+
+    def test_index_toggle_keeps_compilation_and_recosts(
+        self, workload_session
+    ):
+        # An index is an access path, not schema: dropping the one a
+        # cached statement probes re-costs it without recompiling.
+        session = workload_session
+        session.index_mode = "manual"
+        session.enable_index("Name")
+        compiled = session.prepare(SELECTIVE, plan="cost")
+        rows = compiled.run().rows()
+        assert compiled.cost_plan.probes
+        statement = compiled.statement
+        before = dict(session.stats()["counters"])
+        session.disable_index("Name")
+        again = session.prepare(SELECTIVE, plan="cost")
+        assert again is compiled
+        assert again.run().rows() == rows
+        after = session.stats()["counters"]
+        assert after.get("cache.invalidated", 0) == before.get(
+            "cache.invalidated", 0
+        )
+        assert after["plan.cost.replan"] > before.get("plan.cost.replan", 0)
+        assert compiled.statement is statement
+        assert compiled.cost_plan.probes == ()
 
     def test_estimation_error_is_observed(self, workload_session):
         workload_session.query(SELECTIVE, plan="cost")
@@ -196,8 +221,8 @@ class TestAccessPaths:
         self, workload_session
     ):
         compiled = workload_session.prepare(SELECTIVE, plan="greedy")
-        generation = workload_session.store.schema_generation
+        ticket = workload_session.store.ticket
         paths = compiled.access_paths()
         assert paths, "advisory plan should still be produced"
-        assert workload_session.store.schema_generation == generation
+        assert workload_session.store.ticket == ticket
         assert not workload_session.store.is_indexed("Name")
