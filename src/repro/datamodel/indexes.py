@@ -10,8 +10,11 @@ of any selector join — resolves by lookup instead of by scanning the
 object universe.
 
 Indexes are opt-in per method (``store.enable_index("Residence")``) and
-maintained incrementally by the store's single write path; enabling an
-index on existing data back-fills it from the current records.
+maintained incrementally by the store's cell primitive
+(``ObjectStore._put_cell``), the one place a cell changes; enabling an
+index on existing data back-fills it from the current records, which is
+also how a reopened store rebuilds it (the storage layer keeps only
+which methods are indexed).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class AttributeIndexes:
         self._entries.pop(method, None)
 
     # ------------------------------------------------------------------
-    # incremental maintenance (called from the store's write path)
+    # incremental maintenance (called from the store's cell primitive)
     # ------------------------------------------------------------------
 
     def note_write(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple, Union
 
-from repro.errors import ArityError
 from repro.oid import Atom, Oid
 
 __all__ = ["ScalarCell", "SetCell", "Cell", "CellKey", "ObjectRecord"]
@@ -52,12 +51,6 @@ class SetCell:
     def as_set(self) -> FrozenSet[Oid]:
         return self.values
 
-    def with_member(self, member: Oid) -> "SetCell":
-        return SetCell(self.values | {member})
-
-    def without_member(self, member: Oid) -> "SetCell":
-        return SetCell(self.values - {member})
-
 
 Cell = Union[ScalarCell, SetCell]
 
@@ -70,6 +63,11 @@ class ObjectRecord:
     an absent key means the attribute is *undefined* here (it may still be
     inherited or computed).  Classes are objects too, so class atoms get
     records as well — their cells double as inheritable default values.
+
+    Only the store writes a record, through its cell primitive
+    (:meth:`repro.datamodel.store.ObjectStore._put_cell`), so indexes,
+    statistics, snapshots and sinks stay in step with every cell; the
+    scalar/set rule is checked there too, before anything moves.
     """
 
     oid: Oid
@@ -77,59 +75,6 @@ class ObjectRecord:
 
     def get(self, method: Atom, args: Tuple[Oid, ...] = ()) -> Optional[Cell]:
         return self.cells.get((method, args))
-
-    def set_scalar(
-        self, method: Atom, value: Oid, args: Tuple[Oid, ...] = ()
-    ) -> None:
-        existing = self.cells.get((method, args))
-        if existing is not None and existing.set_valued:
-            raise ArityError(
-                f"{method} already holds a set value on {self.oid}; cannot "
-                f"assign a scalar"
-            )
-        self.cells[(method, args)] = ScalarCell(value)
-
-    def set_set(
-        self,
-        method: Atom,
-        values: FrozenSet[Oid],
-        args: Tuple[Oid, ...] = (),
-    ) -> None:
-        existing = self.cells.get((method, args))
-        if existing is not None and not existing.set_valued:
-            raise ArityError(
-                f"{method} already holds a scalar value on {self.oid}; "
-                f"cannot assign a set"
-            )
-        self.cells[(method, args)] = SetCell(frozenset(values))
-
-    def add_to_set(
-        self, method: Atom, member: Oid, args: Tuple[Oid, ...] = ()
-    ) -> None:
-        existing = self.cells.get((method, args))
-        if existing is None:
-            self.cells[(method, args)] = SetCell(frozenset({member}))
-        elif existing.set_valued:
-            self.cells[(method, args)] = existing.with_member(member)
-        else:
-            raise ArityError(
-                f"{method} holds a scalar value on {self.oid}; cannot add "
-                f"a set member"
-            )
-
-    def remove_from_set(
-        self, method: Atom, member: Oid, args: Tuple[Oid, ...] = ()
-    ) -> None:
-        existing = self.cells.get((method, args))
-        if existing is None or not existing.set_valued:
-            raise ArityError(
-                f"{method} holds no set value on {self.oid}"
-            )
-        self.cells[(method, args)] = existing.without_member(member)
-
-    def unset(self, method: Atom, args: Tuple[Oid, ...] = ()) -> None:
-        """Make the attribute undefined again (the OODB analogue of null)."""
-        self.cells.pop((method, args), None)
 
     def defined_methods(self) -> Iterator[Atom]:
         """Method names with at least one explicitly defined cell here."""

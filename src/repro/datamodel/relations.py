@@ -34,12 +34,16 @@ class StoredRelation:
     def arity(self) -> int:
         return len(self.column_names)
 
-    def insert(self, row: Tuple[Oid, ...]) -> None:
+    def check_row(self, row: Tuple[Oid, ...]) -> None:
+        """Reject a row whose width is not the relation's arity."""
         if len(row) != self.arity:
             raise RelationalError(
                 f"relation {self.name} has arity {self.arity}; row has "
                 f"{len(row)} values"
             )
+
+    def insert(self, row: Tuple[Oid, ...]) -> None:
+        self.check_row(row)
         self._rows.add(row)
 
     def delete(self, row: Tuple[Oid, ...]) -> None:

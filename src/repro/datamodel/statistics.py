@@ -12,13 +12,15 @@ module maintains the three quantities the cost model
 * **per-method distinct counts** — distinct stored values (the divisor
   of equality selectivity) and distinct owners (the divisor of fan-out).
 
-Everything is maintained incrementally through the store's single write
-path — the same hooks that keep the inverted indexes
-(:mod:`repro.datamodel.indexes`) current — so reading a statistic is a
-dictionary lookup, never a scan.  The catalogue keeps no counter of its
-own: a cost plan records the store's mutation ticket, which every write
-moves, so the pipeline re-costs a cached plan whenever the numbers may
-have moved.
+Everything is maintained incrementally by the store's two write
+primitives — ``_put_cell`` calls :meth:`StatisticsCatalogue.note_write`
+and ``_put_membership`` calls :meth:`StatisticsCatalogue.note_membership`,
+beside the inverted indexes (:mod:`repro.datamodel.indexes`) — so
+reading a statistic is a dictionary lookup, never a scan, and the
+counters always equal those of a store rebuilt from its current state.
+The catalogue keeps no counter of its own: a cost plan records the
+store's mutation ticket, which every write moves, so the pipeline
+re-costs a cached plan whenever the numbers may have moved.
 
 Statistics are *estimates* by design: implicit literal-class members and
 computed method implementations are invisible to the write path, so the
@@ -127,7 +129,7 @@ class StatisticsCatalogue:
         self._direct_extents: Dict[Atom, int] = {}
 
     # ------------------------------------------------------------------
-    # hooks (called from ObjectStore's single write path)
+    # hooks (called from ObjectStore's write primitives)
     # ------------------------------------------------------------------
 
     def note_write(
@@ -144,6 +146,9 @@ class StatisticsCatalogue:
         if stats is None:
             stats = self._methods[method] = MethodStats()
         stats.note_write(owner, old_values, new_values)
+        if not stats.rows:
+            # No stored value left: forget the method, as a rebuild would.
+            del self._methods[method]
 
     def note_membership(self, cls: Atom, delta: int) -> None:
         """An object joined (+1) or left (-1) the direct extent of *cls*."""

@@ -17,10 +17,20 @@ An empty result means the method is *undefined* for those arguments (the
 OODB analogue of null); whether it is also *inapplicable* is a question for
 the type system (:mod:`repro.typing`), not the store — matching the paper's
 treatment of typing as a metalogical notion (§6.2).
+
+Every write has one shape: a public mutator checks all of its inputs,
+then opens one :meth:`ObjectStore._mutation` — one ticket, one journal
+batch — and changes facts only through the two write primitives,
+:meth:`ObjectStore._put_cell` for a cell and
+:meth:`ObjectStore._put_membership` for a class membership.  Each
+primitive chains the pre-image for pinned snapshots, swaps the fact,
+and then tells the inverted indexes, the statistics and every sink, so
+those can never disagree with the records.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import (
     AbstractSet,
     Callable,
@@ -73,6 +83,9 @@ def _count_individuals(
     """
     return len(known) - len(known.intersection(hierarchy))
 
+
+#: The write context of a mutation on a store with no journal attached.
+_NO_BATCH = nullcontext()
 
 #: Every class ``Catalogue.implicit_classes`` can return.
 _IMPLICIT_CLASSES = frozenset(BUILTIN_CLASSES) | {OBJECT_CLASS}
@@ -207,9 +220,10 @@ class ObjectStore:
         self.statistics = StatisticsCatalogue()
         #: Optional persistence listener
         #: (:class:`repro.storage.codec.StoreJournal`).  When attached,
-        #: every mutation below emits codec-encoded KV operations; the
-        #: default ``None`` keeps the historical dict store's write path
-        #: free of any storage overhead beyond one tuple iteration.
+        #: every public mutator commits its codec-encoded KV operations
+        #: as one journal batch (:meth:`_mutation`); the default ``None``
+        #: keeps the dict store's write path free of any storage
+        #: overhead beyond one tuple iteration.
         self._journal = None
         #: Additional write observers (e.g. incremental view
         #: maintenance).  Observers duck-type the journal's ``note_*``
@@ -346,13 +360,13 @@ class ObjectStore:
         with self._history.lock:
             schema = self.schema.clone()
             edit(schema)
-            self._history.advance()
-            self.schema = schema
-            for atom in known:
-                self._known_add(atom)
-            if note is not None:
-                for sink in self._sinks:
-                    note(sink, schema)
+            with self._mutation():
+                self.schema = schema
+                for atom in known:
+                    self._known_add(atom)
+                if note is not None:
+                    for sink in self._sinks:
+                        note(sink, schema)
         return schema
 
     # ------------------------------------------------------------------
@@ -474,7 +488,8 @@ class ObjectStore:
 
         Atomic: every class is checked before anything moves, so an
         unknown class leaves the ticket, the object and the sinks as
-        they were.
+        they were.  The object and all its memberships take one ticket
+        and one journal batch.
         """
         obj = as_oid(oid_like)
         cls_atoms = [_atom(cls) for cls in classes]
@@ -483,15 +498,14 @@ class ObjectStore:
             schema.catalogue.check_individual(obj)
             for cls_atom in cls_atoms:
                 schema.hierarchy.require(cls_atom)
-            self._history.advance()
-            is_new = obj not in self._records
-            self._records.setdefault(obj, ObjectRecord(obj))
-            self._known_add(obj)
-            if is_new:
-                for sink in self._sinks:
-                    sink.note_object(obj)
-            for cls_atom in cls_atoms:
-                self.add_instance(obj, cls_atom)
+            with self._mutation():
+                if obj not in self._records:
+                    self._records[obj] = ObjectRecord(obj)
+                    for sink in self._sinks:
+                        sink.note_object(obj)
+                self._known_add(obj)
+                for cls_atom in cls_atoms:
+                    self._put_membership(obj, cls_atom, True)
         return obj
 
     def add_instance(self, oid_like: OidLike, cls: ClassLike) -> None:
@@ -501,70 +515,41 @@ class ObjectStore:
             schema = self.schema
             schema.hierarchy.require(cls_atom)
             schema.catalogue.check_individual(obj)
-            self._history.advance()
-            memberships = self._memberships.setdefault(obj, set())
-            if cls_atom not in memberships:
-                self._history.record_membership(obj, cls_atom, False)
-                memberships.add(cls_atom)
-                self._direct_extents.setdefault(cls_atom, set()).add(obj)
-                self.statistics.note_membership(cls_atom, +1)
-                for sink in self._sinks:
-                    sink.note_membership(cls_atom, obj, True)
-            self._records.setdefault(obj, ObjectRecord(obj))
-            self._known_add(obj)
+            with self._mutation():
+                self._put_membership(obj, cls_atom, True)
 
     def remove_instance(self, oid_like: OidLike, cls: ClassLike) -> None:
         obj = as_oid(oid_like)
         cls_atom = _atom(cls)
         with self._history.lock:
-            self._history.advance()
-            memberships = self._memberships.get(obj, set())
-            if cls_atom in memberships:
-                self._history.record_membership(obj, cls_atom, True)
-                memberships.discard(cls_atom)
-                self._direct_extents.get(cls_atom, set()).discard(obj)
-                self.statistics.note_membership(cls_atom, -1)
-                for sink in self._sinks:
-                    sink.note_membership(cls_atom, obj, False)
+            with self._mutation():
+                self._put_membership(obj, cls_atom, False)
 
     def purge_object(self, oid_like: OidLike) -> None:
         """Remove an object entirely: record, memberships, and extents.
 
         Used by view refresh (§4.2) to drop stale view objects before
-        re-materializing.  References to the purged oid stored in other
-        objects' cells are left untouched (the paper has no referential-
-        integrity maintenance).
+        re-materializing.  Every cell and every membership goes through
+        its primitive, so indexes, statistics and sinks see one delete
+        per fact; then the object leaves the known set.  References to
+        the purged oid stored in other objects' cells are left untouched
+        (the paper has no referential-integrity maintenance).
         """
         obj = as_oid(oid_like)
         with self._history.lock:
-            self._history.advance()
-            record = self._records.get(obj)
-            cells = list(record.entries()) if record is not None else []
-            memberships = set(self._memberships.get(obj, set()))
-            # Chain every pre-image before the first live mutation so a
-            # concurrent pinned reader never sees a half-purged object.
-            for key, cell in cells:
-                self._history.record_cell(obj, key, cell)
-            for cls in memberships:
-                self._history.record_membership(obj, cls, True)
-            if obj in self._known:
-                self._history.record_known(obj, True)
-            self._records.pop(obj, None)
-            for (method, args), cell in cells:
-                values = cell.as_set()
-                self._indexes.note_write(
-                    obj, method, args, values, frozenset()
-                )
-                self.statistics.note_write(
-                    obj, method, args, values, frozenset()
-                )
-            self._memberships.pop(obj, None)
-            for cls in memberships:
-                self._direct_extents.get(cls, set()).discard(obj)
-                self.statistics.note_membership(cls, -1)
-            self._known.discard(obj)
-            for sink in self._sinks:
-                sink.note_purge(obj, memberships, cells)
+            with self._mutation():
+                record = self._records.get(obj)
+                if record is not None:
+                    for method, args in list(record.cells):
+                        self._put_cell(obj, method, args, None)
+                for cls in list(self._memberships.get(obj, ())):
+                    self._put_membership(obj, cls, False)
+                self._records.pop(obj, None)
+                if obj in self._known:
+                    self._history.record_known(obj, True)
+                    self._known.discard(obj)
+                for sink in self._sinks:
+                    sink.note_object(obj, present=False)
 
     def direct_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         """Explicit instance-of memberships plus implicit literal classes."""
@@ -670,15 +655,6 @@ class ObjectStore:
     # explicit data cells
     # ------------------------------------------------------------------
 
-    def _record(self, oid_like: OidLike) -> ObjectRecord:
-        obj = as_oid(oid_like)
-        self._known_add(obj)
-        record = self._records.get(obj)
-        if record is None:
-            record = ObjectRecord(obj)
-            self._records[obj] = record
-        return record
-
     def _known_add(self, obj: Oid) -> None:
         """Add *obj* to the known set, chaining the pre-image when pinned.
 
@@ -771,6 +747,36 @@ class ObjectStore:
                 f"of {method} ({expected})"
             )
 
+    def _check_write(
+        self,
+        owner: Oid,
+        method: Atom,
+        args: Tuple[Oid, ...],
+        set_valued: bool,
+        values: Iterable[Oid],
+    ) -> Optional[Cell]:
+        """Check a cell write before anything moves; return the stored
+        cell it replaces.
+
+        The write must agree with the declared arrow kinds, its values
+        with the declared result classes (``validate_values``), and its
+        kind with the stored cell's: a scalar never overwrites a set
+        cell, nor a set a scalar.
+        """
+        self._check_arrow(owner, method, set_valued)
+        for value in values:
+            self._check_value_class(owner, method, value)
+        record = self._records.get(owner)
+        stored = None if record is None else record.cells.get((method, args))
+        if stored is not None and stored.set_valued != set_valued:
+            held = "a set" if stored.set_valued else "a scalar"
+            wanted = "a set" if set_valued else "a scalar"
+            raise ArityError(
+                f"{method} already holds {held} value on {owner}; cannot "
+                f"store {wanted}"
+            )
+        return stored
+
     def set_attr(
         self,
         owner: OidLike,
@@ -784,30 +790,13 @@ class ObjectStore:
         value_oid = as_oid(value)
         arg_oids = tuple(as_oid(a) for a in args)
         with self._history.lock:
-            self._check_arrow(owner_oid, method_atom, set_valued=False)
-            self._check_value_class(owner_oid, method_atom, value_oid)
-            self._history.advance()
-            record = self._record(owner_oid)
-            old_cell = record.get(method_atom, arg_oids)
-            old_values = old_cell.as_set() if old_cell else frozenset()
-            self._history.record_cell(
-                owner_oid, (method_atom, arg_oids), old_cell
+            self._check_write(
+                owner_oid, method_atom, arg_oids, False, (value_oid,)
             )
-            record.set_scalar(method_atom, value_oid, arg_oids)
-            new_values = frozenset({value_oid})
-            self._indexes.note_write(
-                owner_oid, method_atom, arg_oids, old_values, new_values
-            )
-            self.statistics.note_write(
-                owner_oid, method_atom, arg_oids, old_values, new_values
-            )
-            for sink in self._sinks:
-                sink.note_cell(
-                    owner_oid, method_atom, arg_oids, old_values, new_values,
-                    scalar=True,
+            with self._mutation():
+                self._put_cell(
+                    owner_oid, method_atom, arg_oids, ScalarCell(value_oid)
                 )
-            self._known_add(method_atom)
-            self._note_values_mutating((value_oid, *arg_oids))
 
     def set_attr_set(
         self,
@@ -822,30 +811,13 @@ class ObjectStore:
         value_oids = frozenset(as_oid(v) for v in values)
         arg_oids = tuple(as_oid(a) for a in args)
         with self._history.lock:
-            self._check_arrow(owner_oid, method_atom, set_valued=True)
-            for value_oid in value_oids:
-                self._check_value_class(owner_oid, method_atom, value_oid)
-            self._history.advance()
-            record = self._record(owner_oid)
-            old_cell = record.get(method_atom, arg_oids)
-            old_values = old_cell.as_set() if old_cell else frozenset()
-            self._history.record_cell(
-                owner_oid, (method_atom, arg_oids), old_cell
+            self._check_write(
+                owner_oid, method_atom, arg_oids, True, value_oids
             )
-            record.set_set(method_atom, value_oids, arg_oids)
-            self._indexes.note_write(
-                owner_oid, method_atom, arg_oids, old_values, value_oids
-            )
-            self.statistics.note_write(
-                owner_oid, method_atom, arg_oids, old_values, value_oids
-            )
-            for sink in self._sinks:
-                sink.note_cell(
-                    owner_oid, method_atom, arg_oids, old_values, value_oids,
-                    scalar=False,
+            with self._mutation():
+                self._put_cell(
+                    owner_oid, method_atom, arg_oids, SetCell(value_oids)
                 )
-            self._known_add(method_atom)
-            self._note_values_mutating((*value_oids, *arg_oids))
 
     def add_to_set(
         self,
@@ -854,36 +826,22 @@ class ObjectStore:
         member: OidLike,
         args: Sequence[OidLike] = (),
     ) -> None:
+        """Add one member to a set-valued cell (creating it if absent)."""
         owner_oid = as_oid(owner)
         method_atom = _atom(method)
         member_oid = as_oid(member)
         arg_oids = tuple(as_oid(a) for a in args)
         with self._history.lock:
-            self._check_arrow(owner_oid, method_atom, set_valued=True)
-            self._check_value_class(owner_oid, method_atom, member_oid)
-            self._history.advance()
-            record = self._record(owner_oid)
-            old_cell = record.get(method_atom, arg_oids)
-            old_values = old_cell.as_set() if old_cell else frozenset()
-            self._history.record_cell(
-                owner_oid, (method_atom, arg_oids), old_cell
+            stored = self._check_write(
+                owner_oid, method_atom, arg_oids, True, (member_oid,)
             )
-            record.add_to_set(method_atom, member_oid, arg_oids)
-            self._indexes.note_write(
-                owner_oid, method_atom, arg_oids, frozenset(),
-                frozenset({member_oid}),
-            )
-            self.statistics.note_write(
-                owner_oid, method_atom, arg_oids, old_values,
-                old_values | {member_oid},
-            )
-            for sink in self._sinks:
-                sink.note_cell(
-                    owner_oid, method_atom, arg_oids, old_values,
-                    old_values | {member_oid}, scalar=False,
+            members = frozenset({member_oid})
+            if stored is not None:
+                members |= stored.values
+            with self._mutation():
+                self._put_cell(
+                    owner_oid, method_atom, arg_oids, SetCell(members)
                 )
-            self._known_add(method_atom)
-            self._note_values_mutating((member_oid, *arg_oids))
 
     def unset_attr(
         self,
@@ -891,30 +849,100 @@ class ObjectStore:
         method: ClassLike,
         args: Sequence[OidLike] = (),
     ) -> None:
+        """Make a cell undefined again (the OODB analogue of null)."""
         obj = as_oid(owner)
+        method_atom = _atom(method)
+        arg_oids = tuple(as_oid(a) for a in args)
         with self._history.lock:
-            self._history.advance()
-            record = self._records.get(obj)
-            if record is not None:
-                method_atom = _atom(method)
-                arg_oids = tuple(as_oid(a) for a in args)
-                old_cell = record.get(method_atom, arg_oids)
-                old_values = old_cell.as_set() if old_cell else frozenset()
-                self._history.record_cell(
-                    obj, (method_atom, arg_oids), old_cell
-                )
-                record.unset(method_atom, arg_oids)
-                self._indexes.note_write(
-                    obj, method_atom, arg_oids, old_values, frozenset()
-                )
-                self.statistics.note_write(
-                    obj, method_atom, arg_oids, old_values, frozenset()
-                )
-                for sink in self._sinks:
-                    sink.note_cell(
-                        obj, method_atom, arg_oids, old_values, frozenset(),
-                        scalar=False, present=False,
-                    )
+            with self._mutation():
+                self._put_cell(obj, method_atom, arg_oids, None)
+
+    # ------------------------------------------------------------------
+    # the write path: every public mutator is its checks, then one
+    # _mutation() around the primitives below
+    # ------------------------------------------------------------------
+
+    def _mutation(self):
+        """Advance the ticket once; return the context that groups the
+        mutation's sink ops into one journal batch.
+
+        Callers hold the write lock and have checked every input, so a
+        rejected write never moves the ticket or reaches a sink.
+        """
+        self._history.advance()
+        journal = self._journal
+        return _NO_BATCH if journal is None else journal.batch()
+
+    def _put_cell(
+        self,
+        owner: Oid,
+        method: Atom,
+        args: Tuple[Oid, ...],
+        cell: Optional[Cell],
+    ) -> None:
+        """Swap in *cell* (or with None, drop the cell): the only writer
+        of record cells.
+
+        Chains the pre-image, swaps, then tells the index, the
+        statistics and every sink, and adds what a stored cell mentions
+        to the known set.  Runs inside :meth:`_mutation`, after
+        :meth:`_check_write` accepted the write.
+        """
+        key = (method, args)
+        record = self._records.get(owner)
+        old = None if record is None else record.cells.get(key)
+        if old is None and cell is None:
+            return
+        self._history.record_cell(owner, key, old)
+        if cell is None:
+            del record.cells[key]
+        elif record is None:
+            self._records[owner] = ObjectRecord(owner, {key: cell})
+        else:
+            record.cells[key] = cell
+        old_values = frozenset() if old is None else old.as_set()
+        new_values = frozenset() if cell is None else cell.as_set()
+        self._indexes.note_write(owner, method, args, old_values, new_values)
+        self.statistics.note_write(
+            owner, method, args, old_values, new_values
+        )
+        scalar = cell is not None and not cell.set_valued
+        for sink in self._sinks:
+            sink.note_cell(
+                owner, method, args, old_values, new_values,
+                scalar=scalar, present=cell is not None,
+            )
+        if cell is not None:
+            self._known_add(owner)
+            self._known_add(method)
+            self._note_values_mutating((*new_values, *args))
+
+    def _put_membership(self, obj: Oid, cls: Atom, present: bool) -> None:
+        """Make *obj* a direct member of *cls* or not: the only writer of
+        memberships and direct extents.
+
+        Chains the pre-image, flips, then tells the statistics and every
+        sink; joining a class also registers the object.  Runs inside
+        :meth:`_mutation`.
+        """
+        memberships = self._memberships.get(obj)
+        was_member = memberships is not None and cls in memberships
+        if was_member != present:
+            self._history.record_membership(obj, cls, was_member)
+            if present:
+                self._memberships.setdefault(obj, set()).add(cls)
+                self._direct_extents.setdefault(cls, set()).add(obj)
+            else:
+                memberships.discard(cls)
+                if not memberships:
+                    del self._memberships[obj]
+                self._direct_extents[cls].discard(obj)
+            self.statistics.note_membership(cls, 1 if present else -1)
+            for sink in self._sinks:
+                sink.note_membership(cls, obj, present)
+        if present:
+            self._records.setdefault(obj, ObjectRecord(obj))
+            self._known_add(obj)
 
     def explicit_cell(
         self,
@@ -1101,18 +1129,18 @@ class ObjectStore:
         """Build and maintain an inverted value→owners index for *method*."""
         method_atom = _atom(method)
         with self._history.lock:
-            self._history.advance()
-            self._indexes.enable(method_atom, self)
-            for sink in self._sinks:
-                sink.note_index(method_atom, True)
+            with self._mutation():
+                self._indexes.enable(method_atom, self)
+                for sink in self._sinks:
+                    sink.note_index(method_atom, True)
 
     def disable_index(self, method: ClassLike) -> None:
         method_atom = _atom(method)
         with self._history.lock:
-            self._history.advance()
-            self._indexes.disable(method_atom)
-            for sink in self._sinks:
-                sink.note_index(method_atom, False)
+            with self._mutation():
+                self._indexes.disable(method_atom)
+                for sink in self._sinks:
+                    sink.note_index(method_atom, False)
 
     def is_indexed(self, method: ClassLike) -> bool:
         return self._indexes.is_indexed(_atom(method))
@@ -1199,11 +1227,13 @@ class ObjectStore:
     ) -> StoredRelation:
         relation = StoredRelation(name, tuple(column_names))
         with self._history.lock:
-            self._history.advance()
-            self._history.record_relation(name, self._relations.get(name))
-            self._relations[name] = relation
-            for sink in self._sinks:
-                sink.note_relation(name, relation.column_names)
+            with self._mutation():
+                self._history.record_relation(
+                    name, self._relations.get(name)
+                )
+                self._relations[name] = relation
+                for sink in self._sinks:
+                    sink.note_relation(name, relation.column_names)
         return relation
 
     def relation(self, name: str) -> StoredRelation:
@@ -1219,12 +1249,13 @@ class ObjectStore:
         with self._history.lock:
             relation = self.relation(name)
             oids = tuple(as_oid(v) for v in row)
-            self._history.advance()
-            self._history.record_relation(name, relation)
-            relation.insert(oids)
-            self._note_values_mutating(oids)
-            for sink in self._sinks:
-                sink.note_tuple(name, oids)
+            relation.check_row(oids)
+            with self._mutation():
+                self._history.record_relation(name, relation)
+                relation.insert(oids)
+                self._note_values_mutating(oids)
+                for sink in self._sinks:
+                    sink.note_tuple(name, oids)
 
     # ------------------------------------------------------------------
     # introspection helpers

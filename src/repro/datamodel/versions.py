@@ -753,6 +753,6 @@ for _name in (
     "remove_instance", "purge_object", "set_attr", "set_attr_set",
     "add_to_set", "unset_attr", "define_method", "resolve_inheritance",
     "enable_index", "disable_index", "declare_relation", "insert_tuple",
-    "set_journal", "_record",
+    "set_journal", "_put_cell", "_put_membership",
 ):
     setattr(StoreView, _name, _read_only_mutator(_name))

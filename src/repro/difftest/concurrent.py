@@ -6,7 +6,8 @@ The CI gate behind the MVCC layer's isolation claim::
 
 The harness seeds a small Person/Employee/Manager database, then runs one
 *writer* thread applying a deterministic stream of mutations (object
-churn, attribute writes, membership flips, purges, relation inserts,
+churn, scalar and set-valued attribute writes, membership flips,
+purges, relation inserts,
 index toggles, and DDL: new subclasses, extra parents, signatures)
 against the live :class:`~repro.datamodel.store.ObjectStore` while
 ``--readers`` *reader* threads repeatedly take snapshot sessions
@@ -60,6 +61,7 @@ QUERIES = (
     "SELECT #X WHERE #X subclassOf Person",
     "SELECT X.Name FROM Manager X",
     "SELECT X FROM Person X WHERE X.Age[40]",
+    "SELECT X, Y FROM Person X WHERE X.Pals[Y] and Y.Age > 30",
 )
 
 #: An op is a plain tuple ``(kind, *payload)`` — picklable, printable,
@@ -75,6 +77,7 @@ def seed_store(store) -> None:
     store.declare_signature("Person", "Name", "String")
     store.declare_signature("Person", "Age", "Numeral")
     store.declare_signature("Person", "Friend", "Person")
+    store.declare_signature("Person", "Pals", "Person", set_valued=True)
     store.declare_signature("Employee", "Salary", "Numeral")
     store.declare_relation("Likes", ["who", "what"])
     for i in range(8):
@@ -100,6 +103,12 @@ def apply_op(store, op: Op) -> None:
     elif kind == "set_ref":
         _kind, name, method, target = op
         store.set_attr(Atom(name), method, Atom(target))
+    elif kind == "set_pals":
+        _kind, name, targets = op
+        store.set_attr_set(Atom(name), "Pals", [Atom(t) for t in targets])
+    elif kind == "add_pal":
+        _kind, name, target = op
+        store.add_to_set(Atom(name), "Pals", Atom(target))
     elif kind == "unset":
         _kind, name, method = op
         store.unset_attr(Atom(name), method)
@@ -166,10 +175,22 @@ def generate_ops(seed: int, count: int) -> Tuple[List[Op], List[int]]:
             op = ("set", rng.choice(names), "Name", f"N{rng.randrange(99)}")
         elif roll < 0.66:
             op = ("set", rng.choice(names), "Salary", rng.randrange(1, 20) * 1000)
-        elif roll < 0.72:
+        elif roll < 0.70:
             op = ("set_ref", rng.choice(names), "Friend", rng.choice(names))
+        elif roll < 0.72:
+            op = (
+                "set_pals",
+                rng.choice(names),
+                tuple(rng.sample(names, rng.randrange(3))),
+            )
+        elif roll < 0.75:
+            op = ("add_pal", rng.choice(names), rng.choice(names))
         elif roll < 0.78:
-            op = ("unset", rng.choice(names), rng.choice(["Age", "Friend"]))
+            op = (
+                "unset",
+                rng.choice(names),
+                rng.choice(["Age", "Friend", "Pals"]),
+            )
         elif roll < 0.84:
             op = ("add_instance", rng.choice(names), "Employee")
         elif roll < 0.89:

@@ -11,7 +11,7 @@ The package re-founds persistence on one narrow seam (see
   recovery to the last committed batch;
 * :mod:`repro.storage.codec` — the key layout (every fact kind is a
   contiguous key range) and the :class:`StoreJournal` that mirrors the
-  store's single write path into an engine;
+  store's write path into an engine, one batch per store mutator;
 * :mod:`repro.storage.options` — the frozen :class:`StorageOptions`
   record backing ``Session.open(path, engine=...)``.
 

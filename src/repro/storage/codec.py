@@ -18,11 +18,13 @@ order-preserving bytes.  The first component names the keyspace::
     ("r","t", relation, *row)                → b"" (one tuple)
     ("v", class, method)                     → {"use": class} (JSON)
     ("i","d", method)                        → b"" (index enabled)
-    ("i","e", method, value, owner, *args)   → b"" (one index entry)
 
-so one class's extent, one method's cells, and one index are each a
-single ``range_scan`` — which is what makes sharding extents across
-engines a key-splitting problem rather than a redesign.
+so one class's extent and one method's cells are each a single
+``range_scan`` — which is what makes sharding extents across engines a
+key-splitting problem rather than a redesign.  An index is stored as
+its registry key alone: opening a store back-fills each enabled index
+from the cells.  (Stores written before this layout also carry one
+``("i","e", ...)`` key per index entry; nothing reads them.)
 
 **Tuple packing.**  Each component is tagged, escaped (0x00 →
 0x00 0xFF) and 0x00-terminated, FoundationDB-tuple style; 64-bit ints
@@ -32,18 +34,19 @@ values, id-function applications), so ``unpack_key`` recovers the exact
 logical key — the codec is a bijection, property-tested per fact kind.
 
 **Journal.**  :class:`StoreJournal` is the store's write-path listener:
-every mutation arrives as one ``note_*`` call and leaves as codec-
-encoded ops on the attached engine, batched per mutation (autocommit)
-or grouped under :meth:`StoreJournal.batch`.  The commit stamp of every
-batch carries the store's MVCC mutation ticket at commit time.
+every fact a mutation changes arrives as one ``note_*`` call and leaves
+as codec-encoded ops on the attached engine.  Each public store
+mutator opens one :meth:`StoreJournal.batch`, so it commits as one
+batch; an outer ``batch()`` block groups several mutators into one.
+The commit stamp of every batch carries the store's MVCC mutation
+ticket at commit time.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.oid import Atom, FuncOid, Oid, Value
 from repro.storage.engine import (
@@ -78,7 +81,7 @@ KEYSPACES = {
     "f": "attribute/method fact cells",
     "r": "first-class relations",
     "v": "inheritance resolutions",
-    "i": "inverted index registry + entries",
+    "i": "inverted index registry",
 }
 
 
@@ -319,11 +322,11 @@ def _json_bytes(payload: object) -> bytes:
 class StoreJournal:
     """Mirrors every store mutation into an ordered-KV engine.
 
-    The store calls one ``note_*`` method per logical mutation from its
-    single write path; each call appends codec-encoded ops to the
-    pending batch.  Outside an explicit :meth:`batch` block every
-    mutation commits (and WAL-frames) individually; inside one, the
-    whole group commits atomically with one stamp — that is the unit
+    The store's write path calls one ``note_*`` method per changed fact;
+    each call appends codec-encoded ops to the pending batch.  The store
+    wraps every public mutator in :meth:`batch`, so a mutator commits
+    (and WAL-frames) as one batch; an outer :meth:`batch` block groups
+    several mutators into one commit with one stamp — that is the unit
     crash recovery restores to.
     """
 
@@ -337,18 +340,17 @@ class StoreJournal:
 
     # -- batching -------------------------------------------------------
 
-    @contextmanager
-    def batch(self) -> Iterator["StoreJournal"]:
-        """Group every mutation inside the block into one commit."""
-        self._depth += 1
-        try:
-            yield self
-        finally:
-            self._depth -= 1
-            if self._depth == 0:
-                self._flush()
+    def batch(self) -> "StoreJournal":
+        """``with journal.batch():`` groups every op noted inside the
+        block into one commit; blocks nest."""
+        return self
 
-    def _commit(self) -> None:
+    def __enter__(self) -> "StoreJournal":
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._depth -= 1
         if self._depth == 0:
             self._flush()
 
@@ -373,14 +375,12 @@ class StoreJournal:
                 }
             ),
         )
-        self._commit()
 
     def note_class(self, cls: Atom, parents: List[Atom]) -> None:
         self._pending.put(
             pack_key(("s", "c", cls)),
             _json_bytes(sorted(p.name for p in parents)),
         )
-        self._commit()
 
     def note_signature(
         self,
@@ -393,19 +393,20 @@ class StoreJournal:
         self._pending.put(
             pack_key(("s", "g", cls, method, result, set_valued) + args)
         )
-        self._commit()
 
     def note_resolution(self, cls: Atom, method: Atom, use: Atom) -> None:
         self._pending.put(
             pack_key(("v", cls, method)), _json_bytes({"use": use.name})
         )
-        self._commit()
 
     # -- instances ------------------------------------------------------
 
-    def note_object(self, obj: Oid) -> None:
-        self._pending.put(pack_key(("o", obj)))
-        self._commit()
+    def note_object(self, obj: Oid, present: bool = True) -> None:
+        key = pack_key(("o", obj))
+        if present:
+            self._pending.put(key)
+        else:
+            self._pending.delete(key)
 
     def note_membership(self, cls: Atom, obj: Oid, present: bool) -> None:
         key = pack_key(("x", cls, obj))
@@ -413,7 +414,6 @@ class StoreJournal:
             self._pending.put(key)
         else:
             self._pending.delete(key)
-        self._commit()
 
     def note_cell(
         self,
@@ -436,30 +436,6 @@ class StoreJournal:
             self._pending.put(key, encode_cell_value(scalar, new_values))
         else:
             self._pending.delete(key)
-        if self.store.is_indexed(method):
-            for value in old_values - new_values:
-                self._pending.delete(
-                    pack_key(("i", "e", method, value, owner) + args)
-                )
-            for value in new_values - old_values:
-                self._pending.put(
-                    pack_key(("i", "e", method, value, owner) + args)
-                )
-        self._commit()
-
-    def note_purge(self, obj: Oid, memberships, cells) -> None:
-        """Remove an object: marker, memberships, cells, index entries."""
-        self._pending.delete(pack_key(("o", obj)))
-        for cls in memberships:
-            self._pending.delete(pack_key(("x", cls, obj)))
-        for (method, args), cell in cells:
-            self._pending.delete(pack_key(("f", method, obj) + args))
-            if self.store.is_indexed(method):
-                for value in cell.as_set():
-                    self._pending.delete(
-                        pack_key(("i", "e", method, value, obj) + args)
-                    )
-        self._commit()
 
     # -- relations ------------------------------------------------------
 
@@ -467,37 +443,18 @@ class StoreJournal:
         self._pending.put(
             pack_key(("r", "d", name)), _json_bytes(list(columns))
         )
-        self._commit()
 
     def note_tuple(self, name: str, row: Tuple[Oid, ...]) -> None:
         self._pending.put(pack_key(("r", "t", name) + row))
-        self._commit()
 
     # -- indexes --------------------------------------------------------
 
     def note_index(self, method: Atom, enabled: bool) -> None:
         registry = pack_key(("i", "d", method))
-        if not enabled:
+        if enabled:
+            self._pending.put(registry)
+        else:
             self._pending.delete(registry)
-            self._pending.delete_range(
-                *prefix_range(("i", "e", method))
-            )
-            self._commit()
-            return
-        self._pending.put(registry)
-        # Back-fill the entry range from the engine's own cell range —
-        # the KV mirror is self-contained, no store scan needed.
-        start, end = prefix_range(("f", method))
-        for raw_key, raw_value in self.engine.range_scan(start, end):
-            parts = unpack_key(raw_key)
-            owner = parts[2]
-            args = parts[3:]
-            _scalar, values = decode_cell_value(raw_value)
-            for value in values:
-                self._pending.put(
-                    pack_key(("i", "e", method, value, owner) + tuple(args))
-                )
-        self._commit()
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A materialized view registers what its defining query *reads*: the FROM
 classes (checked against subclass closures at event time), the methods
 walked by WHERE conditions, the methods walked by SELECT items, and the
-relations referenced through id-term heads.  The single
-:class:`~repro.datamodel.store.ObjectStore` write seam — the same sink
-fan-out the storage journal hangs off — feeds every mutation to a
+relations referenced through id-term heads.  The
+:class:`~repro.datamodel.store.ObjectStore` write path — the same sink
+fan-out the storage journal hangs off — feeds every changed fact to a
 :class:`ViewMaintenance` observer, which classifies it:
 
 * **irrelevant** — touches nothing the view reads: ignored, the view
@@ -15,9 +15,13 @@ fan-out the storage journal hangs off — feeds every mutation to a
   dereferenced while materializing): only the affected groups are
   re-derived at the next sync, O(delta) instead of O(database);
 * **structural** — a WHERE-relevant method write, a membership change
-  inside a read class's subclass closure, a purge of a supporting
-  object, or a relation insert or (re)declaration: group membership may
-  have changed, so the view re-materializes fully at the next sync;
+  inside a read class's subclass closure, an object created or purged
+  while the view reads it (a supporting object, or any object under a
+  class wildcard or a literal-class FROM), or an insert into or
+  (re)declaration of a relation the view reads: group membership may
+  have changed, so the view re-materializes fully at the next sync.  A
+  purge arrives as its parts — one cell delete per cell, one membership
+  event per class, then the object event — each classified as above;
 * **DDL** — detected by comparing the store's published
   :class:`~repro.datamodel.store.Schema` value against the one stamped
   at the last (re)materialization: the view is rebuilt *and* its read
@@ -147,11 +151,7 @@ class ViewMaintenance:
         if not self.muted:
             self._manager._on_membership(cls, obj)
 
-    def note_purge(self, obj, memberships, cells):
-        if not self.muted:
-            self._manager._on_purge(obj, memberships)
-
-    def note_object(self, obj):
+    def note_object(self, obj, present=True):
         if not self.muted:
             self._manager._on_object(obj)
 

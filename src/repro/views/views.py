@@ -328,28 +328,31 @@ class ViewManager:
             ):
                 state.structural = True
 
-    def _on_purge(self, obj: Oid, memberships: Set[Atom]) -> None:
+    def _on_object(self, obj: Oid) -> None:
+        """An object was created or purged."""
         for state in self._states.values():
             read = state.read
             if (
-                obj in state.support
-                or read.class_wildcard
-                or any(
-                    self._closure_hits(cls, read.classes)
-                    for cls in memberships
-                )
+                read.class_wildcard
+                or read.literal_domain
+                or obj in state.support
             ):
                 state.structural = True
 
-    def _on_object(self, obj: Oid) -> None:
-        for state in self._states.values():
-            if state.read.class_wildcard or state.read.literal_domain:
-                state.structural = True
-
     def _on_relation(self, name: str) -> None:
+        """A tuple was inserted into, or a declaration replaced, *name*.
+
+        A tuple's values also join the known set, which a literal-class
+        FROM ranges over.
+        """
         for state in self._states.values():
             read = state.read
-            if read.relations or read.class_wildcard or read.method_wildcard:
+            if (
+                name in read.relations
+                or read.class_wildcard
+                or read.method_wildcard
+                or read.literal_domain
+            ):
                 state.structural = True
 
     # ------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Shared fixtures: paper database sessions, schemas, synthetic stores."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+#: The package source the suite tests; child interpreters import it too.
+SOURCE = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def pytest_addoption(parser):
@@ -33,6 +39,19 @@ from repro.schema.university import (
 )
 from repro.storage import MemoryEngine, encode_store
 from repro.workloads.paper_db import populate_paper_database
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """The environment of a child interpreter: ours, with the package
+    source first on ``PYTHONPATH`` (pytest's own path setting does not
+    reach a subprocess)."""
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        SOURCE if not inherited else os.pathsep.join([SOURCE, inherited])
+    )
+    return env
 
 
 def make_paper_session() -> Session:

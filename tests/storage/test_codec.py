@@ -292,27 +292,50 @@ class TestJournalMirroring:
         back = decode_store(engine)
         assert back.explicit_classes_of(mary) == frozenset()
 
-    def test_index_entries_maintained_incrementally(self):
+    def test_index_answers_identically_after_reopen(self):
+        # The engine keeps only the index registry key; reopening
+        # back-fills the index from the cells, across every write to the
+        # indexed method.
         engine, live = self.make_live()
         live.declare_class("Person")
         live.enable_index("Age")
         mary = live.create_object(Atom("mary"), ["Person"])
+        bob = live.create_object(Atom("bob"), ["Person"])
+        ann = live.create_object(Atom("ann"), ["Person"])
         live.set_attr(mary, "Age", 31)
         live.set_attr(mary, "Age", 32)
-        start, end = prefix_range(("i", "e", Atom("Age")))
-        entries = [unpack_key(k) for k, _v in engine.range_scan(start, end)]
-        assert len(entries) == 1
-        assert entries[0][3] == Value(32)
+        live.set_attr(bob, "Age", 32)
+        live.set_attr(ann, "Age", 40)
+        live.unset_attr(ann, "Age")
+        live.set_attr(ann, "Age", 31, args=[Atom("then")])
+        start, end = prefix_range(("i",))
+        assert [unpack_key(k) for k, _v in engine.range_scan(start, end)] == [
+            ("i", "d", Atom("Age"))
+        ]
+        back = decode_store(engine)
+        assert back.is_indexed("Age")
+        for value in (31, 32, 40):
+            for args in (None, [], [Atom("then")]):
+                assert back.lookup_by_value(
+                    "Age", value, args
+                ) == live.lookup_by_value("Age", value, args)
+        assert back.lookup_by_value("Age", 32) == {mary, bob}
+        live.disable_index("Age")
+        assert list(engine.range_scan(start, end)) == []
+        assert not decode_store(engine).is_indexed("Age")
 
-    def test_disable_index_clears_entries(self):
+    def test_legacy_index_entries_are_ignored(self):
+        # A store written with the retired per-entry index keyspace
+        # still opens; its entries are not read.
         engine, live = self.make_live()
         live.declare_class("Person")
         live.enable_index("Age")
         mary = live.create_object(Atom("mary"), ["Person"])
         live.set_attr(mary, "Age", 31)
-        live.disable_index("Age")
-        start, end = prefix_range(("i",))
-        assert list(engine.range_scan(start, end)) == []
+        engine.put(pack_key(("i", "e", Atom("Age"), Value(99), mary)), b"")
+        back = decode_store(engine)
+        assert back.lookup_by_value("Age", 31) == {mary}
+        assert back.lookup_by_value("Age", 99) == frozenset()
 
     def test_batch_groups_one_commit(self):
         engine, live = self.make_live()

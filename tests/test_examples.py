@@ -23,24 +23,26 @@ _EXAMPLE_PARAMS = [
 @pytest.mark.parametrize(
     "script", _EXAMPLE_PARAMS, ids=[p.stem for p in EXAMPLES]
 )
-def test_example_runs(script):
+def test_example_runs(script, child_env):
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,
+        env=child_env,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip(), "examples should print their results"
 
 
-def test_quickstart_shows_paper_answers():
+def test_quickstart_shows_paper_answers(child_env):
     script = next(p for p in EXAMPLES if p.stem == "quickstart")
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,
+        env=child_env,
     )
     assert "newyork" in completed.stdout
     assert "uniSQL" in completed.stdout

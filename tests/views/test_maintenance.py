@@ -120,6 +120,69 @@ class TestDeltaTiers:
             300000,
         ]
 
+    def test_purge_reached_only_through_where_forces_refresh(
+        self, paper_session
+    ):
+        # addr_sf is no supporting object of the view — only its WHERE
+        # path reaches it — yet purging it drops the City cell the
+        # condition reads.
+        session = paper_session
+        session.execute(
+            "CREATE VIEW SFStaff AS SUBCLASS OF Object "
+            "SIGNATURE StaffName = String "
+            "SELECT StaffName = X.Name FROM Employee X "
+            "OID FUNCTION OF X WHERE X.Residence.City['sanfrancisco']"
+        )
+        assert state_of(session, "SFStaff")["objects"] == 3
+        session.store.purge_object(Atom("addr_sf"))
+        assert state_of(session, "SFStaff")["state"] == "delta-pending"
+        fresh = session.query(
+            "SELECT X.Name FROM Employee X "
+            "WHERE X.Residence.City['sanfrancisco']"
+        ).scalars()
+        assert fresh == []
+        assert session.query(
+            "SELECT V.StaffName FROM SFStaff V"
+        ).scalars() == fresh
+
+    def test_insert_into_unread_relation_stays_fresh(self, paper_session):
+        session = paper_session
+        session.execute("CREATE RELATION Partner (a, b)")
+        session.execute("CREATE RELATION Other (a, b)")
+        session.execute("INSERT INTO Partner VALUES (uniSQL, 'x')")
+        session.execute(
+            "CREATE VIEW Partners AS SUBCLASS OF Object "
+            "SIGNATURE CompName = String "
+            "SELECT CompName = X.Name FROM Company X "
+            "OID FUNCTION OF X WHERE Partner(X, Y)"
+        )
+        session.store.insert_tuple("Other", [Atom("acme"), "y"])
+        assert state_of(session, "Partners")["state"] == "fresh"
+        session.store.insert_tuple("Partner", [Atom("acme"), "y"])
+        assert state_of(session, "Partners")["state"] == "delta-pending"
+        assert sorted(
+            session.query("SELECT V.CompName FROM Partners V").scalars()
+        ) == ["Acme", "UniSQL"]
+
+    def test_tuple_values_grow_a_literal_class_view(self, paper_session):
+        # A tuple's values join the known set, which FROM Numeral ranges
+        # over, so an insert into any relation can add a view object.
+        session = paper_session
+        session.store.declare_relation("Other", ["who", "what"])
+        session.execute(
+            "CREATE VIEW Numbers AS SUBCLASS OF Object "
+            "SIGNATURE N = Numeral "
+            "SELECT N = X FROM Numeral X OID FUNCTION OF X"
+        )
+        before = state_of(session, "Numbers")["objects"]
+        session.store.insert_tuple("Other", [Atom("acme"), 987654])
+        assert state_of(session, "Numbers")["state"] == "delta-pending"
+        fresh = sorted(session.query("SELECT X FROM Numeral X").scalars())
+        assert len(fresh) == before + 1
+        assert sorted(
+            session.query("SELECT V.N FROM Numbers V").scalars()
+        ) == fresh
+
     def test_ddl_forces_rebuild(self, view_session):
         view_session.store.declare_class("Startup", ["Company"])
         assert state_of(view_session)["state"] == "rebuild-pending"

@@ -144,13 +144,14 @@ class TestMetaCommands:
 
 
 class TestProcessEntryPoint:
-    def test_module_runs_with_paper_flag(self):
+    def test_module_runs_with_paper_flag(self, child_env):
         completed = subprocess.run(
             [sys.executable, "-m", "repro.xsql.repl", "--paper"],
             input="SELECT mary123.Residence.City;\n.quit\n",
             capture_output=True,
             text=True,
             timeout=300,
+            env=child_env,
         )
         assert completed.returncode == 0
         assert "newyork" in completed.stdout
