@@ -46,9 +46,10 @@ baseline artifact.
 ``SELECT X.Name, X.Salary FROM Employee X WHERE X.Salary > 300000`` on
 a 2,000-person store with a cold walker memo: C1 is the p50 of the
 first scan on a freshly pinned ``SnapshotSession``, C2 the p50 of a
-prepared live run right after a point write.  Both run on the
-comparison kernel and the atom-chain fetch; each p50 must stay within
-2× of the checked-in baseline artifact.
+prepared live run right after a point write.  Both run on step
+programs (``repro.xsql.programs``: a bound comparator and per-method
+cell readers); each p50 must stay within 2× of the checked-in baseline
+artifact.
 
 **Term benchmark** — the id-term operations every operator memo,
 batch column, extent set and binding dict repeats: T1 is 10,000
@@ -77,6 +78,14 @@ re-reading a materialized view through its id-term (which triggers the
 lazy *targeted* sync — only the affected groups re-derive) must be 5×
 faster than a full ``refresh`` recompute of the same view.
 
+**Host speed** — beside every timed group the run records the loop
+time of perfbench's ``SpeedProbe`` (``perfbench/measure.py``): the
+median of the reference loops sampled right before and right after
+the group.  The baseline gates (J, V, C, T) compare *probe-scaled*
+p50s — each p50 scaled to a host where that loop takes
+``SpeedProbe.NOMINAL_S`` — so a host that runs the same code slower or
+faster than the one the artifact was made on moves neither side.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--rounds N]
@@ -90,8 +99,10 @@ is CLI-only, the pointer, cold and term ones run in both)::
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -105,6 +116,20 @@ from repro.workloads.paper_db import populate_paper_database
 from repro.workloads.scale import ScaleSpec, generate_scaled
 from repro.xsql.lexer import tokenize
 from repro.xsql.pipeline import statement_shape
+
+
+def _load_speed_probe():
+    """perfbench's ``SpeedProbe``, loaded from its file: ``perfbench/``
+    is a directory of scripts, not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "measure.py"
+    spec = importlib.util.spec_from_file_location("perfbench_measure", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve through it
+    spec.loader.exec_module(module)
+    return module.SpeedProbe
+
+
+SpeedProbe = _load_speed_probe()
 
 #: The paper's numbered examples Q1–Q12 (read-only; Q13 is measured
 #: separately because object creation mutates the store).
@@ -322,6 +347,17 @@ def _timings(action: Callable[[], object], rounds: int) -> List[float]:
 
 def _median_seconds(action: Callable[[], object], rounds: int) -> float:
     return statistics.median(_timings(action, rounds))
+
+
+def probed(measure_group: Callable, *args, **kwargs) -> Tuple[object, float]:
+    """``(results, probe_ms)``: *measure_group*'s results, and the host's
+    speed while it ran — the median ``SpeedProbe`` reference-loop time,
+    in milliseconds, over the samples taken right before and after."""
+    probe = SpeedProbe()
+    probe.sample(SpeedProbe.WINDOW)
+    results = measure_group(*args, **kwargs)
+    probe.sample(SpeedProbe.WINDOW)
+    return results, statistics.median(probe.seconds) * 1000
 
 
 def measure(
@@ -569,12 +605,13 @@ def measure_cold(rounds: int = 9) -> List[Tuple[str, float, int]]:
 def cold_baseline_regressions(
     results: List[Tuple[str, float, int]],
     baseline: Dict[str, object],
+    probe_ms: float,
     factor: float = COLD_BASELINE_FACTOR,
 ) -> List[str]:
     """C queries whose cold p50 regressed against the baseline."""
     return _baseline_regressions(
         [(name, seconds) for name, seconds, _rows in results],
-        baseline, "cold", "cold", factor,
+        baseline, "cold", "cold", factor, probe_ms,
     )
 
 
@@ -614,10 +651,13 @@ def measure_terms(rounds: int = 9) -> List[Tuple[str, float]]:
 def terms_baseline_regressions(
     results: List[Tuple[str, float]],
     baseline: Dict[str, object],
+    probe_ms: float,
     factor: float = TERMS_BASELINE_FACTOR,
 ) -> List[str]:
     """T operations whose p50 regressed against the baseline."""
-    return _baseline_regressions(results, baseline, "terms", "terms", factor)
+    return _baseline_regressions(
+        results, baseline, "terms", "terms", factor, probe_ms
+    )
 
 
 def report_terms(results: List[Tuple[str, float]]) -> str:
@@ -975,48 +1015,65 @@ def _baseline_regressions(
     section: str,
     side: str,
     factor: float,
+    probe_ms: float,
 ) -> List[str]:
-    """Queries whose *side* p50 exceeds *factor* x the baseline's, or
-    that the baseline's *section* has no entry for (a missing entry
-    fails rather than silently turning the gate off)."""
+    """Queries whose probe-scaled *side* p50 exceeds *factor* x the
+    baseline's, or that the baseline's *section* has no entry or no
+    probe time for (a missing one fails rather than silently turning
+    the gate off).
+
+    A p50 is scaled by ``NOMINAL / probe``: *probe_ms* for this run, the
+    baseline's ``probe_ms[section]`` for the artifact.  Both sides are
+    then milliseconds on a host where the probe loop takes
+    ``SpeedProbe.NOMINAL_S``.
+    """
+    nominal_ms = SpeedProbe.NOMINAL_S * 1000
     base = {
         entry["query"]: entry[f"{side}_ms"]
         for entry in baseline.get(section, [])
     }
+    base_probe = baseline.get("probe_ms", {}).get(section)
     problems = []
     for name, seconds in measured:
         base_ms = base.get(name)
         if not base_ms:
             problems.append(f"{name}: no {side} p50 in the baseline")
-        elif seconds * 1000 > base_ms * factor:
-            problems.append(
-                f"{name}: {side} p50 {seconds * 1000:.3f}ms is "
-                f">{factor:g}x above baseline {base_ms:.3f}ms"
-            )
+        elif not base_probe:
+            problems.append(f"{name}: no {section} probe time in the baseline")
+        else:
+            now = seconds * 1000 * nominal_ms / probe_ms
+            then = base_ms * nominal_ms / base_probe
+            if now > then * factor:
+                problems.append(
+                    f"{name}: {side} p50 {now:.3f}ms (probe-scaled) is "
+                    f">{factor:g}x above baseline {then:.3f}ms"
+                )
     return problems
 
 
 def join_baseline_regressions(
     results: List[Tuple[str, float, float, int]],
     baseline: Dict[str, object],
+    probe_ms: float,
     factor: float = JOIN_BASELINE_FACTOR,
 ) -> List[str]:
     """J queries whose hash p50 regressed against the baseline."""
     return _baseline_regressions(
         [(name, hashed) for name, _nested, hashed, _rows in results],
-        baseline, "joins", "hash", factor,
+        baseline, "joins", "hash", factor, probe_ms,
     )
 
 
 def pointer_baseline_regressions(
     results: List[Tuple[str, float, float, int]],
     baseline: Dict[str, object],
+    probe_ms: float,
     factor: float = POINTER_BASELINE_FACTOR,
 ) -> List[str]:
     """V queries whose pointer p50 regressed against the baseline."""
     return _baseline_regressions(
         [(name, fused) for name, _hashed, fused, _rows in results],
-        baseline, "pointer", "pointer", factor,
+        baseline, "pointer", "pointer", factor, probe_ms,
     )
 
 
@@ -1155,11 +1212,19 @@ def as_json(
     shape_results: List[ShapeResult],
     cold_results: List[Tuple[str, float, int]],
     terms_results: List[Tuple[str, float]],
+    probes: Dict[str, float],
 ) -> Dict[str, object]:
-    """The JSON artifact CI uploads (``BENCH_pipeline.json``)."""
+    """The JSON artifact CI uploads (``BENCH_pipeline.json``).
+
+    *probes* holds the ``SpeedProbe`` loop time beside each timed group,
+    by section name; the baseline gates scale by it.
+    """
     targeted_s, recompute_s, groups = maintenance
     extent_x, purge_x = maintenance_scaling(maintenance_results)
     return {
+        "probe_ms": {
+            section: round(probe, 4) for section, probe in probes.items()
+        },
         "targets": {
             "cache_speedup": SPEEDUP_TARGET,
             "selective_speedup": SELECTIVE_TARGET,
@@ -1296,40 +1361,42 @@ def test_hash_joins_beat_nested_loops_on_every_join_workload():
 
 def test_join_baseline_gate_fails_on_slow_or_missing_entries():
     results = [("J1", 1.0, 0.010, 5), ("J2", 1.0, 0.050, 5)]
-    baseline = {"joins": [{"query": "J1", "hash_ms": 10.0},
+    baseline = {"probe_ms": {"joins": 1.0},
+                "joins": [{"query": "J1", "hash_ms": 10.0},
                           {"query": "J2", "hash_ms": 10.0}]}
-    problems = join_baseline_regressions(results, baseline)
+    problems = join_baseline_regressions(results, baseline, 1.0)
     assert [line.split(":")[0] for line in problems] == ["J2"]
-    assert join_baseline_regressions(results[:1], {}) == [
+    assert join_baseline_regressions(results[:1], {}, 1.0) == [
         "J1: no hash p50 in the baseline"
     ]
 
 
 def test_pointer_joins_beat_hash_on_every_pointer_workload():
-    results = measure_pointer(rounds=7)
+    results, probe_ms = probed(measure_pointer, rounds=7)
     assert pointer_beats_hash(results), report_pointer(results)
     with open(DEFAULT_BASELINE) as handle:
         baseline = json.load(handle)
-    regressions = pointer_baseline_regressions(results, baseline)
+    regressions = pointer_baseline_regressions(results, baseline, probe_ms)
     assert not regressions, "\n".join(regressions)
 
 
 def test_pointer_baseline_gate_fails_on_slow_or_missing_entries():
     results = [("V1", 1.0, 0.010, 1), ("V2", 1.0, 0.050, 1)]
-    baseline = {"pointer": [{"query": "V1", "pointer_ms": 10.0},
+    baseline = {"probe_ms": {"pointer": 1.0},
+                "pointer": [{"query": "V1", "pointer_ms": 10.0},
                             {"query": "V2", "pointer_ms": 10.0}]}
-    problems = pointer_baseline_regressions(results, baseline)
+    problems = pointer_baseline_regressions(results, baseline, 1.0)
     assert [line.split(":")[0] for line in problems] == ["V2"]
-    assert pointer_baseline_regressions(results[:1], {}) == [
+    assert pointer_baseline_regressions(results[:1], {}, 1.0) == [
         "V1: no pointer p50 in the baseline"
     ]
 
 
 def test_cold_scans_within_2x_of_baseline():
-    results = measure_cold(rounds=5)
+    results, probe_ms = probed(measure_cold, rounds=5)
     with open(DEFAULT_BASELINE) as handle:
         baseline = json.load(handle)
-    regressions = cold_baseline_regressions(results, baseline)
+    regressions = cold_baseline_regressions(results, baseline, probe_ms)
     assert not regressions, report_cold(results) + "\n" + "\n".join(
         regressions
     )
@@ -1337,20 +1404,36 @@ def test_cold_scans_within_2x_of_baseline():
 
 def test_cold_baseline_gate_fails_on_slow_or_missing_entries():
     results = [("C1", 0.010, 3), ("C2", 0.050, 3)]
-    baseline = {"cold": [{"query": "C1", "cold_ms": 10.0},
+    baseline = {"probe_ms": {"cold": 1.0},
+                "cold": [{"query": "C1", "cold_ms": 10.0},
                          {"query": "C2", "cold_ms": 10.0}]}
-    problems = cold_baseline_regressions(results, baseline)
+    problems = cold_baseline_regressions(results, baseline, 1.0)
     assert [line.split(":")[0] for line in problems] == ["C2"]
-    assert cold_baseline_regressions(results[:1], {}) == [
+    assert cold_baseline_regressions(results[:1], {}, 1.0) == [
         "C1: no cold p50 in the baseline"
     ]
 
 
+def test_baseline_gates_compare_probe_scaled_p50s():
+    # 30ms where the probe loop takes 2ms is 15ms where it takes 1ms:
+    # within 2x of a 10ms baseline made there.  On a host as fast as
+    # the baseline's, the same 30ms is 3x above it.
+    baseline = {"probe_ms": {"cold": 1.0},
+                "cold": [{"query": "C1", "cold_ms": 10.0}]}
+    results = [("C1", 0.030, 3)]
+    assert cold_baseline_regressions(results, baseline, 2.0) == []
+    problems = cold_baseline_regressions(results, baseline, 1.0)
+    assert [line.split(":")[0] for line in problems] == ["C1"]
+    assert cold_baseline_regressions(
+        results, {"cold": baseline["cold"]}, 1.0
+    ) == ["C1: no cold probe time in the baseline"]
+
+
 def test_terms_within_2x_of_baseline():
-    results = measure_terms(rounds=5)
+    results, probe_ms = probed(measure_terms, rounds=5)
     with open(DEFAULT_BASELINE) as handle:
         baseline = json.load(handle)
-    regressions = terms_baseline_regressions(results, baseline)
+    regressions = terms_baseline_regressions(results, baseline, probe_ms)
     assert not regressions, report_terms(results) + "\n" + "\n".join(
         regressions
     )
@@ -1358,11 +1441,12 @@ def test_terms_within_2x_of_baseline():
 
 def test_terms_baseline_gate_fails_on_slow_or_missing_entries():
     results = [("T1", 0.001), ("T2", 0.005)]
-    baseline = {"terms": [{"query": "T1", "terms_ms": 1.0},
+    baseline = {"probe_ms": {"terms": 1.0},
+                "terms": [{"query": "T1", "terms_ms": 1.0},
                           {"query": "T2", "terms_ms": 1.0}]}
-    problems = terms_baseline_regressions(results, baseline)
+    problems = terms_baseline_regressions(results, baseline, 1.0)
     assert [line.split(":")[0] for line in problems] == ["T2"]
-    assert terms_baseline_regressions(results[:1], {}) == [
+    assert terms_baseline_regressions(results[:1], {}, 1.0) == [
         "T1: no terms p50 in the baseline"
     ]
 
@@ -1449,17 +1533,28 @@ def main() -> int:
         return 1
     with open(args.baseline) as handle:
         baseline = json.load(handle)
-    results = measure(plan=args.plan, rounds=args.rounds)
-    shape = measure_shape(plan=args.plan)
-    selective = measure_selective(rounds=args.rounds)
-    joins = measure_joins(rounds=min(args.rounds, 5))
-    pointer = measure_pointer(rounds=min(args.rounds, 7))
-    cold = measure_cold(rounds=args.rounds)
-    terms = measure_terms(rounds=args.rounds)
-    maintenance = measure_view_maintenance(rounds=min(args.rounds, 5))
-    snapshot = measure_snapshot(rounds=args.rounds)
-    compiled = measure_compile()
-    upkeep = measure_maintenance()
+    # Every timed group runs between probe samples; probes[section] is
+    # the host's speed while it ran (see probed()).
+    probes: Dict[str, float] = {}
+
+    def timed(section: str, measure_group: Callable, *a, **kw):
+        results, probes[section] = probed(measure_group, *a, **kw)
+        return results
+
+    results = timed("cache", measure, plan=args.plan, rounds=args.rounds)
+    shape = timed("shape", measure_shape, plan=args.plan)
+    selective = timed("selective", measure_selective, rounds=args.rounds)
+    joins = timed("joins", measure_joins, rounds=min(args.rounds, 5))
+    pointer = timed("pointer", measure_pointer, rounds=min(args.rounds, 7))
+    cold = timed("cold", measure_cold, rounds=args.rounds)
+    terms = timed("terms", measure_terms, rounds=args.rounds)
+    maintenance = timed(
+        "view_maintenance", measure_view_maintenance,
+        rounds=min(args.rounds, 5),
+    )
+    snapshot = timed("snapshot", measure_snapshot, rounds=args.rounds)
+    compiled = timed("compile", measure_compile)
+    upkeep = timed("maintenance", measure_maintenance)
     estimation = measure_estimation() if args.analyze else None
     print(report(results))
     print()
@@ -1468,7 +1563,9 @@ def main() -> int:
     print(report_selective(selective))
     print()
     print(report_joins(joins))
-    regressions = join_baseline_regressions(joins, baseline)
+    regressions = join_baseline_regressions(
+        joins, baseline, probes["joins"]
+    )
     for line in regressions:
         print(f"REGRESSION vs {args.baseline}: {line}")
     if not regressions:
@@ -1478,7 +1575,9 @@ def main() -> int:
         )
     print()
     print(report_pointer(pointer))
-    pointer_regressions = pointer_baseline_regressions(pointer, baseline)
+    pointer_regressions = pointer_baseline_regressions(
+        pointer, baseline, probes["pointer"]
+    )
     for line in pointer_regressions:
         print(f"REGRESSION vs {args.baseline}: {line}")
     if not pointer_regressions:
@@ -1488,7 +1587,9 @@ def main() -> int:
         )
     print()
     print(report_cold(cold))
-    cold_regressions = cold_baseline_regressions(cold, baseline)
+    cold_regressions = cold_baseline_regressions(
+        cold, baseline, probes["cold"]
+    )
     for line in cold_regressions:
         print(f"REGRESSION vs {args.baseline}: {line}")
     if not cold_regressions:
@@ -1497,7 +1598,9 @@ def main() -> int:
         )
     print()
     print(report_terms(terms))
-    terms_regressions = terms_baseline_regressions(terms, baseline)
+    terms_regressions = terms_baseline_regressions(
+        terms, baseline, probes["terms"]
+    )
     for line in terms_regressions:
         print(f"REGRESSION vs {args.baseline}: {line}")
     if not terms_regressions:
@@ -1515,10 +1618,15 @@ def main() -> int:
     if estimation is not None:
         print()
         print(report_estimation(estimation))
+    print()
+    print(
+        "SpeedProbe loop time beside each group (ms): "
+        + ", ".join(f"{name} {probe:.3f}" for name, probe in probes.items())
+    )
     if args.json:
         payload = as_json(
             results, selective, joins, pointer, maintenance, snapshot,
-            compiled, upkeep, shape, cold, terms,
+            compiled, upkeep, shape, cold, terms, probes,
         )
         if estimation is not None:
             payload["analyze"] = estimation_as_json(estimation)

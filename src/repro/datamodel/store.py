@@ -25,7 +25,9 @@ batch — and changes facts only through the two write primitives,
 :meth:`ObjectStore._put_membership` for a class membership.  Each
 primitive chains the pre-image for pinned snapshots, swaps the fact,
 and then tells the inverted indexes, the statistics and every sink, so
-those can never disagree with the records.
+those can never disagree with the records.  A cell write that would
+store the cell already stored changes nothing, so it returns after its
+checks and moves nothing: no ticket, no batch, no chain entry.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ __all__ = ["ObjectStore", "Schema"]
 
 ClassLike = Union[Atom, str]
 OidLike = Union[Oid, int, float, str, bool]
+#: ``owner -> (values, set-valued)`` of one 0-ary method
+#: (:meth:`ObjectStore.cell_reader`).
+CellReader = Callable[[Oid], Tuple[FrozenSet[Oid], bool]]
 
 
 def _atom(name: ClassLike) -> Atom:
@@ -89,6 +94,21 @@ _NO_BATCH = nullcontext()
 
 #: Every class ``Catalogue.implicit_classes`` can return.
 _IMPLICIT_CLASSES = frozenset(BUILTIN_CLASSES) | {OBJECT_CLASS}
+
+
+def _unchanged(stored: Cell, cell: Cell) -> bool:
+    """Would storing *cell* over the *stored* one change nothing?
+
+    Such a write moves nothing: no ticket, no journal batch, no chain
+    entry.  Literals compare by value as oids (``Value(1) ==
+    Value(1.0)``), yet storing one over the other changes the stored
+    literal, so the payloads must print the same too.
+    """
+    if stored != cell:
+        return False
+    return sorted(map(repr, stored.as_set())) == sorted(
+        map(repr, cell.as_set())
+    )
 
 
 def _has_implicit_members(
@@ -499,10 +519,7 @@ class ObjectStore:
             for cls_atom in cls_atoms:
                 schema.hierarchy.require(cls_atom)
             with self._mutation():
-                if obj not in self._records:
-                    self._records[obj] = ObjectRecord(obj)
-                    for sink in self._sinks:
-                        sink.note_object(obj)
+                self._record(obj)
                 self._known_add(obj)
                 for cls_atom in cls_atoms:
                     self._put_membership(obj, cls_atom, True)
@@ -544,7 +561,8 @@ class ObjectStore:
                         self._put_cell(obj, method, args, None)
                 for cls in list(self._memberships.get(obj, ())):
                     self._put_membership(obj, cls, False)
-                self._records.pop(obj, None)
+                if self._records.pop(obj, None) is not None:
+                    self._history.record_record(obj, True)
                 if obj in self._known:
                     self._history.record_known(obj, True)
                     self._known.discard(obj)
@@ -789,14 +807,15 @@ class ObjectStore:
         method_atom = _atom(method)
         value_oid = as_oid(value)
         arg_oids = tuple(as_oid(a) for a in args)
+        cell = ScalarCell(value_oid)
         with self._history.lock:
-            self._check_write(
+            stored = self._check_write(
                 owner_oid, method_atom, arg_oids, False, (value_oid,)
             )
+            if stored is not None and _unchanged(stored, cell):
+                return
             with self._mutation():
-                self._put_cell(
-                    owner_oid, method_atom, arg_oids, ScalarCell(value_oid)
-                )
+                self._put_cell(owner_oid, method_atom, arg_oids, cell)
 
     def set_attr_set(
         self,
@@ -810,14 +829,15 @@ class ObjectStore:
         method_atom = _atom(method)
         value_oids = frozenset(as_oid(v) for v in values)
         arg_oids = tuple(as_oid(a) for a in args)
+        cell = SetCell(value_oids)
         with self._history.lock:
-            self._check_write(
+            stored = self._check_write(
                 owner_oid, method_atom, arg_oids, True, value_oids
             )
+            if stored is not None and _unchanged(stored, cell):
+                return
             with self._mutation():
-                self._put_cell(
-                    owner_oid, method_atom, arg_oids, SetCell(value_oids)
-                )
+                self._put_cell(owner_oid, method_atom, arg_oids, cell)
 
     def add_to_set(
         self,
@@ -838,10 +858,11 @@ class ObjectStore:
             members = frozenset({member_oid})
             if stored is not None:
                 members |= stored.values
+            cell = SetCell(members)
+            if stored is not None and _unchanged(stored, cell):
+                return
             with self._mutation():
-                self._put_cell(
-                    owner_oid, method_atom, arg_oids, SetCell(members)
-                )
+                self._put_cell(owner_oid, method_atom, arg_oids, cell)
 
     def unset_attr(
         self,
@@ -897,7 +918,7 @@ class ObjectStore:
         if cell is None:
             del record.cells[key]
         elif record is None:
-            self._records[owner] = ObjectRecord(owner, {key: cell})
+            self._record(owner).cells[key] = cell
         else:
             record.cells[key] = cell
         old_values = frozenset() if old is None else old.as_set()
@@ -941,8 +962,27 @@ class ObjectStore:
             for sink in self._sinks:
                 sink.note_membership(cls, obj, present)
         if present:
-            self._records.setdefault(obj, ObjectRecord(obj))
+            if obj not in self._records:
+                self._record(obj)
             self._known_add(obj)
+
+    def _record(self, obj: Oid) -> ObjectRecord:
+        """The record of *obj*, created on first use: the only creator of
+        records.
+
+        A new record of an individual is announced to every sink
+        (``note_object``), so the journal holds an ``("o", obj)`` marker
+        for exactly the objects that have a record, however they entered.
+        Class-objects hold default cells, not instances, and get none.
+        """
+        record = self._records.get(obj)
+        if record is None:
+            self._history.record_record(obj, False)
+            record = self._records[obj] = ObjectRecord(obj)
+            if self._sinks and not self.schema.catalogue.is_class(obj):
+                for sink in self._sinks:
+                    sink.note_object(obj)
+        return record
 
     def explicit_cell(
         self,
@@ -1073,6 +1113,40 @@ class ObjectStore:
     ) -> bool:
         record = self._records.get(cls)
         return record is not None and record.get(method, args) is not None
+
+    def _cell_lookup(self, key) -> Callable[[Oid], Optional[Cell]]:
+        """``owner -> explicit cell at key``, or None where none is stored."""
+        records = self._records
+
+        def lookup(owner: Oid) -> Optional[Cell]:
+            record = records.get(owner)
+            return None if record is None else record.cells.get(key)
+
+        return lookup
+
+    def cell_reader(self, method: Atom) -> CellReader:
+        """``owner -> invoke_kinded(owner, method)`` for a 0-ary
+        *method*, bound once for a step program.
+
+        One ``dict.get`` on the explicit cell; the full invocation only
+        where none is stored (class defaults, computed methods).  An
+        :class:`ArityError` reads as undefined, as a path walk reads it.
+        """
+        lookup = self._cell_lookup((method, ()))
+        invoke = self.invoke_kinded
+
+        def read(owner: Oid) -> Tuple[FrozenSet[Oid], bool]:
+            cell = lookup(owner)
+            if cell is None:
+                try:
+                    return invoke(owner, method)
+                except ArityError:
+                    return frozenset(), False
+            if type(cell) is SetCell:
+                return cell.values, True
+            return frozenset((cell.value,)), False
+
+        return read
 
     def invoke_scalar(
         self,

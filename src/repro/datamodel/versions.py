@@ -104,6 +104,11 @@ def _resolve(chain: Sequence[_Entry], ticket: int) -> Tuple[bool, Any]:
     return False, None
 
 
+def _cell(values: FrozenSet[Oid], set_valued: bool) -> Cell:
+    """The cell a chained pre-image ``(values, set-valued)`` stands for."""
+    return SetCell(values) if set_valued else ScalarCell(next(iter(values)))
+
+
 class SnapshotPin:
     """A refcounted pin on one committed ticket and its schema value."""
 
@@ -162,6 +167,9 @@ class MvccHistory:
         #: oldest pin (the extent-overlay index).
         self._membership_dirty: Dict[Atom, Set[Oid]] = {}
         self._known_chains: Dict[Oid, List[_Entry]] = {}
+        #: obj -> whether it held a record (an object of its own, cells
+        #: or not) before each change: creation and purge.
+        self._record_chains: Dict[Oid, List[_Entry]] = {}
         self._relation_chains: Dict[str, List[_Entry]] = {}
 
     # ------------------------------------------------------------------
@@ -242,12 +250,19 @@ class MvccHistory:
         self._membership_dirty.setdefault(cls, set()).add(obj)
 
     def record_known(self, obj: Oid, was_known: bool) -> None:
-        if not self._pins:
-            return
-        chain = self._known_chains.setdefault(obj, [])
-        if self._covered(chain):
-            return
-        chain.append((self.ticket, was_known))
+        if self._pins:
+            self._chain_flag(self._known_chains, obj, was_known)
+
+    def record_record(self, obj: Oid, existed: bool) -> None:
+        if self._pins:
+            self._chain_flag(self._record_chains, obj, existed)
+
+    def _chain_flag(
+        self, chains: Dict[Oid, List[_Entry]], obj: Oid, before: bool
+    ) -> None:
+        chain = chains.setdefault(obj, [])
+        if not self._covered(chain):
+            chain.append((self.ticket, before))
 
     def record_relation(self, name: str, relation) -> None:
         if not self._pins:
@@ -313,6 +328,11 @@ class MvccHistory:
             for obj, chain in self._known_chains.items()
             if (swept := sweep(chain))
         }
+        self._record_chains = {
+            obj: swept
+            for obj, chain in self._record_chains.items()
+            if (swept := sweep(chain))
+        }
         self._relation_chains = {
             name: swept
             for name, chain in self._relation_chains.items()
@@ -345,6 +365,9 @@ class MvccHistory:
                 "membership_chain_entries": membership_entries,
                 "known_chain_entries": sum(
                     len(c) for c in self._known_chains.values()
+                ),
+                "record_chain_entries": sum(
+                    len(c) for c in self._record_chains.values()
                 ),
                 "relation_chain_entries": sum(
                     len(c) for c in self._relation_chains.values()
@@ -502,18 +525,42 @@ class StoreView(ObjectStore):
                     if pre is None:
                         cells.pop(key, None)
                     else:
-                        values, set_valued = pre
-                        cells[key] = (
-                            SetCell(values)
-                            if set_valued
-                            else ScalarCell(next(iter(values)))
-                        )
+                        cells[key] = _cell(*pre)
             self._cells_memo[owner] = cells
         return cells
 
+    def _cell_lookup(self, key):
+        """One cell at the pin, without copying the owner's cells: the
+        live cell first, its chain second (chain wins), the order
+        :meth:`_cells_of` reads in."""
+        records = self._base._records
+        history = self._history
+        ticket = self._ticket
+
+        def lookup(owner: Oid) -> Optional[Cell]:
+            record = records.get(owner)
+            cell = None if record is None else record.cells.get(key)
+            per = history._cell_chains.get(owner)
+            chain = per.get(key) if per else None
+            if chain:
+                hit, pre = _resolve(chain, ticket)
+                if hit:
+                    return None if pre is None else _cell(*pre)
+            return cell
+
+        return lookup
+
     def _snapshot_owners(self) -> Set[Oid]:
+        """The objects that held a record at the pin: live first, the
+        record chains (creations and purges since) second."""
         owners = set(self._base._records)
-        owners.update(self._history._cell_chains)
+        for obj, chain in list(self._history._record_chains.items()):
+            hit, existed = _resolve(chain, self._ticket)
+            if hit:
+                if existed:
+                    owners.add(obj)
+                else:
+                    owners.discard(obj)
         return owners
 
     def explicit_cell(

@@ -427,12 +427,9 @@ class StoreJournal:
     ) -> None:
         key = pack_key(("f", method, owner) + args)
         if present:
-            # An explicit owner marker rides along so objects reached
-            # only through the cell write path (no ``create_object``)
-            # survive a later unset: membership in ``known_objects()``
-            # must not depend on still holding a cell.
-            if not self.store.catalogue.is_class(owner):
-                self._pending.put(pack_key(("o", owner)))
+            # The owner's ``("o", owner)`` marker comes from
+            # ``note_object``, which the store calls when it makes the
+            # owner's record, however the object entered.
             self._pending.put(key, encode_cell_value(scalar, new_values))
         else:
             self._pending.delete(key)

@@ -137,15 +137,19 @@ class PathExpr:
         return tuple(dict.fromkeys(path_variables(self)))
 
     @cached_property
-    def is_atom_chain(self) -> bool:
-        """Every step a ground 0-ary method without a selector (computed
-        once): ``H.M1.M2…``, whose value is a plain attribute fetch."""
-        return all(
-            isinstance(step.method_expr.method, Atom)
+    def chain_methods(self) -> Optional[Tuple[Atom, ...]]:
+        """The methods of an atom chain ``H.M1.M2…`` — every step a
+        ground 0-ary method without a selector, so the value is a plain
+        attribute fetch — else None (computed once)."""
+        methods = tuple(step.method_expr.method for step in self.steps)
+        if all(
+            isinstance(method, Atom)
             and not step.method_expr.args
             and step.selector is None
-            for step in self.steps
-        )
+            for method, step in zip(methods, self.steps)
+        ):
+            return methods
+        return None
 
 
 def path_of_term(term: SelectorNode) -> PathExpr:
@@ -587,6 +591,17 @@ def operand_variables(operand: Operand) -> Iterator[Variable]:
     elif isinstance(operand, SubQueryOperand):
         yield from free_variables(operand.query)
     # SetLitOperand has no variables (literals only)
+
+
+def compared_variables(operand: Operand) -> Iterator[Variable]:
+    """The variables a comparison enumerates in *operand*: all of its
+    variables except a subquery's, which are local to it (a subquery is
+    correlated through the binding instead)."""
+    if isinstance(operand, (PathOperand, AggOperand)):
+        yield from path_variables(operand.path)
+    elif isinstance(operand, (SetOpOperand, ArithOperand)):
+        yield from compared_variables(operand.left)
+        yield from compared_variables(operand.right)
 
 
 def cond_variables(cond: Cond) -> Iterator[Variable]:

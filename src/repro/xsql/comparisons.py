@@ -18,12 +18,15 @@ the two values as whole sets.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.errors import QueryError
 from repro.oid import Oid, Value
 
-__all__ = ["compare", "element_compare", "ELEMENT_OPS", "SET_OPS"]
+__all__ = [
+    "compare", "element_compare", "ground_test", "ELEMENT_OPS", "SET_OPS",
+]
 
 
 def _numeric(term: Oid) -> Optional[float]:
@@ -117,3 +120,82 @@ def compare(
     if lq == "all":
         return all(right_holds(x) for x in left)
     return any(right_holds(x) for x in left)
+
+
+#: The ordering comparators, and each one's mirror (``g < x`` iff
+#: ``x > g``), so a test with the ground side on the left reads the same.
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge}
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+ValueTest = Callable[[FrozenSet[Oid]], bool]
+
+
+def ground_test(
+    op: str,
+    ground: FrozenSet[Oid],
+    ground_on_left: bool,
+    lq: Optional[str] = None,
+    rq: Optional[str] = None,
+) -> ValueTest:
+    """:func:`compare` with one side's value fixed: ``values -> bool``.
+
+    A step program binds this once per batch, from the operator, the
+    quantifiers and the ground side's value, and runs it once per key.
+    It answers exactly what ``compare(op, values, ground, lq, rq)`` (or,
+    with *ground_on_left*, ``compare(op, ground, values, lq, rq)``)
+    answers: a singleton ground side binds a one-element test typed by
+    its value's kind, and any other ground side keeps ``compare``.
+    """
+    if op in SET_OPS:
+        fn = SET_OPS[op]
+        if ground_on_left:
+            return lambda values: fn(ground, values)
+        return lambda values: fn(values, ground)
+    if op not in ELEMENT_OPS:
+        raise QueryError(f"unknown comparator {op!r}")
+    if len(ground) != 1:
+        if ground_on_left:
+            return lambda values: compare(op, ground, values, lq, rq)
+        return lambda values: compare(op, values, ground, lq, rq)
+    # Over a one-element side ``some`` and ``all`` coincide, so only the
+    # other side's quantifier is left; an empty other side answers it
+    # vacuously, as compare's early returns do.
+    (element,) = ground
+    test = _element_test(op, element, ground_on_left)
+    if (rq if ground_on_left else lq) == "all":
+        return lambda values: all(map(test, values))
+    return lambda values: any(map(test, values))
+
+
+def _element_test(
+    op: str, ground: Oid, ground_on_left: bool
+) -> Callable[[Oid], bool]:
+    """``x -> element_compare(op, x, ground)`` (or ``(ground, x)``),
+    typed once by *ground*'s kind: bools are not numerals, and an
+    ordering between mismatched kinds fails."""
+    if op == "!=":
+        equal = _element_test("=", ground, ground_on_left)
+        return lambda term: not equal(term)
+    number = _numeric(ground)
+    if op == "=":
+        if number is None:
+            return lambda term: term == ground
+
+        def equal(term: Oid) -> bool:
+            found = _numeric(term)
+            return term == ground if found is None else found == number
+
+        return equal
+    cmp = _ORDER[_MIRROR[op] if ground_on_left else op]
+    kind, bound = (_numeric, number) if number is not None else (
+        _text, _text(ground)
+    )
+    if bound is None:
+        return lambda term: False
+
+    def ordered(term: Oid) -> bool:
+        found = kind(term)
+        return found is not None and cmp(found, bound)
+
+    return ordered

@@ -427,17 +427,6 @@ class Evaluator:
 
     # -- comparisons ------------------------------------------------------
 
-    def _comparison_free_vars(self, operand: ast.Operand) -> Iterator[Variable]:
-        """Variables a comparison must enumerate (subqueries are closed)."""
-        if isinstance(operand, ast.PathOperand):
-            yield from ast.path_variables(operand.path)
-        elif isinstance(operand, ast.AggOperand):
-            yield from ast.path_variables(operand.path)
-        elif isinstance(operand, (ast.SetOpOperand, ast.ArithOperand)):
-            yield from self._comparison_free_vars(operand.left)
-            yield from self._comparison_free_vars(operand.right)
-        # SubQueryOperand: correlated through env; its variables are local.
-
     def _enumerate_vars(
         self, variables: List[Variable], env: Bindings
     ) -> Iterator[Bindings]:
@@ -485,7 +474,7 @@ class Evaluator:
                 bind_var = self._single_unbound_var(cond.rhs, env)
                 other = cond.lhs
             if bind_var is not None and not list(
-                self._comparison_free_vars(other)
+                ast.compared_variables(other)
             ):
                 for value in sorted(
                     self.eval_operand(other, env), key=term_sort_key
@@ -496,8 +485,8 @@ class Evaluator:
                         continue
                     yield {**env, bind_var: value}
                 return
-        variables = list(self._comparison_free_vars(cond.lhs))
-        variables.extend(self._comparison_free_vars(cond.rhs))
+        variables = list(ast.compared_variables(cond.lhs))
+        variables.extend(ast.compared_variables(cond.rhs))
         for full_env in self._enumerate_vars(variables, env):
             left = self.eval_operand(cond.lhs, full_env)
             right = self.eval_operand(cond.rhs, full_env)

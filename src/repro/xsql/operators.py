@@ -102,7 +102,6 @@ from repro.xsql.batches import (
     product_count,
     replay_deltas,
 )
-from repro.xsql.comparisons import compare
 from repro.xsql.evaluator import (
     Evaluator,
     check_projectable,
@@ -112,6 +111,7 @@ from repro.xsql.evaluator import (
 )
 from repro.xsql.paths import Bindings, PathWalker
 from repro.xsql.planner import _cond_has_updates
+from repro.xsql.programs import KEEP, OperandProgram, key_env, lower
 from repro.xsql.result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,10 +152,6 @@ __all__ = [
 
 #: Quantifiers with existential (∩ ≠ ∅) semantics under ``compare("=")``.
 _EXISTENTIAL = (None, "some")
-
-#: The delta list of a row a filter keeps unchanged (``replay_deltas``
-#: only reads it).
-_KEEP: Tuple[Bindings, ...] = ({},)
 
 
 def _operand_join_vars(
@@ -435,12 +431,16 @@ class CondOperator(Operator):
         self,
         cond: Optional[ast.Cond],
         child: Optional[Operator] = None,
+        *,
+        program=None,
         **kw,
     ) -> None:
         if cond is not None:
             kw.setdefault("label", str(cond))
         super().__init__(child, **kw)
         self.cond = cond
+        #: The conjunct's step program (:func:`repro.xsql.programs.lower`).
+        self.program = program
 
     def _transform(self, state: State) -> State:
         return self._merge_eval(state)
@@ -473,16 +473,25 @@ class CondOperator(Operator):
         per-row ``eval_cond`` order, so the stream is bit-identical to
         the ungrouped evaluation.
 
-        A comparison computes each key on the comparison kernel
-        (:func:`_comparison_kernel`) instead of ``eval_cond`` whenever
-        the key binds every variable the comparison would enumerate.
+        A comparison computes each key on its step program
+        (:class:`~repro.xsql.programs.ComparisonProgram`) instead of
+        ``eval_cond`` whenever the key binds every variable the
+        comparison would enumerate; the chain values it computes count
+        as path-memo misses, once per batch.
         """
         ctx = self._ctx
         assert ctx is not None and self.cond is not None
         evaluator = ctx.evaluator
         cond = self.cond
+        program = self.program
+        key_vars = (
+            sorted(cond_vars, key=_var_key)
+            if program is None
+            else program.key_vars
+        )
 
-        def deltas(projection: Bindings) -> Tuple[Bindings, ...]:
+        def deltas(key: Tuple) -> Tuple[Bindings, ...]:
+            projection = key_env(key_vars, key)
             return tuple(
                 {
                     var: value
@@ -492,12 +501,14 @@ class CondOperator(Operator):
                 for out in evaluator.eval_cond(cond, projection)
             )
 
-        compute = deltas
-        if isinstance(cond, ast.Comparison):
-            compute = _comparison_kernel(evaluator, cond, deltas)
-        keys, per_key = self._per_key(
-            "cond", cond, sorted(cond_vars, key=_var_key), base, compute
+        compute, chains = (
+            (deltas, None)
+            if program is None
+            else program.bind(evaluator, deltas)
         )
+        keys, per_key = self._per_key("cond", cond, key_vars, base, compute)
+        if chains is not None and chains() and ctx.metrics is not None:
+            ctx.metrics.count("cache.path.miss", chains())
         return replay_deltas(base, cond_vars, [per_key[key] for key in keys])
 
     def _per_key(
@@ -512,27 +523,29 @@ class CondOperator(Operator):
 
         Returns the per-row projection keys and the value per distinct
         key, memoized across runs under the ``(tag, node)`` token
-        (:meth:`PathWalker.memoized`).
+        (:meth:`PathWalker.memo_map`); *compute* gets the key tuple.
         """
         assert self._ctx is not None
         keys = base.projection_keys(key_vars)
         walker = self._ctx.evaluator.walker
-        return keys, walker.memoized(tag, node, key_vars, keys, compute)
+        return keys, walker.memo_map(tag, node, keys, compute)
 
     def _operand_per_key(
         self, operand: ast.Operand, base: ColumnBatch
     ) -> Tuple[List[Tuple], Dict[Tuple, object]]:
         """The operand's value set once per distinct projection of *base*
         onto the operand's variables (the key :meth:`_operand_values`
-        memoizes under, so both share entries)."""
+        memoizes under, so both share entries), each read off the key by
+        the operand's step program."""
         assert self._ctx is not None
-        evaluator = self._ctx.evaluator
+        key_vars = _operand_key_vars(operand)
+        program = OperandProgram(operand, key_vars)
         return self._per_key(
             "operand",
             operand,
-            _operand_key_vars(operand),
+            key_vars,
             base,
-            lambda projection: evaluator.eval_operand(operand, projection),
+            program.bind(self._ctx.evaluator),
         )
 
     def _operand_values(self, operand: ast.Operand, env: Bindings):
@@ -578,42 +591,6 @@ class Aggregate(CondOperator):
     """A comparison over an aggregate operand (count/sum/avg/min/max)."""
 
     name = "Aggregate"
-
-
-def _comparison_kernel(
-    evaluator: Evaluator,
-    cond: ast.Comparison,
-    fallback,
-):
-    """The per-key computation of a comparison conjunct.
-
-    When the projection binds every variable ``eval_cond`` would
-    enumerate, §3.2's quantified test is one ``compare`` over the two
-    operand values, and the delta is :data:`_KEEP` or nothing, which is
-    what ``eval_cond`` yields there.  Other keys go to *fallback*.  The
-    enumerated variables are collected on the first key computed, so a
-    run answered wholly from the memo pays nothing extra.
-    """
-    enumerated: Optional[FrozenSet[Variable]] = None
-
-    def compute(projection: Bindings) -> Tuple[Bindings, ...]:
-        nonlocal enumerated
-        if enumerated is None:
-            enumerated = frozenset(
-                itertools.chain(
-                    evaluator._comparison_free_vars(cond.lhs),
-                    evaluator._comparison_free_vars(cond.rhs),
-                )
-            )
-        if not projection.keys() >= enumerated:
-            return fallback(projection)
-        left = evaluator.eval_operand(cond.lhs, projection)
-        right = evaluator.eval_operand(cond.rhs, projection)
-        if compare(cond.op, left, right, cond.lq, cond.rq):
-            return _KEEP
-        return ()
-
-    return compute
 
 
 def _covering(state: State, needed: Set[Variable]) -> Optional[State]:
@@ -738,7 +715,7 @@ class SemiJoin(CondOperator):
         if ground:
             keys, values = self._operand_per_key(keyed_op, base)
             hit = {
-                key: _KEEP if not ground.isdisjoint(found) else ()
+                key: KEEP if not ground.isdisjoint(found) else ()
                 for key, found in values.items()
             }
             per_row: List[Sequence[Bindings]] = [hit[key] for key in keys]
@@ -930,12 +907,15 @@ class PointerJoin(CondOperator):
         args: Tuple[Oid, ...],
     ) -> Optional[ColumnBatch]:
         """Dereference once per distinct projection."""
+        key_vars = sorted(other_vars, key=_var_key)
         keys, deltas = self._per_key(
             "pointer:" + self.direction,
             self.cond,
-            sorted(other_vars, key=_var_key),
+            key_vars,
             base,
-            lambda projection: self._bind(other, projection, method, args),
+            lambda key: self._bind(
+                other, key_env(key_vars, key), method, args
+            ),
         )
         if any(found is None for found in deltas.values()):
             return None  # incomplete index discovered mid-run
@@ -1067,7 +1047,7 @@ def _item_variables(item: ast.SelectItem) -> Tuple[Variable, ...]:
     return ()
 
 
-def _item_values(
+def _item_walk(
     walker: PathWalker,
     item: ast.SelectItem,
     item_vars: Tuple[Variable, ...],
@@ -1077,17 +1057,19 @@ def _item_values(
     tails of its walk, unbound variables ranging existentially."""
     if not isinstance(item, ast.PathItem):
         raise QueryError("set-attribute SELECT items require OID FUNCTION OF")
-    env = {var: cell for var, cell in zip(item_vars, key) if cell is not None}
-    chained = walker.chain_value(item.path, env)
-    if chained is not None:
-        return chained[0]
+    env = key_env(item_vars, key)
     return frozenset(hit.tail for hit in walker.walk(item.path, env))
 
 
 def _project(
     walker: PathWalker, items: Sequence[ast.SelectItem], state: State
 ) -> Iterator[Tuple[Oid, ...]]:
-    """The result tuples of *items* over *state* (a set; order is free)."""
+    """The result tuples of *items* over *state* (a set; order is free).
+
+    An atom-chain item reads its values off the key through its step
+    program (:func:`~repro.xsql.programs.lower`, cheap enough to lower
+    per run); any other item walks.
+    """
     if any(batch.length == 0 for batch in state):
         return
     item_vars = [_item_variables(item) for item in items]
@@ -1130,6 +1112,10 @@ def _project(
     budget = walker.memo_capacity
     tokens = [walker.memo_token("select", item) for item in items]
     getters = [_key_getter(slots_of) for slots_of in positions]
+    tails = [
+        None if program is None else program.tails(walker.store)
+        for program in map(lower, items)
+    ]
     bare = [
         isinstance(item, ast.PathItem)
         and not item.path.steps
@@ -1155,9 +1141,12 @@ def _project(
                 memo_key = (tokens[index], item_key)
                 values = walker.memo_get_fresh(memo_key)
                 if values is None:
-                    values = _item_values(
-                        walker, items[index], item_vars[index], item_key
-                    )
+                    fetch = tails[index]
+                    values = None if fetch is None else fetch(item_key)
+                    if values is None:
+                        values = _item_walk(
+                            walker, items[index], item_vars[index], item_key
+                        )
                     misses += 1
                     if budget:
                         walker.memo_put(memo_key, values)
@@ -1241,6 +1230,8 @@ class LowerSpec:
     ``entries``      the cost plan's entries, aligned FROM-decls-first
                      then conjuncts-in-plan-order; they carry labels,
                      access paths, and estimated cardinalities.
+    ``programs``     the step programs lowered so far, by node: the
+                     compiled statement's cache, so a re-run lowers none.
     """
 
     def __init__(
@@ -1249,11 +1240,23 @@ class LowerSpec:
         restrictions: Optional[Mapping[Variable, object]] = None,
         probe_vars: Optional[Set[Variable]] = None,
         entries: Sequence["PlanEntry"] = (),
+        programs: Optional[Dict[object, object]] = None,
     ) -> None:
         self.factored = factored
         self.restrictions = restrictions or {}
         self.probe_vars = probe_vars or set()
         self.entries = list(entries)
+        self.programs = {} if programs is None else programs
+
+    def program(self, cond: ast.Cond):
+        """The step program of a comparison conjunct, lowered on first
+        use; None for any other conjunct."""
+        if not isinstance(cond, ast.Comparison):
+            return None
+        program = self.programs.get(cond)
+        if program is None:
+            program = self.programs[cond] = lower(cond)
+        return program
 
 
 def _scan_class(
@@ -1362,12 +1365,17 @@ def lower_query(query: ast.Query, spec: LowerSpec) -> Operator:
                     decl=fused.pop(entry.pointer_var),
                     direction=entry.pointer_direction or "forward",
                     merge_all=merge_all,
+                    program=spec.program(cond),
                     **_entry_kwargs(entry),
                 )
                 continue
             cond_cls = _cond_class(cond, spec.factored)
             node = cond_cls(
-                cond, node, merge_all=merge_all, **_entry_kwargs(entry)
+                cond,
+                node,
+                merge_all=merge_all,
+                program=spec.program(cond),
+                **_entry_kwargs(entry),
             )
     # Safety net: a fused declaration whose conjunct never lowered (a
     # plan/lowering mismatch) still gets its scan, so no variable is

@@ -27,6 +27,7 @@ from repro.datamodel.store import ObjectStore
 from repro.errors import ArityError, QueryError
 from repro.oid import Atom, FuncOid, Oid, Value, Variable, VarSort, term_sort_key
 from repro.xsql import ast
+from repro.xsql.programs import chain_fetcher, key_env
 
 __all__ = ["Bindings", "PathHit", "PathWalker", "resolve_term"]
 
@@ -107,6 +108,10 @@ class PathWalker:
         self._candidate_cache: Dict[Variable, List[Oid]] = {}
         self._extent_cache: Dict[Oid, List[Oid]] = {}
         self._cache_stamp: Optional[int] = None
+
+    @property
+    def store(self) -> ObjectStore:
+        return self._store
 
     # ------------------------------------------------------------------
     # the ticket-stamped memo
@@ -198,12 +203,29 @@ class PathWalker:
 
         A key holds one cell per variable of *key_vars* (None if
         unbound); *compute* gets it as a binding dict without the unbound
-        cells and runs once per key the memo lacks.  The freshness check
-        runs once per call, so only a one-key call may write the store
-        from *compute* (the next call sees the write); a ``None`` it
-        returns is passed through, never stored.  Every key is looked up
-        and a call writes at most :attr:`memo_capacity` entries, so a
-        call over more keys than the memo holds cannot cycle it.
+        cells (:meth:`memo_map`, which it runs on).
+        """
+        return self.memo_map(
+            tag, node, keys, lambda key: compute(key_env(key_vars, key))
+        )
+
+    def memo_map(
+        self,
+        tag: str,
+        node: object,
+        keys: Iterable[Tuple],
+        compute: Callable[[Tuple], object],
+    ) -> Dict[Tuple, object]:
+        """The value of *node* under each distinct key of *keys*;
+        *compute* gets the key tuple itself and runs once per key the
+        memo lacks.
+
+        The freshness check runs once per call, so only a one-key call
+        may write the store from *compute* (the next call sees the
+        write); a ``None`` it returns is passed through, never stored.
+        Every key is looked up and a call writes at most
+        :attr:`memo_capacity` entries, so a call over more keys than the
+        memo holds cannot cycle it.
         """
         token = self.memo_token(tag, node)
         budget = self._memo_cache_cap
@@ -215,9 +237,7 @@ class PathWalker:
             memo_key = (token, key)
             value = self.memo_get_fresh(memo_key)
             if value is None:
-                value = compute(
-                    {v: c for v, c in zip(key_vars, key) if c is not None}
-                )
+                value = compute(key)
                 misses += 1
                 if budget and value is not None:
                     self.memo_put(memo_key, value)
@@ -573,41 +593,6 @@ class PathWalker:
             for final_env, tail, flag in frontier:
                 yield PathHit(_freeze(final_env), tail, flag)
 
-    def chain_value(
-        self, path: ast.PathExpr, env: Bindings
-    ) -> Optional[Tuple[FrozenSet[Oid], bool]]:
-        """The chain fetch: ``(tails, set-shaped)`` of an atom chain
-        (``H.M1.M2…``: ground 0-ary methods, no selectors) whose head
-        resolves to an oid under *env*; ``None`` for any other path.
-
-        Equal to folding :meth:`walk`, which enumerates every database
-        path: a node's continuation does not depend on how it was
-        reached, so the frontier keeps each node once with the OR of the
-        flags of the prefixes reaching it, and the flag read at the end
-        is the OR over complete paths only (an empty frontier reads
-        ``False``, as a walk that yields nothing does).  Uncached and
-        uncounted, like :meth:`walk`.
-        """
-        if not path.is_atom_chain:
-            return None
-        head = resolve_term(path.head, env)
-        if not isinstance(head, Oid):
-            return None
-        frontier: Dict[Oid, bool] = {head: False}
-        for step in path.steps:
-            method = step.method_expr.method
-            reached: Dict[Oid, bool] = {}
-            for node, flag in frontier.items():
-                values, set_valued = self._invoke(node, method, ())
-                flag = flag or set_valued
-                for value in values:
-                    if flag or value not in reached:
-                        reached[value] = flag
-            frontier = reached
-            if not frontier:
-                break
-        return frozenset(frontier), any(frontier.values())
-
     def value(
         self, path: ast.PathExpr, env: Optional[Bindings] = None
     ) -> FrozenSet[Oid]:
@@ -629,8 +614,9 @@ class PathWalker:
         entry, so distinct outer environments that agree on those
         variables share one walk.  Counted as ``cache.path.hit/miss``.
 
-        A miss on an atom chain under a ground head takes
-        :meth:`chain_value` instead of the generic :meth:`walk`.
+        A miss on an atom chain under a ground head runs the chain's
+        cell readers (:func:`~repro.xsql.programs.chain_fetcher`)
+        instead of the generic :meth:`walk`.
         """
         token = self.memo_token("path", path)
         env = env or {}
@@ -640,8 +626,11 @@ class PathWalker:
             if self._metrics is not None:
                 self._metrics.count("cache.path.hit")
             return cached
-        result = self.chain_value(path, env)
-        if result is None:
+        methods = path.chain_methods
+        head = None if methods is None else resolve_term(path.head, env)
+        if isinstance(head, Oid):
+            result = chain_fetcher(self._store, methods)(head)
+        else:
             tails = set()
             shaped = False
             for hit in self.walk(path, env):

@@ -173,6 +173,10 @@ class CompiledQuery:
     #: The source's NUMBER/STRING literals in token order (see
     #: :func:`statement_shape`).
     literals: Tuple[Scalar, ...] = field(repr=False, default=())
+    #: The step programs lowered from ``planned`` (comparisons and SELECT
+    #: items, :mod:`repro.xsql.programs`), by node; every run's lowering
+    #: reads them here instead of lowering again.
+    programs: Dict[object, object] = field(repr=False, default_factory=dict)
     #: True while ``report`` is the typing report of the cached statement
     #: this one was rebound from: right for planning, but its occurrences
     #: print that statement's literals, so explain() re-analyzes.
@@ -586,6 +590,7 @@ class QueryPipeline:
         compiled.cost_plan = None
         compiled.last_trace = None
         compiled.last_optree = None
+        compiled.programs = {}
         if compiled.plan in ("typed", "cost") and isinstance(
             statement, ast.Query
         ):
@@ -782,6 +787,7 @@ class QueryPipeline:
                 restrictions=restrictions,
                 probe_vars=probe_vars,
                 entries=cost_plan.entries,
+                programs=compiled.programs,
             )
             return restrictions, spec, cost_plan
         if (
@@ -791,9 +797,11 @@ class QueryPipeline:
             and compiled.report.strict_witness is not None
         ):
             restrictions = self._typed_restrictions(compiled)
-            spec = operators.LowerSpec(restrictions=restrictions)
+            spec = operators.LowerSpec(
+                restrictions=restrictions, programs=compiled.programs
+            )
             return restrictions, spec, None
-        return {}, operators.LowerSpec(), None
+        return {}, operators.LowerSpec(programs=compiled.programs), None
 
     def _typed_restrictions(self, compiled: CompiledQuery) -> Dict:
         """Theorem 6.1 instantiation sets for a strictly well-typed query."""

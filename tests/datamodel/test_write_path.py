@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datamodel.objects import ScalarCell, SetCell
 from repro.datamodel.store import ObjectStore
 from repro.errors import ArityError, UnknownClassError
 from repro.oid import Atom, Value
@@ -106,6 +107,20 @@ def apply(store: ObjectStore, step) -> None:
         getattr(store, kind)(*payload)
 
 
+def changes_nothing(store: ObjectStore, step) -> bool:
+    """Is *step* a cell write that would store the cell already stored?"""
+    kind, *payload = step
+    if kind not in ("set_attr", "set_attr_set", "add_to_set"):
+        return False
+    target, method, val, arg_oids = payload
+    stored = store.explicit_cell(target, method, arg_oids)
+    if kind == "set_attr":
+        return stored == ScalarCell(val)
+    if kind == "set_attr_set":
+        return stored == SetCell(frozenset(val))
+    return isinstance(stored, SetCell) and val in stored.values
+
+
 def without_index_registry(image):
     registry = pack_key(("i",))
     return [kv for kv in image if not kv[0].startswith(registry)]
@@ -122,10 +137,17 @@ class TestOneWritePath:
                 pinned = (store.snapshot_view(), canonical(store))
             ticket, batches = store.ticket, engine.batches_applied
             status = store.version_status()
+            unchanged = changes_nothing(store, step)
             try:
                 apply(store, step)
             except (ArityError, UnknownClassError):
                 # A rejected write moves nothing.
+                assert store.ticket == ticket
+                assert engine.batches_applied == batches
+                assert store.version_status() == status
+                continue
+            if unchanged:
+                # Neither does a cell write that changes nothing.
                 assert store.ticket == ticket
                 assert engine.batches_applied == batches
                 assert store.version_status() == status
@@ -196,3 +218,91 @@ class TestOneMutatorOneBatch:
         ticket = store.ticket
         store.create_object(Atom("x"), ["A", "B"])
         assert store.ticket == ticket + 1
+
+
+class TestEveryRecordIsJournaled:
+    """An object journals its ``("o", obj)`` marker once, however its
+    record was made, and a cell write re-puts nothing."""
+
+    def test_add_then_remove_instance_keeps_the_object(self):
+        engine, store = journaled_store()
+        store.add_instance(Atom("o0"), "A")
+        store.remove_instance(Atom("o0"), "A")
+        assert Atom("o0") in {record.oid for record in store.iter_records()}
+        assert canonical(decode_store(engine)) == canonical(store)
+
+    def test_cell_write_puts_no_owner_marker(self):
+        engine, store = journaled_store()
+        store.set_attr(Atom("o0"), "S", Value(1))
+        marker = pack_key(("o", Atom("o0")))
+        assert engine.get(marker) is not None
+        engine.delete(marker)  # the next write must not put it back
+        store.set_attr(Atom("o0"), "S", Value(2))
+        assert engine.get(marker) is None
+
+
+class TestUnchangedWritesMoveNothing:
+    WRITES = [
+        ("set_attr", "S", Value(1)),
+        ("set_attr_set", "T", [Value(1), Value(2)]),
+        ("add_to_set", "T", Value(2)),
+    ]
+
+    @pytest.mark.parametrize("pin", [False, True], ids=["unpinned", "pinned"])
+    @pytest.mark.parametrize(
+        "mutator, method, payload", WRITES, ids=[w[0] for w in WRITES]
+    )
+    def test_no_ticket_no_batch_no_chain_entry(
+        self, mutator, method, payload, pin
+    ):
+        engine, store = journaled_store()
+        store.set_attr(Atom("o0"), "S", Value(1))
+        store.set_attr_set(Atom("o0"), "T", [Value(1), Value(2)])
+        view = store.snapshot_view() if pin else None
+        ticket, batches = store.ticket, engine.batches_applied
+        status = store.version_status()
+        getattr(store, mutator)(Atom("o0"), method, payload)
+        assert store.ticket == ticket
+        assert engine.batches_applied == batches
+        assert store.version_status() == status
+        if view is not None:
+            view.release()
+
+    def test_an_equal_literal_of_another_type_is_stored(self):
+        # Value(1) == Value(1.0) as oids, but the stored literal changes.
+        store = ObjectStore()
+        store.set_attr(Atom("o0"), "S", Value(1))
+        ticket = store.ticket
+        store.set_attr(Atom("o0"), "S", Value(1.0))
+        assert store.ticket == ticket + 1
+        assert repr(store.explicit_cell(Atom("o0"), "S").value) == (
+            "Value(1.0)"
+        )
+
+
+class TestPinnedRecords:
+    """A pinned view holds exactly the records the store held at the pin
+    (views disable the inverted indexes, so the registry is left out)."""
+
+    def test_object_purged_after_the_pin(self):
+        _engine, store = journaled_store()
+        store.create_object(Atom("o0"))
+        view = store.snapshot_view()
+        at_pin = without_index_registry(canonical(store))
+        store.purge_object(Atom("o0"))
+        assert without_index_registry(canonical(view)) == at_pin
+        view.release()
+
+    @pytest.mark.parametrize("late", ["create_object", "add_remove"])
+    def test_record_made_after_the_pin(self, late):
+        _engine, store = journaled_store()
+        store.set_attr(Atom("o0"), "S", Atom("o1"))  # o1 known, no record
+        view = store.snapshot_view()
+        at_pin = without_index_registry(canonical(store))
+        if late == "create_object":
+            store.create_object(Atom("o1"))
+        else:
+            store.add_instance(Atom("o1"), "A")
+            store.remove_instance(Atom("o1"), "A")
+        assert without_index_registry(canonical(view)) == at_pin
+        view.release()

@@ -1,25 +1,28 @@
-"""Differential test: the atom-chain fetch equals folding the generic walk.
+"""Differential test: the atom-chain step program equals the generic walk.
 
-``PathWalker.value_kinded`` answers an atom chain (``H.M1.M2…``: ground
-0-ary methods, no selectors) under a ground head by a frontier loop
-(``PathWalker.chain_value``) instead of :meth:`PathWalker.walk`.  Both
-must agree on the tails *and* on the set-shaped flag, which is an OR
-over complete paths only.  Every chain of length 1-3 that a head's
-reachable methods spell (plus an undefined method at each hop) is
-checked on the Figure 1 database, on a scale-1k population, and through
-a pinned ``StoreView``.
+An atom chain (``H.M1.M2…``: ground 0-ary methods, no selectors) under a
+ground head is answered by its step program — one cell reader per hop,
+folded from the head (``programs.chain_fetcher``, which
+``PathWalker.value_kinded`` runs, and ``ChainProgram.tails``, which
+``Project`` runs) — instead of :meth:`PathWalker.walk`.  They must agree
+on the tails *and* on the set-shaped flag, which is an OR over complete
+paths only.  Every chain of length 1-3 that a head's reachable methods
+spell (plus an undefined method at each hop) is checked on the Figure 1
+database, on a scale-1k population, and through a pinned ``StoreView``.
 """
 
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import pytest
 
 from repro import Session
 from repro.datamodel.methods import PythonMethod
-from repro.oid import Atom, FuncOid, Oid, Value, Variable
+from repro.oid import Atom, FuncOid, Oid, Value, Variable, VarSort
 from repro.workloads.scale import ScaleSpec, generate_scaled
 from repro.xsql import ast
-from repro.xsql.paths import PathWalker
+from repro.xsql.paths import PathWalker, resolve_term
+from repro.xsql.evaluator import Evaluator
+from repro.xsql.programs import ComparisonProgram, chain_fetcher, lower
 from tests.conftest import make_paper_session
 
 #: A method no object defines: the hop after it is always empty.
@@ -51,6 +54,25 @@ def walk_fold(
         tails.add(hit.tail)
         shaped = shaped or hit.set_shaped
     return frozenset(tails), shaped
+
+
+def program_value(
+    store, path: ast.PathExpr, env: Dict
+) -> Optional[Tuple[FrozenSet[Oid], bool]]:
+    """The chain's ``(tails, set-shaped)`` through its step program, or
+    None when the path lowers to none or its head is unbound.  The tails
+    ``Project`` reads (``ChainProgram.tails``) must agree."""
+    program = lower(ast.PathItem(path))
+    if program is None:
+        return None
+    key = tuple(env.get(var) for var in path.free_variables)
+    tails = program.tails(store)(key)
+    if tails is None:
+        return None
+    head = resolve_term(path.head, env)
+    fetched = chain_fetcher(store, path.chain_methods)(head)
+    assert fetched[0] == tails
+    return fetched
 
 
 def chains_from(
@@ -89,7 +111,7 @@ def assert_chains_agree(store, heads: List[Oid], max_len: int = 3) -> int:
                 (chain(X, methods), {X: head}),
             ):
                 expected = walk_fold(PathWalker(store), path, env)
-                fetched = PathWalker(store).chain_value(path, env)
+                fetched = program_value(store, path, env)
                 assert fetched == expected, (head, methods)
                 assert PathWalker(store).value_kinded(path, env) == expected
                 checked += 1
@@ -140,7 +162,7 @@ class TestCases:
     def check(self, store, head, *names) -> Tuple[FrozenSet[Oid], bool]:
         path = chain(head, tuple(Atom(n) for n in names))
         expected = walk_fold(PathWalker(store), path, {})
-        assert PathWalker(store).chain_value(path, {}) == expected
+        assert program_value(store, path, {}) == expected
         assert PathWalker(store).value_kinded(path, {}) == expected
         return expected
 
@@ -195,17 +217,24 @@ class TestCases:
             ast.App(head.functor, head.args), (Atom("Salary"),)
         )
         walker = PathWalker(figure1.store)
-        assert walker.chain_value(path, {}) == walk_fold(walker, path, {})
-        assert walker.chain_value(path, {})[0]
+        fetched = program_value(figure1.store, path, {})
+        assert fetched == walk_fold(walker, path, {})
+        assert fetched[0]
 
     def test_other_shapes_fall_back_to_the_walk(self, figure1):
-        walker = PathWalker(figure1.store)
+        store = figure1.store
         with_selector = ast.PathExpr(
             Atom("john13"),
             (ast.Step(ast.MethodExpr(Atom("Name")), Variable("N")),),
         )
-        assert walker.chain_value(with_selector, {}) is None
-        assert walker.chain_value(chain(X, (Atom("Name"),)), {}) is None
+        assert lower(ast.PathItem(with_selector)) is None
+        with_path_variable = ast.PathExpr(
+            Atom("john13"),
+            (ast.Step(ast.MethodExpr(Variable("P", VarSort.PATH))),),
+        )
+        assert lower(ast.PathItem(with_path_variable)) is None
+        # An unbound head is left to the walk, which ranges over it.
+        assert program_value(store, chain(X, (Atom("Name"),)), {}) is None
 
 
 def test_every_chain_on_figure1(figure1):
@@ -226,3 +255,33 @@ def test_every_chain_through_a_pinned_store_view(paper_session):
         paper_session.execute("UPDATE CLASS Person SET mary123.Age = 99")
         assert view.invoke_scalar(Atom("john13"), "Salary") == before
         assert assert_chains_agree(view, individuals(view)) > 0
+
+
+@pytest.mark.parametrize(
+    "lq, rq", [(None, "all"), ("all", None), ("all", "all"), ("some", "all")]
+)
+def test_quantified_comparisons_over_multi_hop_chains(figure1, lq, rq):
+    """Every chain of 2-3 hops from a few heads, as the variable side of
+    a quantified comparison: its step program keeps each key exactly
+    where ``eval_cond`` does, vacuous ``all`` over an empty chain
+    included."""
+    store = figure1.store
+    evaluator = Evaluator(store)
+    checked = 0
+    for head in individuals(store)[::4]:
+        for methods in chains_from(store, head):
+            if len(methods) < 2:
+                continue
+            variable = ast.PathOperand(chain(X, methods))
+            for ground in (Value(30), Value("austin")):
+                constant = ast.PathOperand(ast.PathExpr(ground))
+                for lhs, rhs in ((variable, constant), (constant, variable)):
+                    cond = ast.Comparison(lhs, "<", rhs, lq, rq)
+                    program = ComparisonProgram(cond)
+                    compute, _ = program.bind(evaluator, None)
+                    expected = tuple(
+                        {} for _ in evaluator.eval_cond(cond, {X: head})
+                    )
+                    assert compute((head,)) == expected, (head, cond)
+                    checked += 1
+    assert checked > 100

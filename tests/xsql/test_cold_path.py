@@ -1,13 +1,14 @@
-"""Guard tests: a cold scan runs on the comparison kernel and chain fetch.
+"""Guard tests: a cold scan runs on step programs.
 
-A comparison whose enumerated variables are all bound is one
-``compare`` over two operand values (``CondOperator._grouped_eval``),
-and an atom-chain operand or SELECT item is a frontier fetch
-(``PathWalker.chain_value``).  With ``Evaluator.eval_cond`` and
-``PathWalker.walk`` made to raise, the pinned-snapshot scan and a
-prepared live run right after a write must still answer exactly what
-``plan="none"`` answers.  A comparison with an unbound variable must
-still go through ``eval_cond``.
+A comparison whose enumerated variables are all bound runs on its
+step program (``programs.ComparisonProgram``, from
+``CondOperator._grouped_eval``), and an atom-chain operand or SELECT
+item is a fold of per-method cell readers (``programs.ChainProgram``).
+With ``Evaluator.eval_cond`` and ``PathWalker.walk`` made to raise, the
+pinned-snapshot scan and a prepared live run right after a write must
+still answer exactly what ``plan="none"`` answers — multi-hop chains,
+``all`` quantifiers and a constant on the left included.  A comparison
+with an unbound variable must still go through ``eval_cond``.
 """
 
 import pytest
@@ -54,6 +55,47 @@ def test_live_run_after_write_skips_eval_cond_and_walk(
     expected = rows(paper_session.query(SCAN, plan="none"))
     assert len(expected) == 5
     assert cold == expected
+
+
+#: Multi-hop chains, ``all`` on either side, the constant on the left,
+#: and (with the count of rows ``plan="none"`` answers) vacuous truth.
+SCANS = {
+    "SELECT X.Name, X.Residence.City FROM Employee X "
+    "WHERE X.Salary > 25000": 6,
+    "SELECT X.Name FROM Person X WHERE X.FamMembers.Age all> 10": 17,
+    "SELECT X.Name FROM Person X WHERE 30 <all X.FamMembers.Age": 16,
+    "SELECT X.Name FROM Person X "
+    "WHERE X.FamMembers.Residence.City some= 'austin'": 2,
+    "SELECT X.Name FROM Person X "
+    "WHERE X.FamMembers.Residence.City all= 'newyork'": 17,
+}
+
+
+@pytest.mark.parametrize("text", sorted(SCANS))
+def test_snapshot_scans_of_every_shape_skip_eval_cond_and_walk(
+    paper_session, monkeypatch, text
+):
+    with paper_session.snapshot_view() as snap:
+        forbid(monkeypatch)
+        cold = rows(snap.query(text, plan="cost"))
+        warm = rows(snap.query(text, plan="cost"))
+        monkeypatch.undo()
+        expected = rows(snap.query(text, plan="none"))
+    assert len(expected) == SCANS[text]
+    assert cold == warm == expected
+
+
+@pytest.mark.parametrize("text", sorted(SCANS))
+def test_live_runs_of_every_shape_after_a_write_skip_eval_cond_and_walk(
+    paper_session, monkeypatch, text
+):
+    compiled = paper_session.prepare(text, plan="cost")
+    compiled.run()
+    paper_session.execute("UPDATE CLASS Person SET anna.Age = 5")
+    forbid(monkeypatch)
+    cold = rows(compiled.run())
+    monkeypatch.undo()
+    assert cold == rows(paper_session.query(text, plan="none"))
 
 
 @pytest.mark.parametrize(
