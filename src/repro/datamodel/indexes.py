@@ -53,12 +53,12 @@ class AttributeIndexes:
             return
         self._indexed.add(method)
         table = self._entries.setdefault(method, {})
-        for record in store.iter_records():
-            for (cell_method, args), cell in record.entries():
+        for owner, cells in store.records():
+            for (cell_method, args), cell in cells.items():
                 if cell_method != method:
                     continue
                 for value in cell.as_set():
-                    table.setdefault(value, set()).add((record.oid, args))
+                    table.setdefault(value, set()).add((owner, args))
 
     def disable(self, method: Atom) -> None:
         self._indexed.discard(method)

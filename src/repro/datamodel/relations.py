@@ -6,6 +6,10 @@ first-class language constructs."  A stored relation is a named set of
 tuples of oids; query results (:mod:`repro.xsql.result`) share this shape,
 which is what makes ``UNION``/``MINUS`` between stored and computed
 relations natural.
+
+A relation has no public writer: rows enter only through
+:meth:`repro.datamodel.store.ObjectStore.insert_tuple`, which takes a
+ticket, chains the pre-image for pinned snapshots and journals the row.
 """
 
 from __future__ import annotations
@@ -21,14 +25,19 @@ __all__ = ["StoredRelation"]
 class StoredRelation:
     """A named relation: a set of equal-length tuples of oids."""
 
-    def __init__(self, name: str, column_names: Tuple[str, ...]) -> None:
+    def __init__(
+        self,
+        name: str,
+        column_names: Tuple[str, ...],
+        rows: Iterable[Tuple[Oid, ...]] = (),
+    ) -> None:
         if not column_names:
             raise RelationalError(f"relation {name} needs at least one column")
         if len(set(column_names)) != len(column_names):
             raise RelationalError(f"relation {name} has duplicate columns")
         self.name = name
         self.column_names = column_names
-        self._rows: Set[Tuple[Oid, ...]] = set()
+        self._rows: Set[Tuple[Oid, ...]] = set(rows)
 
     @property
     def arity(self) -> int:
@@ -42,12 +51,9 @@ class StoredRelation:
                 f"{len(row)} values"
             )
 
-    def insert(self, row: Tuple[Oid, ...]) -> None:
-        self.check_row(row)
+    def _add(self, row: Tuple[Oid, ...]) -> None:
+        """Add a checked row (``ObjectStore.insert_tuple`` only)."""
         self._rows.add(row)
-
-    def delete(self, row: Tuple[Oid, ...]) -> None:
-        self._rows.discard(row)
 
     def rows(self) -> FrozenSet[Tuple[Oid, ...]]:
         return frozenset(self._rows)

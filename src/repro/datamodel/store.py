@@ -28,11 +28,23 @@ and then tells the inverted indexes, the statistics and every sink, so
 those can never disagree with the records.  A cell write that would
 store the cell already stored changes nothing, so it returns after its
 checks and moves nothing: no ticket, no batch, no chain entry.
+
+Every read has one shape too: the data layout (records as cell dicts,
+memberships, direct extents, the known set, relations) is read only
+through a few **fact primitives** — :meth:`ObjectStore._cells_of`,
+:meth:`ObjectStore._cell_lookup`, :meth:`ObjectStore._record_owners`,
+:meth:`ObjectStore._explicit_classes`,
+:meth:`ObjectStore._direct_extent`, :meth:`ObjectStore._known_oids`,
+:meth:`ObjectStore._relation_at` and :meth:`ObjectStore._relation_names`
+— and every other reader is written once on top of them.  A pinned
+snapshot (:class:`repro.datamodel.versions.StoreView`) overrides exactly
+those primitives.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from types import MappingProxyType
 from typing import (
     AbstractSet,
     Callable,
@@ -41,6 +53,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -53,7 +66,7 @@ from repro.datamodel.hierarchy import OBJECT_CLASS, ClassHierarchy
 from repro.datamodel.indexes import AttributeIndexes
 from repro.datamodel.inheritance import InheritanceResolver
 from repro.datamodel.methods import MethodImplementation
-from repro.datamodel.objects import Cell, ObjectRecord, ScalarCell, SetCell
+from repro.datamodel.objects import Cell, CellKey, ScalarCell, SetCell
 from repro.datamodel.relations import StoredRelation
 from repro.datamodel.signatures import Signature, TypeExpr
 from repro.datamodel.statistics import MethodStats, StatisticsCatalogue
@@ -91,6 +104,9 @@ def _count_individuals(
 
 #: The write context of a mutation on a store with no journal attached.
 _NO_BATCH = nullcontext()
+
+#: The cells of an owner that holds no record.
+_NO_CELLS: Mapping[CellKey, Cell] = MappingProxyType({})
 
 #: Every class ``Catalogue.implicit_classes`` can return.
 _IMPLICIT_CLASSES = frozenset(BUILTIN_CLASSES) | {OBJECT_CLASS}
@@ -226,7 +242,9 @@ class ObjectStore:
         #: result class of the attribute (a conservative schema mode; the
         #: paper's default treats typing as metalogical).
         self.validate_values = validate_values
-        self._records: Dict[Oid, ObjectRecord] = {}
+        #: owner -> its explicit cells: an object's record is its cell
+        #: dict (insertion-ordered by record creation).
+        self._cells: Dict[Oid, Dict[CellKey, Cell]] = {}
         self._memberships: Dict[Oid, Set[Atom]] = {}
         self._direct_extents: Dict[Atom, Set[Oid]] = {}
         self._relations: Dict[str, StoredRelation] = {}
@@ -358,9 +376,56 @@ class ObjectStore:
             )
             self._rebuild_sinks()
 
+    # ------------------------------------------------------------------
+    # fact primitives: the only readers of the data layout.  A snapshot
+    # view overrides exactly these; every other reader is built on them.
+    # ------------------------------------------------------------------
+
+    def _cells_of(self, owner: Oid) -> Mapping[CellKey, Cell]:
+        """The explicit cells of *owner* (empty when it holds no record).
+
+        Read-only by contract; :meth:`records` hands the same mapping
+        out behind a :class:`types.MappingProxyType`.
+        """
+        return self._cells.get(owner, _NO_CELLS)
+
+    def _cell_lookup(self, key: CellKey) -> Callable[[Oid], Optional[Cell]]:
+        """``owner -> explicit cell at key``, or None where none is stored."""
+        records = self._cells
+
+        def lookup(owner: Oid) -> Optional[Cell]:
+            cells = records.get(owner)
+            return None if cells is None else cells.get(key)
+
+        return lookup
+
+    def _record_owners(self) -> Iterable[Oid]:
+        """The objects that hold a record, in record creation order."""
+        return self._cells.keys()
+
     def explicit_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         """Explicit instance-of memberships only (no implicit classes)."""
-        return frozenset(self._memberships.get(as_oid(oid_like), set()))
+        return self._explicit_classes(as_oid(oid_like))
+
+    def _explicit_classes(self, obj: Oid) -> FrozenSet[Atom]:
+        """The classes *obj* is an explicit member of."""
+        return frozenset(self._memberships.get(obj, ()))
+
+    def _direct_extent(self, cls_atom: Atom) -> AbstractSet[Oid]:
+        """Explicit members of *cls_atom* alone (read-only)."""
+        return self._direct_extents.get(cls_atom, frozenset())
+
+    def _known_oids(self) -> AbstractSet[Oid]:
+        """Every known oid, for the active-domain scan (read-only)."""
+        return self._known
+
+    def _relation_at(self, name: str) -> Optional[StoredRelation]:
+        """The relation declared as *name*, or None."""
+        return self._relations.get(name)
+
+    def _relation_names(self) -> Iterable[str]:
+        """The declared relation names, in declaration order."""
+        return self._relations.keys()
 
     def _ddl(
         self,
@@ -555,16 +620,15 @@ class ObjectStore:
         obj = as_oid(oid_like)
         with self._history.lock:
             with self._mutation():
-                record = self._records.get(obj)
-                if record is not None:
-                    for method, args in list(record.cells):
-                        self._put_cell(obj, method, args, None)
-                for cls in list(self._memberships.get(obj, ())):
+                for method, args in list(self._cells_of(obj)):
+                    self._put_cell(obj, method, args, None)
+                for cls in self._explicit_classes(obj):
                     self._put_membership(obj, cls, False)
-                if self._records.pop(obj, None) is not None:
-                    self._history.record_record(obj, True)
+                if obj in self._cells:
+                    self._history.chain("record", None, obj, True)
+                    del self._cells[obj]
                 if obj in self._known:
-                    self._history.record_known(obj, True)
+                    self._history.chain("known", None, obj, True)
                     self._known.discard(obj)
                 for sink in self._sinks:
                     sink.note_object(obj, present=False)
@@ -572,8 +636,9 @@ class ObjectStore:
     def direct_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         """Explicit instance-of memberships plus implicit literal classes."""
         obj = as_oid(oid_like)
-        explicit = frozenset(self._memberships.get(obj, set()))
-        return explicit | self.schema.catalogue.implicit_classes(obj)
+        return self._explicit_classes(obj) | (
+            self.schema.catalogue.implicit_classes(obj)
+        )
 
     def classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         """All classes *obj* belongs to, including inherited memberships.
@@ -624,21 +689,13 @@ class ObjectStore:
                     members.add(obj)
         return frozenset(members)
 
-    def _direct_extent(self, cls_atom: Atom) -> AbstractSet[Oid]:
-        """Explicit members of *cls_atom* alone (read-only)."""
-        return self._direct_extents.get(cls_atom, frozenset())
-
-    def _known_oids(self) -> AbstractSet[Oid]:
-        """Every known oid, for the active-domain scan (read-only)."""
-        return self._known
-
     # ------------------------------------------------------------------
     # universes (for variable instantiation)
     # ------------------------------------------------------------------
 
     def known_objects(self) -> FrozenSet[Oid]:
         """Every oid the database has seen anywhere."""
-        return frozenset(self._known)
+        return frozenset(self._known_oids())
 
     def individual_universe(self) -> FrozenSet[Oid]:
         """The range of individual variables: all known non-class oids."""
@@ -663,8 +720,8 @@ class ObjectStore:
         """The range of method variables (``"Y``)."""
         schema = self.schema
         names: Set[Atom] = set(schema.catalogue.methods())
-        for record in self._records.values():
-            names.update(record.defined_methods())
+        for owner in self._record_owners():
+            names.update(method for method, _args in self._cells_of(owner))
         for _cls, method in schema.implementations:
             names.add(method)
         return frozenset(names)
@@ -680,7 +737,7 @@ class ObjectStore:
         change records a chain entry.
         """
         if obj not in self._known:
-            self._history.record_known(obj, False)
+            self._history.chain("known", None, obj, False)
             self._known.add(obj)
 
     def _note_values(self, values: Iterable[Oid]) -> None:
@@ -784,8 +841,7 @@ class ObjectStore:
         self._check_arrow(owner, method, set_valued)
         for value in values:
             self._check_value_class(owner, method, value)
-        record = self._records.get(owner)
-        stored = None if record is None else record.cells.get((method, args))
+        stored = self._cells_of(owner).get((method, args))
         if stored is not None and stored.set_valued != set_valued:
             held = "a set" if stored.set_valued else "a scalar"
             wanted = "a set" if set_valued else "a scalar"
@@ -910,17 +966,17 @@ class ObjectStore:
         :meth:`_check_write` accepted the write.
         """
         key = (method, args)
-        record = self._records.get(owner)
-        old = None if record is None else record.cells.get(key)
+        cells = self._cells.get(owner)
+        old = None if cells is None else cells.get(key)
         if old is None and cell is None:
             return
-        self._history.record_cell(owner, key, old)
+        self._history.chain("cell", owner, key, old)
         if cell is None:
-            del record.cells[key]
-        elif record is None:
-            self._record(owner).cells[key] = cell
+            del cells[key]
         else:
-            record.cells[key] = cell
+            if cells is None:
+                cells = self._record(owner)
+            cells[key] = cell
         old_values = frozenset() if old is None else old.as_set()
         new_values = frozenset() if cell is None else cell.as_set()
         self._indexes.note_write(owner, method, args, old_values, new_values)
@@ -949,7 +1005,7 @@ class ObjectStore:
         memberships = self._memberships.get(obj)
         was_member = memberships is not None and cls in memberships
         if was_member != present:
-            self._history.record_membership(obj, cls, was_member)
+            self._history.chain("membership", cls, obj, was_member)
             if present:
                 self._memberships.setdefault(obj, set()).add(cls)
                 self._direct_extents.setdefault(cls, set()).add(obj)
@@ -962,27 +1018,27 @@ class ObjectStore:
             for sink in self._sinks:
                 sink.note_membership(cls, obj, present)
         if present:
-            if obj not in self._records:
+            if obj not in self._cells:
                 self._record(obj)
             self._known_add(obj)
 
-    def _record(self, obj: Oid) -> ObjectRecord:
-        """The record of *obj*, created on first use: the only creator of
-        records.
+    def _record(self, obj: Oid) -> Dict[CellKey, Cell]:
+        """The record (cell dict) of *obj*, created on first use: the only
+        creator of records.
 
         A new record of an individual is announced to every sink
         (``note_object``), so the journal holds an ``("o", obj)`` marker
         for exactly the objects that have a record, however they entered.
         Class-objects hold default cells, not instances, and get none.
         """
-        record = self._records.get(obj)
-        if record is None:
-            self._history.record_record(obj, False)
-            record = self._records[obj] = ObjectRecord(obj)
+        cells = self._cells.get(obj)
+        if cells is None:
+            self._history.chain("record", None, obj, False)
+            cells = self._cells[obj] = {}
             if self._sinks and not self.schema.catalogue.is_class(obj):
                 for sink in self._sinks:
                     sink.note_object(obj)
-        return record
+        return cells
 
     def explicit_cell(
         self,
@@ -990,10 +1046,9 @@ class ObjectStore:
         method: ClassLike,
         args: Sequence[OidLike] = (),
     ) -> Optional[Cell]:
-        record = self._records.get(as_oid(owner))
-        if record is None:
-            return None
-        return record.get(_atom(method), tuple(as_oid(a) for a in args))
+        return self._cells_of(as_oid(owner)).get(
+            (_atom(method), tuple(as_oid(a) for a in args))
+        )
 
     # ------------------------------------------------------------------
     # implementations
@@ -1111,18 +1166,7 @@ class ObjectStore:
     def _has_cell(
         self, cls: Atom, method: Atom, args: Tuple[Oid, ...]
     ) -> bool:
-        record = self._records.get(cls)
-        return record is not None and record.get(method, args) is not None
-
-    def _cell_lookup(self, key) -> Callable[[Oid], Optional[Cell]]:
-        """``owner -> explicit cell at key``, or None where none is stored."""
-        records = self._records
-
-        def lookup(owner: Oid) -> Optional[Cell]:
-            record = records.get(owner)
-            return None if record is None else record.cells.get(key)
-
-        return lookup
+        return self._cells_of(cls).get((method, args)) is not None
 
     def cell_reader(self, method: Atom) -> CellReader:
         """``owner -> invoke_kinded(owner, method)`` for a 0-ary
@@ -1176,10 +1220,9 @@ class ObjectStore:
         """
         owner_oid = as_oid(owner)
         schema = self.schema
-        names: Set[Atom] = set()
-        record = self._records.get(owner_oid)
-        if record is not None:
-            names.update(record.defined_methods())
+        names: Set[Atom] = {
+            method for method, _args in self._cells_of(owner_oid)
+        }
         if schema.catalogue.is_class(owner_oid):
             reachable = schema.hierarchy.superclasses(
                 owner_oid, strict=False  # type: ignore[arg-type]
@@ -1187,9 +1230,7 @@ class ObjectStore:
         else:
             reachable = self.classes_of(owner_oid)
         for cls in reachable:
-            cls_record = self._records.get(cls)
-            if cls_record is not None:
-                names.update(cls_record.defined_methods())
+            names.update(method for method, _args in self._cells_of(cls))
         for (cls, name) in schema.implementations:
             if cls in reachable:
                 names.add(name)
@@ -1263,10 +1304,8 @@ class ObjectStore:
         if self.implementation_classes(method_atom):
             return False
         for cls in self.schema.hierarchy.classes():
-            record = self._records.get(cls)
-            if record is None:
-                continue
-            if any(m == method_atom for m in record.defined_methods()):
+            cells = self._cells_of(cls)
+            if cells and any(m == method_atom for m, _args in cells):
                 return False
         return True
 
@@ -1302,8 +1341,8 @@ class ObjectStore:
         relation = StoredRelation(name, tuple(column_names))
         with self._history.lock:
             with self._mutation():
-                self._history.record_relation(
-                    name, self._relations.get(name)
+                self._history.chain(
+                    "relation", None, name, self._relations.get(name)
                 )
                 self._relations[name] = relation
                 for sink in self._sinks:
@@ -1311,13 +1350,23 @@ class ObjectStore:
         return relation
 
     def relation(self, name: str) -> StoredRelation:
-        try:
-            return self._relations[name]
-        except KeyError:
+        """The relation declared as *name*, as it stands now.
+
+        Fetch it again after an insert: while a snapshot is pinned,
+        ``insert_tuple`` adds the row to a copy that replaces it.
+        """
+        relation = self._relation_at(name)
+        if relation is None:
             raise UnknownClassError(f"relation {name} is not declared")
+        return relation
 
     def relations(self) -> Dict[str, StoredRelation]:
-        return dict(self._relations)
+        out: Dict[str, StoredRelation] = {}
+        for name in list(self._relation_names()):
+            relation = self._relation_at(name)
+            if relation is not None:
+                out[name] = relation
+        return out
 
     def insert_tuple(self, name: str, row: Sequence[OidLike]) -> None:
         with self._history.lock:
@@ -1325,8 +1374,13 @@ class ObjectStore:
             oids = tuple(as_oid(v) for v in row)
             relation.check_row(oids)
             with self._mutation():
-                self._history.record_relation(name, relation)
-                relation.insert(oids)
+                if self._history.chain("relation", None, name, relation):
+                    # The chain keeps the relation as it stood; the row
+                    # goes into a copy, so pinned readers never see it.
+                    relation = self._relations[name] = StoredRelation(
+                        name, relation.column_names, relation.rows()
+                    )
+                relation._add(oids)
                 self._note_values_mutating(oids)
                 for sink in self._sinks:
                     sink.note_tuple(name, oids)
@@ -1344,22 +1398,26 @@ class ObjectStore:
             lines.append(
                 "  instance-of: " + ", ".join(str(c) for c in classes)
             )
-        record = self._records.get(obj)
-        if record is not None:
-            for (method, args), cell in sorted(
-                record.entries(), key=lambda item: str(item[0])
-            ):
-                arg_str = (
-                    "@" + ",".join(str(a) for a in args) if args else ""
-                )
-                if isinstance(cell, ScalarCell):
-                    lines.append(f"  {method}{arg_str} -> {cell.value}")
-                else:
-                    members = ", ".join(
-                        sorted(str(v) for v in cell.values)
-                    )
-                    lines.append(f"  {method}{arg_str} ->> {{{members}}}")
+        for (method, args), cell in sorted(
+            self._cells_of(obj).items(), key=lambda item: str(item[0])
+        ):
+            arg_str = "@" + ",".join(str(a) for a in args) if args else ""
+            if isinstance(cell, ScalarCell):
+                lines.append(f"  {method}{arg_str} -> {cell.value}")
+            else:
+                members = ", ".join(sorted(str(v) for v in cell.values))
+                lines.append(f"  {method}{arg_str} ->> {{{members}}}")
         return "\n".join(lines)
 
-    def iter_records(self) -> Iterator[ObjectRecord]:
-        return iter(self._records.values())
+    def records(self) -> Iterator[Tuple[Oid, Mapping[CellKey, Cell]]]:
+        """Every object that holds a record, with its explicit cells.
+
+        Yields ``(oid, cells)`` pairs whose mapping is read-only
+        (:class:`types.MappingProxyType`); only the store's cell
+        primitive writes cells.  The live store yields its records in
+        creation order; a snapshot view yields the records at its pin in
+        the live store's order, followed by those purged since the pin.
+        """
+        cells_of = self._cells_of
+        for owner in self._record_owners():
+            yield owner, MappingProxyType(cells_of(owner))

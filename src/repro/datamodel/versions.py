@@ -8,14 +8,18 @@ published schema value.  This module builds snapshot isolation on them:
 * while at least one snapshot is **pinned**, each mutator records the
   **pre-image** of whatever it is about to overwrite into a per-key
   chain ``[(ticket, pre), ...]`` *before* touching the live structure;
-* a :class:`StoreView` pinned at ticket *s* reads the live structure
-  first and then consults the chain — the smallest entry with
-  ``ticket > s`` holds exactly the value at *s*, and the ordering
-  protocol (writers chain-then-mutate, readers live-then-chain, chain
-  wins) makes every interleaving consistent without reader locks;
+  the chains of one kind of fact form one :class:`ChainTable`, and the
+  five families (cells, memberships, known set, records, relations)
+  share that one type;
+* a :class:`StoreView` pinned at ticket *s* overrides only the store's
+  fact primitives: each reads the base store's primitive first and
+  then consults the chain — the smallest entry with ``ticket > s``
+  holds exactly the value at *s*, and the ordering protocol (writers
+  chain-then-mutate, readers live-then-chain, chain wins) makes every
+  interleaving consistent without reader locks;
 * releasing the last pin drops all chains in O(1); with pins remaining,
-  entries at or below the oldest pin are swept (lists are swapped, never
-  mutated in place, so concurrent readers keep a consistent view).
+  entries at or below the oldest pin are swept (tables are swapped,
+  never mutated in place, so concurrent readers keep a consistent view).
 
 Recording costs nothing while no snapshot is pinned, and a *skip-append*
 rule bounds chain growth while one is: a new pre-image is recorded only
@@ -45,43 +49,34 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from repro.datamodel.indexes import AttributeIndexes
-from repro.datamodel.objects import (
-    Cell,
-    CellKey,
-    ObjectRecord,
-    ScalarCell,
-    SetCell,
-)
+from repro.datamodel.objects import Cell, CellKey
+from repro.datamodel.relations import StoredRelation
 from repro.datamodel.store import (
     ObjectStore,
-    OidLike,
     Schema,
-    _atom,
     _count_individuals,
 )
-from repro.errors import (
-    RelationalError,
-    SnapshotReadOnlyError,
-    UnknownClassError,
-)
-from repro.oid import Atom, FuncOid, Oid, oid as as_oid, term_sort_key
+from repro.errors import SnapshotReadOnlyError
+from repro.oid import Atom, FuncOid, Oid
 
 __all__ = [
     "SnapshotPin",
+    "ChainTable",
     "MvccHistory",
-    "FrozenRelation",
     "StoreView",
 ]
 
@@ -90,23 +85,113 @@ __all__ = [
 #: current immediately *before* that mutation.
 _Entry = Tuple[int, Any]
 _entry_ticket = itemgetter(0)
+#: ``group -> key -> chain``: the layout of one :class:`ChainTable`.
+_Groups = Dict[Hashable, Dict[Hashable, List[_Entry]]]
 
 
-def _resolve(chain: Sequence[_Entry], ticket: int) -> Tuple[bool, Any]:
-    """The pre-image governing *ticket*, if any chain entry applies.
-
-    Entries are ascending by ticket; the first entry whose ticket
-    exceeds *ticket* recorded the state as of *ticket*.
-    """
+def _resolve(chain: List[_Entry], ticket: int) -> Tuple[bool, Any]:
+    """The pre-image governing *ticket*, if any chain entry applies:
+    the first entry whose ticket exceeds *ticket* recorded the state as
+    of *ticket*."""
     idx = bisect_right(chain, ticket, key=_entry_ticket)
     if idx < len(chain):
         return True, chain[idx][1]
     return False, None
 
 
-def _cell(values: FrozenSet[Oid], set_valued: bool) -> Cell:
-    """The cell a chained pre-image ``(values, set-valued)`` stands for."""
-    return SetCell(values) if set_valued else ScalarCell(next(iter(values)))
+#: The chain families, in ``version_status`` order; each status key is
+#: ``<family>_chain_entries``.  A cell chain is keyed ``owner -> (method,
+#: args)`` and holds the replaced cell (or None); a membership chain
+#: ``class -> object`` and holds whether the object was a member; the
+#: known set, the records and the relations each form one group (None)
+#: keyed by oid or name, holding whether the oid was known, whether it
+#: held a record, and the replaced relation (or None).
+FAMILIES = ("cell", "membership", "known", "record", "relation")
+
+
+class ChainTable:
+    """One family of pre-image chains: ``group -> key -> [(ticket, pre)]``.
+
+    Chains are ascending by ticket; the first entry whose ticket exceeds
+    a pinned ticket *s* holds the value at *s*.  Writers append in place
+    under the store's write lock; garbage collection builds a new table
+    (:meth:`swept`) and swaps it in whole, so a reader holding a table
+    keeps a consistent, if stale, one.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: Optional[_Groups] = None) -> None:
+        self.groups: _Groups = {} if groups is None else groups
+
+    def record(
+        self,
+        group: Hashable,
+        key: Hashable,
+        entry: _Entry,
+        pins: Iterable[int],
+    ) -> bool:
+        """Append *entry* unless the chain already serves every pin.
+
+        Skip-append: a pin at *s* needs the first entry with ``ticket >
+        s``; when the last entry already exceeds the newest pin, every
+        pin has one and another pre-image would be dead weight.
+        """
+        chain = self.groups.setdefault(group, {}).setdefault(key, [])
+        if chain and chain[-1][0] > max(pins):
+            return False
+        chain.append(entry)
+        return True
+
+    def resolve(
+        self, group: Hashable, key: Hashable, ticket: int
+    ) -> Tuple[bool, Any]:
+        """``(True, pre)`` when a chain entry governs *ticket*, else
+        ``(False, None)``: the live value stands."""
+        per = self.groups.get(group)
+        chain = per.get(key) if per else None
+        return _resolve(chain, ticket) if chain else (False, None)
+
+    def overlay(
+        self, group: Hashable, ticket: int
+    ) -> Iterator[Tuple[Any, Any]]:
+        """``(key, pre)`` for every key of *group* whose chain governs
+        *ticket*."""
+        per = self.groups.get(group)
+        if per:
+            for key, chain in list(per.items()):
+                hit, pre = _resolve(chain, ticket)
+                if hit:
+                    yield key, pre
+
+    def swept(self, floor: int) -> "ChainTable":
+        """A new table without the entries no pin above *floor* reads."""
+        groups: _Groups = {}
+        for group, per in self.groups.items():
+            kept = {
+                key: swept
+                for key, chain in per.items()
+                if (swept := [entry for entry in chain if entry[0] > floor])
+            }
+            if kept:
+                groups[group] = kept
+        return ChainTable(groups)
+
+    def count(self) -> int:
+        """The number of chain entries."""
+        return sum(
+            len(chain) for per in self.groups.values() for chain in per.values()
+        )
+
+
+def _overlaid(members: Set, hits: Iterable[Tuple[Any, bool]]) -> Set:
+    """*members* with each ``(key, was_present)`` chain hit applied."""
+    for key, present in hits:
+        if present:
+            members.add(key)
+        else:
+            members.discard(key)
+    return members
 
 
 class SnapshotPin:
@@ -161,16 +246,10 @@ class MvccHistory:
         self._reset_chains()
 
     def _reset_chains(self) -> None:
-        self._cell_chains: Dict[Oid, Dict[CellKey, List[_Entry]]] = {}
-        self._membership_chains: Dict[Oid, Dict[Atom, List[_Entry]]] = {}
-        #: class -> objects whose membership in it changed since the
-        #: oldest pin (the extent-overlay index).
-        self._membership_dirty: Dict[Atom, Set[Oid]] = {}
-        self._known_chains: Dict[Oid, List[_Entry]] = {}
-        #: obj -> whether it held a record (an object of its own, cells
-        #: or not) before each change: creation and purge.
-        self._record_chains: Dict[Oid, List[_Entry]] = {}
-        self._relation_chains: Dict[str, List[_Entry]] = {}
+        #: family -> its chain table; swapped whole by GC.
+        self.tables: Dict[str, ChainTable] = {
+            family: ChainTable() for family in FAMILIES
+        }
 
     # ------------------------------------------------------------------
     # versions and pins
@@ -212,238 +291,67 @@ class MvccHistory:
         """Are pre-images being chained (any snapshot pinned)?"""
         return bool(self._pins)
 
-    # ------------------------------------------------------------------
-    # pre-image recording (callers hold the lock and have advanced)
-    # ------------------------------------------------------------------
+    def chain(
+        self, family: str, group: Hashable, key: Hashable, pre: Any
+    ) -> bool:
+        """Chain *pre*, the value of one key before the current mutation.
 
-    def _covered(self, chain: List[_Entry]) -> bool:
-        """Skip-append: does the chain already serve every current pin?
-
-        A pin at *s* needs the first entry with ``ticket > s``; if the
-        chain's last entry exceeds the newest pin, every pin already has
-        one, and recording another pre-image would be dead weight.
+        Callers hold the lock, have advanced, and have not yet changed
+        the key.  Returns whether an entry was appended: with no pin, or
+        when the chain already serves every pin, nothing is recorded.
         """
-        return bool(chain) and chain[-1][0] > max(self._pins)
-
-    def record_cell(
-        self, owner: Oid, key: CellKey, cell: Optional[Cell]
-    ) -> None:
         if not self._pins:
-            return
-        per = self._cell_chains.setdefault(owner, {})
-        chain = per.setdefault(key, [])
-        if self._covered(chain):
-            return
-        pre = None if cell is None else (cell.as_set(), cell.set_valued)
-        chain.append((self.ticket, pre))
-
-    def record_membership(
-        self, obj: Oid, cls: Atom, was_member: bool
-    ) -> None:
-        if not self._pins:
-            return
-        per = self._membership_chains.setdefault(obj, {})
-        chain = per.setdefault(cls, [])
-        if self._covered(chain):
-            return
-        chain.append((self.ticket, was_member))
-        self._membership_dirty.setdefault(cls, set()).add(obj)
-
-    def record_known(self, obj: Oid, was_known: bool) -> None:
-        if self._pins:
-            self._chain_flag(self._known_chains, obj, was_known)
-
-    def record_record(self, obj: Oid, existed: bool) -> None:
-        if self._pins:
-            self._chain_flag(self._record_chains, obj, existed)
-
-    def _chain_flag(
-        self, chains: Dict[Oid, List[_Entry]], obj: Oid, before: bool
-    ) -> None:
-        chain = chains.setdefault(obj, [])
-        if not self._covered(chain):
-            chain.append((self.ticket, before))
-
-    def record_relation(self, name: str, relation) -> None:
-        if not self._pins:
-            return
-        chain = self._relation_chains.setdefault(name, [])
-        if self._covered(chain):
-            return
-        pre = (
-            None
-            if relation is None
-            else (relation.column_names, relation.rows())
+            return False
+        return self.tables[family].record(
+            group, key, (self.ticket, pre), self._pins
         )
-        chain.append((self.ticket, pre))
 
     # ------------------------------------------------------------------
-    # garbage collection
+    # garbage collection and observability
     # ------------------------------------------------------------------
 
     def _gc(self) -> None:
         """Drop chain entries no remaining pin can reach.
 
         With no pins left everything resets in O(1).  Otherwise entries
-        at or below the oldest pin are swept; surviving lists and dicts
-        are rebuilt and swapped in whole, never mutated in place, so a
-        reader holding a reference keeps a consistent (if stale) chain.
+        at or below the oldest pin are swept into new tables, swapped in
+        whole, never mutated in place.
         """
         if not self._pins:
             self._reset_chains()
             return
         floor = min(self._pins)
-
-        def sweep(chain: List[_Entry]) -> List[_Entry]:
-            return [entry for entry in chain if entry[0] > floor]
-
-        cells: Dict[Oid, Dict[CellKey, List[_Entry]]] = {}
-        for owner, per in self._cell_chains.items():
-            kept = {
-                key: swept
-                for key, chain in per.items()
-                if (swept := sweep(chain))
-            }
-            if kept:
-                cells[owner] = kept
-        self._cell_chains = cells
-
-        memberships: Dict[Oid, Dict[Atom, List[_Entry]]] = {}
-        dirty: Dict[Atom, Set[Oid]] = {}
-        for obj, per in self._membership_chains.items():
-            kept = {
-                cls: swept
-                for cls, chain in per.items()
-                if (swept := sweep(chain))
-            }
-            if kept:
-                memberships[obj] = kept
-                for cls in kept:
-                    dirty.setdefault(cls, set()).add(obj)
-        self._membership_chains = memberships
-        self._membership_dirty = dirty
-
-        self._known_chains = {
-            obj: swept
-            for obj, chain in self._known_chains.items()
-            if (swept := sweep(chain))
+        self.tables = {
+            family: table.swept(floor) for family, table in self.tables.items()
         }
-        self._record_chains = {
-            obj: swept
-            for obj, chain in self._record_chains.items()
-            if (swept := sweep(chain))
-        }
-        self._relation_chains = {
-            name: swept
-            for name, chain in self._relation_chains.items()
-            if (swept := sweep(chain))
-        }
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
 
     def status(self) -> Dict[str, int]:
         """Pin and copy-on-write chain statistics (REPL ``.snapshot``)."""
         with self.lock:
-            cell_entries = sum(
-                len(chain)
-                for per in self._cell_chains.values()
-                for chain in per.values()
-            )
-            membership_entries = sum(
-                len(chain)
-                for per in self._membership_chains.values()
-                for chain in per.values()
-            )
-            return {
+            status = {
                 "ticket": self.ticket,
                 "pins": sum(self._pins.values()),
                 "pinned_versions": len(self._pins),
                 "oldest_pin": min(self._pins) if self._pins else -1,
-                "cell_chain_entries": cell_entries,
-                "membership_chain_entries": membership_entries,
-                "known_chain_entries": sum(
-                    len(c) for c in self._known_chains.values()
-                ),
-                "record_chain_entries": sum(
-                    len(c) for c in self._record_chains.values()
-                ),
-                "relation_chain_entries": sum(
-                    len(c) for c in self._relation_chains.values()
-                ),
             }
-
-
-class FrozenRelation:
-    """An immutable relation as of a pinned version.
-
-    Mirrors the read surface of
-    :class:`~repro.datamodel.relations.StoredRelation`; the write surface
-    raises.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        column_names: Tuple[str, ...],
-        rows: FrozenSet[Tuple[Oid, ...]],
-    ) -> None:
-        self.name = name
-        self.column_names = column_names
-        self._rows = rows
-
-    @property
-    def arity(self) -> int:
-        return len(self.column_names)
-
-    def insert(self, row) -> None:
-        raise SnapshotReadOnlyError(
-            f"relation {self.name} belongs to a read-only snapshot"
-        )
-
-    def delete(self, row) -> None:
-        raise SnapshotReadOnlyError(
-            f"relation {self.name} belongs to a read-only snapshot"
-        )
-
-    def rows(self) -> FrozenSet[Tuple[Oid, ...]]:
-        return self._rows
-
-    def sorted_rows(self) -> List[Tuple[Oid, ...]]:
-        return sorted(
-            self._rows, key=lambda row: tuple(term_sort_key(v) for v in row)
-        )
-
-    def column(self, name: str) -> FrozenSet[Oid]:
-        try:
-            index = self.column_names.index(name)
-        except ValueError:
-            raise RelationalError(
-                f"relation {self.name} has no column {name!r}"
-            )
-        return frozenset(row[index] for row in self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[Tuple[Oid, ...]]:
-        return iter(self.sorted_rows())
-
-    def __contains__(self, row: Iterable[Oid]) -> bool:
-        return tuple(row) in self._rows
+            for family, table in self.tables.items():
+                status[f"{family}_chain_entries"] = table.count()
+            return status
 
 
 class StoreView(ObjectStore):
     """A read-only :class:`ObjectStore` pinned to one committed version.
 
     Schema reads go to the schema value the pin captured; every schema
-    accessor is inherited from :class:`ObjectStore`.  Data reads
-    reconstruct the state at the pin's ticket by overlaying the
-    pre-image chains on CPython-atomic copies of the live structures
-    (live first, chain second — chain wins); per-owner reconstructions
-    are memoized, which is sound because a pinned state never changes.
-    Every mutator raises :class:`SnapshotReadOnlyError`.
+    accessor is inherited from :class:`ObjectStore`.  Data reads are
+    inherited too: the view overrides only the store's fact primitives
+    (``_cells_of``, ``_cell_lookup``, ``_record_owners``,
+    ``_explicit_classes``, ``_direct_extent``, ``_known_oids``,
+    ``_relation_at`` and ``_relation_names``).  Each override reads the
+    base store's primitive first and then the pre-image chain, and the
+    chain wins; per-owner reconstructions are memoized, which is sound
+    because a pinned state never changes.  Every mutator raises
+    :class:`SnapshotReadOnlyError`.
 
     Inverted indexes are disabled on views (``index_is_complete_for`` is
     always false), so reverse lookups fall back to the always-sound
@@ -451,8 +359,8 @@ class StoreView(ObjectStore):
     """
 
     def __init__(self, store: ObjectStore, pin: SnapshotPin) -> None:
-        # Deliberately no super().__init__(): every piece of base state
-        # is either overridden below or resolved through the pin.
+        # Deliberately no super().__init__(): the view holds no data of
+        # its own; its fact primitives read the base store's.
         self._base = store
         self._pin = pin
         self._history = store._history
@@ -473,7 +381,6 @@ class StoreView(ObjectStore):
         self._discovered: Set[Oid] = set()
         self._cells_memo: Dict[Oid, Dict[CellKey, Cell]] = {}
         self._classes_memo: Dict[Oid, FrozenSet[Atom]] = {}
-        self._relations_memo: Dict[str, Optional[FrozenRelation]] = {}
         self._known_memo: Optional[FrozenSet[Oid]] = None
 
     # ------------------------------------------------------------------
@@ -498,7 +405,6 @@ class StoreView(ObjectStore):
         self._pin.release()
         self._cells_memo.clear()
         self._classes_memo.clear()
-        self._relations_memo.clear()
         self._known_memo = None
 
     def __enter__(self) -> "StoreView":
@@ -508,255 +414,112 @@ class StoreView(ObjectStore):
         self.release()
 
     # ------------------------------------------------------------------
-    # data reads: live copy first, chain overlay second
+    # fact primitives: the base store's primitive first, the chain
+    # second (chain wins)
     # ------------------------------------------------------------------
 
-    def _cells_of(self, owner: Oid) -> Dict[CellKey, Cell]:
+    def _overlay(self, family: str, group) -> Iterator[Tuple[Any, Any]]:
+        return self._history.tables[family].overlay(group, self._ticket)
+
+    def _cells_of(self, owner: Oid) -> Mapping[CellKey, Cell]:
         cells = self._cells_memo.get(owner)
         if cells is None:
-            record = self._base._records.get(owner)
-            cells = dict(record.cells) if record is not None else {}
-            per = self._history._cell_chains.get(owner)
-            if per:
-                for key, chain in list(per.items()):
-                    hit, pre = _resolve(chain, self._ticket)
-                    if not hit:
-                        continue
-                    if pre is None:
-                        cells.pop(key, None)
-                    else:
-                        cells[key] = _cell(*pre)
+            cells = dict(self._base._cells_of(owner))
+            for key, pre in self._overlay("cell", owner):
+                if pre is None:
+                    cells.pop(key, None)
+                else:
+                    cells[key] = pre
             self._cells_memo[owner] = cells
         return cells
 
-    def _cell_lookup(self, key):
-        """One cell at the pin, without copying the owner's cells: the
-        live cell first, its chain second (chain wins), the order
-        :meth:`_cells_of` reads in."""
-        records = self._base._records
+    def _cell_lookup(self, key: CellKey) -> Callable[[Oid], Optional[Cell]]:
+        """One cell at the pin, without copying the owner's cells."""
+        live = self._base._cell_lookup(key)
         history = self._history
         ticket = self._ticket
 
         def lookup(owner: Oid) -> Optional[Cell]:
-            record = records.get(owner)
-            cell = None if record is None else record.cells.get(key)
-            per = history._cell_chains.get(owner)
-            chain = per.get(key) if per else None
-            if chain:
-                hit, pre = _resolve(chain, ticket)
-                if hit:
-                    return None if pre is None else _cell(*pre)
-            return cell
+            cell = live(owner)
+            hit, pre = history.tables["cell"].resolve(owner, key, ticket)
+            return pre if hit else cell
 
         return lookup
 
-    def _snapshot_owners(self) -> Set[Oid]:
-        """The objects that held a record at the pin: live first, the
-        record chains (creations and purges since) second."""
-        owners = set(self._base._records)
-        for obj, chain in list(self._history._record_chains.items()):
-            hit, existed = _resolve(chain, self._ticket)
-            if hit:
-                if existed:
-                    owners.add(obj)
-                else:
-                    owners.discard(obj)
-        return owners
+    def _record_owners(self) -> Iterable[Oid]:
+        owners = dict.fromkeys(self._base._record_owners())
+        for obj, existed in self._overlay("record", None):
+            if existed:
+                owners[obj] = None
+            else:
+                owners.pop(obj, None)
+        return owners.keys()
 
-    def explicit_cell(
-        self,
-        owner: OidLike,
-        method,
-        args: Sequence[OidLike] = (),
-    ) -> Optional[Cell]:
-        key = (_atom(method), tuple(as_oid(a) for a in args))
-        return self._cells_of(as_oid(owner)).get(key)
-
-    def _has_cell(
-        self, cls: Atom, method: Atom, args: Tuple[Oid, ...]
-    ) -> bool:
-        return self._cells_of(cls).get((method, args)) is not None
-
-    def explicit_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
-        obj = as_oid(oid_like)
+    def _explicit_classes(self, obj: Oid) -> FrozenSet[Atom]:
         cached = self._classes_memo.get(obj)
         if cached is None:
-            live = set(self._base._memberships.get(obj, ()))
-            per = self._history._membership_chains.get(obj)
-            if per:
-                for cls, chain in list(per.items()):
-                    hit, was_member = _resolve(chain, self._ticket)
-                    if not hit:
-                        continue
-                    if was_member:
-                        live.add(cls)
-                    else:
-                        live.discard(cls)
-            cached = frozenset(live)
-            self._classes_memo[obj] = cached
+            classes = set(self._base._explicit_classes(obj))
+            table = self._history.tables["membership"]
+            for cls in list(table.groups):
+                hit, was_member = table.resolve(cls, obj, self._ticket)
+                if hit and was_member:
+                    classes.add(cls)
+                elif hit:
+                    classes.discard(cls)
+            cached = self._classes_memo[obj] = frozenset(classes)
         return cached
 
-    def direct_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
-        obj = as_oid(oid_like)
-        implicit = self.schema.catalogue.implicit_classes(obj)
-        return self.explicit_classes_of(obj) | implicit
-
     def _direct_extent(self, cls_atom: Atom) -> Set[Oid]:
-        live = set(self._base._direct_extents.get(cls_atom, ()))
-        dirty = self._history._membership_dirty.get(cls_atom)
-        if dirty:
-            for obj in list(dirty):
-                if cls_atom in self.explicit_classes_of(obj):
-                    live.add(obj)
-                else:
-                    live.discard(obj)
-        return live
+        return _overlaid(
+            set(self._base._direct_extent(cls_atom)),
+            self._overlay("membership", cls_atom),
+        )
 
     def _known_oids(self) -> FrozenSet[Oid]:
-        return self.known_objects()
-
-    def known_objects(self) -> FrozenSet[Oid]:
         if self._known_memo is None:
-            live = set(self._base._known)
-            for obj, chain in list(self._history._known_chains.items()):
-                hit, was_known = _resolve(chain, self._ticket)
-                if not hit:
-                    continue
-                if was_known:
-                    live.add(obj)
-                else:
-                    live.discard(obj)
-            self._known_memo = frozenset(live)
+            self._known_memo = frozenset(
+                _overlaid(
+                    set(self._base._known_oids()),
+                    self._overlay("known", None),
+                )
+            )
         if self._discovered:
             return self._known_memo | self._discovered
         return self._known_memo
 
+    def _relation_at(self, name: str) -> Optional[StoredRelation]:
+        # A chained relation is never written again (``insert_tuple``
+        # writes a copy), and neither is a live one a pinned reader
+        # could have read: the next insert chains it first.
+        live = self._base._relation_at(name)
+        hit, pre = self._history.tables["relation"].resolve(
+            None, name, self._ticket
+        )
+        return pre if hit else live
+
+    def _relation_names(self) -> Iterable[str]:
+        # Relations are never dropped, so the live names cover the
+        # pin's; _relation_at answers None for one declared after it.
+        return self._base._relation_names()
+
+    # ------------------------------------------------------------------
+    # view-local counts and indexes
+    # ------------------------------------------------------------------
+
     def individual_count(self) -> int:
         # Count the view-local discoveries apart from the per-pin memo:
-        # building their union, as known_objects() does, is O(store).
-        self.known_objects()
+        # building their union, as _known_oids() does, is O(store).
+        self._known_oids()
         memo = self._known_memo
         hierarchy = self.schema.hierarchy
         return _count_individuals(memo, hierarchy) + _count_individuals(
             self._discovered - memo, hierarchy
         )
 
-    def method_universe(self) -> FrozenSet[Atom]:
-        names: Set[Atom] = set(self.schema.catalogue.methods())
-        for owner in self._snapshot_owners():
-            for method, _args in self._cells_of(owner):
-                names.add(method)
-        for _cls, method in self.schema.implementations:
-            names.add(method)
-        return frozenset(names)
-
-    def methods_defined_on(self, owner: OidLike) -> FrozenSet[Atom]:
-        owner_oid = as_oid(owner)
-        names: Set[Atom] = {
-            method for method, _args in self._cells_of(owner_oid)
-        }
-        schema = self.schema
-        if schema.catalogue.is_class(owner_oid):
-            reachable = schema.hierarchy.superclasses(owner_oid, strict=False)
-        else:
-            reachable = self.classes_of(owner_oid)
-        for cls in reachable:
-            names.update(
-                method for method, _args in self._cells_of(cls)
-            )
-        for (cls, name) in schema.implementations:
-            if cls in reachable:
-                names.add(name)
-        return frozenset(names)
-
-    def reverse_lookup_sound(self, method) -> bool:
-        method_atom = _atom(method)
-        if self.implementation_classes(method_atom):
-            return False
-        for cls in self.schema.hierarchy.classes():
-            if any(m == method_atom for m, _args in self._cells_of(cls)):
-                return False
-        return True
-
     def index_is_complete_for(self, method) -> bool:
         # No live index state is consulted from a snapshot; reverse
         # lookups fall back to forward evaluation, which is always sound.
         return False
-
-    # ------------------------------------------------------------------
-    # relations
-    # ------------------------------------------------------------------
-
-    def _relation_at(self, name: str) -> Optional[FrozenRelation]:
-        if name in self._relations_memo:
-            return self._relations_memo[name]
-        live = self._base._relations.get(name)
-        live_columns = live.column_names if live is not None else None
-        live_rows = live.rows() if live is not None else None
-        chain = self._history._relation_chains.get(name)
-        result: Optional[FrozenRelation]
-        hit = False
-        if chain is not None:
-            hit, pre = _resolve(chain, self._ticket)
-            if hit:
-                result = (
-                    None
-                    if pre is None
-                    else FrozenRelation(name, pre[0], pre[1])
-                )
-        if not hit:
-            result = (
-                None
-                if live is None
-                else FrozenRelation(name, live_columns, live_rows)
-            )
-        self._relations_memo[name] = result
-        return result
-
-    def relation(self, name: str):
-        relation = self._relation_at(name)
-        if relation is None:
-            raise UnknownClassError(f"relation {name} is not declared")
-        return relation
-
-    def relations(self) -> Dict[str, FrozenRelation]:
-        names = set(self._base._relations)
-        names.update(self._history._relation_chains)
-        out: Dict[str, FrozenRelation] = {}
-        for name in names:
-            relation = self._relation_at(name)
-            if relation is not None:
-                out[name] = relation
-        return out
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def describe(self, oid_like: OidLike) -> str:
-        obj = as_oid(oid_like)
-        lines = [f"object {obj}"]
-        classes = sorted(self.direct_classes_of(obj), key=lambda a: a.name)
-        if classes:
-            lines.append(
-                "  instance-of: " + ", ".join(str(c) for c in classes)
-            )
-        for (method, args), cell in sorted(
-            self._cells_of(obj).items(), key=lambda item: str(item[0])
-        ):
-            arg_str = "@" + ",".join(str(a) for a in args) if args else ""
-            if isinstance(cell, ScalarCell):
-                lines.append(f"  {method}{arg_str} -> {cell.value}")
-            else:
-                members = ", ".join(sorted(str(v) for v in cell.values))
-                lines.append(f"  {method}{arg_str} ->> {{{members}}}")
-        return "\n".join(lines)
-
-    def iter_records(self) -> Iterator[ObjectRecord]:
-        known = self.known_objects()
-        for owner in sorted(self._snapshot_owners(), key=str):
-            if owner in known:
-                yield ObjectRecord(owner, dict(self._cells_of(owner)))
 
     # ------------------------------------------------------------------
     # read-path discovery stays view-local

@@ -102,8 +102,8 @@ class SchemaModel:
             attrs[name] = sorted(seen.values(), key=lambda a: a.name)
             extent_sizes[name] = len(store.extent(class_atom))
         samples: Dict[str, List[Oid]] = {}
-        for record in store.iter_records():
-            for (method, args), cell in record.entries():
+        for _owner, cells in store.records():
+            for (method, args), cell in cells.items():
                 if args:
                     continue
                 bucket = samples.setdefault(method.name, [])

@@ -33,11 +33,11 @@ class FlogicDatabase:
         # (host, method, args) -> set of values; also indexed by method.
         self._data: List[Tuple[Oid, Atom, Tuple[Oid, ...], Oid]] = []
         self._by_method: Dict[Atom, List[int]] = {}
-        for record in store.iter_records():
-            for (method, args), cell in record.entries():
+        for owner, cells in store.records():
+            for (method, args), cell in cells.items():
                 for value in cell.as_set():
                     index = len(self._data)
-                    self._data.append((record.oid, method, args, value))
+                    self._data.append((owner, method, args, value))
                     self._by_method.setdefault(method, []).append(index)
 
     @classmethod

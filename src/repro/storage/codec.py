@@ -503,8 +503,7 @@ def encode_store(
                     tuple(signature.type_expr.args),
                     signature.set_valued,
                 )
-        for record in store.iter_records():
-            obj = record.oid
+        for obj, cells in store.records():
             if not store.catalogue.is_class(obj):
                 journal.note_object(obj)
                 # Explicit memberships only: implicit classes (Object,
@@ -514,7 +513,7 @@ def encode_store(
                     store.explicit_classes_of(obj), key=lambda a: a.name
                 ):
                     journal.note_membership(cls, obj, True)
-            for (method, args), cell in record.entries():
+            for (method, args), cell in cells.items():
                 journal.note_cell(
                     obj,
                     method,

@@ -72,14 +72,13 @@ def infer_signatures(
     store.hierarchy.require(cls)
     # (method, arity) -> (value oids, per-position arg oids, set?, support)
     observed: Dict[Tuple[Atom, int], Dict[str, object]] = {}
+    records = dict(store.records())
     for obj in sorted(store.extent(cls, direct=True), key=str):
-        record = next(
-            (r for r in store.iter_records() if r.oid == obj), None
-        )
-        if record is None:
+        cells = records.get(obj)
+        if cells is None:
             continue
         seen_here = set()
-        for (method, args), cell in record.entries():
+        for (method, args), cell in cells.items():
             key = (method, len(args))
             entry = observed.setdefault(
                 key,

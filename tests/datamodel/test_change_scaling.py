@@ -102,13 +102,17 @@ class TestGuards:
         store.purge_object(Atom("p1"))
 
         def refuse():
-            raise AssertionError("known_objects() was walked")
+            raise AssertionError("the known set was read")
 
-        monkeypatch.setattr(view, "known_objects", refuse)
+        # The view's known set at the pin is its _known_oids() primitive;
+        # known_objects() and the active-domain scan both read it.
+        monkeypatch.setattr(view, "_known_oids", refuse)
         try:
             assert view.extent("Employee") == expected
             assert Atom("p1") in view.extent("Employee")
             assert Atom("late") not in view.extent("Person")
+            with pytest.raises(AssertionError, match="known set"):
+                view.extent("Object")
         finally:
             view.release()
 

@@ -49,9 +49,20 @@ steps = st.lists(
         st.tuples(
             st.just("tuple"), st.integers(0, OWNERS - 1), st.integers(0, VALUES - 1)
         ),
+        st.tuples(
+            st.just("default"),
+            st.sampled_from(["Person", "Employee"]),
+            st.integers(0, VALUES - 1),
+        ),
+        st.tuples(st.just("declare"), st.sampled_from(["Hates", "Likes"])),
     ),
     max_size=30,
 )
+
+#: Every object a reader can ask about: the owners and the classes.
+SUBJECTS = [Atom(f"o{i}") for i in range(OWNERS)] + [
+    Atom("Person"), Atom("Employee")
+]
 
 
 def fresh_store() -> ObjectStore:
@@ -69,7 +80,14 @@ def apply_step(store, step) -> None:
     """One mutation; invalid ops raise and are skipped identically on
     the live and the replay side."""
     kind = step[0]
-    owner = Atom(f"o{step[1]}") if len(step) > 1 else None
+    if kind == "default":
+        # A class-default cell: inherited by every member (§2).
+        store.set_attr(Atom(step[1]), "Age", step[2])
+        return
+    if kind == "declare":
+        store.declare_relation(step[1], ["who", "what"])
+        return
+    owner = Atom(f"o{step[1]}")
     if kind == "create":
         store.create_object(owner, ["Person"])
     elif kind == "set":
@@ -98,24 +116,38 @@ def run_script(store, script) -> None:
             continue
 
 
+def names(items) -> list:
+    return sorted(str(item) for item in items)
+
+
 def visible_state(store) -> dict:
-    """Canonical, order-insensitive dump of everything a reader sees."""
+    """Canonical, order-insensitive dump of every read the store and a
+    snapshot view share."""
     state = {
-        "known": sorted(str(o) for o in store.known_objects()),
-        "person": sorted(str(o) for o in store.extent("Person")),
-        "employee": sorted(str(o) for o in store.extent("Employee")),
-        "likes": sorted(
-            tuple(str(t) for t in row) for row in store.relation("Likes").rows()
-        ),
+        "known": names(store.known_objects()),
+        "person": names(store.extent("Person")),
+        "employee": names(store.extent("Employee")),
+        "records": {
+            (repr(owner), frozenset((repr(key), repr(cell))
+                                    for key, cell in cells.items()))
+            for owner, cells in store.records()
+        },
+        "method_universe": names(store.method_universe()),
+        "relations": {
+            name: (relation.column_names, names(relation.rows()))
+            for name, relation in store.relations().items()
+        },
+        "reverse_lookup_sound": {
+            method: store.reverse_lookup_sound(method)
+            for method in ("Age", "Name", "Tags")
+        },
     }
-    cells = {}
-    for i in range(OWNERS):
-        owner = Atom(f"o{i}")
+    for subject in SUBJECTS:
+        state[f"{subject}.methods"] = names(store.methods_defined_on(subject))
+        state[f"{subject}.classes"] = names(store.direct_classes_of(subject))
+        state[f"{subject}.describe"] = store.describe(subject)
         for method in ("Age", "Name", "Tags"):
-            values = store.invoke(owner, method)
-            if values:
-                cells[f"o{i}.{method}"] = sorted(str(v) for v in values)
-    state["cells"] = cells
+            state[f"{subject}.{method}"] = names(store.invoke(subject, method))
     return state
 
 
@@ -171,4 +203,5 @@ class TestSnapshotEqualsReplay:
             assert status["cell_chain_entries"] == 0
             assert status["membership_chain_entries"] == 0
             assert status["known_chain_entries"] == 0
+            assert status["record_chain_entries"] == 0
             assert status["relation_chain_entries"] == 0

@@ -6,6 +6,10 @@ relations), the pinned schema value and atomic DDL, and the read-only
 StoreView surface.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.datamodel import ObjectStore, PythonMethod
@@ -16,7 +20,7 @@ from repro.errors import (
     UnknownClassError,
 )
 from repro.oid import Atom, Value
-from repro.storage import MemoryEngine, StoreJournal
+from repro.storage import MemoryEngine, StoreJournal, decode_store
 
 
 ANN = Atom("ann")
@@ -165,6 +169,33 @@ class TestSnapshotReads:
             assert len(view.relation("Likes")) == 1
             assert len(store.relation("Likes")) == 2
 
+    def test_relations_have_one_writer(self):
+        # A relation changes only through insert_tuple: the object
+        # store.relation() returns has no public method that writes, and
+        # the one writer moves the ticket, keeps the row out of views
+        # pinned before it, journals it and registers its oids.
+        engine = MemoryEngine()
+        store = seeded_store()
+        store.set_journal(StoreJournal(engine, store))
+        store.declare_relation("Likes", ["who", "what"])
+        relation = store.relation("Likes")
+        readers = {
+            "arity", "check_row", "column", "column_names", "name", "rows",
+            "sorted_rows",
+        }
+        public = {name for name in dir(relation) if not name.startswith("_")}
+        assert public == readers
+        row = (Atom("zoe"), Value("jazz"))
+        with store.snapshot_view() as view:
+            before = store.ticket
+            store.insert_tuple("Likes", row)
+            assert store.ticket == before + 1
+            assert row not in view.relation("Likes")
+            assert Atom("zoe") not in view.known_objects()
+            assert row in store.relation("Likes")
+        assert row in decode_store(engine).relation("Likes")
+        assert {Atom("zoe"), Value("jazz")} <= store.known_objects()
+
     def test_post_pin_relation_is_absent(self):
         store = seeded_store()
         with store.snapshot_view() as view:
@@ -291,3 +322,54 @@ class TestStoreViewSurface:
         with store.snapshot_view() as view:
             store.set_attr(ANN, "Name", "Renamed")
             assert "Ann" in view.describe(ANN)
+
+
+class TestConcurrentRelationReads:
+    def test_views_read_exactly_the_rows_at_their_pin(self):
+        # One writer inserts rows while readers pin views and read the
+        # relation twice: each view must hold exactly the rows inserted
+        # before its pin, before and after the writer moves on.  With a
+        # relation written in place after it was chained, a view would
+        # see rows from after its pin.
+        store = ObjectStore()
+        store.declare_relation("R", ["n"])
+        first = store.ticket + 1
+        total = 2000
+        failures = []
+        done = threading.Event()
+
+        def write():
+            try:
+                for n in range(total):
+                    store.insert_tuple("R", [Value(n)])
+            finally:
+                done.set()
+
+        def read():
+            while not done.is_set():
+                with store.snapshot_view() as view:
+                    expected = {
+                        (Value(n),) for n in range(view.ticket - first + 1)
+                    }
+                    seen = view.relation("R").rows()
+                    time.sleep(0)  # let the writer move past the pin
+                    again = view.relations()["R"].rows()
+                    if not seen == again == expected:
+                        failures.append((view.ticket, len(seen), len(again)))
+                        return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert len(store.relation("R")) == total
+        assert store.version_status()["pins"] == 0

@@ -46,16 +46,15 @@ def rebuilt(store: ObjectStore) -> ObjectStore:
     fresh = ObjectStore()
     fresh.declare_class("A")
     fresh.declare_class("B", ["A"])
-    for record in store.iter_records():
+    for owner, cells in store.records():
         fresh.create_object(
-            record.oid,
-            sorted(store.explicit_classes_of(record.oid), key=str),
+            owner, sorted(store.explicit_classes_of(owner), key=str)
         )
-        for (method, args), cell in record.entries():
+        for (method, args), cell in cells.items():
             if cell.set_valued:
-                fresh.set_attr_set(record.oid, method, cell.values, args)
+                fresh.set_attr_set(owner, method, cell.values, args)
             else:
-                fresh.set_attr(record.oid, method, cell.value, args)
+                fresh.set_attr(owner, method, cell.value, args)
     for method in store.indexed_methods():
         fresh.enable_index(method)
     return fresh
@@ -228,7 +227,7 @@ class TestEveryRecordIsJournaled:
         engine, store = journaled_store()
         store.add_instance(Atom("o0"), "A")
         store.remove_instance(Atom("o0"), "A")
-        assert Atom("o0") in {record.oid for record in store.iter_records()}
+        assert Atom("o0") in dict(store.records())
         assert canonical(decode_store(engine)) == canonical(store)
 
     def test_cell_write_puts_no_owner_marker(self):

@@ -65,10 +65,8 @@ class TestAttributes:
         store.declare_class("Bag")
         bag = store.create_object(Atom("bag1"), ["Bag"])
         store.set_attr_set(bag, "Members", [Value(1), Value(2)])
-        record = next(
-            r for r in store.iter_records() if r.oid == bag
-        )
-        assert [m.name for m in record.defined_methods()] == ["Members"]
+        cells = dict(store.records())[bag]
+        assert [method.name for method, _args in cells] == ["Members"]
 
     def test_nested_sets_via_intermediate_objects(self):
         # "modeling sets of arbitrary nesting depth becomes quite easy."
