@@ -14,9 +14,11 @@ Run standalone::
         [--json PATH] [--baseline PATH]
 
 ``--baseline`` compares against a previous artifact and exits non-zero
-on a >2x regression of ingest throughput or worst-case query p95 — the
-CI gate.  Through pytest the 1k tier runs by default and the 10^5/10^6
-tiers are ``slow``-marked behind ``--runslow``::
+on a >2x regression of ingest throughput or worst-case query p95, each
+scaled by the perfbench ``SpeedProbe`` loop time this script records
+beside every tier (``probe_ms``) — the CI gate.  Through pytest the 1k
+tier runs by default and the 10^5/10^6 tiers are ``slow``-marked
+behind ``--runslow``::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_scale.py [--runslow]
 """
@@ -105,7 +107,7 @@ def main() -> int:
         metavar="PATH",
         default=None,
         help="compare against a previous artifact; exit 1 on a >2x "
-        "regression of ingest throughput or worst-case p95",
+        "probe-scaled regression of ingest throughput or worst-case p95",
     )
     args = parser.parse_args()
     def parse_mode(text: str):
@@ -119,13 +121,26 @@ def main() -> int:
         if args.modes
         else tuple(MODES)
     )
-    payload = run_scale_benchmark(
-        tiers=tuple(args.tiers),
-        rounds=args.rounds,
-        seed=args.seed,
-        progress=print,
-        modes=modes,
-    )
+    from bench_pipeline import probed  # the sibling script
+
+    # One run per tier, with the host's probe time recorded beside it.
+    payload = None
+    for tier in args.tiers:
+        part, probe_ms = probed(
+            run_scale_benchmark,
+            tiers=(tier,),
+            rounds=args.rounds,
+            seed=args.seed,
+            progress=print,
+            modes=modes,
+        )
+        part["tiers"][0]["probe_ms"] = round(probe_ms, 4)
+        if payload is None:
+            payload = part
+            continue
+        payload["tiers"] += part["tiers"]
+        for name, curve in part["curves"].items():
+            payload["curves"].setdefault(name, {}).update(curve)
     validate_artifact(payload)
     print()
     print(render_report(payload))

@@ -29,7 +29,9 @@ Everything lands in ``benchmarks/BENCH_scale.json`` with the full
 self-describing; :func:`strip_timings` zeroes every timing field, and
 two runs from the same seed are byte-for-byte identical after it.
 :func:`compare_to_baseline` is the CI gate: >2x regressions of ingest
-throughput or worst-case query p95 fail the build.
+throughput or worst-case query p95 fail the build, each scaled by the
+tier's ``probe_ms`` (perfbench's ``SpeedProbe`` loop time, which
+``benchmarks/bench_scale.py`` records beside each tier).
 
 Following the meta-querying program (Van den Bussche et al., "Towards
 practical meta-querying"), the artifact is structured data first and a
@@ -39,7 +41,6 @@ report second — :func:`render_report` is just a view of the JSON.
 from __future__ import annotations
 
 import copy
-import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -161,6 +162,7 @@ _TIMING_KEYS = frozenset(
         "p95_ms",
         "mean_ms",
         "worst_p95_ms",
+        "probe_ms",
     }
 )
 
@@ -423,9 +425,12 @@ def compare_to_baseline(
     The CI gate: ingest throughput may not fall below ``1/factor`` of
     the baseline, and each mode's worst-case query p95 may not exceed
     ``factor`` times the baseline, for every tier/mode present in both.
-    A payload mode missing from a baseline tier is a problem too, so a
-    stale baseline cannot turn the gate into a no-op.  Returns
-    human-readable violation lines (empty means pass).
+    Both are probe-scaled: each tier's throughput is multiplied, and its
+    p95 divided, by its ``probe_ms``, so a slower host moves both sides.
+    A payload mode missing from a baseline tier is a problem too, and so
+    is a tier without a probe time, so a stale baseline cannot turn the
+    gate into a no-op.  Returns human-readable violation lines (empty
+    means pass).
     """
     problems: List[str] = []
     base_tiers = {tier["tier"]: tier for tier in baseline.get("tiers", [])}
@@ -433,12 +438,16 @@ def compare_to_baseline(
         base = base_tiers.get(tier["tier"])
         if base is None:
             continue
-        rate = tier["ingest"]["objects_per_sec"]
+        if not tier.get("probe_ms") or not base.get("probe_ms"):
+            problems.append(f"{tier['tier']}: no probe time to scale by")
+            continue
+        slowdown = tier["probe_ms"] / base["probe_ms"]  # > 1: slower host
+        rate = tier["ingest"]["objects_per_sec"] * slowdown
         base_rate = base["ingest"]["objects_per_sec"]
         if base_rate and rate < base_rate / factor:
             problems.append(
-                f"{tier['tier']}: ingest {rate:,.0f} obj/s is >{factor}x "
-                f"below baseline {base_rate:,.0f} obj/s"
+                f"{tier['tier']}: ingest {rate:,.0f} obj/s (probe-scaled) "
+                f"is >{factor}x below baseline {base_rate:,.0f} obj/s"
             )
         base_modes = {
             (mode["plan"], mode["join_mode"]): mode
@@ -453,11 +462,11 @@ def compare_to_baseline(
             if bmode is None:
                 problems.append(f"{where}: no baseline entry to compare")
                 continue
-            worst = mode["worst_p95_ms"]
+            worst = mode["worst_p95_ms"] / slowdown
             base_worst = bmode["worst_p95_ms"]
             if base_worst and worst > base_worst * factor:
                 problems.append(
-                    f"{where}: worst p95 {worst}ms is "
+                    f"{where}: worst p95 {worst:.3f}ms (probe-scaled) is "
                     f">{factor}x above baseline {base_worst}ms"
                 )
     return problems
@@ -494,9 +503,3 @@ def render_report(payload: Dict[str, object]) -> str:
                 )
     return "\n".join(lines)
 
-
-def load_artifact(path: str) -> Dict[str, object]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    validate_artifact(payload)
-    return payload

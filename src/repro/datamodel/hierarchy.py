@@ -135,10 +135,6 @@ class ClassHierarchy:
             return []
         return sorted(parents, key=lambda a: a.name)
 
-    def direct_subclasses(self, cls: Atom) -> FrozenSet[Atom]:
-        self.require(cls)
-        return frozenset(self._children[cls])
-
     def superclasses(self, cls: Atom, strict: bool = True) -> FrozenSet[Atom]:
         """All (transitive) superclasses of *cls* (memoized)."""
         cached = self._super_cache.get(cls)

@@ -12,7 +12,7 @@ object universe.
 Indexes are opt-in per method (``store.enable_index("Residence")``) and
 maintained incrementally by the store's cell primitive
 (``ObjectStore._put_cell``), the one place a cell changes; enabling an
-index on existing data back-fills it from the current records, which is
+index on existing data back-fills it from the method's column, which is
 also how a reopened store rebuilds it (the storage layer keeps only
 which methods are indexed).
 """
@@ -53,12 +53,9 @@ class AttributeIndexes:
             return
         self._indexed.add(method)
         table = self._entries.setdefault(method, {})
-        for owner, cells in store.records():
-            for (cell_method, args), cell in cells.items():
-                if cell_method != method:
-                    continue
-                for value in cell.as_set():
-                    table.setdefault(value, set()).add((owner, args))
+        for key, cell in store._column(method).items():
+            for value in cell.as_set():
+                table.setdefault(value, set()).add(key)
 
     def disable(self, method: Atom) -> None:
         self._indexed.discard(method)

@@ -9,21 +9,22 @@ Because attributes are identified with 0-ary methods, a cell is keyed by the
 pair ``(method, args)``: attributes use the empty argument tuple, k-ary
 methods use a tuple of k ground oids.  Stored cells record *explicitly
 defined* values; inherited defaults and computed method results are resolved
-by the store on top of them.  An object's record is nothing but its cell
-dict, which only the store writes (``ObjectStore._put_cell``) and hands
-out read-only (``ObjectStore.records``).  Cells are immutable values, so
-a snapshot's pre-image chain holds the replaced cell itself.
+by the store on top of them.  The store keeps them method-major, one
+:class:`Column` per method, which only the store writes
+(``ObjectStore._put_cell``).  Cells are immutable values, so a
+snapshot's pre-image chain holds the replaced cell itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple, Union
+from typing import AbstractSet, FrozenSet, Tuple, Union
 
 from repro.oid import Atom, Oid
 
-__all__ = ["ScalarCell", "SetCell", "Cell", "CellKey"]
+__all__ = ["ScalarCell", "SetCell", "Cell", "CellKey", "Column"]
 
+#: A cell's key within its owner's cells: ``(method, args)``.
 CellKey = Tuple[Atom, Tuple[Oid, ...]]
 
 
@@ -56,3 +57,13 @@ class SetCell:
 
 
 Cell = Union[ScalarCell, SetCell]
+
+
+class Column(dict):
+    """The cells of one method, ``(owner, args) -> cell``, keyed as the
+    storage codec's ``("f", method, owner, *args)`` keys are."""
+
+    #: The keys a probe ``(owner, ())`` for an individual does not reach:
+    #: every key held by a class-object (the method's defaults) and every
+    #: key with arguments.  A column the store fills holds its own set.
+    side: AbstractSet[Tuple[Oid, Tuple[Oid, ...]]] = frozenset()

@@ -167,9 +167,6 @@ class StatisticsCatalogue:
     def direct_extent_count(self, cls: Atom) -> int:
         return self._direct_extents.get(cls, 0)
 
-    def known_methods(self) -> Tuple[Atom, ...]:
-        return tuple(sorted(self._methods, key=lambda a: a.name))
-
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-friendly dump (``.stats`` in the REPL, debugging)."""
         return {

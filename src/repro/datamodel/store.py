@@ -29,16 +29,16 @@ those can never disagree with the records.  A cell write that would
 store the cell already stored changes nothing, so it returns after its
 checks and moves nothing: no ticket, no batch, no chain entry.
 
-Every read has one shape too: the data layout (records as cell dicts,
-memberships, direct extents, the known set, relations) is read only
-through a few **fact primitives** — :meth:`ObjectStore._cells_of`,
-:meth:`ObjectStore._cell_lookup`, :meth:`ObjectStore._record_owners`,
-:meth:`ObjectStore._explicit_classes`,
-:meth:`ObjectStore._direct_extent`, :meth:`ObjectStore._known_oids`,
-:meth:`ObjectStore._relation_at` and :meth:`ObjectStore._relation_names`
-— and every other reader is written once on top of them.  A pinned
-snapshot (:class:`repro.datamodel.versions.StoreView`) overrides exactly
-those primitives.
+Cells are stored method-major, one column per method, as the codec
+lays them out on disk.  Every read has one shape too: the data layout is
+read only through a few **fact primitives** — :meth:`_column`,
+:meth:`_cell_lookup`, :meth:`_cell_methods`, :meth:`_record_owners`,
+:meth:`_explicit_classes`, :meth:`_direct_extent`, :meth:`_known_oids`,
+:meth:`_relation_at` and :meth:`_relation_names` of
+:class:`ObjectStore` — and every other reader, an owner's cells among
+them, is written once on top of them.  A pinned snapshot
+(:class:`repro.datamodel.versions.StoreView`) overrides exactly those
+primitives.
 """
 
 from __future__ import annotations
@@ -66,7 +66,13 @@ from repro.datamodel.hierarchy import OBJECT_CLASS, ClassHierarchy
 from repro.datamodel.indexes import AttributeIndexes
 from repro.datamodel.inheritance import InheritanceResolver
 from repro.datamodel.methods import MethodImplementation
-from repro.datamodel.objects import Cell, CellKey, ScalarCell, SetCell
+from repro.datamodel.objects import (
+    Cell,
+    CellKey,
+    Column,
+    ScalarCell,
+    SetCell,
+)
 from repro.datamodel.relations import StoredRelation
 from repro.datamodel.signatures import Signature, TypeExpr
 from repro.datamodel.statistics import MethodStats, StatisticsCatalogue
@@ -105,8 +111,8 @@ def _count_individuals(
 #: The write context of a mutation on a store with no journal attached.
 _NO_BATCH = nullcontext()
 
-#: The cells of an owner that holds no record.
-_NO_CELLS: Mapping[CellKey, Cell] = MappingProxyType({})
+#: The column of a method no cell is stored for (never written).
+_NO_COLUMN = Column()
 
 #: Every class ``Catalogue.implicit_classes`` can return.
 _IMPLICIT_CLASSES = frozenset(BUILTIN_CLASSES) | {OBJECT_CLASS}
@@ -242,9 +248,10 @@ class ObjectStore:
         #: result class of the attribute (a conservative schema mode; the
         #: paper's default treats typing as metalogical).
         self.validate_values = validate_values
-        #: owner -> its explicit cells: an object's record is its cell
-        #: dict (insertion-ordered by record creation).
-        self._cells: Dict[Oid, Dict[CellKey, Cell]] = {}
+        #: method -> its column; a column that empties is dropped.
+        self._columns: Dict[Atom, Column] = {}
+        #: The objects that hold a record, as an ordered set.
+        self._records: Dict[Oid, None] = {}
         self._memberships: Dict[Oid, Set[Atom]] = {}
         self._direct_extents: Dict[Atom, Set[Oid]] = {}
         self._relations: Dict[str, StoredRelation] = {}
@@ -368,40 +375,34 @@ class ObjectStore:
             self._observers = self._observers + (observer,)
             self._rebuild_sinks()
 
-    def remove_observer(self, observer) -> None:
-        """Detach a previously attached write observer (idempotent)."""
-        if observer in self._observers:
-            self._observers = tuple(
-                o for o in self._observers if o is not observer
-            )
-            self._rebuild_sinks()
-
     # ------------------------------------------------------------------
     # fact primitives: the only readers of the data layout.  A snapshot
     # view overrides exactly these; every other reader is built on them.
     # ------------------------------------------------------------------
 
-    def _cells_of(self, owner: Oid) -> Mapping[CellKey, Cell]:
-        """The explicit cells of *owner* (empty when it holds no record).
-
-        Read-only by contract; :meth:`records` hands the same mapping
-        out behind a :class:`types.MappingProxyType`.
-        """
-        return self._cells.get(owner, _NO_CELLS)
+    def _column(self, method: Atom) -> Column:
+        """The column of *method* (read-only)."""
+        return self._columns.get(method, _NO_COLUMN)
 
     def _cell_lookup(self, key: CellKey) -> Callable[[Oid], Optional[Cell]]:
-        """``owner -> explicit cell at key``, or None where none is stored."""
-        records = self._cells
+        """``owner -> explicit cell at key``, or None where none is stored;
+        it finds the column on each call, so it outlives the column."""
+        method, args = key
+        columns = self._columns
 
         def lookup(owner: Oid) -> Optional[Cell]:
-            cells = records.get(owner)
-            return None if cells is None else cells.get(key)
+            column = columns.get(method)
+            return None if column is None else column.get((owner, args))
 
         return lookup
 
+    def _cell_methods(self) -> Iterable[Atom]:
+        """The methods whose column holds a cell."""
+        return self._columns.keys()
+
     def _record_owners(self) -> Iterable[Oid]:
         """The objects that hold a record, in record creation order."""
-        return self._cells.keys()
+        return self._records.keys()
 
     def explicit_classes_of(self, oid_like: OidLike) -> FrozenSet[Atom]:
         """Explicit instance-of memberships only (no implicit classes)."""
@@ -486,6 +487,10 @@ class ObjectStore:
                 known=declared,
                 note=note,
             )
+            # Cells an atom held before it became a class are defaults now.
+            for atom in declared:
+                for method, args in self._owner_cells(atom):
+                    self._columns[method].side.add((atom, args))
         return cls
 
     def declare_signature(
@@ -620,13 +625,13 @@ class ObjectStore:
         obj = as_oid(oid_like)
         with self._history.lock:
             with self._mutation():
-                for method, args in list(self._cells_of(obj)):
+                for method, args in self._owner_cells(obj):
                     self._put_cell(obj, method, args, None)
                 for cls in self._explicit_classes(obj):
                     self._put_membership(obj, cls, False)
-                if obj in self._cells:
+                if obj in self._records:
                     self._history.chain("record", None, obj, True)
-                    del self._cells[obj]
+                    del self._records[obj]
                 if obj in self._known:
                     self._history.chain("known", None, obj, True)
                     self._known.discard(obj)
@@ -720,8 +725,7 @@ class ObjectStore:
         """The range of method variables (``"Y``)."""
         schema = self.schema
         names: Set[Atom] = set(schema.catalogue.methods())
-        for owner in self._record_owners():
-            names.update(method for method, _args in self._cells_of(owner))
+        names.update(self._cell_methods())
         for _cls, method in schema.implementations:
             names.add(method)
         return frozenset(names)
@@ -799,11 +803,10 @@ class ObjectStore:
     def _check_value_class(self, owner: Oid, method: Atom, value: Oid) -> None:
         """Optional conservative check: the value fits a declared result.
 
-        Active only with ``validate_values=True`` and only when at least
-        one signature for *method* is visible on the owner's classes.
+        Called only with ``validate_values=True``, and active only when
+        at least one signature for *method* is visible on the owner's
+        classes.
         """
-        if not self.validate_values:
-            return
         hierarchy = self.schema.hierarchy
         results = [
             signature.result
@@ -823,25 +826,22 @@ class ObjectStore:
             )
 
     def _check_write(
-        self,
-        owner: Oid,
-        method: Atom,
-        args: Tuple[Oid, ...],
-        set_valued: bool,
-        values: Iterable[Oid],
+        self, owner: Oid, method: Atom, args: Tuple[Oid, ...], cell: Cell
     ) -> Optional[Cell]:
-        """Check a cell write before anything moves; return the stored
-        cell it replaces.
+        """Check a write of *cell* before anything moves; return the
+        stored cell it replaces.
 
         The write must agree with the declared arrow kinds, its values
         with the declared result classes (``validate_values``), and its
         kind with the stored cell's: a scalar never overwrites a set
         cell, nor a set a scalar.
         """
+        set_valued = cell.set_valued
         self._check_arrow(owner, method, set_valued)
-        for value in values:
-            self._check_value_class(owner, method, value)
-        stored = self._cells_of(owner).get((method, args))
+        if self.validate_values:
+            for value in cell.as_set():
+                self._check_value_class(owner, method, value)
+        stored = self._column(method).get((owner, args))
         if stored is not None and stored.set_valued != set_valued:
             held = "a set" if stored.set_valued else "a scalar"
             wanted = "a set" if set_valued else "a scalar"
@@ -859,19 +859,7 @@ class ObjectStore:
         args: Sequence[OidLike] = (),
     ) -> None:
         """Store a scalar attribute/method value."""
-        owner_oid = as_oid(owner)
-        method_atom = _atom(method)
-        value_oid = as_oid(value)
-        arg_oids = tuple(as_oid(a) for a in args)
-        cell = ScalarCell(value_oid)
-        with self._history.lock:
-            stored = self._check_write(
-                owner_oid, method_atom, arg_oids, False, (value_oid,)
-            )
-            if stored is not None and _unchanged(stored, cell):
-                return
-            with self._mutation():
-                self._put_cell(owner_oid, method_atom, arg_oids, cell)
+        self._write_cell(owner, method, args, ScalarCell(as_oid(value)))
 
     def set_attr_set(
         self,
@@ -881,19 +869,8 @@ class ObjectStore:
         args: Sequence[OidLike] = (),
     ) -> None:
         """Store (replace) a set-valued attribute/method value."""
-        owner_oid = as_oid(owner)
-        method_atom = _atom(method)
-        value_oids = frozenset(as_oid(v) for v in values)
-        arg_oids = tuple(as_oid(a) for a in args)
-        cell = SetCell(value_oids)
-        with self._history.lock:
-            stored = self._check_write(
-                owner_oid, method_atom, arg_oids, True, value_oids
-            )
-            if stored is not None and _unchanged(stored, cell):
-                return
-            with self._mutation():
-                self._put_cell(owner_oid, method_atom, arg_oids, cell)
+        cell = SetCell(frozenset(as_oid(v) for v in values))
+        self._write_cell(owner, method, args, cell)
 
     def add_to_set(
         self,
@@ -903,20 +880,30 @@ class ObjectStore:
         args: Sequence[OidLike] = (),
     ) -> None:
         """Add one member to a set-valued cell (creating it if absent)."""
+        cell = SetCell(frozenset({as_oid(member)}))
+        self._write_cell(owner, method, args, cell, merge=True)
+
+    def _write_cell(
+        self,
+        owner: OidLike,
+        method: ClassLike,
+        args: Sequence[OidLike],
+        cell: Cell,
+        merge: bool = False,
+    ) -> None:
+        """Check a write of *cell* (with *merge*, of its values added to
+        the stored set), then store it in one mutation — unless that
+        would store the cell already stored."""
         owner_oid = as_oid(owner)
         method_atom = _atom(method)
-        member_oid = as_oid(member)
         arg_oids = tuple(as_oid(a) for a in args)
         with self._history.lock:
-            stored = self._check_write(
-                owner_oid, method_atom, arg_oids, True, (member_oid,)
-            )
-            members = frozenset({member_oid})
+            stored = self._check_write(owner_oid, method_atom, arg_oids, cell)
             if stored is not None:
-                members |= stored.values
-            cell = SetCell(members)
-            if stored is not None and _unchanged(stored, cell):
-                return
+                if merge:
+                    cell = SetCell(cell.values | stored.values)
+                if _unchanged(stored, cell):
+                    return
             with self._mutation():
                 self._put_cell(owner_oid, method_atom, arg_oids, cell)
 
@@ -965,18 +952,26 @@ class ObjectStore:
         to the known set.  Runs inside :meth:`_mutation`, after
         :meth:`_check_write` accepted the write.
         """
-        key = (method, args)
-        cells = self._cells.get(owner)
-        old = None if cells is None else cells.get(key)
+        key = (owner, args)
+        column = self._columns.get(method)
+        old = None if column is None else column.get(key)
         if old is None and cell is None:
             return
-        self._history.chain("cell", owner, key, old)
+        self._history.chain("cell", method, key, old)
         if cell is None:
-            del cells[key]
+            del column[key]
+            column.side.discard(key)
+            if not column:
+                del self._columns[method]
         else:
-            if cells is None:
-                cells = self._record(owner)
-            cells[key] = cell
+            if owner not in self._records:
+                self._record(owner)
+            if column is None:
+                column = self._columns[method] = Column()
+                column.side = set()
+            column[key] = cell
+            if args or owner in self.schema.hierarchy:
+                column.side.add(key)
         old_values = frozenset() if old is None else old.as_set()
         new_values = frozenset() if cell is None else cell.as_set()
         self._indexes.note_write(owner, method, args, old_values, new_values)
@@ -1018,26 +1013,33 @@ class ObjectStore:
             for sink in self._sinks:
                 sink.note_membership(cls, obj, present)
         if present:
-            if obj not in self._cells:
-                self._record(obj)
+            self._record(obj)
             self._known_add(obj)
 
-    def _record(self, obj: Oid) -> Dict[CellKey, Cell]:
-        """The record (cell dict) of *obj*, created on first use: the only
-        creator of records.
+    def _record(self, obj: Oid) -> None:
+        """Give *obj* a record unless it holds one: the only creator of
+        records.
 
         A new record of an individual is announced to every sink
         (``note_object``), so the journal holds an ``("o", obj)`` marker
         for exactly the objects that have a record, however they entered.
         Class-objects hold default cells, not instances, and get none.
         """
-        cells = self._cells.get(obj)
-        if cells is None:
+        if obj not in self._records:
             self._history.chain("record", None, obj, False)
-            cells = self._cells[obj] = {}
+            self._records[obj] = None
             if self._sinks and not self.schema.catalogue.is_class(obj):
                 for sink in self._sinks:
                     sink.note_object(obj)
+
+    def _owner_cells(self, owner: Oid) -> Dict[CellKey, Cell]:
+        """The explicit cells of *owner*, gathered from the columns."""
+        cells: Dict[CellKey, Cell] = {}
+        for method in list(self._cell_methods()):
+            column = self._column(method)
+            for key in ((owner, ()), *column.side):
+                if key[0] == owner and key in column:
+                    cells[(method, key[1])] = column[key]
         return cells
 
     def explicit_cell(
@@ -1046,8 +1048,8 @@ class ObjectStore:
         method: ClassLike,
         args: Sequence[OidLike] = (),
     ) -> Optional[Cell]:
-        return self._cells_of(as_oid(owner)).get(
-            (_atom(method), tuple(as_oid(a) for a in args))
+        return self._column(_atom(method)).get(
+            (as_oid(owner), tuple(as_oid(a) for a in args))
         )
 
     # ------------------------------------------------------------------
@@ -1120,29 +1122,33 @@ class ObjectStore:
         method_atom = _atom(method)
         arg_oids = tuple(as_oid(a) for a in args)
 
-        cell = self.explicit_cell(owner_oid, method_atom, arg_oids)
+        column = self._column(method_atom)
+        cell = column.get((owner_oid, arg_oids))
         if cell is not None:
             return cell.as_set(), cell.set_valued
 
-        member_classes = self.direct_classes_of(owner_oid)
         schema = self.schema
+        hierarchy = schema.hierarchy
+        # Class-objects inherit from their own superclasses.
+        if owner_oid in hierarchy:
+            member_classes = frozenset({owner_oid})  # type: ignore[arg-type]
+        else:
+            member_classes = self.direct_classes_of(owner_oid)
 
         # Inherited default value (footnote 5: all attributes are default
-        # attributes in the paper's scope).  Class-objects inherit from
-        # their own superclasses.
-        if schema.catalogue.is_class(owner_oid):
-            member_classes = frozenset({owner_oid})  # type: ignore[arg-type]
+        # attributes in the paper's scope): the candidates are the
+        # classes holding a cell at these arguments.
         defining = [
             cls
-            for cls in schema.hierarchy.classes()
-            if self._has_cell(cls, method_atom, arg_oids)
+            for cls, args in column.side
+            if args == arg_oids and cls in hierarchy
         ]
-        chosen = schema.resolver.select(
-            str(owner_oid), member_classes, method_atom, defining
-        )
-        if chosen is not None and chosen != owner_oid:
-            cell = self.explicit_cell(chosen, method_atom, arg_oids)
-            if cell is not None:
+        if defining:
+            chosen = schema.resolver.select(
+                str(owner_oid), member_classes, method_atom, defining
+            )
+            if chosen is not None:
+                cell = column[(chosen, arg_oids)]
                 return cell.as_set(), cell.set_valued
 
         # Computed implementation with behavioral inheritance + overriding.
@@ -1162,11 +1168,6 @@ class ObjectStore:
                 self._note_values(result)
                 return result, impl.set_valued
         return frozenset(), False
-
-    def _has_cell(
-        self, cls: Atom, method: Atom, args: Tuple[Oid, ...]
-    ) -> bool:
-        return self._cells_of(cls).get((method, args)) is not None
 
     def cell_reader(self, method: Atom) -> CellReader:
         """``owner -> invoke_kinded(owner, method)`` for a 0-ary
@@ -1220,17 +1221,16 @@ class ObjectStore:
         """
         owner_oid = as_oid(owner)
         schema = self.schema
-        names: Set[Atom] = {
-            method for method, _args in self._cells_of(owner_oid)
-        }
         if schema.catalogue.is_class(owner_oid):
             reachable = schema.hierarchy.superclasses(
                 owner_oid, strict=False  # type: ignore[arg-type]
             )
         else:
             reachable = self.classes_of(owner_oid)
-        for cls in reachable:
-            names.update(method for method, _args in self._cells_of(cls))
+        names = {method for method, _args in self._owner_cells(owner_oid)}
+        for method in list(self._cell_methods()):
+            if any(held in reachable for held, _ in self._column(method).side):
+                names.add(method)
         for (cls, name) in schema.implementations:
             if cls in reachable:
                 names.add(name)
@@ -1303,11 +1303,10 @@ class ObjectStore:
         method_atom = _atom(method)
         if self.implementation_classes(method_atom):
             return False
-        for cls in self.schema.hierarchy.classes():
-            cells = self._cells_of(cls)
-            if cells and any(m == method_atom for m, _args in cells):
-                return False
-        return True
+        hierarchy = self.schema.hierarchy
+        return not any(
+            cls in hierarchy for cls, _args in self._column(method_atom).side
+        )
 
     def index_is_complete_for(self, method: ClassLike) -> bool:
         """Can the index answer reverse lookups exactly for *method*?"""
@@ -1399,7 +1398,7 @@ class ObjectStore:
                 "  instance-of: " + ", ".join(str(c) for c in classes)
             )
         for (method, args), cell in sorted(
-            self._cells_of(obj).items(), key=lambda item: str(item[0])
+            self._owner_cells(obj).items(), key=lambda item: str(item[0])
         ):
             arg_str = "@" + ",".join(str(a) for a in args) if args else ""
             if isinstance(cell, ScalarCell):
@@ -1413,11 +1412,10 @@ class ObjectStore:
         """Every object that holds a record, with its explicit cells.
 
         Yields ``(oid, cells)`` pairs whose mapping is read-only
-        (:class:`types.MappingProxyType`); only the store's cell
-        primitive writes cells.  The live store yields its records in
-        creation order; a snapshot view yields the records at its pin in
-        the live store's order, followed by those purged since the pin.
+        (:class:`types.MappingProxyType`).  The live store yields its
+        records in creation order; a snapshot view yields the records at
+        its pin in the live store's order, followed by those purged since
+        the pin.
         """
-        cells_of = self._cells_of
-        for owner in self._record_owners():
-            yield owner, MappingProxyType(cells_of(owner))
+        for owner in list(self._record_owners()):
+            yield owner, MappingProxyType(self._owner_cells(owner))

@@ -56,14 +56,13 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
 )
 
 from repro.datamodel.indexes import AttributeIndexes
-from repro.datamodel.objects import Cell, CellKey
+from repro.datamodel.objects import Cell, CellKey, Column
 from repro.datamodel.relations import StoredRelation
 from repro.datamodel.store import (
     ObjectStore,
@@ -100,8 +99,9 @@ def _resolve(chain: List[_Entry], ticket: int) -> Tuple[bool, Any]:
 
 
 #: The chain families, in ``version_status`` order; each status key is
-#: ``<family>_chain_entries``.  A cell chain is keyed ``owner -> (method,
-#: args)`` and holds the replaced cell (or None); a membership chain
+#: ``<family>_chain_entries``.  A cell chain is keyed as the column is,
+#: ``method -> (owner, args)``, and holds the replaced cell (or None); a
+#: membership chain
 #: ``class -> object`` and holds whether the object was a member; the
 #: known set, the records and the relations each form one group (None)
 #: keyed by oid or name, holding whether the oid was known, whether it
@@ -345,13 +345,13 @@ class StoreView(ObjectStore):
     Schema reads go to the schema value the pin captured; every schema
     accessor is inherited from :class:`ObjectStore`.  Data reads are
     inherited too: the view overrides only the store's fact primitives
-    (``_cells_of``, ``_cell_lookup``, ``_record_owners``,
-    ``_explicit_classes``, ``_direct_extent``, ``_known_oids``,
-    ``_relation_at`` and ``_relation_names``).  Each override reads the
-    base store's primitive first and then the pre-image chain, and the
-    chain wins; per-owner reconstructions are memoized, which is sound
-    because a pinned state never changes.  Every mutator raises
-    :class:`SnapshotReadOnlyError`.
+    (``_column``, ``_cell_lookup``, ``_cell_methods``,
+    ``_record_owners``, ``_explicit_classes``, ``_direct_extent``,
+    ``_known_oids``, ``_relation_at`` and ``_relation_names``).  Each
+    override reads the base store's primitive first and then the
+    pre-image chain, and the chain wins; columns and per-object class
+    sets are memoized, which is sound because a pinned state never
+    changes.  Every mutator raises :class:`SnapshotReadOnlyError`.
 
     Inverted indexes are disabled on views (``index_is_complete_for`` is
     always false), so reverse lookups fall back to the always-sound
@@ -379,7 +379,7 @@ class StoreView(ObjectStore):
         #: ``_note_values`` discovery, so query execution over a snapshot
         #: behaves identically to serial execution at the pinned state.
         self._discovered: Set[Oid] = set()
-        self._cells_memo: Dict[Oid, Dict[CellKey, Cell]] = {}
+        self._columns_memo: Dict[Atom, Column] = {}
         self._classes_memo: Dict[Oid, FrozenSet[Atom]] = {}
         self._known_memo: Optional[FrozenSet[Oid]] = None
 
@@ -403,7 +403,7 @@ class StoreView(ObjectStore):
         released view must not be read again; its memos go with the pin.
         """
         self._pin.release()
-        self._cells_memo.clear()
+        self._columns_memo.clear()
         self._classes_memo.clear()
         self._known_memo = None
 
@@ -421,30 +421,41 @@ class StoreView(ObjectStore):
     def _overlay(self, family: str, group) -> Iterator[Tuple[Any, Any]]:
         return self._history.tables[family].overlay(group, self._ticket)
 
-    def _cells_of(self, owner: Oid) -> Mapping[CellKey, Cell]:
-        cells = self._cells_memo.get(owner)
-        if cells is None:
-            cells = dict(self._base._cells_of(owner))
-            for key, pre in self._overlay("cell", owner):
+    def _column(self, method: Atom) -> Column:
+        column = self._columns_memo.get(method)
+        if column is None:
+            live = self._base._column(method)
+            # Side keys first: a key dropped before the copy is chained.
+            candidates = [*live.side]
+            column = Column(live)
+            for key, pre in self._overlay("cell", method):
+                candidates.append(key)
                 if pre is None:
-                    cells.pop(key, None)
+                    column.pop(key, None)
                 else:
-                    cells[key] = pre
-            self._cells_memo[owner] = cells
-        return cells
+                    column[key] = pre
+            # The side keys at the pin, judged by the pinned schema.
+            hierarchy = self.schema.hierarchy
+            column.side = {
+                key
+                for key in candidates
+                if key in column and (key[1] or key[0] in hierarchy)
+            }
+            self._columns_memo[method] = column
+        return column
 
     def _cell_lookup(self, key: CellKey) -> Callable[[Oid], Optional[Cell]]:
-        """One cell at the pin, without copying the owner's cells."""
-        live = self._base._cell_lookup(key)
-        history = self._history
-        ticket = self._ticket
+        # The column at the pin never changes, so the reader binds it.
+        method, args = key
+        column = self._column(method)
+        return lambda owner: column.get((owner, args))
 
-        def lookup(owner: Oid) -> Optional[Cell]:
-            cell = live(owner)
-            hit, pre = history.tables["cell"].resolve(owner, key, ticket)
-            return pre if hit else cell
-
-        return lookup
+    def _cell_methods(self) -> Iterable[Atom]:
+        # A column the live store dropped since the pin has a chain.
+        methods = dict.fromkeys(
+            (*self._base._cell_methods(), *self._history.tables["cell"].groups)
+        )
+        return [method for method in methods if self._column(method)]
 
     def _record_owners(self) -> Iterable[Oid]:
         owners = dict.fromkeys(self._base._record_owners())
@@ -544,9 +555,6 @@ class StoreView(ObjectStore):
 
     def add_observer(self, observer) -> None:
         # Observers watch writes; a snapshot never writes.
-        pass
-
-    def remove_observer(self, observer) -> None:
         pass
 
 

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from graphlib import CycleError, TopologicalSorter
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 from repro.oid import Atom, FuncOid, Oid, Value
 from repro.storage.engine import (
-    CommitStamp,
     StorageEngine,
     StorageError,
     WriteBatch,
@@ -70,19 +70,7 @@ __all__ = [
     "EncodeReport",
     "encode_store",
     "decode_store",
-    "KEYSPACES",
 ]
-
-#: Human-readable map of the top-level keyspaces (docs + ``.storage``).
-KEYSPACES = {
-    "s": "schema (options, classes, signatures)",
-    "o": "individual object markers",
-    "x": "extent memberships",
-    "f": "attribute/method fact cells",
-    "r": "first-class relations",
-    "v": "inheritance resolutions",
-    "i": "inverted index registry",
-}
 
 
 class CodecError(StorageError):
@@ -306,12 +294,16 @@ def encode_cell_value(scalar: bool, values) -> bytes:
 
 
 def decode_cell_value(raw: bytes) -> Tuple[bool, List[Oid]]:
-    data = json.loads(raw.decode("utf-8"))
+    data = _json_value(raw)
     return bool(data["s"]), [decode_oid(v) for v in data["v"]]
 
 
 def _json_bytes(payload: object) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _json_value(raw: bytes) -> object:
+    return json.loads(raw.decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +460,6 @@ class EncodeReport:
         self.cells = 0
         self.relations = 0
         self.skipped: List[str] = []
-        self.stamp = CommitStamp()
 
 
 def encode_store(
@@ -481,7 +472,6 @@ def encode_store(
     """
     from repro.datamodel.catalogue import BUILTIN_CLASSES
     from repro.datamodel.hierarchy import OBJECT_CLASS
-    from repro.datamodel.objects import ScalarCell
 
     report = EncodeReport()
     journal = StoreJournal(engine, store)
@@ -490,11 +480,9 @@ def encode_store(
     with journal.batch():
         journal.note_options()
         for cls in hierarchy.classes():
-            if cls in implicit:
-                continue
-            journal.note_class(cls, hierarchy.declared_parents(cls))
-            report.classes += 1
-        for cls in hierarchy.classes():
+            if cls not in implicit:
+                journal.note_class(cls, hierarchy.declared_parents(cls))
+                report.classes += 1
             for signature in store.declared_signatures(cls):
                 journal.note_signature(
                     cls,
@@ -503,7 +491,7 @@ def encode_store(
                     tuple(signature.type_expr.args),
                     signature.set_valued,
                 )
-        for obj, cells in store.records():
+        for obj in store._record_owners():
             if not store.catalogue.is_class(obj):
                 journal.note_object(obj)
                 # Explicit memberships only: implicit classes (Object,
@@ -513,17 +501,19 @@ def encode_store(
                     store.explicit_classes_of(obj), key=lambda a: a.name
                 ):
                     journal.note_membership(cls, obj, True)
-            for (method, args), cell in cells.items():
+            report.objects += 1
+        # Column by column, as the ("f", method, owner, *args) keys lie.
+        for method in store._cell_methods():
+            for (owner, args), cell in store._column(method).items():
                 journal.note_cell(
-                    obj,
+                    owner,
                     method,
                     args,
                     frozenset(),
                     cell.as_set(),
-                    isinstance(cell, ScalarCell),
+                    not cell.set_valued,
                 )
                 report.cells += 1
-            report.objects += 1
         for name, relation in sorted(store.relations().items()):
             journal.note_relation(name, relation.column_names)
             for row in relation.sorted_rows():
@@ -540,7 +530,6 @@ def encode_store(
             )
         for method in sorted(store.indexed_methods(), key=str):
             journal.note_index(method, True)
-    report.stamp = engine.last_stamp()
     return report
 
 
@@ -553,89 +542,82 @@ def _scan(engine: StorageEngine, prefix: Tuple[KeyPart, ...]):
 def decode_store(engine: StorageEngine) -> "ObjectStore":
     """Rebuild an :class:`ObjectStore` from an engine's key ranges.
 
-    The rebuild runs with no journal attached and no caches live, so
-    replaying a million records touches nothing but the fresh store; at
-    the end its ticket is raised to the engine's last commit stamp, so
-    the recovered store resumes the ticket sequence it committed.
+    One pass: the schema loads as one DDL edit (classes in dependency
+    order, signatures, resolutions), then the data as one mutation
+    through the store's write primitives, in key order (records,
+    memberships, cells column by column).  The fresh store has no sinks
+    and no pins; every fact is checked as the public mutators check it,
+    as this is input from disk.  At the end the ticket is raised to the
+    engine's last commit stamp, so the recovered store resumes the ticket
+    sequence it committed.
     """
+    from repro.datamodel.objects import ScalarCell, SetCell
+    from repro.datamodel.signatures import Signature, TypeExpr
     from repro.datamodel.store import ObjectStore
 
-    options: Dict[str, object] = {}
     raw_options = engine.get(pack_key(("s", "o")))
-    if raw_options is not None:
-        options = json.loads(raw_options.decode("utf-8"))
+    options = {} if raw_options is None else _json_value(raw_options)
     store = ObjectStore(
         strict_method_namespace=bool(
             options.get("strict_method_namespace", False)
         ),
         validate_values=False,  # re-enabled below, after the rebuild
     )
+    parents = {
+        parts[2]: [Atom(name) for name in _json_value(raw)]
+        for parts, raw in _scan(engine, ("s", "c"))
+    }
+    signatures = [
+        Signature(method, TypeExpr(cls, tuple(args), result, bool(set_valued)))
+        for (_s, _g, cls, method, result, set_valued, *args), _raw
+        in _scan(engine, ("s", "g"))
+    ]
 
-    # Classes in dependency order: parents must exist before children.
-    parents: Dict[str, List[str]] = {}
-    pending: List[str] = []
-    for parts, raw in _scan(engine, ("s", "c")):
-        name = parts[2].name
-        pending.append(name)
-        parents[name] = json.loads(raw.decode("utf-8"))
-    guard = len(pending) + 1
-    while pending and guard:
-        guard -= 1
-        still = []
-        for name in pending:
-            wanted = parents.get(name, [])
-            if all(
-                Atom(p) in store.hierarchy or p == "Object" for p in wanted
-            ):
-                store.declare_class(name, wanted)
-            else:
-                still.append(name)
-        if len(still) == len(pending):  # pragma: no cover - cyclic
-            raise CodecError(f"unresolvable class dependencies: {still}")
-        pending = still
+    def load_schema(schema) -> None:
+        try:
+            classes = list(TopologicalSorter(parents).static_order())
+        except CycleError as exc:
+            raise CodecError(f"cyclic classes: {exc.args[1]}") from None
+        for cls in classes:
+            if cls in parents:
+                schema.hierarchy.add_class(cls, parents[cls])
+            elif cls not in schema.hierarchy:
+                raise CodecError(f"parent class {cls} is not declared")
+        for signature in signatures:
+            schema.add_signature(signature)
+        for (_v, cls, method), raw in _scan(engine, ("v",)):
+            use = Atom(_json_value(raw)["use"])
+            schema.resolver.declare_resolution(cls, method, use)
 
-    for parts, _raw in _scan(engine, ("s", "g")):
-        _s, _g, cls, method, result, set_valued = parts[:6]
-        args = parts[6:]
-        store.declare_signature(
-            cls, method, result, args=list(args), set_valued=bool(set_valued)
-        )
-
-    for parts, _raw in _scan(engine, ("o",)):
-        store.create_object(parts[1])
-
-    for parts, _raw in _scan(engine, ("x",)):
-        _x, cls, obj = parts
-        store.add_instance(obj, cls)
-
-    for parts, raw in _scan(engine, ("f",)):
-        method, owner = parts[1], parts[2]
-        args = list(parts[3:])
-        scalar, values = decode_cell_value(raw)
-        if scalar:
-            if len(values) != 1:
+    schema = store._ddl(
+        load_schema, known=[*parents, *(sig.method for sig in signatures)]
+    )
+    with store.write_lock, store._mutation():
+        for (_o, obj), _raw in _scan(engine, ("o",)):
+            schema.catalogue.check_individual(obj)
+            store._record(obj)
+            store._known_add(obj)
+        for (_x, cls, obj), _raw in _scan(engine, ("x",)):
+            schema.hierarchy.require(cls)
+            schema.catalogue.check_individual(obj)
+            store._put_membership(obj, cls, True)
+        for (_f, method, owner, *args), raw in _scan(engine, ("f",)):
+            scalar, values = decode_cell_value(raw)
+            if scalar and len(values) != 1:
                 raise CodecError(
-                    f"scalar cell {method} of {owner} has "
-                    f"{len(values)} values"
+                    f"scalar cell {method} of {owner} has {len(values)} values"
                 )
-            store.set_attr(owner, method, values[0], args=args)
-        else:
-            store.set_attr_set(owner, method, values, args=args)
+            args = tuple(args)
+            cell = ScalarCell(values[0]) if scalar else SetCell(frozenset(values))
+            store._check_write(owner, method, args, cell)
+            store._put_cell(owner, method, args, cell)
 
     for parts, raw in _scan(engine, ("r", "d")):
-        store.declare_relation(parts[2], json.loads(raw.decode("utf-8")))
+        store.declare_relation(parts[2], _json_value(raw))
     for parts, _raw in _scan(engine, ("r", "t")):
         store.insert_tuple(parts[2], list(parts[3:]))
-
-    for parts, raw in _scan(engine, ("v",)):
-        _v, cls, method = parts
-        use = json.loads(raw.decode("utf-8"))["use"]
-        store.resolve_inheritance(cls, method, use)
-
     for parts, _raw in _scan(engine, ("i", "d")):
         store.enable_index(parts[2])
-
     store.validate_values = bool(options.get("validate_values", False))
-
     store.restore_version_ticket(engine.last_stamp().ticket)
     return store

@@ -22,6 +22,10 @@ SETTINGS = settings(
 )
 
 
+#: The store's cell fact primitives (``ObjectStore``'s read path).
+CELL_PRIMITIVES = ("_column", "_cell_lookup", "_cell_methods")
+
+
 class NoScanSet(set):
     """A set that answers membership and size but refuses iteration."""
 
@@ -127,6 +131,43 @@ class TestGuards:
         assert store.lookup_by_value("Name", "name4") == frozenset(
             {Atom("p4")}
         )
+
+    def test_class_defaults_are_found_without_a_class_scan(
+        self, paper_session, monkeypatch
+    ):
+        # A class default is a cell in the method's column, so neither
+        # the soundness test of a reverse lookup nor an invocation miss
+        # reads more cells as the schema grows.
+        store = paper_session.store
+        mary = Atom("mary123")
+        reads = {
+            "reverse_lookup_sound": lambda: store.reverse_lookup_sound(
+                "Salary"
+            ),
+            "invoke_miss": lambda: store.invoke(mary, "Nickname"),
+        }
+
+        def cell_primitive_calls(read) -> int:
+            calls = []
+            for name in CELL_PRIMITIVES:
+                primitive = getattr(store, name)
+
+                def counted(*args, _primitive=primitive):
+                    calls.append(1)
+                    return _primitive(*args)
+
+                monkeypatch.setattr(store, name, counted)
+            read()
+            monkeypatch.undo()
+            return len(calls)
+
+        before = {name: cell_primitive_calls(r) for name, r in reads.items()}
+        for i in range(200):
+            store.declare_class(f"Extra{i}", ["Person"])
+        after = {name: cell_primitive_calls(r) for name, r in reads.items()}
+        assert after == before
+        assert store.reverse_lookup_sound("Salary")
+        assert store.invoke(mary, "Nickname") == frozenset()
 
 
 # -- exactness over random histories ---------------------------------------

@@ -22,6 +22,9 @@ SETTINGS = settings(
 
 OWNERS = 4
 VALUES = 5
+SUBJECT_NAMES = [f"o{i}" for i in range(OWNERS)] + ["Person", "Employee"]
+#: The arguments of the one-argument method ``Rate``.
+RATE_ARGS = [Value("y1"), Value("y2")]
 
 # A script step: ("pin",) markers interleaved with mutation ops over a
 # small universe of owners and values.
@@ -55,14 +58,26 @@ steps = st.lists(
             st.integers(0, VALUES - 1),
         ),
         st.tuples(st.just("declare"), st.sampled_from(["Hates", "Likes"])),
+        # A one-argument cell, on an object or as a class default.
+        st.tuples(
+            st.just("rate"),
+            st.sampled_from(SUBJECT_NAMES),
+            st.sampled_from(RATE_ARGS),
+            st.integers(0, VALUES - 1),
+        ),
+        st.tuples(
+            st.just("unrate"),
+            st.sampled_from(SUBJECT_NAMES),
+            st.sampled_from(RATE_ARGS),
+        ),
+        # An object that becomes a class: its cells become defaults.
+        st.tuples(st.just("classify"), st.integers(0, OWNERS - 1)),
     ),
     max_size=30,
 )
 
 #: Every object a reader can ask about: the owners and the classes.
-SUBJECTS = [Atom(f"o{i}") for i in range(OWNERS)] + [
-    Atom("Person"), Atom("Employee")
-]
+SUBJECTS = [Atom(name) for name in SUBJECT_NAMES]
 
 
 def fresh_store() -> ObjectStore:
@@ -87,6 +102,12 @@ def apply_step(store, step) -> None:
     if kind == "declare":
         store.declare_relation(step[1], ["who", "what"])
         return
+    if kind == "rate":
+        store.set_attr(Atom(step[1]), "Rate", step[3], [step[2]])
+        return
+    if kind == "unrate":
+        store.unset_attr(Atom(step[1]), "Rate", [step[2]])
+        return
     owner = Atom(f"o{step[1]}")
     if kind == "create":
         store.create_object(owner, ["Person"])
@@ -104,6 +125,8 @@ def apply_step(store, step) -> None:
         store.purge_object(owner)
     elif kind == "tuple":
         store.insert_tuple("Likes", [owner, Value(f"v{step[2]}")])
+    elif kind == "classify":
+        store.declare_class(owner, ["Person"])
 
 
 def run_script(store, script) -> None:
@@ -118,6 +141,20 @@ def run_script(store, script) -> None:
 
 def names(items) -> list:
     return sorted(str(item) for item in items)
+
+
+def held_defaults(store) -> dict:
+    """Per method, does some class-object hold a cell of it?  Read off
+    the records: the definition ``reverse_lookup_sound`` must agree
+    with, as no method here has an implementation."""
+    hierarchy = store.hierarchy
+    return {
+        method: any(
+            owner in hierarchy and any(m.name == method for m, _a in cells)
+            for owner, cells in store.records()
+        )
+        for method in ("Age", "Name", "Tags", "Rate")
+    }
 
 
 def visible_state(store) -> dict:
@@ -139,8 +176,11 @@ def visible_state(store) -> dict:
         },
         "reverse_lookup_sound": {
             method: store.reverse_lookup_sound(method)
-            for method in ("Age", "Name", "Tags")
+            for method in ("Age", "Name", "Tags", "Rate")
         },
+    }
+    assert state["reverse_lookup_sound"] == {
+        method: not held for method, held in held_defaults(store).items()
     }
     for subject in SUBJECTS:
         state[f"{subject}.methods"] = names(store.methods_defined_on(subject))
@@ -148,6 +188,10 @@ def visible_state(store) -> dict:
         state[f"{subject}.describe"] = store.describe(subject)
         for method in ("Age", "Name", "Tags"):
             state[f"{subject}.{method}"] = names(store.invoke(subject, method))
+        for arg in RATE_ARGS:
+            state[f"{subject}.Rate@{arg}"] = names(
+                store.invoke(subject, "Rate", [arg])
+            )
     return state
 
 

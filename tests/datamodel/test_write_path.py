@@ -26,7 +26,7 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-INDEXED = ("S", "T")
+INDEXED = ("S", "T", "R")
 OWNERS = 4
 
 
@@ -47,9 +47,10 @@ def rebuilt(store: ObjectStore) -> ObjectStore:
     fresh.declare_class("A")
     fresh.declare_class("B", ["A"])
     for owner, cells in store.records():
-        fresh.create_object(
-            owner, sorted(store.explicit_classes_of(owner), key=str)
-        )
+        if not fresh.catalogue.is_class(owner):
+            fresh.create_object(
+                owner, sorted(store.explicit_classes_of(owner), key=str)
+            )
         for (method, args), cell in cells.items():
             if cell.set_valued:
                 fresh.set_attr_set(owner, method, cell.values, args)
@@ -64,6 +65,10 @@ owner = st.integers(0, OWNERS - 1).map(lambda i: Atom(f"o{i}"))
 value = st.one_of(st.integers(0, 3).map(Value), owner)
 args = st.sampled_from([(), (Atom("k"),)])
 cls = st.sampled_from(["A", "B", "Nope"])
+#: The owner of a cell of the one-argument method "R": an object, or a
+#: class holding a default.
+subject = st.one_of(owner, st.sampled_from([Atom("A"), Atom("B")]))
+one_arg = st.sampled_from([(Atom("k"),), (Value(1),)])
 
 #: All eight data mutators.  "M" is written both as a scalar and as a
 #: set, and "Nope" is no class, so some steps raise.
@@ -89,6 +94,8 @@ steps = st.lists(
             st.just("unset_attr"), owner, st.sampled_from(["S", "T", "M"]),
             args,
         ),
+        st.tuples(st.just("set_attr"), subject, st.just("R"), value, one_arg),
+        st.tuples(st.just("unset_attr"), subject, st.just("R"), one_arg),
     ),
     max_size=40,
 )

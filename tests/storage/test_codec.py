@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datamodel.store import ObjectStore
+from repro.errors import UnknownClassError
 from repro.oid import Atom, FuncOid, Value
 from repro.schema.figure1 import build_figure1_schema
 from repro.schema.typing_examples import extend_with_typing_classes
@@ -18,6 +19,8 @@ from repro.storage import (
 )
 from repro.storage.codec import decode_cell_value, encode_cell_value
 from repro.storage.smoke import canonical
+from repro.workloads.paper_db import populate_paper_database
+from repro.workloads.scale import ScaleSpec, generate_scaled
 
 
 class TestKeyPacking:
@@ -200,6 +203,91 @@ class TestStoreRoundTrip:
         engine = MemoryEngine()
         report = encode_store(store, engine)
         assert any("Shout" in note for note in report.skipped)
+
+
+def _figure1_paper():
+    store = ObjectStore()
+    build_figure1_schema(store)
+    populate_paper_database(store)
+    # A class-object's record follows the individuals' in a decoded store.
+    store.set_attr(Atom("Person"), "Age", 0)
+    return store
+
+
+def _scaled_2k():
+    return generate_scaled(ScaleSpec(n_objects=2_000, seed=3))
+
+
+def _keys(engine, prefix):
+    start, end = prefix_range(prefix)
+    return [unpack_key(raw) for raw, _value in engine.range_scan(start, end)]
+
+
+def _class_image(classes):
+    """An engine holding only ``("s","c")`` keys: name -> parent names."""
+    engine = MemoryEngine()
+    journal = StoreJournal(engine, ObjectStore())
+    with journal.batch():
+        for name, parents in classes.items():
+            journal.note_class(Atom(name), [Atom(p) for p in parents])
+    return engine
+
+
+class TestDecodeOnePass:
+    def test_child_keyed_before_its_parent(self):
+        # ("s","c","A") sorts before ("s","c","Zeta"): the loader orders
+        # classes by dependency, not by key.
+        reference = ObjectStore()
+        reference.declare_class("Zeta")
+        reference.declare_class("A", ["Zeta"])
+        engine = MemoryEngine()
+        encode_store(reference, engine)
+        assert [parts[2].name for parts in _keys(engine, ("s", "c"))] == [
+            "A", "Zeta",
+        ]
+        back = decode_store(engine)
+        assert back.hierarchy.edges() == reference.hierarchy.edges()
+        assert back.hierarchy.is_subclass(Atom("A"), Atom("Zeta"))
+
+    def test_class_cycle_raises(self):
+        engine = _class_image({"A": ["B"], "B": ["A"]})
+        with pytest.raises(CodecError, match="cyclic"):
+            decode_store(engine)
+
+    def test_undeclared_parent_raises(self):
+        engine = _class_image({"A": ["Ghost"]})
+        with pytest.raises(CodecError, match="Ghost"):
+            decode_store(engine)
+
+    def test_membership_of_unknown_class_raises(self):
+        engine = MemoryEngine()
+        encode_store(ObjectStore(), engine)
+        engine.put(pack_key(("o", Atom("mary"))), b"")
+        engine.put(pack_key(("x", Atom("Ghost"), Atom("mary"))), b"")
+        with pytest.raises(UnknownClassError):
+            decode_store(engine)
+
+    @pytest.mark.parametrize("build", [_figure1_paper, _scaled_2k])
+    def test_decoded_store_equals_the_live_one(self, build):
+        store = build()
+        engine = MemoryEngine()
+        encode_store(store, engine)
+        back = decode_store(engine)
+        assert back.known_objects() == store.known_objects()
+        assert back.statistics.snapshot() == store.statistics.snapshot()
+        owners = [owner for owner, _cells in back.records()]
+        assert {owner: dict(cells) for owner, cells in back.records()} == {
+            owner: dict(cells) for owner, cells in store.records()
+        }
+        # A decoded store's records come in ("o") key order, with each
+        # class-object added at its first default cell in ("f") order.
+        individuals = [parts[1] for parts in _keys(engine, ("o",))]
+        defaults = [
+            parts[2]
+            for parts in _keys(engine, ("f",))
+            if store.catalogue.is_class(parts[2])
+        ]
+        assert owners == individuals + list(dict.fromkeys(defaults))
 
 
 class TestJournalMirroring:

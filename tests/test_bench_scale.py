@@ -22,9 +22,12 @@ from repro.bench.scale import (
 
 @pytest.fixture(scope="module")
 def artifact():
-    return run_scale_benchmark(
+    payload = run_scale_benchmark(
         tiers=("1k",), rounds=1, modes=[("cost", "hash")]
     )
+    # benchmarks/bench_scale.py records the probe time beside each tier.
+    payload["tiers"][0]["probe_ms"] = 1.0
+    return payload
 
 
 class TestArtifactShape:
@@ -78,6 +81,7 @@ class TestReproducibility:
         assert tier["ingest"]["objects"] == 1_000
         query = tier["modes"][0]["queries"][0]
         assert query["p95_ms"] == 0 and query["rows"] >= 0
+        assert tier["probe_ms"] == 0
         # The original is untouched.
         assert artifact["tiers"][0]["ingest"]["objects_per_sec"] > 0
 
@@ -111,6 +115,26 @@ class TestBaselineGate:
             artifact["tiers"][0]["ingest"]["objects_per_sec"] / 1.8
         )
         assert compare_to_baseline(wobbly, artifact) == []
+
+    def test_a_slower_host_is_scaled_away(self, artifact):
+        # Three times slower throughout, probe loop included: no gate.
+        slower = copy.deepcopy(artifact)
+        tier = slower["tiers"][0]
+        tier["probe_ms"] *= 3
+        tier["ingest"]["objects_per_sec"] /= 3
+        tier["modes"][0]["worst_p95_ms"] *= 3
+        assert compare_to_baseline(slower, artifact) == []
+        # Three times slower on a host as fast as the baseline's: both.
+        tier["probe_ms"] = artifact["tiers"][0]["probe_ms"]
+        problems = compare_to_baseline(slower, artifact)
+        assert len(problems) == 2
+
+    def test_missing_probe_time_is_reported(self, artifact):
+        stale = copy.deepcopy(artifact)
+        del stale["tiers"][0]["probe_ms"]
+        assert compare_to_baseline(artifact, stale) == [
+            "1k: no probe time to scale by"
+        ]
 
     def test_unknown_tiers_and_modes_are_ignored(self, artifact):
         baseline = copy.deepcopy(artifact)
